@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .geometry import AnisoIndex, angle_between, project_many
+from .geometry import AnisoIndex, angle_to_nearest, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 
 _REGIME_TOL = 1e-12
@@ -128,7 +128,7 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
     violations = []
     max_err = 0.0
     for z in detected:
-        err = min(angle_between(z, g) for g in pred)
+        err = angle_to_nearest(z, pred)
         max_err = max(max_err, err)
         if err > tol_angle:
             violations.append({"direction": z.tolist(), "angle": err})
@@ -138,7 +138,7 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
             if not detected:
                 misses.append({"direction": g.tolist()})
                 continue
-            err = min(angle_between(np.asarray(z), g) for z in detected)
+            err = angle_to_nearest(g, detected)
             if err > tol_angle:
                 misses.append({"direction": g.tolist(), "angle": err})
     return {

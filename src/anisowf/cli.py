@@ -1,8 +1,9 @@
 """Command-line entry point: JSON experiment configs in, report files out.
 
 Subcommands: stft, wf, chirp-verify, propagate-verify, kernel-check,
-relation, seminorm.  Exit codes: 0 success, 2 configuration error,
-3 resolution/aliasing/reach error.  Reports embed the resolved config and
+relation, seminorm.  Exit codes: 0 success, 1 any other toolkit error
+(e.g. a domain check of the estimator), 2 configuration error, 3
+resolution/aliasing/reach error.  Reports embed the resolved config and
 toolkit version; floats are written with a fixed 17-digit format so equal
 configs and seeds produce byte-identical output.
 """
@@ -16,8 +17,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
 from .chirp import compare_wf, predict_chirp_wf
 from .errors import (AliasingError, ConfigError, CurveRangeError,
@@ -25,7 +24,7 @@ from .errors import (AliasingError, ConfigError, CurveRangeError,
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
-from .geometry import AnisoIndex, angle_between
+from .geometry import AnisoIndex, angle_to_nearest
 from .io import (dump_json, poly_from_dict, prediction_to_dict,
                  point_set_to_list, read_signal_csv, wf_estimate_to_dict,
                  write_profile_csv, write_signal_csv, write_stft_csv)
@@ -35,7 +34,12 @@ from .signals import (chirp_signal, delta_signal, gaussian_signal, make_chirp,
 from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
 
 
-def cfg_get(cfg, path, required=True, default=None):
+def cfg_get(cfg, path, convert=None, required=True, default=None):
+    """Value at a dotted config path, passed through convert when given.
+
+    A missing required field, or a value that convert rejects, raises
+    ConfigError naming the path; a missing optional field gives default as is.
+    """
     node = cfg
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -43,12 +47,21 @@ def cfg_get(cfg, path, required=True, default=None):
                 raise ConfigError(f"missing field: {path}")
             return default
         node = node[part]
-    return node
+    if convert is None:
+        return node
+    try:
+        return convert(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: invalid value {node!r} ({exc})") from None
+
+
+def _float_list(values) -> list:
+    return [float(v) for v in values]
 
 
 def parse_index(cfg, path="index") -> AnisoIndex:
-    t = float(cfg_get(cfg, f"{path}.t"))
-    s = float(cfg_get(cfg, f"{path}.s"))
+    t = cfg_get(cfg, f"{path}.t", float)
+    s = cfg_get(cfg, f"{path}.s", float)
     if not (t > 0.5 and s > 0.5):
         raise ConfigError(f"{path}: need t, s > 1/2 for a Gaussian window, got ({t}, {s})")
     if not t + s > 1.0:
@@ -57,7 +70,7 @@ def parse_index(cfg, path="index") -> AnisoIndex:
 
 
 def parse_window(cfg) -> WindowSpec:
-    width = float(cfg_get(cfg, "window.width", required=False, default=1.0))
+    width = cfg_get(cfg, "window.width", float, required=False, default=1.0)
     if not width > 0.0:
         raise ConfigError("window.width: must be positive")
     return WindowSpec(width)
@@ -66,32 +79,32 @@ def parse_window(cfg) -> WindowSpec:
 def parse_signal(cfg, path="signal"):
     cfg_get(cfg, path)
 
-    def field(name, required=True, default=None):
-        return cfg_get(cfg, f"{path}.{name}", required=required, default=default)
+    def field(name, convert=None, required=True, default=None):
+        return cfg_get(cfg, f"{path}.{name}", convert, required, default)
 
     kind = field("kind")
     if kind == "gaussian":
-        return make_gaussian(int(field("d", required=False, default=1)),
-                             int(field("n")), float(field("dx")),
-                             float(field("width", required=False, default=1.0)))
+        return make_gaussian(field("d", int, required=False, default=1),
+                             field("n", int), field("dx", float),
+                             field("width", float, required=False, default=1.0))
     if kind == "chirp":
         phase = poly_from_dict(field("phase"))
-        n = int(field("n"))
-        dx = float(field("dx"))
-        env = field("envelope_width", required=False)
+        n = field("n", int)
+        dx = field("dx", float)
+        env = field("envelope_width", float, required=False)
         if env is not None:
-            level = float(field("alias_guard_level", required=False, default=1e-14))
-            return make_windowed_chirp(phase, n, dx, float(env), guard_level=level)
+            level = field("alias_guard_level", float, required=False, default=1e-14)
+            return make_windowed_chirp(phase, n, dx, env, guard_level=level)
         return make_chirp(phase, n, dx)
     if kind == "file":
         return read_signal_csv(field("path"))
     if kind == "analytic-gaussian":
-        return gaussian_signal(float(field("width", required=False, default=1.0)),
-                               int(field("d", required=False, default=1)))
+        return gaussian_signal(field("width", float, required=False, default=1.0),
+                               field("d", int, required=False, default=1))
     if kind == "analytic-one":
-        return one_signal(int(field("d", required=False, default=1)))
+        return one_signal(field("d", int, required=False, default=1))
     if kind == "analytic-delta":
-        return delta_signal(int(field("d", required=False, default=1)))
+        return delta_signal(field("d", int, required=False, default=1))
     if kind == "analytic-chirp":
         return chirp_signal(poly_from_dict(field("phase")))
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
@@ -99,15 +112,15 @@ def parse_signal(cfg, path="signal"):
 
 def parse_estimator_opts(cfg) -> dict:
     opts = {
-        "sphere_samples": int(cfg_get(cfg, "sphere_samples", required=False, default=720)),
+        "sphere_samples": cfg_get(cfg, "sphere_samples", int, required=False, default=720),
         "lambda_range": (
-            float(cfg_get(cfg, "lambda.min", required=False, default=2.0)),
-            float(cfg_get(cfg, "lambda.max", required=False, default=50.0)),
+            cfg_get(cfg, "lambda.min", float, required=False, default=2.0),
+            cfg_get(cfg, "lambda.max", float, required=False, default=50.0),
         ),
-        "n_lambda": int(cfg_get(cfg, "lambda.n", required=False, default=24)),
-        "r_threshold": float(cfg_get(cfg, "r_threshold", required=False, default=1.0)),
-        "floor": float(cfg_get(cfg, "floor", required=False, default=1e-14)),
-        "cone_steps": int(cfg_get(cfg, "cone_steps", required=False, default=1)),
+        "n_lambda": cfg_get(cfg, "lambda.n", int, required=False, default=24),
+        "r_threshold": cfg_get(cfg, "r_threshold", float, required=False, default=1.0),
+        "floor": cfg_get(cfg, "floor", float, required=False, default=1e-14),
+        "cone_steps": cfg_get(cfg, "cone_steps", int, required=False, default=1),
     }
     if not opts["r_threshold"] > 0.0:
         raise ConfigError("r_threshold: must be positive")
@@ -145,7 +158,7 @@ def report_envelope(config, seed, body):
     return {"toolkit_version": __version__, "seed": seed, "config": config, **body}
 
 
-def cmd_stft(config, out, seed, threads):
+def cmd_stft(config, out, seed):
     sig = parse_signal(config)
     if sig.dim != 1:
         raise ConfigError("signal: the stft command sweeps 1-d signals")
@@ -159,7 +172,7 @@ def cmd_stft(config, out, seed, threads):
     }))
 
 
-def cmd_wf(config, out, seed, threads):
+def cmd_wf(config, out, seed):
     sig = parse_signal(config)
     w = parse_window(config)
     idx = parse_index(config)
@@ -172,12 +185,12 @@ def cmd_wf(config, out, seed, threads):
             write_profile_csv(out.path(f"profiles/profile_{i:05d}.csv"), prof)
 
 
-def cmd_chirp_verify(config, out, seed, threads):
+def cmd_chirp_verify(config, out, seed):
     phase = poly_from_dict(cfg_get(config, "phase"))
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = float(cfg_get(config, "tol_angle", required=False, default=0.09))
+    tol = cfg_get(config, "tol_angle", float, required=False, default=0.09)
     pred = predict_chirp_wf(phase, idx)
     est = estimate_wf(chirp_signal(phase), w, idx, **opts)
     report = compare_wf(est, pred, tol)
@@ -186,15 +199,15 @@ def cmd_chirp_verify(config, out, seed, threads):
     out.write_json("report.json", report_envelope(config, seed, report))
 
 
-def cmd_propagate_verify(config, out, seed, threads):
+def cmd_propagate_verify(config, out, seed):
     symbol = poly_from_dict(cfg_get(config, "symbol"))
-    time = float(cfg_get(config, "time"))
+    time = cfg_get(config, "time", float)
     spec = EvolutionSpec(symbol, time)
     sig = parse_signal(config)
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = float(cfg_get(config, "tol_angle", required=False, default=0.09))
+    tol = cfg_get(config, "tol_angle", float, required=False, default=0.09)
 
     evolved = propagate(sig, spec)
     write_signal_csv(out.path("evolved.csv"), evolved)
@@ -223,30 +236,30 @@ def _directed_gap(a, b):
     """max over a of the angle to the nearest member of b; None when either is empty."""
     if not a or not b:
         return None
-    return max(min(angle_between(np.asarray(z), np.asarray(y)) for y in b) for z in a)
+    return max(angle_to_nearest(z, b) for z in a)
 
 
-def cmd_kernel_check(config, out, seed, threads):
+def cmd_kernel_check(config, out, seed):
     symbol = poly_from_dict(cfg_get(config, "symbol"))
-    time = float(cfg_get(config, "time"))
+    time = cfg_get(config, "time", float)
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)
     w = parse_window(config)
-    n = int(cfg_get(config, "n"))
-    dx = float(cfg_get(config, "dx"))
-    eps_angle = float(cfg_get(config, "eps_angle", required=False, default=0.05))
+    n = cfg_get(config, "n", int)
+    dx = cfg_get(config, "dx", float)
+    eps_angle = cfg_get(config, "eps_angle", float, required=False, default=0.05)
     opts = parse_estimator_opts(config)
     opts.pop("cone_steps")
     opts.pop("sphere_samples")
-    sweep = tuple(cfg_get(config, "sweep", required=False, default=[8, 24, 24, 64]))
-    moll_frac = float(cfg_get(config, "moll_width_frac", required=False, default=0.25))
-    halve = bool(cfg_get(config, "halve_check", required=False, default=False))
-    xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", required=False)
+    sweep = cfg_get(config, "sweep", tuple, required=False, default=(8, 24, 24, 64))
+    moll_frac = cfg_get(config, "moll_width_frac", float, required=False, default=0.25)
+    halve = cfg_get(config, "halve_check", bool, required=False, default=False)
+    xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", float, required=False)
 
     def run(frac):
         wm = frac * math.pi / dx
         kernel = kernel_signal(spec, n, dx, moll_width=wm)
-        cap = None if xi_cap_frac is None else float(xi_cap_frac) * wm
+        cap = None if xi_cap_frac is None else xi_cap_frac * wm
         est = estimate_kernel_wf(kernel, w, idx, sweep=sweep, seed=seed,
                                  xi_reach_abs=cap, **opts)
         graph = check_graph_condition(est, eps_angle)
@@ -268,8 +281,8 @@ def cmd_kernel_check(config, out, seed, threads):
     out.write_json("report.json", report_envelope(config, seed, body))
 
 
-def cmd_relation(config, out, seed, threads):
-    tol = float(cfg_get(config, "tolerance", required=False, default=1e-9))
+def cmd_relation(config, out, seed):
+    tol = cfg_get(config, "tolerance", float, required=False, default=1e-9)
     a = PointSet(cfg_get(config, "A"), tol)
     b = PointSet(cfg_get(config, "B"), tol)
     composed = compose(a, b)
@@ -282,23 +295,23 @@ def cmd_relation(config, out, seed, threads):
     out.write_json("composition.json", report_envelope(config, seed, body))
 
 
-def cmd_seminorm(config, out, seed, threads):
+def cmd_seminorm(config, out, seed):
     sig = parse_signal(config)
     idx = parse_index(config)
     kind = cfg_get(config, "kind", required=False, default="stft")
     rows = []
     if kind == "stft":
         w = parse_window(config)
-        for r in cfg_get(config, "r_values"):
-            val = stft_seminorm(sig, w, idx, float(r))
-            rows.append({"r": float(r),
+        for r in cfg_get(config, "r_values", _float_list):
+            val = stft_seminorm(sig, w, idx, r)
+            rows.append({"r": r,
                          "value": None if math.isinf(val) else val,
                          "divergent": math.isinf(val)})
     elif kind == "classical":
-        order = int(cfg_get(config, "max_order", required=False, default=4))
-        for h in cfg_get(config, "h_values"):
-            val = classical_seminorm(sig, idx, float(h), order)
-            rows.append({"h": float(h), "value": val, "divergent": False})
+        order = cfg_get(config, "max_order", int, required=False, default=4)
+        for h in cfg_get(config, "h_values", _float_list):
+            val = classical_seminorm(sig, idx, h, order)
+            rows.append({"h": h, "value": val, "divergent": False})
     else:
         raise ConfigError(f"kind: unknown seminorm kind {kind!r}")
     out.write_json("seminorm.json", report_envelope(config, seed, {"values": rows}))
@@ -323,8 +336,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; runs are single-threaded and deterministic")
     args = parser.parse_args(argv)
 
     try:
@@ -338,7 +349,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            COMMANDS[args.command](config, out, args.seed, args.threads)
+            COMMANDS[args.command](config, out, args.seed)
     except ConfigError as exc:
         out.cleanup()
         print(f"config error: {exc}", file=sys.stderr)

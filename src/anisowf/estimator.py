@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveRangeError, DomainError, GraphConditionError
-from .geometry import AnisoIndex, PhasePoint, SphereDirection, scale_point
+from .geometry import AnisoIndex, PhasePoint, SphereDirection
 from .signals import AnalyticSignal, SampledSignal
 from .stft import WindowSpec, stft_point
 
@@ -135,22 +135,36 @@ def decay_profile(u, w: WindowSpec, idx: AnisoIndex, z0: SphereDirection,
                   floor: float = DEFAULT_FLOOR, reach_frac=(0.8, 0.8)) -> DecayProfile:
     """|V u| along the anisotropic curve through z0, clipped to the grid reach."""
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_samples)
-    cap = curve_reach(u, idx, z0, reach_frac)
-    if cap < lambdas[-1]:
-        kept = lambdas[lambdas <= cap]
-        if kept.size < _MIN_REACHABLE:
-            raise CurveRangeError(
-                f"only {kept.size} of {n_samples} curve samples reachable for {z0}")
-        warnings.warn(f"curve through {z0.z.tolist()} clipped at lambda = {cap:.3g}",
-                      stacklevel=2)
-        lambdas = kept
-    mags = _curve_magnitudes(u, w, idx, z0, lambdas)
-    return DecayProfile(z0, lambdas, mags, floor)
+    mags = _curve_table(u, w, idx, z0.z[None, :], lambdas, reach_frac)[0]
+    reach = np.isfinite(mags)
+    if not reach.any():
+        raise CurveRangeError(f"fewer than {_MIN_REACHABLE} of {n_samples} curve samples "
+                              f"reachable for {z0}")
+    if not reach.all():
+        warnings.warn(f"curve through {z0.z.tolist()} clipped at lambda = "
+                      f"{lambdas[reach][-1]:.3g}", stacklevel=2)
+    return DecayProfile(z0, lambdas[reach], mags[reach], floor)
 
 
-def _curve_magnitudes(u, w, idx, z0, lambdas) -> np.ndarray:
-    pts = [scale_point(idx, z0.as_point(), float(lam)) for lam in lambdas]
-    return np.array([abs(stft_point(u, w, p)) for p in pts], dtype=float)
+def _curve_table(u, w, idx, dirs, lambdas, reach_frac, xi_reach_abs=None) -> np.ndarray:
+    """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
+
+    Returns a (directions x lambdas) table with NaN beyond each curve's grid
+    reach; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
+    The scale factors are Python floats: numpy's vectorized power can differ
+    in the last bit, which would change the written profiles.
+    """
+    scales = [(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas]
+    table = np.full((dirs.shape[0], lambdas.size), np.nan)
+    d = dirs.shape[1] // 2
+    for i, z in enumerate(dirs):
+        cap = curve_reach(u, idx, SphereDirection(z), reach_frac, xi_reach_abs)
+        n = int(np.count_nonzero(lambdas <= cap))
+        if n >= _MIN_REACHABLE:
+            x, xi = z[:d], z[d:]
+            table[i, :n] = [abs(stft_point(u, w, PhasePoint(x * a, xi * b)))
+                            for a, b in scales[:n]]
+    return table
 
 
 def circle_directions(n: int) -> list:
@@ -159,27 +173,23 @@ def circle_directions(n: int) -> list:
     return [SphereDirection(np.array([math.cos(t), math.sin(t)])) for t in thetas]
 
 
-def _classify(lambdas, mag_matrix, floor, threshold):
-    """Per-direction fits and singular flags from a (dirs x lambdas) magnitude table.
+def _classify(dirs, lambdas, table, floor, threshold) -> list:
+    """One WFEntry per row of a (directions x lambdas) magnitude table.
 
     NaN marks unreachable curve samples.  A direction is singular when the
     fitted rate is at or below the threshold (ties singular, conservative)
     and the last reachable magnitude sits above the floor.
     """
-    n_dirs = mag_matrix.shape[0]
-    fits = []
-    flags = np.zeros(n_dirs, dtype=bool)
-    for i in range(n_dirs):
-        row = mag_matrix[i]
+    entries = []
+    for z, row in zip(dirs, table):
         reach = np.isfinite(row)
         if np.count_nonzero(reach) < _MIN_REACHABLE:
-            fits.append(RateFit(math.inf, 0.0, 0.0, 0))
-            continue
-        fit = fit_rate_arrays(lambdas[reach], row[reach], floor)
-        fits.append(fit)
-        last = row[reach][-1]
-        flags[i] = (fit.rhat <= threshold) and (last >= floor)
-    return fits, flags
+            fit, singular = RateFit(math.inf, 0.0, 0.0, 0), False
+        else:
+            fit = fit_rate_arrays(lambdas[reach], row[reach], floor)
+            singular = fit.rhat <= threshold and row[reach][-1] >= floor
+        entries.append(WFEntry(SphereDirection(z), fit, bool(singular)))
+    return entries
 
 
 def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
@@ -195,28 +205,15 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
     if sphere_samples < 90:
         raise DomainError("need at least 90 sphere samples for a d = 1 sweep")
 
-    dirs = circle_directions(sphere_samples)
+    dirs = np.array([z.z for z in circle_directions(sphere_samples)])
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
-
-    mags = np.full((sphere_samples, n_lambda), np.nan)
-    for i, z0 in enumerate(dirs):
-        cap = curve_reach(u, idx, z0, reach_frac)
-        sel = lambdas <= cap
-        if np.count_nonzero(sel) < _MIN_REACHABLE:
-            continue
-        mags[i, sel] = _curve_magnitudes(u, w, idx, z0, lambdas[sel])
-
-    cone = _cone_max_circle(mags, cone_steps)
-    fits, flags = _classify(lambdas, cone, floor, r_threshold)
-    entries = [WFEntry(dirs[i], fits[i], bool(flags[i])) for i in range(sphere_samples)]
+    mags = _curve_table(u, w, idx, dirs, lambdas, reach_frac)
+    entries = _classify(dirs, lambdas, _cone_max_circle(mags, cone_steps), floor, r_threshold)
     profiles = None
     if keep_profiles:
-        profiles = [
-            DecayProfile(dirs[i], lambdas[np.isfinite(mags[i])],
-                         mags[i][np.isfinite(mags[i])], floor)
-            if np.count_nonzero(np.isfinite(mags[i])) >= _MIN_REACHABLE else None
-            for i in range(sphere_samples)
-        ]
+        profiles = [DecayProfile(SphereDirection(z), lambdas[reach], row[reach], floor)
+                    if reach.any() else None
+                    for z, row, reach in zip(dirs, mags, np.isfinite(mags))]
     return WFEstimate(idx, entries, r_threshold, profiles)
 
 
@@ -285,12 +282,6 @@ def _tangent_basis(center: np.ndarray) -> np.ndarray:
     return q[:, 1:4]
 
 
-def _kernel_curve_mags(K, w, idx, z, lambdas):
-    d2 = z.size // 2
-    pts = [scale_point(idx, PhasePoint(z[:d2], z[d2:]), float(lam)) for lam in lambdas]
-    return np.array([abs(stft_point(K, w, p)) for p in pts], dtype=float)
-
-
 def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
                        sweep=(8, 24, 24, 64), max_directions: int = 8000,
                        lambda_range=(LAMBDA_MIN, 50.0), n_lambda: int = DEFAULT_N_LAMBDA,
@@ -312,45 +303,26 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
 
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)
-
-    def classify(block: np.ndarray):
-        mags = np.full((block.shape[0], n_lambda), np.nan)
-        for i, z in enumerate(block):
-            cap = curve_reach(K, idx, SphereDirection(z), reach_frac, xi_reach_abs)
-            sel = lambdas <= cap
-            if np.count_nonzero(sel) < _MIN_REACHABLE:
-                continue
-            mags[i, sel] = _kernel_curve_mags(K, w, idx, z, lambdas[sel])
-        return _classify(lambdas, mags, floor, r_threshold)
-
-    fits, flags = classify(dirs)
+    entries = _classify(dirs, lambdas,
+                        _curve_table(K, w, idx, dirs, lambdas, reach_frac, xi_reach_abs),
+                        floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
-    finite_rates = np.array([f.rhat if math.isfinite(f.rhat) else np.inf for f in fits])
-    order = np.argsort(finite_rates)
-    seed_ids = list(np.nonzero(flags)[0])
-    for i in order:
+    rates = np.array([e.fit.rhat for e in entries])
+    seed_ids = [i for i, e in enumerate(entries) if e.singular]
+    for i in np.argsort(rates):
         if len(seed_ids) >= 48:
             break
-        if i not in seed_ids and math.isfinite(finite_rates[i]):
+        if i not in seed_ids and math.isfinite(rates[i]):
             seed_ids.append(int(i))
     spacing = math.pi / (min(sweep[1], sweep[2]) or 1)
     budget = max_directions - dirs.shape[0]
-    refined = []
-    if seed_ids and refine > 0 and budget > 0:
-        per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
-        for i in seed_ids:
-            if per > 0:
-                refined.append(fibonacci_cap(dirs[i], spacing, per, rng))
-    if refined:
-        extra = np.concatenate(refined, axis=0)
-        efits, eflags = classify(extra)
-        dirs = np.concatenate([dirs, extra], axis=0)
-        fits = fits + efits
-        flags = np.concatenate([flags, eflags])
-
-    entries = [WFEntry(SphereDirection(dirs[i]), fits[i], bool(flags[i]))
-               for i in range(dirs.shape[0])]
+    per = min(refine, budget // len(seed_ids)) if seed_ids else 0
+    if per > 0:
+        extra = np.concatenate([fibonacci_cap(dirs[i], spacing, per, rng) for i in seed_ids])
+        entries += _classify(extra, lambdas,
+                             _curve_table(K, w, idx, extra, lambdas, reach_frac, xi_reach_abs),
+                             floor, r_threshold)
     return WFEstimate(idx, entries, r_threshold)
 
 

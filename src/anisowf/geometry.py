@@ -289,3 +289,8 @@ def growth_bounds(idx: AnisoIndex, points) -> tuple[float, float]:
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     """Angle in radians between two unit vectors."""
     return float(math.acos(min(1.0, max(-1.0, float(np.dot(u, v))))))
+
+
+def angle_to_nearest(z: np.ndarray, dirs) -> float:
+    """Angle in radians from a unit vector to the nearest member of a nonempty set."""
+    return min(angle_between(z, y) for y in dirs)

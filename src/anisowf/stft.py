@@ -249,11 +249,6 @@ def stft_point(u, w: WindowSpec, p: PhasePoint) -> complex:
     raise DomainError(f"unsupported signal type {type(u).__name__}")
 
 
-def stft_magnitudes(u, w: WindowSpec, points) -> np.ndarray:
-    """|stft_point| over an iterable of phase points."""
-    return np.array([abs(stft_point(u, w, p)) for p in points], dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # full grids, inversion, Moyal
 

@@ -30,11 +30,22 @@ class TestStftCommand:
         assert (outdir / "stft_grid.csv").exists()
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
-        cfg = {"signal": {"kind": "gaussian", "n": 256}}
-        code, outdir = run_cli(tmp_path, "stft", cfg)
-        assert code == 2
-        assert "signal.dx" in capsys.readouterr().err
-        assert not (outdir / "moyal.json").exists()
+        gauss = {"kind": "gaussian", "n": 256, "dx": 0.1}
+        cases = [
+            ("stft", {"signal": {"kind": "gaussian", "n": 256}}, "signal.dx"),
+            ("stft", {"signal": dict(gauss, n="abc")}, "signal.n"),
+            ("stft", {"signal": gauss, "window": {"width": "x"}}, "window.width"),
+            ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]],
+                          "tolerance": "big"}, "tolerance"),
+            ("seminorm", {"signal": gauss, "index": {"t": 1.0, "s": 1.0},
+                          "kind": "stft", "r_values": 3}, "r_values"),
+        ]
+        for k, (command, cfg, path) in enumerate(cases):
+            code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")
+            err = capsys.readouterr().err
+            assert code == 2, path
+            assert path in err and "Traceback" not in err, err
+            assert not any(files for _, _, files in os.walk(outdir)), path
 
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}

@@ -196,6 +196,25 @@ class TestEstimateWF:
                        for y in sing_small)
             assert best <= step * (1 + 1e-9)
 
+    def test_profiles_match_decay_profile(self):
+        # the grid clips every curve before lambda = 50, by a different amount
+        # per direction; both entry points must read the same samples
+        u = make_gaussian(1, 256, 0.1)
+        w, idx = WindowSpec(1.0), AnisoIndex(1.0, 1.0)
+        est = estimate_wf(u, w, idx, sphere_samples=90, lambda_range=(2.0, 50.0),
+                          cone_steps=0, keep_profiles=True)
+        sizes = set()
+        for i in (0, 7, 22, 40, 67):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                prof = decay_profile(u, w, idx, est.entries[i].direction,
+                                     lambda_range=(2.0, 50.0))
+            assert any("clipped" in str(r.message) for r in rec)
+            assert np.array_equal(prof.lambdas, est.profiles[i].lambdas)
+            assert np.array_equal(prof.magnitudes, est.profiles[i].magnitudes)
+            sizes.add(prof.lambdas.size)
+        assert len(sizes) > 1
+
     def test_keep_profiles(self):
         u = make_gaussian(1, 256, 0.1)
         est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0),
