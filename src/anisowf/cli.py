@@ -37,8 +37,9 @@ from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_s
 def cfg_get(cfg, path, convert=None, required=True, default=None):
     """Value at a dotted config path, passed through convert when given.
 
-    A missing required field, or a value that convert rejects, raises
-    ConfigError naming the path; a missing optional field gives default as is.
+    A missing required field, or a value that convert rejects with a
+    TypeError, ValueError or ConfigError, raises ConfigError naming the path;
+    a missing optional field gives default as is.
     """
     node = cfg
     for part in path.split("."):
@@ -51,7 +52,7 @@ def cfg_get(cfg, path, convert=None, required=True, default=None):
         return node
     try:
         return convert(node)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: invalid value {node!r} ({exc})") from None
 
 
@@ -88,7 +89,7 @@ def parse_signal(cfg, path="signal"):
                              field("n", int), field("dx", float),
                              field("width", float, required=False, default=1.0))
     if kind == "chirp":
-        phase = poly_from_dict(field("phase"))
+        phase = field("phase", poly_from_dict)
         n = field("n", int)
         dx = field("dx", float)
         env = field("envelope_width", float, required=False)
@@ -106,7 +107,7 @@ def parse_signal(cfg, path="signal"):
     if kind == "analytic-delta":
         return delta_signal(field("d", int, required=False, default=1))
     if kind == "analytic-chirp":
-        return chirp_signal(poly_from_dict(field("phase")))
+        return chirp_signal(field("phase", poly_from_dict))
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
@@ -186,7 +187,7 @@ def cmd_wf(config, out, seed):
 
 
 def cmd_chirp_verify(config, out, seed):
-    phase = poly_from_dict(cfg_get(config, "phase"))
+    phase = cfg_get(config, "phase", poly_from_dict)
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
@@ -200,7 +201,7 @@ def cmd_chirp_verify(config, out, seed):
 
 
 def cmd_propagate_verify(config, out, seed):
-    symbol = poly_from_dict(cfg_get(config, "symbol"))
+    symbol = cfg_get(config, "symbol", poly_from_dict)
     time = cfg_get(config, "time", float)
     spec = EvolutionSpec(symbol, time)
     sig = parse_signal(config)
@@ -240,7 +241,7 @@ def _directed_gap(a, b):
 
 
 def cmd_kernel_check(config, out, seed):
-    symbol = poly_from_dict(cfg_get(config, "symbol"))
+    symbol = cfg_get(config, "symbol", poly_from_dict)
     time = cfg_get(config, "time", float)
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)

@@ -57,10 +57,6 @@ class DecayProfile:
         if np.any(np.diff(self.lambdas) <= 0):
             raise DomainError("lambda samples must be strictly increasing")
 
-    @property
-    def floor_mask(self) -> np.ndarray:
-        return self.magnitudes < self.floor
-
 
 @dataclass(frozen=True)
 class WFEntry:

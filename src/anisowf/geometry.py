@@ -67,14 +67,6 @@ class PhasePoint:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.xi])
 
-    @classmethod
-    def from_vector(cls, z) -> "PhasePoint":
-        z = np.asarray(z, dtype=float)
-        if z.size % 2 != 0:
-            raise DomainError("phase-space vector must have even length")
-        d = z.size // 2
-        return cls(z[:d], z[d:])
-
     def __repr__(self):
         return f"PhasePoint(x={self.x.tolist()}, xi={self.xi.tolist()})"
 

@@ -2,7 +2,9 @@
 
 Used both as chirp phase functions and as evolution symbols.  Coefficients
 map a multi-index alpha (tuple of nonnegative ints) to a real number; the
-degree is the largest |alpha| carrying a nonzero coefficient.
+degree is the largest |alpha| carrying a nonzero coefficient.  Evaluation
+expands them into a dense coefficient array and applies Horner's rule one
+variable at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 
@@ -27,9 +30,9 @@ class PolynomialData:
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != dim or any(a < 0 for a in alpha):
                 raise DomainError(f"bad multi-index {alpha} for dimension {dim}")
-            c = float(c)
-            if np.iscomplexobj(c) or isinstance(c, complex):
+            if np.iscomplexobj(c):
                 raise DomainError("coefficients must be real")
+            c = float(c)
             if c != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + c
         self.dim = dim
@@ -61,21 +64,35 @@ def poly_1d(*coeffs_ascending) -> PolynomialData:
     return PolynomialData(1, {(k,): c for k, c in enumerate(coeffs_ascending)})
 
 
-def eval_poly(p: PolynomialData, x) -> np.ndarray | float:
-    """Evaluate p at x; x has shape (..., dim), result has shape (...)."""
+def coeff_array(p: PolynomialData) -> np.ndarray:
+    """Dense coefficients c[alpha] of p, shape (degree + 1,) * dim."""
+    c = np.zeros((p.degree + 1,) * p.dim)
+    for alpha, coef in p.coeffs.items():
+        c[alpha] = coef
+    return c
+
+
+def _points(p: PolynomialData, x) -> np.ndarray:
+    """x as points of shape (..., dim); a 1-d p also takes bare coordinates."""
     x = np.asarray(x, dtype=float)
-    scalar_1d = p.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1)
-    if scalar_1d:
+    if p.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
         x = x[..., None]
     if x.shape[-1] != p.dim:
         raise DomainError(f"point dimension {x.shape[-1]} != polynomial dimension {p.dim}")
-    out = np.zeros(x.shape[:-1], dtype=float)
-    for alpha, c in p.coeffs.items():
-        term = np.full(x.shape[:-1], c, dtype=float)
-        for j, a in enumerate(alpha):
-            if a:
-                term = term * x[..., j] ** a
-        out = out + term
+    return x
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Nested Horner evaluation of dense coefficients c at points x of shape (..., dim)."""
+    out = npoly.polyval(x[..., 0], c)
+    for j in range(1, x.shape[-1]):
+        out = npoly.polyval(x[..., j], out, tensor=False)
+    return out
+
+
+def eval_poly(p: PolynomialData, x) -> np.ndarray | float:
+    """Evaluate p at x; x has shape (..., dim), result has shape (...)."""
+    out = _horner(coeff_array(p), _points(p, x))
     if out.ndim == 0:
         return float(out)
     return out
@@ -83,24 +100,9 @@ def eval_poly(p: PolynomialData, x) -> np.ndarray | float:
 
 def eval_grad(p: PolynomialData, x) -> np.ndarray:
     """Gradient of p at x; x has shape (..., dim), result shape (..., dim)."""
-    x = np.asarray(x, dtype=float)
-    scalar_1d = p.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1)
-    if scalar_1d:
-        x = x[..., None]
-    if x.shape[-1] != p.dim:
-        raise DomainError(f"point dimension {x.shape[-1]} != polynomial dimension {p.dim}")
-    out = np.zeros(x.shape, dtype=float)
-    for alpha, c in p.coeffs.items():
-        for j, a in enumerate(alpha):
-            if a == 0:
-                continue
-            term = np.full(x.shape[:-1], c * a, dtype=float)
-            for k, ak in enumerate(alpha):
-                pw = ak - 1 if k == j else ak
-                if pw:
-                    term = term * x[..., k] ** pw
-            out[..., j] += term
-    return out
+    x = _points(p, x)
+    c = coeff_array(p)
+    return np.stack([_horner(npoly.polyder(c, axis=j), x) for j in range(p.dim)], axis=-1)
 
 
 def principal_part(p: PolynomialData) -> PolynomialData:

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
-from .poly import PolynomialData, eval_grad, eval_poly, iter_multi_indices
+from .poly import PolynomialData, coeff_array, eval_poly, iter_multi_indices
 from .signals import AnalyticSignal, SampledSignal, fourier
 
 _TWO_PI = 2.0 * math.pi
@@ -172,16 +173,6 @@ def _stft_point_quadratic_chirp(phase: PolynomialData, w: WindowSpec, p: PhasePo
     return complex(_TWO_PI ** (-0.5) * integral)
 
 
-def _phase_deriv_coeffs_desc(phase: PolynomialData) -> np.ndarray:
-    """1-d derivative coefficients in descending powers, for np.roots."""
-    deg = phase.degree
-    asc = np.zeros(max(deg, 1))
-    for (k,), c in phase.coeffs.items():
-        if k >= 1:
-            asc[k - 1] += k * c
-    return asc[::-1]
-
-
 def _stft_point_chirp_quadrature(phase: PolynomialData, w: WindowSpec, p: PhasePoint) -> complex:
     """Oscillatory quadrature for 1-d polynomial phases of degree >= 3."""
     x = float(p.x[0])
@@ -192,14 +183,14 @@ def _stft_point_chirp_quadrature(phase: PolynomialData, w: WindowSpec, p: PhaseP
     # Nonstationary short-circuit: with no stationary point near the support
     # and |phase' - xi| uniformly large, |V| sits below exp(-(f w)^2/2) which
     # is far under any working floor; skip the (possibly huge) quadrature.
-    dcoef = _phase_deriv_coeffs_desc(phase).copy()
-    dcoef[-1] -= xi
-    roots = np.roots(dcoef) if dcoef.size > 1 else np.array([])
-    real_roots = roots[np.abs(roots.imag) < 1e-9].real if roots.size else np.array([])
+    # dcoef holds phase' - xi in ascending powers.
+    dcoef = npoly.polyder(coeff_array(phase))
+    dcoef[0] -= xi
+    roots = np.roots(dcoef[::-1])
+    real_roots = roots[np.abs(roots.imag) < 1e-9].real
     stationary_near = bool(np.any((real_roots > lo - 2.0 * w.width) &
                                   (real_roots < hi + 2.0 * w.width)))
-    probe = np.linspace(lo, hi, 1025)[:, None]
-    fprobe = np.abs(eval_grad(phase, probe)[:, 0] - xi)
+    fprobe = np.abs(npoly.polyval(np.linspace(lo, hi, 1025), dcoef))
     if not stationary_near and float(np.min(fprobe)) * w.width >= 12.0:
         return 0.0 + 0.0j
 

@@ -39,6 +39,15 @@ class TestStftCommand:
                           "tolerance": "big"}, "tolerance"),
             ("seminorm", {"signal": gauss, "index": {"t": 1.0, "s": 1.0},
                           "kind": "stft", "r_values": 3}, "r_values"),
+            ("chirp-verify", {"phase": {"dim": 1, "coeffs": [{"alpha": [3], "c": "abc"}]}},
+             "phase"),
+            ("propagate-verify", {"symbol": dict(XSQ, dim="one")}, "symbol"),
+            ("kernel-check", {"symbol": {"dim": 1}}, "symbol"),
+            ("stft", {"signal": {"kind": "chirp", "n": 64, "dx": 0.1,
+                                 "phase": {"dim": 1, "coeffs": [{"alpha": [3, 1], "c": 1.0}]}}},
+             "signal.phase"),
+            ("wf", {"signal": {"kind": "analytic-chirp", "phase": {"dim": "one"}}},
+             "signal.phase"),
         ]
         for k, (command, cfg, path) in enumerate(cases):
             code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")

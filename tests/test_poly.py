@@ -53,6 +53,34 @@ class TestEval:
                         fd = (eval_poly(p, x + e) - eval_poly(p, x - e)) / (2 * step)
                         assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
+    def test_dense_evaluator_matches_monomial_sums(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 3):
+            for degree in range(7):
+                for p in (PolynomialData(dim, {}), random_poly(rng, dim, degree)):
+                    x = rng.uniform(-1.5, 1.5, size=(7, 3, dim))
+                    value = np.zeros((7, 3))
+                    grad = np.zeros((7, 3, dim))
+                    for alpha, c in p.coeffs.items():
+                        value += c * np.prod(x ** np.array(alpha), axis=-1)
+                        for j in range(dim):
+                            if alpha[j]:
+                                lower = np.array(alpha) - np.eye(dim, dtype=int)[j]
+                                grad[..., j] += c * alpha[j] * np.prod(x ** lower, axis=-1)
+                    np.testing.assert_allclose(eval_poly(p, x), value, rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(eval_grad(p, x), grad, rtol=1e-12, atol=1e-12)
+                    if p.degree == 0:
+                        assert eval_grad(p, x).shape == (7, 3, dim)
+                        assert not np.any(eval_grad(p, x))
+                    if dim == 1:
+                        flat = x.reshape(-1)
+                        np.testing.assert_array_equal(eval_poly(p, flat),
+                                                      eval_poly(p, flat[:, None]))
+                        np.testing.assert_array_equal(eval_grad(p, flat),
+                                                      eval_grad(p, flat[:, None]))
+                        assert type(eval_poly(p, 0.7)) is float
+                    assert type(eval_poly(p, x[0, 0])) is float
+
 
 class TestPrincipalPart:
     def test_drops_lower_order(self):
@@ -87,3 +115,8 @@ class TestStructure:
     def test_bad_multi_index(self):
         with pytest.raises(DomainError):
             PolynomialData(2, {(1,): 1.0})
+
+    def test_complex_coefficient_rejected(self):
+        for c in (np.complex128(1 + 2j), 1 + 2j, np.array(1 + 2j)):
+            with pytest.raises(DomainError, match="real"):
+                PolynomialData(1, {(2,): c})
