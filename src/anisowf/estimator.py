@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveRangeError, DomainError, GraphConditionError
-from .geometry import AnisoIndex, PhasePoint, SphereDirection
+from .geometry import AnisoIndex, SphereDirection
 from .signals import AnalyticSignal, SampledSignal
-from .stft import WindowSpec, stft_point
+from .stft import WindowSpec, stft_points
 
 DEFAULT_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 1.0
@@ -147,19 +147,18 @@ def _curve_table(u, w, idx, dirs, lambdas, reach_frac, xi_reach_abs=None) -> np.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
     reach; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
-    The scale factors are Python floats: numpy's vectorized power can differ
-    in the last bit, which would change the written profiles.
+    The scale factors are Python float powers: numpy's vectorized power can
+    differ in the last bit, which would change the written profiles.
     """
-    scales = [(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas]
+    scales = np.array([(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas])
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
     for i, z in enumerate(dirs):
         cap = curve_reach(u, idx, SphereDirection(z), reach_frac, xi_reach_abs)
         n = int(np.count_nonzero(lambdas <= cap))
         if n >= _MIN_REACHABLE:
-            x, xi = z[:d], z[d:]
-            table[i, :n] = [abs(stft_point(u, w, PhasePoint(x * a, xi * b)))
-                            for a, b in scales[:n]]
+            table[i, :n] = np.abs(stft_points(u, w, scales[:n, :1] * z[:d],
+                                              scales[:n, 1:] * z[d:]))
     return table
 
 

@@ -104,14 +104,18 @@ class SphereDirection:
         return f"SphereDirection({self.z.tolist()})"
 
 
-def _lambda_solve_arrays(t: float, s: float, x_sq: np.ndarray, xi_sq: np.ndarray) -> np.ndarray:
-    """Vectorized root of lambda^(-2t) a + lambda^(-2s) b = 1 for a = |x|^2, b = |xi|^2.
+def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Scaling roots for points given as (N, d) coordinate arrays.
 
-    Solved in u = log(lambda): h(u) = logaddexp(La - 2t u, Lb - 2s u) is strictly
+    Root of lambda^(-2t) a + lambda^(-2s) b = 1 for a = |x|^2, b = |xi|^2,
+    solved in u = log(lambda): h(u) = logaddexp(La - 2t u, Lb - 2s u) is strictly
     decreasing, bracketed by closed-form axis roots, bisected and Newton-polished.
     """
-    a = np.asarray(x_sq, dtype=float)
-    b = np.asarray(xi_sq, dtype=float)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    t, s = idx.t, idx.s
+    a = np.sum(xs * xs, axis=1)
+    b = np.sum(xis * xis, axis=1)
     if np.any((a == 0.0) & (b == 0.0)):
         raise DomainError("lambda is undefined at the zero point")
 
@@ -146,19 +150,7 @@ def _lambda_solve_arrays(t: float, s: float, x_sq: np.ndarray, xi_sq: np.ndarray
 
 def lambda_solve(idx: AnisoIndex, p: PhasePoint) -> float:
     """Unique positive root of lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1."""
-    if p.is_zero():
-        raise DomainError("lambda is undefined at the zero point")
-    a = float(np.dot(p.x, p.x))
-    b = float(np.dot(p.xi, p.xi))
-    return float(_lambda_solve_arrays(idx.t, idx.s, np.array([a]), np.array([b]))[0])
-
-
-def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Vectorized scaling roots for points given as (N, d) coordinate arrays."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    return _lambda_solve_arrays(idx.t, idx.s,
-                                np.sum(xs * xs, axis=1), np.sum(xis * xis, axis=1))
+    return float(lambda_solve_many(idx, p.x, p.xi)[0])
 
 
 def lambda_residual(idx: AnisoIndex, p: PhasePoint, lam: float) -> float:
@@ -170,20 +162,15 @@ def lambda_residual(idx: AnisoIndex, p: PhasePoint, lam: float) -> float:
 
 def project(idx: AnisoIndex, p: PhasePoint) -> SphereDirection:
     """Retract p onto S^(2d-1) along its anisotropic curve."""
-    lam = lambda_solve(idx, p)
-    return SphereDirection(
-        np.concatenate([p.x / lam ** idx.t, p.xi / lam ** idx.s])
-    )
+    return SphereDirection(project_many(idx, p.x, p.xi)[0])
 
 
 def project_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Vectorized projection; xs, xis of shape (N, d) -> directions (N, 2d)."""
+    """Projection of points given as (N, d) coordinate arrays -> directions (N, 2d)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    lam = _lambda_solve_arrays(idx.t, idx.s, np.sum(xs * xs, axis=1), np.sum(xis * xis, axis=1))
-    return np.concatenate(
-        [xs / lam[:, None] ** idx.t, xis / lam[:, None] ** idx.s], axis=1
-    )
+    lam = lambda_solve_many(idx, xs, xis)[:, None]
+    return np.concatenate([xs / lam ** idx.t, xis / lam ** idx.s], axis=1)
 
 
 def scale_point(idx: AnisoIndex, p: PhasePoint, mu: float) -> PhasePoint:
@@ -271,11 +258,12 @@ def dist_to_conic_set(sigma: float, directions, p: PhasePoint) -> float:
 
 def growth_bounds(idx: AnisoIndex, points) -> tuple[float, float]:
     """Sampled constants (c1, c2) with c1 rho <= lambda <= c2 rho, rho = |x|^(1/t)+|xi|^(1/s)."""
-    ratios = []
-    for p in points:
-        rho = np.linalg.norm(p.x) ** (1.0 / idx.t) + np.linalg.norm(p.xi) ** (1.0 / idx.s)
-        ratios.append(lambda_solve(idx, p) / rho)
-    return float(min(ratios)), float(max(ratios))
+    xs = np.array([p.x for p in points])
+    xis = np.array([p.xi for p in points])
+    rho = (np.linalg.norm(xs, axis=1) ** (1.0 / idx.t)
+           + np.linalg.norm(xis, axis=1) ** (1.0 / idx.s))
+    ratios = lambda_solve_many(idx, xs, xis) / rho
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

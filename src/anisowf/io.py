@@ -102,12 +102,10 @@ def poly_to_dict(p: PolynomialData) -> dict:
 
 def poly_from_dict(d: dict) -> PolynomialData:
     try:
-        dim = int(d["dim"])
-        coeffs = {tuple(int(a) for a in item["alpha"]): float(item["c"])
-                  for item in d["coeffs"]}
-    except (KeyError, TypeError) as exc:
+        return PolynomialData(d["dim"], {tuple(item["alpha"]): item["c"]
+                                         for item in d["coeffs"]})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad polynomial spec: {exc}") from exc
-    return PolynomialData(dim, coeffs)
 
 
 def write_stft_csv(path, grid):

@@ -23,18 +23,21 @@ class PolynomialData:
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: dict):
-        if dim < 1:
-            raise DomainError("polynomial dimension must be >= 1")
+        if int(dim) != dim or dim < 1:
+            raise DomainError(f"polynomial dimension must be an integer >= 1, got {dim!r}")
+        dim = int(dim)
         clean = {}
         for alpha, c in coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != dim or any(a < 0 for a in alpha):
-                raise DomainError(f"bad multi-index {alpha} for dimension {dim}")
+            index = tuple(int(a) for a in alpha)
+            if index != tuple(alpha) or len(index) != dim or any(a < 0 for a in index):
+                raise DomainError(f"bad multi-index {tuple(alpha)} for dimension {dim}")
             if np.iscomplexobj(c):
                 raise DomainError("coefficients must be real")
             c = float(c)
+            if not np.isfinite(c):
+                raise DomainError(f"coefficients must be finite, got {c}")
             if c != 0.0:
-                clean[alpha] = clean.get(alpha, 0.0) + c
+                clean[index] = clean.get(index, 0.0) + c
         self.dim = dim
         self.coeffs = clean
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import AnisoIndex, PhasePoint, project, scale_point
+from .geometry import AnisoIndex, project_many
 
 
 class PointSet:
@@ -23,6 +23,8 @@ class PointSet:
             pts = pts.reshape(0, 2)
         if pts.shape[1] % 2 != 0:
             raise DomainError("phase-space points need an even number of coordinates")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("phase-space points must have finite coordinates")
         if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) == 0.0):
             raise DomainError("point sets exclude the origin")
         if not tolerance > 0.0:
@@ -115,14 +117,15 @@ def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales,
     """
     if len(s) == 0:
         return True
+    mus = np.asarray(scales, dtype=float)
+    if not np.all(np.isfinite(mus) & (mus > 0.0)):
+        raise DomainError(f"scale factors must be positive and finite, got {scales}")
     d = s.ambient // 2
-    member_dirs = np.stack([
-        project(idx, PhasePoint(row[:d], row[d:])).z for row in s.points])
-    for row in s.points:
-        p = PhasePoint(row[:d], row[d:])
-        for mu in scales:
-            moved = scale_point(idx, p, float(mu))
-            z = project(idx, moved).z
-            if float(np.min(np.linalg.norm(member_dirs - z[None, :], axis=1))) > tolerance:
-                return False
+    xs, xis = s.points[:, :d], s.points[:, d:]
+    member_dirs = project_many(idx, xs, xis)
+    for mu in mus.tolist():
+        z = project_many(idx, xs * mu ** idx.t, xis * mu ** idx.s)
+        gaps = np.linalg.norm(member_dirs[None, :, :] - z[:, None, :], axis=2)
+        if np.any(np.min(gaps, axis=1) > tolerance):
+            return False
     return True

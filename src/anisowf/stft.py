@@ -2,10 +2,11 @@
 
 V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 
-Pointwise values come from direct quadrature on the signal grid (window
-evaluated analytically at the shifted sample points, so x and xi need not
-lie on any lattice) or from closed forms / oscillatory quadrature for
-analytic signals.  Full grids are swept with an FFT per translate.
+Pointwise values, computed a batch of points at a time, come from direct
+quadrature on the signal grid (window evaluated analytically at the
+shifted sample points, so x and xi need not lie on any lattice) or from
+closed forms / oscillatory quadrature for analytic signals.  Full grids
+are swept with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _SUPPORT_RADIUS = 10.0
 # Oscillatory quadrature: samples per period of the fastest local frequency.
 _OSR = 8.0
 _MAX_QUAD_POINTS = 1 << 23
+# stft_grid rows per FFT batch, bounding the (rows, n) work array.
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -90,161 +93,165 @@ class StftGrid:
 # pointwise STFT
 
 
-def _sampled_axis_slice(coords: np.ndarray, center: float, radius: float) -> slice:
-    lo = int(np.searchsorted(coords, center - radius, side="left"))
-    hi = int(np.searchsorted(coords, center + radius, side="right"))
-    return slice(max(lo, 0), min(hi, coords.size))
-
-
-def _stft_point_sampled(u: SampledSignal, w: WindowSpec, p: PhasePoint) -> complex:
-    if p.dim != u.dim:
-        raise DomainError(f"point dimension {p.dim} != signal dimension {u.dim}")
-    ext = u.extent
-    if np.any(np.abs(p.x) > 0.8 * ext):
-        raise TruncationError(
-            f"window center {p.x} outside 80% of the grid extent {ext}")
+def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Direct quadrature on the signal grid over each window's support."""
+    far = np.abs(xs) > 0.8 * u.extent
+    if far.any():
+        raise TruncationError(f"window center {xs[far.any(axis=1)][0]} outside 80% of "
+                              f"the grid extent {u.extent}")
     nyq = math.pi / u.dx
-    if np.any(np.abs(p.xi) > nyq):
-        raise TruncationError(
-            f"frequency {p.xi} beyond the grid Nyquist rate {nyq}")
+    fast = np.abs(xis) > nyq
+    if fast.any():
+        raise TruncationError(f"frequency {xis[fast.any(axis=1)][0]} beyond the grid "
+                              f"Nyquist rate {nyq}")
 
     coords = u.axis_coords()
     radius = _SUPPORT_RADIUS * w.width
     d = u.dim
-    slices = [_sampled_axis_slice(coords, float(p.x[j]), radius) for j in range(d)]
-    sub = u.values[tuple(slices)]
-    # Separable 1-d factors: window shift and modulation per axis.
-    factors = []
-    for j in range(d):
-        y = coords[slices[j]]
-        f = w.values_1d(y - p.x[j], d) * np.exp(-1j * y * p.xi[j])
-        factors.append(f)
+    lo = np.searchsorted(coords, xs - radius, side="left")
+    hi = np.searchsorted(coords, xs + radius, side="right")
+    # Separable 1-d factors, window shift times modulation, for every point
+    # and axis; padded to one length and zero past each support.
+    span = lo[..., None] + np.arange(int(np.max(hi - lo, initial=0)))
+    inside = span < hi[..., None]
+    span = np.minimum(span, u.n - 1)
+    y = coords[span]
+    f = np.where(inside, w.values_1d(y - xs[..., None], d) * np.exp(-1j * y * xis[..., None]),
+                 0.0)
     if d == 1:
-        acc = np.dot(sub, factors[0])
-    elif d == 2:
-        acc = factors[0] @ sub @ factors[1]
+        acc = np.einsum("pl,pl->p", u.values[span[:, 0]], f[:, 0])
     else:
-        acc = sub
-        for j in range(d - 1, -1, -1):
-            acc = np.tensordot(acc, factors[j], axes=([j], [0]))
-    return complex(acc * u.dx ** d * _TWO_PI ** (-d / 2.0))
+        # A gathered (P, L, L) window costs more than the strided slice view.
+        acc = np.empty(len(xs), dtype=complex)
+        for k, (a, b) in enumerate(zip(lo, hi)):
+            sub = u.values[tuple(map(slice, a, b))]
+            fk = [f[k, j, :b[j] - a[j]] for j in range(d)]
+            if d == 2:
+                acc[k] = fk[0] @ sub @ fk[1]
+            else:
+                for j in range(d - 1, -1, -1):
+                    sub = np.tensordot(sub, fk[j], axes=([j], [0]))
+                acc[k] = sub
+    return acc * u.dx ** d * _TWO_PI ** (-d / 2.0)
 
 
-def _stft_point_gaussian(width_u: float, w: WindowSpec, p: PhasePoint) -> complex:
-    d = p.dim
+def _gaussian(width_u: float, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    d = xs.shape[1]
     a = 1.0 / (2.0 * width_u ** 2)
     b = 1.0 / (2.0 * w.width ** 2)
     amp_u = math.pi ** (-d / 4.0) * width_u ** (-d / 2.0)
-    amp_w = w.amplitude(d)
-    expo = 0.0 + 0.0j
-    for j in range(d):
-        q = 2.0 * b * p.x[j] - 1j * p.xi[j]
-        expo += q * q / (4.0 * (a + b)) - b * p.x[j] ** 2
+    q = 2.0 * b * xs - 1j * xis
+    expo = np.sum(q * q / (4.0 * (a + b)) - b * xs ** 2, axis=1)
     pref = (math.pi / (a + b)) ** (d / 2.0)
-    return complex(_TWO_PI ** (-d / 2.0) * amp_u * amp_w * pref * np.exp(expo))
+    return _TWO_PI ** (-d / 2.0) * amp_u * w.amplitude(d) * pref * np.exp(expo)
 
 
-def _stft_point_one(w: WindowSpec, p: PhasePoint) -> complex:
-    # F(T_x conj phi)(xi) = exp(-i<x,xi>) conj(hat phi) for the real even window.
-    d = p.dim
-    what = w.amplitude(d) * w.width ** d * np.exp(
-        -w.width ** 2 * float(np.dot(p.xi, p.xi)) / 2.0)
-    return complex(np.exp(-1j * float(np.dot(p.x, p.xi))) * what)
-
-
-def _stft_point_delta(w: WindowSpec, p: PhasePoint) -> complex:
-    d = p.dim
-    return complex(_TWO_PI ** (-d / 2.0) * w.values(-p.x[None, :])[0])
-
-
-def _stft_point_quadratic_chirp(phase: PolynomialData, w: WindowSpec, p: PhasePoint) -> complex:
+def _quadratic_chirp(phase: PolynomialData, w: WindowSpec, x: np.ndarray,
+                     xi: np.ndarray) -> np.ndarray:
     """Exact complex Gaussian integral for a 1-d phase of degree <= 2."""
     c0 = phase.coeffs.get((0,), 0.0)
     c1 = phase.coeffs.get((1,), 0.0)
     c2 = phase.coeffs.get((2,), 0.0)
     b = 1.0 / (2.0 * w.width ** 2)
-    x = float(p.x[0])
-    xi = float(p.xi[0])
     a = b - 1j * c2
     q = 2.0 * b * x + 1j * (c1 - xi)
     # single combined exponent; the separated factors would underflow/overflow
     expo = 1j * c0 - b * x * x + q * q / (4.0 * a)
     integral = w.amplitude(1) * np.sqrt(math.pi / a) * np.exp(expo)
-    return complex(_TWO_PI ** (-0.5) * integral)
+    return _TWO_PI ** (-0.5) * integral
 
 
-def _stft_point_chirp_quadrature(phase: PolynomialData, w: WindowSpec, p: PhasePoint) -> complex:
-    """Oscillatory quadrature for 1-d polynomial phases of degree >= 3."""
-    x = float(p.x[0])
-    xi = float(p.xi[0])
+def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
+                      xis: np.ndarray) -> np.ndarray:
+    """Oscillatory quadrature for 1-d polynomial phases of degree >= 3.
+
+    Runs point by point: the node count depends on the point.
+    """
     radius = _SUPPORT_RADIUS * w.width
-    lo, hi = x - radius, x + radius
+    dphase = npoly.polyder(coeff_array(phase))
+    out = np.zeros(len(xs), dtype=complex)
+    for k, (x, xi) in enumerate(zip(xs.tolist(), xis.tolist())):
+        lo, hi = x - radius, x + radius
+        # Nonstationary short-circuit: with no stationary point near the support
+        # and |phase' - xi| uniformly large, |V| sits below exp(-(f w)^2/2) which
+        # is far under any working floor; skip the (possibly huge) quadrature.
+        # dcoef holds phase' - xi in ascending powers.
+        dcoef = dphase.copy()
+        dcoef[0] -= xi
+        roots = np.roots(dcoef[::-1])
+        real_roots = roots[np.abs(roots.imag) < 1e-9].real
+        stationary_near = bool(np.any((real_roots > lo - 2.0 * w.width) &
+                                      (real_roots < hi + 2.0 * w.width)))
+        fprobe = np.abs(npoly.polyval(np.linspace(lo, hi, 1025), dcoef))
+        if not stationary_near and float(np.min(fprobe)) * w.width >= 12.0:
+            continue
 
-    # Nonstationary short-circuit: with no stationary point near the support
-    # and |phase' - xi| uniformly large, |V| sits below exp(-(f w)^2/2) which
-    # is far under any working floor; skip the (possibly huge) quadrature.
-    # dcoef holds phase' - xi in ascending powers.
-    dcoef = npoly.polyder(coeff_array(phase))
-    dcoef[0] -= xi
-    roots = np.roots(dcoef[::-1])
-    real_roots = roots[np.abs(roots.imag) < 1e-9].real
-    stationary_near = bool(np.any((real_roots > lo - 2.0 * w.width) &
-                                  (real_roots < hi + 2.0 * w.width)))
-    fprobe = np.abs(npoly.polyval(np.linspace(lo, hi, 1025), dcoef))
-    if not stationary_near and float(np.min(fprobe)) * w.width >= 12.0:
-        return 0.0 + 0.0j
-
-    fmax = float(np.max(fprobe)) * 1.2 + 1.0
-    npts = int(max(2049, (hi - lo) * fmax * _OSR / _TWO_PI))
-    if npts > _MAX_QUAD_POINTS:
-        raise ResolutionError(f"chirp quadrature would need {npts} points")
-    y = np.linspace(lo, hi, npts)
-    theta = eval_poly(phase, y[:, None]) - y * xi
-    integrand = np.exp(1j * theta) * w.values_1d(y - x, 1)
-    val = np.trapezoid(integrand, dx=(hi - lo) / (npts - 1))
-    return complex(_TWO_PI ** (-0.5) * val)
+        fmax = float(np.max(fprobe)) * 1.2 + 1.0
+        npts = int(max(2049, (hi - lo) * fmax * _OSR / _TWO_PI))
+        if npts > _MAX_QUAD_POINTS:
+            raise ResolutionError(f"chirp quadrature would need {npts} points")
+        y = np.linspace(lo, hi, npts)
+        theta = eval_poly(phase, y[:, None]) - y * xi
+        integrand = np.exp(1j * theta) * w.values_1d(y - x, 1)
+        out[k] = _TWO_PI ** (-0.5) * np.trapezoid(integrand, dx=(hi - lo) / (npts - 1))
+        # up to _MAX_QUAD_POINTS nodes: free them before the next point allocates its own
+        del y, theta, integrand
+    return out
 
 
-def _stft_point_analytic(u: AnalyticSignal, w: WindowSpec, p: PhasePoint) -> complex:
+def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
+    """STFT values at the P phase-space points (xs[k], xis[k]); u sampled or analytic.
+
+    xs and xis are (P, d) coordinate arrays; the result is a (P,) complex array.
+    """
+    if not isinstance(u, (SampledSignal, AnalyticSignal)):
+        raise DomainError(f"unsupported signal type {type(u).__name__}")
+    xs = np.asarray(xs, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    if xs.ndim != 2 or xs.shape != xis.shape:
+        raise DomainError(f"xs and xis must be (P, d) arrays of one shape, "
+                          f"got {xs.shape} vs {xis.shape}")
+    if xs.shape[1] != u.dim:
+        raise DomainError(f"point dimension {xs.shape[1]} != signal dimension {u.dim}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(xis))):
+        raise DomainError("phase-space points have non-finite coordinates")
+
+    if isinstance(u, SampledSignal):
+        return _sampled(u, w, xs, xis)
+    d = u.dim
     if u.kind == "gaussian":
-        return _stft_point_gaussian(u.width, w, p)
+        return _gaussian(u.width, w, xs, xis)
     if u.kind == "constant-one":
-        return _stft_point_one(w, p)
+        # F(T_x conj phi)(xi) = exp(-i<x,xi>) conj(hat phi) for the real even window.
+        what = w.amplitude(d) * w.width ** d * np.exp(
+            -w.width ** 2 * np.sum(xis * xis, axis=1) / 2.0)
+        return np.exp(-1j * np.sum(xs * xis, axis=1)) * what
     if u.kind == "dirac-delta":
-        return _stft_point_delta(w, p)
+        return _TWO_PI ** (-d / 2.0) * w.values(-xs)
     if u.kind == "poly-chirp":
-        if u.dim != 1:
+        if d != 1:
             raise DomainError("analytic chirp STFT implemented for d = 1 only")
-        if u.phase.degree <= 2:
-            return _stft_point_quadratic_chirp(u.phase, w, p)
-        return _stft_point_chirp_quadrature(u.phase, w, p)
-    if u.kind == "tensor":
-        val = 1.0 + 0.0j
-        off = 0
-        for f in u.factors:
-            sub = PhasePoint(p.x[off:off + f.dim], p.xi[off:off + f.dim])
-            val *= _stft_point_analytic(f, w, sub)
-            off += f.dim
-        return complex(val)
-    raise DomainError(f"unsupported analytic kind {u.kind!r}")
+        kernel = _quadratic_chirp if u.phase.degree <= 2 else _chirp_quadrature
+        return kernel(u.phase, w, xs[:, 0], xis[:, 0])
+    # tensor: the product of its factors' values on their column slices
+    val = np.ones(len(xs), dtype=complex)
+    off = 0
+    for f in u.factors:
+        val *= stft_points(f, w, xs[:, off:off + f.dim], xis[:, off:off + f.dim])
+        off += f.dim
+    return val
 
 
 def stft_point(u, w: WindowSpec, p: PhasePoint) -> complex:
-    """STFT value at one phase-space point; u sampled or analytic."""
-    if isinstance(u, SampledSignal):
-        return _stft_point_sampled(u, w, p)
-    if isinstance(u, AnalyticSignal):
-        if p.dim != u.dim:
-            raise DomainError(f"point dimension {p.dim} != signal dimension {u.dim}")
-        return _stft_point_analytic(u, w, p)
-    raise DomainError(f"unsupported signal type {type(u).__name__}")
+    """STFT value at one phase-space point: stft_points on a batch of one."""
+    return complex(stft_points(u, w, p.x[None, :], p.xi[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # full grids, inversion, Moyal
 
 
-def stft_grid(u: SampledSignal, w: WindowSpec, row_block: int = 512) -> StftGrid:
+def stft_grid(u: SampledSignal, w: WindowSpec) -> StftGrid:
     """STFT on the position x frequency lattice via one FFT per translate (d = 1)."""
     if u.dim != 1:
         raise DomainError("stft_grid supports 1-d signals")
@@ -252,8 +259,8 @@ def stft_grid(u: SampledSignal, w: WindowSpec, row_block: int = 512) -> StftGrid
     n = u.n
     out = np.empty((n, n), dtype=complex)
     scale = u.dx * _TWO_PI ** (-0.5)
-    for start in range(0, n, row_block):
-        stop = min(start + row_block, n)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
         # rows: signal times the conjugated window translated to x_j
         offs = coords[None, :] - coords[start:stop, None]
         rows = u.values[None, :] * w.values_1d(offs)

@@ -48,6 +48,15 @@ class TestStftCommand:
              "signal.phase"),
             ("wf", {"signal": {"kind": "analytic-chirp", "phase": {"dim": "one"}}},
              "signal.phase"),
+            ("chirp-verify", {"phase": {"dim": 1.7, "coeffs": [{"alpha": [2], "c": 1.0}]}},
+             "phase"),
+            ("propagate-verify", {"symbol": {"dim": 1, "coeffs": [{"alpha": [2.5], "c": 1.0}]}},
+             "symbol"),
+            ("kernel-check", {"symbol": {"dim": 1, "coeffs": [{"alpha": [2], "c": "inf"}]}},
+             "symbol"),
+            ("stft", {"signal": {"kind": "chirp", "n": 64, "dx": 0.1,
+                                 "phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": "nan"}]}}},
+             "signal.phase"),
         ]
         for k, (command, cfg, path) in enumerate(cases):
             code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")

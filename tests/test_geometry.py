@@ -126,6 +126,12 @@ class TestProject:
         batch = project_many(idx, xs, xis)
         for k, p in enumerate(pts):
             np.testing.assert_allclose(batch[k], project(idx, p).z, atol=1e-12)
+            # independent of the solver: the image is (x lam^-t, xi lam^-s) on
+            # the unit circle, with lam read off the x block
+            lam = (abs(p.x[0]) / abs(batch[k][0])) ** (1.0 / idx.t)
+            assert lambda_residual(idx, p, lam) <= 1e-12
+            np.testing.assert_allclose(batch[k], [p.x[0] / lam ** idx.t, p.xi[0] / lam ** idx.s],
+                                       atol=1e-12)
 
     def test_depends_only_on_ratio(self):
         rng = np.random.default_rng(19)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,16 @@ class TestStructure:
     def test_bad_multi_index(self):
         with pytest.raises(DomainError):
             PolynomialData(2, {(1,): 1.0})
+
+    def test_non_finite_coefficient_and_fractional_index_rejected(self):
+        for c in (math.inf, -math.inf, math.nan, "inf"):
+            with pytest.raises(DomainError, match="finite"):
+                PolynomialData(1, {(2,): c})
+        with pytest.raises(DomainError, match="multi-index"):
+            PolynomialData(1, {(2.5,): 1.0})
+        with pytest.raises(DomainError, match="dimension"):
+            PolynomialData(1.7, {})
+        assert PolynomialData(1.0, {(2.0,): 1.0}).coeffs == {(2,): 1.0}
 
     def test_complex_coefficient_rejected(self):
         for c in (np.complex128(1 + 2j), 1 + 2j, np.array(1 + 2j)):

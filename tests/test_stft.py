@@ -6,11 +6,11 @@ import pytest
 from anisowf.errors import DomainError, ResolutionError, TruncationError
 from anisowf.geometry import AnisoIndex, PhasePoint
 from anisowf.poly import poly_1d
-from anisowf.signals import (chirp_signal, delta_signal, gaussian_signal,
-                             make_chirp, make_gaussian, one_signal,
-                             tensor_signal)
+from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
+                             gaussian_signal, make_chirp, make_gaussian,
+                             one_signal, tensor_signal)
 from anisowf.stft import (WindowSpec, classical_seminorm, istft, moyal_error,
-                          stft_grid, stft_point, stft_seminorm)
+                          stft_grid, stft_point, stft_points, stft_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,6 +120,83 @@ class TestPointSampled:
         got = stft_point(g, w, p)
         want = stft_point(ana, w, p)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def full_grid_oracle(u, width, xs, xis):
+    """sum_y u(y) phi(y - x) e^(-i y.xi) dx^d (2 pi)^(-d/2) over the whole grid, no support cut."""
+    d = u.dim
+    y = u.grid().reshape(-1, d)
+    vals = u.values.reshape(-1)
+    out = []
+    for x, xi in zip(xs, xis):
+        r2 = np.sum((y - x) ** 2, axis=1)
+        phi = math.pi ** (-d / 4) * width ** (-d / 2) * np.exp(-r2 / (2 * width ** 2))
+        out.append(np.sum(vals * phi * np.exp(-1j * (y @ xi))) * u.dx ** d * TWO_PI ** (-d / 2))
+    return np.array(out)
+
+
+def rough_signal(rng, dim, n, dx):
+    """Random complex samples under a Gaussian envelope: no closed form to lean on."""
+    shape = (n,) * dim
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    r2 = np.sum(SampledSignal(dx, vals).grid() ** 2, axis=-1)
+    return SampledSignal(dx, vals * np.exp(-r2 / 8.0))
+
+
+class TestPointsBatch:
+    # A 0.3-wide window reaches 3 units; the grids below end at 6.4, so a
+    # centre at |x| = 5 has its support clipped by the grid edge.
+    WINDOW = WindowSpec(0.3)
+
+    def check_batch(self, u, xs, xis):
+        got = stft_points(u, self.WINDOW, xs, xis)
+        alone = [stft_point(u, self.WINDOW, PhasePoint(x, xi)) for x, xi in zip(xs, xis)]
+        np.testing.assert_allclose(got, alone, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got, full_grid_oracle(u, self.WINDOW.width, xs, xis),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_d1_mixed_batch_matches_single_points_and_full_sum(self):
+        u = rough_signal(np.random.default_rng(5), 1, 256, 0.05)
+        xs = np.array([[0.0], [1.05], [0.013], [-2.2071], [5.0], [-5.09]])
+        xis = np.array([[0.0], [3.0], [-7.5], [12.0], [-1.1], [40.0]])
+        self.check_batch(u, xs, xis)
+
+    def test_d2_mixed_batch_matches_single_points_and_full_sum(self):
+        u = rough_signal(np.random.default_rng(6), 2, 64, 0.2)
+        xs = np.array([[0.0, 0.0], [0.4, -1.2], [0.11, 0.537], [5.0, 0.3], [-4.93, 4.9]])
+        xis = np.array([[0.0, 0.0], [2.0, -3.0], [-1.4, 7.7], [0.5, 0.5], [-9.0, 1.0]])
+        self.check_batch(u, xs, xis)
+
+    def test_one_bad_point_truncates_the_batch(self):
+        u = make_gaussian(1, 512, 0.05)  # extent 12.8, Nyquist 62.8
+        ok = np.array([[0.0], [1.0], [-3.0]])
+        for xs, xis in ((np.array([[0.0], [10.3], [1.0]]), ok),
+                        (ok, np.array([[0.0], [1.0], [-63.0]]))):
+            with pytest.raises(TruncationError):
+                stft_points(u, WindowSpec(1.0), xs, xis)
+
+    def test_bad_shapes_and_coordinates(self):
+        w = WindowSpec(1.0)
+        for u in (make_gaussian(1, 128, 0.1), gaussian_signal(1.0)):
+            for xs, xis in ((np.zeros((3, 1)), np.zeros((2, 1))),
+                            (np.zeros(3), np.zeros(3)),
+                            (np.zeros((3, 2)), np.zeros((3, 2))),
+                            (np.array([[0.0], [np.nan]]), np.zeros((2, 1))),
+                            (np.zeros((2, 1)), np.array([[np.inf], [0.0]]))):
+                with pytest.raises(DomainError):
+                    stft_points(u, w, xs, xis)
+
+    def test_tensor_batch_is_product_of_factor_batches(self):
+        w = WindowSpec(1.1)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-3.0, 3.0, (9, 2))
+        xis = rng.uniform(-4.0, 4.0, (9, 2))
+        for f, g in ((one_signal(1), delta_signal(1)),
+                     (gaussian_signal(0.7), chirp_signal(poly_1d(0.2, 0.0, -0.8)))):
+            got = stft_points(tensor_signal(f, g), w, xs, xis)
+            want = stft_points(f, w, xs[:, :1], xis[:, :1]) * stft_points(g, w, xs[:, 1:],
+                                                                          xis[:, 1:])
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGridAndInversion:
