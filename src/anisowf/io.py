@@ -102,9 +102,11 @@ def poly_to_dict(p: PolynomialData) -> dict:
 
 def poly_from_dict(d: dict) -> PolynomialData:
     try:
-        return PolynomialData(d["dim"], {tuple(item["alpha"]): item["c"]
-                                         for item in d["coeffs"]})
-    except (KeyError, TypeError, ValueError) as exc:
+        coeffs = {tuple(item["alpha"]): item["c"] for item in d["coeffs"]}
+        if len(coeffs) != len(d["coeffs"]):
+            raise ConfigError("bad polynomial spec: repeated multi-index")
+        return PolynomialData(d["dim"], coeffs)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad polynomial spec: {exc}") from exc
 
 

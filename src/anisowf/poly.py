@@ -17,19 +17,28 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError
 
 
+def _integer(v) -> int | None:
+    """v as an int when it is a finite integral number, else None."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v else None
+
+
 class PolynomialData:
     """p(x) = sum_alpha c_alpha x^alpha with real coefficients."""
 
     __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: dict):
-        if int(dim) != dim or dim < 1:
+        if _integer(dim) is None or dim < 1:
             raise DomainError(f"polynomial dimension must be an integer >= 1, got {dim!r}")
         dim = int(dim)
         clean = {}
         for alpha, c in coeffs.items():
-            index = tuple(int(a) for a in alpha)
-            if index != tuple(alpha) or len(index) != dim or any(a < 0 for a in index):
+            index = tuple(_integer(a) for a in alpha)
+            if None in index or len(index) != dim or any(a < 0 for a in index):
                 raise DomainError(f"bad multi-index {tuple(alpha)} for dimension {dim}")
             if np.iscomplexobj(c):
                 raise DomainError("coefficients must be real")

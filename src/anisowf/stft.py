@@ -19,17 +19,19 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
-from .poly import PolynomialData, coeff_array, eval_poly, iter_multi_indices
+from .poly import PolynomialData, coeff_array, iter_multi_indices
 from .signals import AnalyticSignal, SampledSignal, fourier
 
 _TWO_PI = 2.0 * math.pi
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
-# Oscillatory quadrature: samples per period of the fastest local frequency.
-_OSR = 8.0
+# Trapezoid nodes per period of the fastest local frequency.  The error is the
+# entire, Gaussian-decaying integrand's Fourier transform at the multiples of
+# 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
+_OSR = 2.0
 _MAX_QUAD_POINTS = 1 << 23
-# stft_grid rows per FFT batch, bounding the (rows, n) work array.
+# Rows per batch (stft_grid FFTs, chirp short-circuit probes), bounding the work arrays.
 _ROW_BLOCK = 512
 
 
@@ -163,39 +165,44 @@ def _quadratic_chirp(phase: PolynomialData, w: WindowSpec, x: np.ndarray,
 
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
                       xis: np.ndarray) -> np.ndarray:
-    """Oscillatory quadrature for 1-d polynomial phases of degree >= 3.
-
-    Runs point by point: the node count depends on the point.
-    """
+    """Oscillatory quadrature for 1-d polynomial phases of degree >= 3."""
     radius = _SUPPORT_RADIUS * w.width
-    dphase = npoly.polyder(coeff_array(phase))
+    c = coeff_array(phase)
+    m = len(c) - 1
+    # Phase centred on each window, so its size at large x adds no round-off:
+    # taylor[k, j] = p^(j)(x_k) / j!, less xi in the linear term, so that
+    # p(x + h) - (x + h) xi = taylor[k, 0] - x xi + sum_{j >= 1} taylor[k, j] h^j.
+    taylor = np.stack([npoly.polyval(xs, npoly.polyder(c, j)) / math.factorial(j)
+                       for j in range(m + 1)], axis=1)
+    taylor[:, 1] -= xis
+    dcoef = taylor[:, 1:] * np.arange(1, m + 1)  # phase' - xi in ascending powers of h
+    # Nonstationary short-circuit: no real stationary point near the support and
+    # |phase' - xi| * w >= 12 skip the point.  Its bound exp(-(f w)^2/2) ignores
+    # complex stationary points: near x = 0 a skipped |V| can reach ~3e-8.
+    keep, need = np.empty(len(xs), dtype=bool), np.empty(len(xs))
+    for start in range(0, len(xs), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        companion = np.tile(np.eye(m - 1, k=-1), (len(dcoef[block]), 1, 1))
+        companion[:, 0] = -dcoef[block, -2::-1] / dcoef[block, -1:]
+        # a row past float64 (|x| astronomically large) is left to the probe
+        finite = np.all(np.isfinite(companion), axis=(1, 2))
+        roots = np.linalg.eigvals(np.where(finite[:, None, None], companion, 0.0))
+        near = finite & np.any((np.abs(roots.imag) < 1e-9) &
+                               (np.abs(roots.real) < radius + 2.0 * w.width), axis=1)
+        fprobe = np.abs(npoly.polyval(np.linspace(-radius, radius, 1025), dcoef[block].T))
+        keep[block] = near | (np.min(fprobe, axis=1) * w.width < 12.0)
+        fmax = np.max(fprobe, axis=1) * 1.2 + 1.0
+        need[block] = np.maximum(2049.0, 2.0 * radius * fmax * _OSR / _TWO_PI)
+    if not np.all(need[keep] <= _MAX_QUAD_POINTS):
+        raise ResolutionError(f"chirp quadrature would need {np.max(need[keep]):.3g} points")
     out = np.zeros(len(xs), dtype=complex)
-    for k, (x, xi) in enumerate(zip(xs.tolist(), xis.tolist())):
-        lo, hi = x - radius, x + radius
-        # Nonstationary short-circuit: with no stationary point near the support
-        # and |phase' - xi| uniformly large, |V| sits below exp(-(f w)^2/2) which
-        # is far under any working floor; skip the (possibly huge) quadrature.
-        # dcoef holds phase' - xi in ascending powers.
-        dcoef = dphase.copy()
-        dcoef[0] -= xi
-        roots = np.roots(dcoef[::-1])
-        real_roots = roots[np.abs(roots.imag) < 1e-9].real
-        stationary_near = bool(np.any((real_roots > lo - 2.0 * w.width) &
-                                      (real_roots < hi + 2.0 * w.width)))
-        fprobe = np.abs(npoly.polyval(np.linspace(lo, hi, 1025), dcoef))
-        if not stationary_near and float(np.min(fprobe)) * w.width >= 12.0:
-            continue
-
-        fmax = float(np.max(fprobe)) * 1.2 + 1.0
-        npts = int(max(2049, (hi - lo) * fmax * _OSR / _TWO_PI))
-        if npts > _MAX_QUAD_POINTS:
-            raise ResolutionError(f"chirp quadrature would need {npts} points")
-        y = np.linspace(lo, hi, npts)
-        theta = eval_poly(phase, y[:, None]) - y * xi
-        integrand = np.exp(1j * theta) * w.values_1d(y - x, 1)
-        out[k] = _TWO_PI ** (-0.5) * np.trapezoid(integrand, dx=(hi - lo) / (npts - 1))
+    for k in np.flatnonzero(keep):
+        h = np.linspace(-radius, radius, int(need[k]))
+        integrand = np.exp(1j * h * npoly.polyval(h, taylor[k, 1:])) * w.values_1d(h, 1)
+        shift = np.exp(1j * (taylor[k, 0] - xs[k] * xis[k]))
+        out[k] = _TWO_PI ** (-0.5) * shift * np.trapezoid(integrand, dx=h[1] - h[0])
         # up to _MAX_QUAD_POINTS nodes: free them before the next point allocates its own
-        del y, theta, integrand
+        del h, integrand
     return out
 
 

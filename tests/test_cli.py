@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 
@@ -56,6 +57,18 @@ class TestStftCommand:
              "symbol"),
             ("stft", {"signal": {"kind": "chirp", "n": 64, "dx": 0.1,
                                  "phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": "nan"}]}}},
+             "signal.phase"),
+            ("chirp-verify", {"phase": {"dim": 1, "coeffs": [{"alpha": [3], "c": 1.0},
+                                                             {"alpha": [3], "c": 5.0}]}},
+             "phase"),
+            ("chirp-verify", {"phase": {"dim": math.inf, "coeffs": [{"alpha": [3], "c": 1.0}]}},
+             "phase"),
+            ("propagate-verify", {"symbol": {"dim": 1, "coeffs": [{"alpha": [math.inf],
+                                                                   "c": 1.0}]}},
+             "symbol"),
+            ("stft", {"signal": {"kind": "chirp", "n": 64, "dx": 0.1,
+                                 "phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": 1.0},
+                                                                {"alpha": [2.0], "c": 1.0}]}}},
              "signal.phase"),
         ]
         for k, (command, cfg, path) in enumerate(cases):

@@ -1,15 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from anisowf.errors import ConfigError
+from anisowf.errors import ConfigError, DomainError
 from anisowf.estimator import DecayProfile, RateFit, WFEntry, WFEstimate
 from anisowf.geometry import AnisoIndex, SphereDirection
 from anisowf.io import (dump_json, poly_from_dict, poly_to_dict,
                         read_signal_csv, wf_estimate_to_dict, write_profile_csv,
                         write_signal_csv)
-from anisowf.poly import poly_1d
+from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import make_gaussian
 
 
@@ -71,6 +72,50 @@ class TestPolyJson:
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
             poly_from_dict({"dim": 1})
+
+    def test_repeated_multi_index_rejected(self):
+        # a dict comprehension would keep only the last coefficient (5 x^2)
+        for second in ([2], [2.0]):
+            spec = {"dim": 1, "coeffs": [{"alpha": [2], "c": 1.0}, {"alpha": second, "c": 5.0}]}
+            with pytest.raises(ConfigError, match="repeated"):
+                poly_from_dict(spec)
+
+    def test_non_finite_dim_and_index_rejected(self):
+        # json.loads accepts Infinity and NaN; int() of them raises OverflowError / ValueError
+        for text in ('{"dim": Infinity, "coeffs": [{"alpha": [3], "c": 1.0}]}',
+                     '{"dim": 1, "coeffs": [{"alpha": [Infinity], "c": 1.0}]}',
+                     '{"dim": 1, "coeffs": [{"alpha": [-Infinity], "c": 1.0}]}',
+                     '{"dim": NaN, "coeffs": []}'):
+            with pytest.raises(ConfigError):
+                poly_from_dict(json.loads(text))
+        for dim, alpha in ((math.inf, (3,)), (math.nan, (3,)), (1, (math.inf,))):
+            with pytest.raises(DomainError):
+                PolynomialData(dim, {alpha: 1.0})
+
+    def test_any_json_spec_parses_or_raises_config_error(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # every JSON scalar shape, non-finite floats and lists; integers and
+        # integral floats stay small so a parsed polynomial is tiny
+        value = st.one_of(st.integers(-2, 4), st.sampled_from([0.0, 1.0, 2.5, -1.0]),
+                          st.sampled_from([math.inf, -math.inf, math.nan, None, 10 ** 400]),
+                          st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
+        alpha = st.one_of(st.lists(value, max_size=3), value)
+        item = st.fixed_dictionaries({"alpha": alpha, "c": value})
+        spec = st.one_of(
+            st.fixed_dictionaries({"dim": value, "coeffs": st.lists(item, max_size=4)}),
+            st.fixed_dictionaries({"dim": value}))
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(spec)
+        def check(d):
+            try:
+                p = poly_from_dict(json.loads(json.dumps(d)))
+            except ConfigError:
+                return
+            assert isinstance(p, PolynomialData)
+
+        check()
 
 
 class TestEstimateExport:

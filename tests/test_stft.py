@@ -9,8 +9,9 @@ from anisowf.poly import poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
-from anisowf.stft import (WindowSpec, classical_seminorm, istft, moyal_error,
-                          stft_grid, stft_point, stft_points, stft_seminorm)
+from anisowf.stft import (WindowSpec, _chirp_quadrature, _quadratic_chirp,
+                          classical_seminorm, istft, moyal_error, stft_grid, stft_point,
+                          stft_points, stft_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,6 +198,78 @@ class TestPointsBatch:
             want = stft_points(f, w, xs[:, :1], xis[:, :1]) * stft_points(g, w, xs[:, 1:],
                                                                           xis[:, 1:])
             np.testing.assert_array_equal(got, want)
+
+
+def dense_chirp_oracle(coeffs, x, xi, half=12.0, npts=(1 << 20) + 1):
+    """Independent oracle for the unit-width window: a dense trapezoid over
+    [x - half, x + half] with the phase sum c_j y^j - y xi left un-centred."""
+    y = np.linspace(x - half, x + half, npts)
+    theta = sum(c * y ** j for j, c in enumerate(coeffs)) - y * xi
+    vals = np.exp(1j * theta) * math.pi ** -0.25 * np.exp(-(y - x) ** 2 / 2.0)
+    return np.trapezoid(vals, dx=y[1] - y[0]) / math.sqrt(TWO_PI)
+
+
+class TestChirpQuadrature:
+    CUBE = (0.0, 0.0, 0.0, 1.0)
+
+    def test_high_frequency_cubic_matches_dense_oracle(self):
+        # window centres far out on x^3, on the ridge 3 x^2 and off it
+        xs, xis = [], []
+        for x in (-40.0, 40.0, 55.0):
+            for off in (0.0, 4.0, -25.0, 300.0, -600.0):
+                xs.append(x)
+                xis.append(3.0 * x * x + off)
+        got = stft_points(chirp_signal(poly_1d(*self.CUBE)), WindowSpec(1.0),
+                          np.array(xs)[:, None], np.array(xis)[:, None])
+        want = np.array([dense_chirp_oracle(self.CUBE, x, xi) for x, xi in zip(xs, xis)])
+        big = np.abs(want) > 1e-8
+        assert big.sum() >= 10
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-9, atol=0.0)
+
+    def test_quadratic_phase_matches_closed_form(self):
+        w = WindowSpec(1.0)
+        phase = poly_1d(0.3, -0.5, 0.7)
+        x = np.repeat([-100.0, -37.5, 0.0, 12.0, 100.0], 4)
+        xi = 1.4 * x - 0.5 + np.tile([0.0, 1.5, -3.0, 9.0], 5)
+        got = _chirp_quadrature(phase, w, x, xi)
+        np.testing.assert_allclose(got, _quadratic_chirp(phase, w, x, xi), rtol=0.0, atol=1e-10)
+
+    def test_short_circuited_points_are_negligible(self):
+        # no stationary point within 12 units of the centre and |3 y^2 - xi| >= 12
+        x = np.array([-40.0, -40.0, 0.0, 3.0, 10.0, 20.0, 20.0, 40.0, 40.0, 55.0, 55.0, 1.0])
+        xi = np.array([-50.0, 3.0 * 55.0 ** 2, -30.0, 3.0 * 16.0 ** 2, -20.0, 3.0 * 33.0 ** 2,
+                       -400.0, 3.0 * 25.0 ** 2, 3.0 * 55.0 ** 2, -100.0, 3.0 * 70.0 ** 2, 3.0])
+        got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), x, xi)
+        skipped = got == 0.0
+        assert skipped[:-1].all() and not skipped[-1]
+        for k in np.flatnonzero(skipped):
+            assert abs(dense_chirp_oracle(self.CUBE, x[k], xi[k])) < 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="the short-circuit bound ignores the complex "
+                       "stationary points of x^3 - xi x near the origin")
+    def test_short_circuit_near_origin(self):
+        # |3 y^2 + 13| >= 13 on the support, so the point is skipped, but the
+        # saddles at y = +-i (13/3)^(1/2) leave |V| ~ 2e-8
+        got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), np.array([0.0]),
+                                np.array([-13.0]))
+        assert abs(got[0] - dense_chirp_oracle(self.CUBE, 0.0, -13.0)) < 1e-12
+
+    def test_ceiling_raises_before_any_node_array(self, monkeypatch):
+        # x^5 at x = 300 needs ~1e10 nodes; the resolvable point ahead of it is
+        # not integrated first: only the 1025-point probes are allocated
+        sizes = []
+        linspace = np.linspace
+
+        def recording(start, stop, num=50, **kw):
+            sizes.append(num)
+            return linspace(start, stop, num, **kw)
+
+        monkeypatch.setattr(np, "linspace", recording)
+        x = np.array([1.0, 300.0])
+        xi = 5.0 * x ** 4
+        with pytest.raises(ResolutionError):
+            _chirp_quadrature(poly_1d(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), WindowSpec(1.0), x, xi)
+        assert sizes and max(sizes) <= 1025
 
 
 class TestGridAndInversion:
