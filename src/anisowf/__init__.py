@@ -3,12 +3,12 @@
 __version__ = "0.1.0"
 
 from .chirp import WFPrediction, compare_wf, is_elliptic, predict_chirp_wf
-from .errors import (AliasingError, ConfigError, CurveRangeError, DomainError,
+from .errors import (AliasingError, ConfigError, DomainError,
                      GraphConditionError, ResolutionError, ToolkitError,
                      TruncationError, UnsupportedRegimeError)
-from .estimator import (DecayProfile, RateFit, WFEntry, WFEstimate,
-                        check_graph_condition, cone_constant, decay_profile,
-                        estimate_kernel_wf, estimate_wf, fit_rate)
+from .estimator import (RateFit, WFEntry, WFEstimate, check_graph_condition,
+                        cone_constant, curve_reach, curve_table, estimate_kernel_wf,
+                        estimate_wf, fit_rate_arrays)
 from .evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
                         predict_transport, propagate)
 from .geometry import (AnisoIndex, PhasePoint, SphereDirection,

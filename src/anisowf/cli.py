@@ -17,10 +17,10 @@ import os
 import sys
 import warnings
 
-from . import __version__
+from . import __version__, estimator
 from .chirp import compare_wf, predict_chirp_wf
-from .errors import (AliasingError, ConfigError, CurveRangeError,
-                     ResolutionError, ToolkitError, TruncationError)
+from .errors import (AliasingError, ConfigError, ResolutionError, ToolkitError,
+                     TruncationError)
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
@@ -38,8 +38,8 @@ def cfg_get(cfg, path, convert=None, required=True, default=None):
     """Value at a dotted config path, passed through convert when given.
 
     A missing required field, or a value that convert rejects with a
-    TypeError, ValueError or ConfigError, raises ConfigError naming the path;
-    a missing optional field gives default as is.
+    TypeError, ValueError, OverflowError, OSError or ConfigError, raises
+    ConfigError naming the path; a missing optional field gives default as is.
     """
     node = cfg
     for part in path.split("."):
@@ -52,12 +52,20 @@ def cfg_get(cfg, path, convert=None, required=True, default=None):
         return node
     try:
         return convert(node)
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError, ConfigError) as exc:
         raise ConfigError(f"{path}: invalid value {node!r} ({exc})") from None
 
 
 def _float_list(values) -> list:
     return [float(v) for v in values]
+
+
+def _sweep_counts(values) -> tuple:
+    """The four product-sweep counts (n_psi, n_a, n_b, n_circle)."""
+    if not (isinstance(values, list) and len(values) == 4
+            and all(isinstance(v, int) and v >= 0 for v in values)):
+        raise ValueError("expected a list of four non-negative integers")
+    return tuple(values)
 
 
 def parse_index(cfg, path="index") -> AnisoIndex:
@@ -98,7 +106,7 @@ def parse_signal(cfg, path="signal"):
             return make_windowed_chirp(phase, n, dx, env, guard_level=level)
         return make_chirp(phase, n, dx)
     if kind == "file":
-        return read_signal_csv(field("path"))
+        return field("path", read_signal_csv)
     if kind == "analytic-gaussian":
         return gaussian_signal(field("width", float, required=False, default=1.0),
                                field("d", int, required=False, default=1))
@@ -111,22 +119,25 @@ def parse_signal(cfg, path="signal"):
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
-def parse_estimator_opts(cfg) -> dict:
+def parse_estimator_opts(cfg, circle: bool = True) -> dict:
+    """Estimator keyword arguments; circle adds the d = 1 sweep's own two."""
+    def opt(path, convert, default):
+        return cfg_get(cfg, path, convert, required=False, default=default)
+
     opts = {
-        "sphere_samples": cfg_get(cfg, "sphere_samples", int, required=False, default=720),
-        "lambda_range": (
-            cfg_get(cfg, "lambda.min", float, required=False, default=2.0),
-            cfg_get(cfg, "lambda.max", float, required=False, default=50.0),
-        ),
-        "n_lambda": cfg_get(cfg, "lambda.n", int, required=False, default=24),
-        "r_threshold": cfg_get(cfg, "r_threshold", float, required=False, default=1.0),
-        "floor": cfg_get(cfg, "floor", float, required=False, default=1e-14),
-        "cone_steps": cfg_get(cfg, "cone_steps", int, required=False, default=1),
+        "lambda_range": (opt("lambda.min", float, estimator.LAMBDA_MIN),
+                         opt("lambda.max", float, estimator.LAMBDA_MAX)),
+        "n_lambda": opt("lambda.n", int, estimator.DEFAULT_N_LAMBDA),
+        "r_threshold": opt("r_threshold", float, estimator.DEFAULT_THRESHOLD),
+        "floor": opt("floor", float, estimator.DEFAULT_FLOOR),
     }
     if not opts["r_threshold"] > 0.0:
         raise ConfigError("r_threshold: must be positive")
     if not opts["floor"] > 0.0:
         raise ConfigError("floor: must be positive")
+    if circle:
+        opts["sphere_samples"] = opt("sphere_samples", int, estimator.DEFAULT_SPHERE_SAMPLES)
+        opts["cone_steps"] = opt("cone_steps", int, estimator.DEFAULT_CONE_STEPS)
     return opts
 
 
@@ -140,7 +151,6 @@ class OutputTracker:
 
     def path(self, name):
         p = os.path.join(self.outdir, name)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
         self.paths.append(p)
         return p
 
@@ -178,12 +188,10 @@ def cmd_wf(config, out, seed):
     w = parse_window(config)
     idx = parse_index(config)
     opts = parse_estimator_opts(config)
-    est = estimate_wf(sig, w, idx, keep_profiles=True, **opts)
+    est = estimate_wf(sig, w, idx, **opts)
     out.write_json("wf_estimate.json",
                    report_envelope(config, seed, wf_estimate_to_dict(est)))
-    for i, prof in enumerate(est.profiles or []):
-        if prof is not None:
-            write_profile_csv(out.path(f"profiles/profile_{i:05d}.csv"), prof)
+    write_profile_csv(out.path("profiles.csv"), est)
 
 
 def cmd_chirp_verify(config, out, seed):
@@ -249,10 +257,9 @@ def cmd_kernel_check(config, out, seed):
     n = cfg_get(config, "n", int)
     dx = cfg_get(config, "dx", float)
     eps_angle = cfg_get(config, "eps_angle", float, required=False, default=0.05)
-    opts = parse_estimator_opts(config)
-    opts.pop("cone_steps")
-    opts.pop("sphere_samples")
-    sweep = cfg_get(config, "sweep", tuple, required=False, default=(8, 24, 24, 64))
+    opts = parse_estimator_opts(config, circle=False)
+    sweep = cfg_get(config, "sweep", _sweep_counts, required=False,
+                    default=estimator.DEFAULT_SWEEP)
     moll_frac = cfg_get(config, "moll_width_frac", float, required=False, default=0.25)
     halve = cfg_get(config, "halve_check", bool, required=False, default=False)
     xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", float, required=False)
@@ -284,8 +291,10 @@ def cmd_kernel_check(config, out, seed):
 
 def cmd_relation(config, out, seed):
     tol = cfg_get(config, "tolerance", float, required=False, default=1e-9)
-    a = PointSet(cfg_get(config, "A"), tol)
-    b = PointSet(cfg_get(config, "B"), tol)
+    if not tol > 0.0:
+        raise ConfigError("tolerance: must be positive")
+    a = cfg_get(config, "A", lambda pts: PointSet(pts, tol))
+    b = cfg_get(config, "B", lambda pts: PointSet(pts, tol))
     composed = compose(a, b)
     body = {"composition": point_set_to_list(composed)}
     scales = cfg_get(config, "scales", required=False)
@@ -355,7 +364,7 @@ def main(argv=None) -> int:
         out.cleanup()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, AliasingError, TruncationError, CurveRangeError) as exc:
+    except (ResolutionError, AliasingError, TruncationError) as exc:
         out.cleanup()
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3

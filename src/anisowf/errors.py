@@ -21,10 +21,6 @@ class TruncationError(ToolkitError):
     """Evaluation point too close to (or beyond) the usable grid extent."""
 
 
-class CurveRangeError(ToolkitError):
-    """Too few reachable samples along an anisotropic curve."""
-
-
 class UnsupportedRegimeError(ToolkitError):
     """Index pair outside the regimes a prediction is stated for."""
 

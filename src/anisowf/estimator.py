@@ -1,23 +1,23 @@
 """Wave-front-set estimation from STFT decay along anisotropic curves.
 
-Every sampled sphere direction gets a decay profile |V u| at the curve
-points (lambda^t x0, lambda^s xi0).  Classification follows the conic
-neighborhood criterion: the profile fitted for a direction is the maximum
-over profiles of directions within a small cone (cone_steps grid steps),
-and a direction is singular when the fitted exponential rate stays at or
-below the threshold while the profile tail is still above the numeric
-floor.  Pure per-curve classification is cone_steps = 0.
+A sweep samples |V u| at the curve points (lambda^t x0, lambda^s xi0) of
+every sphere direction into one (directions x lambdas) table, the decay
+profiles.  Classification follows the conic neighborhood criterion: the
+profile fitted for a direction is the maximum over profiles of directions
+within a small cone (cone_steps grid steps), and a direction is singular
+when the fitted exponential rate stays at or below the threshold while the
+profile tail is still above the numeric floor.  Pure per-curve
+classification is cone_steps = 0.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveRangeError, DomainError, GraphConditionError
+from .errors import DomainError, GraphConditionError
 from .geometry import AnisoIndex, SphereDirection
 from .signals import AnalyticSignal, SampledSignal
 from .stft import WindowSpec, stft_points
@@ -26,7 +26,10 @@ DEFAULT_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 1.0
 DEFAULT_SPHERE_SAMPLES = 720
 DEFAULT_N_LAMBDA = 24
+DEFAULT_CONE_STEPS = 1
+DEFAULT_SWEEP = (8, 24, 24, 64)
 LAMBDA_MIN = 2.0
+LAMBDA_MAX = 50.0
 _MIN_REACHABLE = 8
 
 
@@ -45,20 +48,6 @@ class RateFit:
 
 
 @dataclass(frozen=True)
-class DecayProfile:
-    direction: SphereDirection
-    lambdas: np.ndarray
-    magnitudes: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        if self.lambdas.size < _MIN_REACHABLE:
-            raise CurveRangeError(f"profile needs >= {_MIN_REACHABLE} samples")
-        if np.any(np.diff(self.lambdas) <= 0):
-            raise DomainError("lambda samples must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class WFEntry:
     direction: SphereDirection
     fit: RateFit
@@ -67,10 +56,17 @@ class WFEntry:
 
 @dataclass(frozen=True)
 class WFEstimate:
+    """Classified directions with the sweep's raw |V| table (see curve_table).
+
+    Row i of magnitudes is the decay profile of entries[i]; a kernel sweep
+    stacks its refinement rows under the coarse ones.
+    """
+
     idx: AnisoIndex
     entries: list
     r_threshold: float
-    profiles: list = field(default=None, repr=False, compare=False)
+    lambdas: np.ndarray = field(default=None, repr=False, compare=False)
+    magnitudes: np.ndarray = field(default=None, repr=False, compare=False)
 
     def singular_directions(self) -> list:
         return [e.direction for e in self.entries if e.singular]
@@ -82,22 +78,32 @@ def geometric_lambdas(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def fit_rate_arrays(lambdas: np.ndarray, magnitudes: np.ndarray, floor: float) -> RateFit:
-    valid = np.isfinite(magnitudes) & (magnitudes >= floor) & (magnitudes > 0.0)
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid < 3:
-        return RateFit(math.inf, 0.0, 0.0, n_valid)
-    lam = lambdas[valid]
-    logm = np.log(magnitudes[valid])
-    slope, intercept = np.polyfit(lam, logm, 1)
-    resid = logm - (slope * lam + intercept)
-    return RateFit(-float(slope), float(intercept),
-                   float(np.sqrt(np.mean(resid ** 2))), n_valid)
+def fit_rate_arrays(lambdas: np.ndarray, table: np.ndarray, floor: float) -> tuple:
+    """Least-squares rate r in |V| ~ C exp(-r lambda) for every row of a table.
 
-
-def fit_rate(profile: DecayProfile) -> RateFit:
-    """Fitted rate r in |V| ~ C exp(-r lambda) over above-floor samples."""
-    return fit_rate_arrays(profile.lambdas, profile.magnitudes, profile.floor)
+    Each row of the (N, L) table is fitted over its finite samples at or
+    above the floor, in one closed-form fit with centred sums.  Returns the
+    arrays (rhat, intercept, residual, n_valid); a row with fewer than three
+    valid samples gets rhat = +inf (the super-exponential sentinel) and a
+    zero intercept and residual.
+    """
+    valid = np.isfinite(table) & (table >= floor) & (table > 0.0)
+    n_valid = np.count_nonzero(valid, axis=1)
+    n = np.maximum(n_valid, 1)
+    log_c = np.log(np.where(valid, table, 1.0))
+    log_mean = np.sum(log_c, axis=1) / n
+    lam_mean = valid @ lambdas / n
+    log_c -= log_mean[:, None]
+    log_c *= valid
+    lam_c = (lambdas - lam_mean[:, None]) * valid
+    fitted = n_valid >= 3
+    slope = (np.einsum("ij,ij->i", lam_c, log_c)
+             / np.where(fitted, np.einsum("ij,ij->i", lam_c, lam_c), 1.0))
+    log_c -= slope[:, None] * lam_c  # now the residuals
+    residual = np.sqrt(np.einsum("ij,ij->i", log_c, log_c) / n)
+    return (np.where(fitted, -slope, math.inf),
+            np.where(fitted, log_mean - slope * lam_mean, 0.0),
+            np.where(fitted, residual, 0.0), n_valid)
 
 
 def curve_reach(u, idx: AnisoIndex, z0: SphereDirection,
@@ -126,23 +132,8 @@ def curve_reach(u, idx: AnisoIndex, z0: SphereDirection,
     return cap
 
 
-def decay_profile(u, w: WindowSpec, idx: AnisoIndex, z0: SphereDirection,
-                  lambda_range=(LAMBDA_MIN, 50.0), n_samples: int = DEFAULT_N_LAMBDA,
-                  floor: float = DEFAULT_FLOOR, reach_frac=(0.8, 0.8)) -> DecayProfile:
-    """|V u| along the anisotropic curve through z0, clipped to the grid reach."""
-    lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_samples)
-    mags = _curve_table(u, w, idx, z0.z[None, :], lambdas, reach_frac)[0]
-    reach = np.isfinite(mags)
-    if not reach.any():
-        raise CurveRangeError(f"fewer than {_MIN_REACHABLE} of {n_samples} curve samples "
-                              f"reachable for {z0}")
-    if not reach.all():
-        warnings.warn(f"curve through {z0.z.tolist()} clipped at lambda = "
-                      f"{lambdas[reach][-1]:.3g}", stacklevel=2)
-    return DecayProfile(z0, lambdas[reach], mags[reach], floor)
-
-
-def _curve_table(u, w, idx, dirs, lambdas, reach_frac, xi_reach_abs=None) -> np.ndarray:
+def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np.ndarray,
+                reach_frac=(0.8, 0.8), xi_reach_abs: float | None = None) -> np.ndarray:
     """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
@@ -171,28 +162,26 @@ def circle_directions(n: int) -> list:
 def _classify(dirs, lambdas, table, floor, threshold) -> list:
     """One WFEntry per row of a (directions x lambdas) magnitude table.
 
-    NaN marks unreachable curve samples.  A direction is singular when the
-    fitted rate is at or below the threshold (ties singular, conservative)
-    and the last reachable magnitude sits above the floor.
+    NaN marks unreachable curve samples; a row with fewer than
+    _MIN_REACHABLE of them is not fitted (RateFit(inf, 0, 0, 0)).  A
+    direction is singular when the fitted rate is at or below the threshold
+    (ties singular, conservative) and the last reachable magnitude sits
+    above the floor.
     """
-    entries = []
-    for z, row in zip(dirs, table):
-        reach = np.isfinite(row)
-        if np.count_nonzero(reach) < _MIN_REACHABLE:
-            fit, singular = RateFit(math.inf, 0.0, 0.0, 0), False
-        else:
-            fit = fit_rate_arrays(lambdas[reach], row[reach], floor)
-            singular = fit.rhat <= threshold and row[reach][-1] >= floor
-        entries.append(WFEntry(SphereDirection(z), fit, bool(singular)))
-    return entries
+    reach = np.isfinite(table)
+    table = np.where(np.count_nonzero(reach, axis=1)[:, None] >= _MIN_REACHABLE, table, np.nan)
+    rhat, intercept, residual, n_valid = fit_rate_arrays(lambdas, table, floor)
+    last = table[np.arange(len(table)), lambdas.size - 1 - np.argmax(reach[:, ::-1], axis=1)]
+    singular = (rhat <= threshold) & (last >= floor)
+    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), bool(f))
+            for z, r, c, e, k, f in zip(dirs, rhat, intercept, residual, n_valid, singular)]
 
 
 def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
                 sphere_samples: int = DEFAULT_SPHERE_SAMPLES,
-                lambda_range=(LAMBDA_MIN, 50.0), n_lambda: int = DEFAULT_N_LAMBDA,
+                lambda_range=(LAMBDA_MIN, LAMBDA_MAX), n_lambda: int = DEFAULT_N_LAMBDA,
                 r_threshold: float = DEFAULT_THRESHOLD, floor: float = DEFAULT_FLOOR,
-                cone_steps: int = 1, reach_frac=(0.8, 0.8),
-                keep_profiles: bool = False) -> WFEstimate:
+                cone_steps: int = DEFAULT_CONE_STEPS, reach_frac=(0.8, 0.8)) -> WFEstimate:
     """Sweep the circle of directions and classify each one (d = 1 signals)."""
     dim = u.dim if isinstance(u, (SampledSignal, AnalyticSignal)) else None
     if dim != 1:
@@ -202,14 +191,9 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
 
     dirs = np.array([z.z for z in circle_directions(sphere_samples)])
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
-    mags = _curve_table(u, w, idx, dirs, lambdas, reach_frac)
+    mags = curve_table(u, w, idx, dirs, lambdas, reach_frac)
     entries = _classify(dirs, lambdas, _cone_max_circle(mags, cone_steps), floor, r_threshold)
-    profiles = None
-    if keep_profiles:
-        profiles = [DecayProfile(SphereDirection(z), lambdas[reach], row[reach], floor)
-                    if reach.any() else None
-                    for z, row, reach in zip(dirs, mags, np.isfinite(mags))]
-    return WFEstimate(idx, entries, r_threshold, profiles)
+    return WFEstimate(idx, entries, r_threshold, lambdas, mags)
 
 
 def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
@@ -278,8 +262,8 @@ def _tangent_basis(center: np.ndarray) -> np.ndarray:
 
 
 def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
-                       sweep=(8, 24, 24, 64), max_directions: int = 8000,
-                       lambda_range=(LAMBDA_MIN, 50.0), n_lambda: int = DEFAULT_N_LAMBDA,
+                       sweep=DEFAULT_SWEEP, max_directions: int = 8000,
+                       lambda_range=(LAMBDA_MIN, LAMBDA_MAX), n_lambda: int = DEFAULT_N_LAMBDA,
                        r_threshold: float = DEFAULT_THRESHOLD,
                        floor: float = DEFAULT_FLOOR, reach_frac=(0.8, 0.8),
                        xi_reach_abs: float | None = None,
@@ -298,27 +282,34 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
 
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)
-    entries = _classify(dirs, lambdas,
-                        _curve_table(K, w, idx, dirs, lambdas, reach_frac, xi_reach_abs),
-                        floor, r_threshold)
+    mags = curve_table(K, w, idx, dirs, lambdas, reach_frac, xi_reach_abs)
+    entries = _classify(dirs, lambdas, mags, floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
-    rates = np.array([e.fit.rhat for e in entries])
-    seed_ids = [i for i, e in enumerate(entries) if e.singular]
-    for i in np.argsort(rates):
-        if len(seed_ids) >= 48:
-            break
-        if i not in seed_ids and math.isfinite(rates[i]):
-            seed_ids.append(int(i))
+    seed_ids = _refinement_seeds(np.array([e.fit.rhat for e in entries]),
+                                 np.array([e.singular for e in entries], dtype=bool))
     spacing = math.pi / (min(sweep[1], sweep[2]) or 1)
     budget = max_directions - dirs.shape[0]
-    per = min(refine, budget // len(seed_ids)) if seed_ids else 0
+    per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
     if per > 0:
         extra = np.concatenate([fibonacci_cap(dirs[i], spacing, per, rng) for i in seed_ids])
-        entries += _classify(extra, lambdas,
-                             _curve_table(K, w, idx, extra, lambdas, reach_frac, xi_reach_abs),
-                             floor, r_threshold)
-    return WFEstimate(idx, entries, r_threshold)
+        extra_mags = curve_table(K, w, idx, extra, lambdas, reach_frac, xi_reach_abs)
+        entries += _classify(extra, lambdas, extra_mags, floor, r_threshold)
+        mags = np.concatenate([mags, extra_mags])
+    return WFEstimate(idx, entries, r_threshold, lambdas, mags)
+
+
+def _refinement_seeds(rates: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Rows to refine around: every singular one, then the lowest finite rates
+    up to 48 in all.
+
+    Rates are sorted stably at 9 decimals, so last-bit noise in the fit
+    cannot reorder near-ties: they keep sweep order.
+    """
+    order = np.argsort(np.round(rates, 9), kind="stable")
+    near = order[~singular[order] & np.isfinite(rates[order])]
+    hits = np.flatnonzero(singular)
+    return np.concatenate([hits, near[:max(0, 48 - hits.size)]])
 
 
 # ---------------------------------------------------------------------------

@@ -20,47 +20,32 @@ from .signals import SampledSignal
 
 def dump_json(obj) -> str:
     """Deterministic JSON: floats at 17 significant digits, no whitespace drift."""
-    out = []
-    _write_json(obj, out)
-    return "".join(out)
+    return _encode(obj)
 
 
-def _write_json(obj, out):
+def _encode(obj) -> str:
+    """JSON text of obj; each container is joined as soon as its members are
+    encoded, so a large report never holds one string per token."""
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            out.append("null")
-        else:
-            out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            _write_json(str(k), out)
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
+        return "null" if math.isnan(x) or math.isinf(x) else format(x, ".17g")
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        return "{" + ",".join(_encode(str(k)) + ":" + _encode(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _write_json(v, out)
-        out.append("]")
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__}")
+        return "[" + ",".join(_encode(v) for v in seq) + "]"
+    raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_signal_csv(path, sig: SampledSignal):
@@ -80,18 +65,18 @@ def write_signal_csv(path, sig: SampledSignal):
 def read_signal_csv(path) -> SampledSignal:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        head = next(rd)
-        if head[:3] != ["n", "dx", "dim"]:
+        if next(rd, [])[:3] != ["n", "dx", "dim"]:
             raise ConfigError(f"{path}: expected signal header row 'n,dx,dim'")
-        n, dx, dim = next(rd)
-        n, dx, dim = int(n), float(dx), int(dim)
-        next(rd)  # column names
-        flat = np.zeros(n ** dim, dtype=complex)
-        for row in rd:
-            if not row:
-                continue
-            i = int(row[0])
-            flat[i] = float(row[1 + dim]) + 1j * float(row[2 + dim])
+        try:
+            n, dx, dim = next(rd)
+            n, dx, dim = int(n), float(dx), int(dim)
+            next(rd)  # column names
+            flat = np.zeros(n ** dim, dtype=complex)
+            for row in rd:
+                if row:
+                    flat[int(row[0])] = float(row[1 + dim]) + 1j * float(row[2 + dim])
+        except (StopIteration, IndexError) as exc:
+            raise ConfigError(f"{path}: malformed signal CSV ({exc!r})") from None
     return SampledSignal(dx, flat.reshape((n,) * dim))
 
 
@@ -102,6 +87,8 @@ def poly_to_dict(p: PolynomialData) -> dict:
 
 def poly_from_dict(d: dict) -> PolynomialData:
     try:
+        if not isinstance(d["coeffs"], list):
+            raise ConfigError("bad polynomial spec: coeffs must be a list")
         coeffs = {tuple(item["alpha"]): item["c"] for item in d["coeffs"]}
         if len(coeffs) != len(d["coeffs"]):
             raise ConfigError("bad polynomial spec: repeated multi-index")
@@ -125,15 +112,20 @@ def write_stft_csv(path, grid):
                              format(abs(v), ".17g")])
 
 
-def write_profile_csv(path, profile):
-    """Columns lambda, magnitude, log_magnitude."""
+def write_profile_csv(path, est):
+    """Columns direction (entry index), lambda, magnitude, log_magnitude.
+
+    One row per finite sample of the estimate's curve table.
+    """
+    lams = [format(lam, ".17g") for lam in est.lambdas]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["lambda", "magnitude", "log_magnitude"])
-        for lam, mag in zip(profile.lambdas, profile.magnitudes):
-            logm = math.log(mag) if mag > 0 else -math.inf
-            wr.writerow([format(lam, ".17g"), format(mag, ".17g"),
-                         "-inf" if math.isinf(logm) else format(logm, ".17g")])
+        wr.writerow(["direction", "lambda", "magnitude", "log_magnitude"])
+        for i, row in enumerate(est.magnitudes):
+            for lam, mag in zip(lams, row):
+                if math.isfinite(mag):
+                    wr.writerow([i, lam, format(mag, ".17g"),
+                                 format(math.log(mag), ".17g") if mag > 0 else "-inf"])
 
 
 def wf_estimate_to_dict(est) -> dict:

@@ -32,6 +32,11 @@ class TestStftCommand:
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         gauss = {"kind": "gaussian", "n": 256, "dx": 0.1}
+        kernel = {"symbol": XSQ, "time": 0.3, "index": {"t": 1.2, "s": 1.2},
+                  "n": 128, "dx": 0.2216}
+        empty, bad_index = tmp_path / "empty.csv", tmp_path / "bad_index.csv"
+        empty.write_text("")
+        bad_index.write_text("n,dx,dim\n16,0.1,1\nindex,x0,re,im\n99,0,1,0\n")
         cases = [
             ("stft", {"signal": {"kind": "gaussian", "n": 256}}, "signal.dx"),
             ("stft", {"signal": dict(gauss, n="abc")}, "signal.n"),
@@ -70,6 +75,17 @@ class TestStftCommand:
                                  "phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": 1.0},
                                                                 {"alpha": [2.0], "c": 1.0}]}}},
              "signal.phase"),
+            ("chirp-verify", {"phase": {"dim": 1, "coeffs": ""}}, "phase"),
+            ("chirp-verify", {"phase": {"dim": 1, "coeffs": {}}}, "phase"),
+            ("kernel-check", dict(kernel, sweep="abcd"), "sweep"),
+            ("kernel-check", dict(kernel, sweep=[1, 2]), "sweep"),
+            ("kernel-check", dict(kernel, n=math.inf), "n"),
+            ("relation", {"A": "xx", "B": [[2.0, 4.0]]}, "A"),
+            ("relation", {"A": [[1.0, 2.0, 3.0, -4.0], [1.0, 2.0]], "B": [[2.0, 4.0]]}, "A"),
+            ("wf", {"signal": {"kind": "file", "path": str(tmp_path / "missing.csv")}},
+             "signal.path"),
+            ("wf", {"signal": {"kind": "file", "path": str(empty)}}, "signal.path"),
+            ("wf", {"signal": {"kind": "file", "path": str(bad_index)}}, "signal.path"),
         ]
         for k, (command, cfg, path) in enumerate(cases):
             code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")
@@ -98,8 +114,11 @@ class TestWfCommand:
         est = json.loads((outdir / "wf_estimate.json").read_text())
         assert len(est["entries"]) == 90
         assert not any(e["singular"] for e in est["entries"])
-        profiles = os.listdir(outdir / "profiles")
-        assert len(profiles) == 90
+        assert sorted(os.listdir(outdir)) == ["profiles.csv", "wf_estimate.json"]
+        lines = (outdir / "profiles.csv").read_text().splitlines()
+        assert lines[0] == "direction,lambda,magnitude,log_magnitude"
+        assert len(lines) == 1 + 90 * 24
+        assert {line.split(",")[0] for line in lines[1:]} == {str(i) for i in range(90)}
 
     def test_index_guard(self, tmp_path):
         cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1},
@@ -117,9 +136,8 @@ class TestWfCommand:
         code1, out1 = run_cli(tmp_path, "wf", cfg, outname="o1")
         code2, out2 = run_cli(tmp_path, "wf", cfg, outname="o2")
         assert code1 == code2 == 0
-        b1 = (out1 / "wf_estimate.json").read_bytes()
-        b2 = (out2 / "wf_estimate.json").read_bytes()
-        assert b1 == b2
+        for name in ("wf_estimate.json", "profiles.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestFileSignal:

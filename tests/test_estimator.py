@@ -1,67 +1,98 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from anisowf.errors import CurveRangeError, DomainError, GraphConditionError
+from anisowf.errors import DomainError, GraphConditionError
 from anisowf.geometry import AnisoIndex, PhasePoint, SphereDirection, project, scale_point
 from anisowf.poly import poly_1d
 from anisowf.signals import chirp_signal, delta_signal, make_gaussian, one_signal
 from anisowf.stft import WindowSpec
-from anisowf.estimator import (DecayProfile, RateFit, WFEntry, WFEstimate,
+from anisowf.estimator import (RateFit, WFEntry, WFEstimate, _refinement_seeds,
                                check_graph_condition, circle_directions,
-                               cone_constant, decay_profile, estimate_wf,
-                               fibonacci_cap, fit_rate, fit_rate_arrays,
+                               cone_constant, curve_table, estimate_wf,
+                               fibonacci_cap, fit_rate_arrays,
                                geometric_lambdas, product_sphere4)
 
 STEP_720 = 2.0 * math.pi / 720
 
 
-def synthetic_profile(fn, floor=1e-14, lo=2.0, hi=20.0, n=24):
+def fit_one(fn, floor=1e-14, lo=2.0, hi=20.0, n=24) -> RateFit:
+    """The batched fit of a single synthetic decay profile fn(lambda)."""
     lambdas = geometric_lambdas(lo, hi, n)
-    z = SphereDirection(np.array([1.0, 0.0]))
-    return DecayProfile(z, lambdas, fn(lambdas), floor)
+    return RateFit(*(float(v[0]) for v in fit_rate_arrays(lambdas, fn(lambdas)[None], floor)))
+
+
+def profile(u, idx, z, lambda_range, w=WindowSpec(1.0), n=24):
+    """lambdas and the curve_table row of one direction, NaN beyond reach."""
+    lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n)
+    return lambdas, curve_table(u, w, idx, z.z[None, :], lambdas)[0]
+
+
+def polyfit_oracle(lambdas, row, floor):
+    """Per-row np.polyfit reference for fit_rate_arrays."""
+    valid = np.isfinite(row) & (row >= floor) & (row > 0.0)
+    if np.count_nonzero(valid) < 3:
+        return math.inf, 0.0, 0.0, int(np.count_nonzero(valid))
+    lam, logm = lambdas[valid], np.log(row[valid])
+    slope, intercept = np.polyfit(lam, logm, 1)
+    resid = logm - (slope * lam + intercept)
+    return -slope, intercept, math.sqrt(np.mean(resid ** 2)), int(np.count_nonzero(valid))
 
 
 class TestFitRate:
     def test_exact_exponential(self):
-        prof = synthetic_profile(lambda lam: np.exp(-3.0 * lam))
-        fit = fit_rate(prof)
+        fit = fit_one(lambda lam: np.exp(-3.0 * lam))
         assert fit.rhat == pytest.approx(3.0, abs=1e-6)
         assert fit.residual < 1e-10
 
     def test_constant(self):
-        prof = synthetic_profile(lambda lam: np.full_like(lam, 0.25))
-        fit = fit_rate(prof)
+        fit = fit_one(lambda lam: np.full_like(lam, 0.25))
         assert fit.rhat == pytest.approx(0.0, abs=1e-6)
 
     def test_gaussian_decay_grows_with_window(self):
-        rates = []
-        for hi in (6.0, 12.0, 24.0):
-            lambdas = geometric_lambdas(2.0, hi, 24)
-            fit = fit_rate_arrays(lambdas, np.exp(-lambdas ** 2), 1e-300)
-            rates.append(fit.rhat)
+        rates = [fit_one(lambda lam: np.exp(-lam ** 2), floor=1e-300, hi=hi).rhat
+                 for hi in (6.0, 12.0, 24.0)]
         assert rates[0] < rates[1] < rates[2]
 
     def test_sentinel_below_floor(self):
-        prof = synthetic_profile(lambda lam: np.full_like(lam, 1e-20))
-        fit = fit_rate(prof)
+        fit = fit_one(lambda lam: np.full_like(lam, 1e-20))
         assert math.isinf(fit.rhat)
         assert fit.n_valid == 0
 
+    def test_batched_fit_matches_per_row_polyfit(self):
+        rng = np.random.default_rng(7)
+        lambdas = geometric_lambdas(2.0, 50.0, 24)
+        rates = rng.uniform(-0.5, 2.0, size=400)
+        table = np.exp(rng.normal(0.0, 2.0, 400)[:, None] - rates[:, None] * lambdas
+                       + 0.3 * rng.standard_normal((400, 24)))
+        reach = rng.integers(0, 25, size=400)
+        table[np.arange(24) >= reach[:, None]] = np.nan      # NaN tails
+        table[rng.random((400, 24)) < 0.1] = 0.0             # exact zeros
+        floor = 1e-6                                          # plus sub-floor entries
+        rhat, intercept, residual, n_valid = fit_rate_arrays(lambdas, table, floor)
+        oracle = np.array([polyfit_oracle(lambdas, row, floor) for row in table])
+        assert np.array_equal(n_valid, oracle[:, 3])
+        assert np.array_equal(np.isinf(rhat), np.isinf(oracle[:, 0]))
+        assert 0 < np.count_nonzero(np.isinf(rhat)) < 400
+        fin = np.isfinite(rhat)
+        np.testing.assert_allclose(rhat[fin], oracle[fin, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(intercept, oracle[:, 1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(residual, oracle[:, 2], rtol=0, atol=1e-12)
+
 
 class TestDecayProfile:
+    """Decay profiles are the rows of curve_table."""
+
     def test_gaussian_super_exponential(self):
         # e^{r lambda} |V| collapses along the curve for every tested r <= 4
         from anisowf.signals import gaussian_signal
         idx = AnisoIndex(1.0, 1.0)
         z = project(idx, PhasePoint(1.0, 1.0))
-        prof = decay_profile(gaussian_signal(1.0), WindowSpec(1.0), idx, z,
-                             lambda_range=(2.0, 25.0))
-        logs = np.log(np.maximum(prof.magnitudes, 1e-300))
+        lambdas, mags = profile(gaussian_signal(1.0), idx, z, (2.0, 25.0))
+        logs = np.log(np.maximum(mags, 1e-300))
         for r in (1.0, 2.0, 4.0):
-            weighted = r * prof.lambdas + logs
+            weighted = r * lambdas + logs
             assert weighted[-1] < weighted[0] - 5.0
 
     def test_sampled_gaussian_super_exponential_modest_rates(self):
@@ -69,10 +100,11 @@ class TestDecayProfile:
         u = make_gaussian(1, 512, 0.1)
         idx = AnisoIndex(1.0, 1.0)
         z = project(idx, PhasePoint(1.0, 1.0))
-        prof = decay_profile(u, WindowSpec(1.0), idx, z, lambda_range=(2.0, 12.0))
-        logs = np.log(np.maximum(prof.magnitudes, 1e-300))
+        lambdas, mags = profile(u, idx, z, (2.0, 12.0))
+        assert np.all(np.isfinite(mags))
+        logs = np.log(np.maximum(mags, 1e-300))
         for r in (1.0, 2.0):
-            weighted = r * prof.lambdas + logs
+            weighted = r * lambdas + logs
             assert weighted[-1] < weighted[0] - 5.0
 
     def test_chirp_ridge_bounded_below(self):
@@ -80,40 +112,40 @@ class TestDecayProfile:
         u = chirp_signal(poly_1d(0.0, 0.0, 1.0))
         idx = AnisoIndex(1.2, 1.2)
         z = project(idx, PhasePoint(1.0, 2.0))
-        prof = decay_profile(u, WindowSpec(1.0), idx, z, lambda_range=(2.0, 40.0))
-        assert np.min(prof.magnitudes) > 0.5 * prof.magnitudes[0]
+        _, mags = profile(u, idx, z, (2.0, 40.0))
+        assert np.min(mags) > 0.5 * mags[0]
 
     def test_profile_starts_at_lambda_two(self):
         u = make_gaussian(1, 512, 0.05)
         idx = AnisoIndex(1.0, 1.0)
         z = project(idx, PhasePoint(0.5, 0.5))
-        prof = decay_profile(u, WindowSpec(1.0), idx, z, lambda_range=(2.0, 8.0))
-        assert prof.lambdas[0] == pytest.approx(2.0)
+        lambdas, mags = profile(u, idx, z, (2.0, 8.0))
+        assert lambdas[0] == pytest.approx(2.0)
+        assert np.isfinite(mags[0])
 
-    def test_clipping_warns_and_short_reach_raises(self):
-        u = make_gaussian(1, 64, 0.1, width=0.5)  # extent 3.2
+    def test_clipped_curve_nan_tail_and_short_reach_nan_row(self):
         idx = AnisoIndex(1.0, 1.0)
         z = SphereDirection(np.array([1.0, 0.0]))
-        with pytest.raises(CurveRangeError):
-            decay_profile(u, WindowSpec(1.0), idx, z, lambda_range=(2.0, 50.0))
+        u = make_gaussian(1, 64, 0.1, width=0.5)  # extent 3.2: under 8 samples reach
+        _, mags = profile(u, idx, z, (2.0, 50.0))
+        assert np.all(np.isnan(mags))
         u2 = make_gaussian(1, 256, 0.1)  # extent 12.8, reach 10.24
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            prof = decay_profile(u2, WindowSpec(1.0), idx, z, lambda_range=(2.0, 50.0))
-        assert any("clipped" in str(r.message) for r in rec)
-        assert prof.lambdas[-1] <= 10.24
+        lambdas, mags = profile(u2, idx, z, (2.0, 50.0))
+        reach = np.isfinite(mags)
+        assert 8 <= np.count_nonzero(reach) < lambdas.size
+        assert np.array_equal(reach, lambdas <= 10.24)
 
     def test_scaling_invariance_of_curve_profile(self):
         u = make_gaussian(1, 512, 0.1)
         idx = AnisoIndex(1.2, 1.8)
         z = project(idx, PhasePoint(0.7, -0.4))
         z_alt = project(idx, scale_point(idx, z.as_point(), 5.0))
-        p1 = decay_profile(u, WindowSpec(1.0), idx, z, lambda_range=(2.0, 8.0))
-        p2 = decay_profile(u, WindowSpec(1.0), idx, z_alt, lambda_range=(2.0, 8.0))
+        _, p1 = profile(u, idx, z, (2.0, 8.0))
+        _, p2 = profile(u, idx, z_alt, (2.0, 8.0))
         # agreement is meaningful above the numeric floor; below it the
         # quadrature is pure cancellation noise
-        keep = p1.magnitudes >= p1.floor
-        np.testing.assert_allclose(p1.magnitudes[keep], p2.magnitudes[keep], rtol=1e-6)
+        keep = p1 >= 1e-14
+        np.testing.assert_allclose(p1[keep], p2[keep], rtol=1e-6)
 
 
 class TestEstimateWF:
@@ -196,32 +228,52 @@ class TestEstimateWF:
                        for y in sing_small)
             assert best <= step * (1 + 1e-9)
 
-    def test_profiles_match_decay_profile(self):
+    def test_table_matches_curve_table(self):
         # the grid clips every curve before lambda = 50, by a different amount
-        # per direction; both entry points must read the same samples
+        # per direction; the estimate keeps the raw table, NaN beyond reach
         u = make_gaussian(1, 256, 0.1)
         w, idx = WindowSpec(1.0), AnisoIndex(1.0, 1.0)
-        est = estimate_wf(u, w, idx, sphere_samples=90, lambda_range=(2.0, 50.0),
-                          cone_steps=0, keep_profiles=True)
-        sizes = set()
-        for i in (0, 7, 22, 40, 67):
-            with warnings.catch_warnings(record=True) as rec:
-                warnings.simplefilter("always")
-                prof = decay_profile(u, w, idx, est.entries[i].direction,
-                                     lambda_range=(2.0, 50.0))
-            assert any("clipped" in str(r.message) for r in rec)
-            assert np.array_equal(prof.lambdas, est.profiles[i].lambdas)
-            assert np.array_equal(prof.magnitudes, est.profiles[i].magnitudes)
-            sizes.add(prof.lambdas.size)
-        assert len(sizes) > 1
+        est = estimate_wf(u, w, idx, sphere_samples=90, lambda_range=(2.0, 50.0))
+        assert est.magnitudes.shape == (90, 24)
+        assert np.array_equal(est.lambdas, geometric_lambdas(2.0, 50.0, 24))
+        rows = [0, 7, 22, 40, 67]
+        dirs = np.array([est.entries[i].direction.z for i in rows])
+        table = curve_table(u, w, idx, dirs, est.lambdas)
+        np.testing.assert_array_equal(table, est.magnitudes[rows])
+        sizes = {int(np.count_nonzero(np.isfinite(row))) for row in table}
+        assert len(sizes) > 1 and max(sizes) < 24
 
-    def test_keep_profiles(self):
-        u = make_gaussian(1, 256, 0.1)
-        est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0),
-                          sphere_samples=90, lambda_range=(2.0, 8.0),
-                          keep_profiles=True)
-        assert est.profiles is not None and len(est.profiles) == 90
-        assert isinstance(est.profiles[0], DecayProfile)
+    def test_entries_fit_the_raw_table_at_cone_steps_0(self):
+        # cone_steps = 0 classifies each raw row on its own
+        u = chirp_signal(poly_1d(0.0, 0.0, 1.0))
+        est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.2, 1.2), sphere_samples=90,
+                          lambda_range=(2.0, 30.0), floor=1e-8, cone_steps=0)
+        rhat, _, _, n_valid = fit_rate_arrays(est.lambdas, est.magnitudes, 1e-8)
+        assert [e.fit.n_valid for e in est.entries] == n_valid.tolist()
+        assert [e.fit.rhat for e in est.entries] == rhat.tolist()
+
+
+class TestRefinementSeeds:
+    def test_last_bit_noise_keeps_the_seeds(self):
+        rng = np.random.default_rng(3)
+        rates = rng.choice([0.05, 0.2, 0.3, 0.7, math.inf], size=200,
+                           p=[0.05, 0.35, 0.3, 0.2, 0.1])
+        singular = rates <= 0.05
+        noisy = rates + 1e-15 * rng.choice([-1.0, 1.0], size=200)
+        seeds = _refinement_seeds(rates, singular)
+        assert np.array_equal(seeds, _refinement_seeds(noisy, singular))
+        # singular rows first, then the lowest finite rates in sweep order
+        hits = np.flatnonzero(singular)
+        near = np.flatnonzero(rates == 0.2)[:48 - hits.size]
+        assert 0 < hits.size and near.size == 48 - hits.size
+        assert np.array_equal(seeds, np.concatenate([hits, near]))
+        # an exact sort of the noisy rates would pick other near-ties
+        order = np.argsort(noisy)
+        assert not np.array_equal(order[~singular[order]][:near.size], near)
+
+    def test_all_singular_beyond_the_count(self):
+        rates = np.zeros(60)
+        assert _refinement_seeds(rates, np.ones(60, dtype=bool)).tolist() == list(range(60))
 
 
 class TestKernelEstimate:

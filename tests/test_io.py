@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anisowf.errors import ConfigError, DomainError
-from anisowf.estimator import DecayProfile, RateFit, WFEntry, WFEstimate
+from anisowf.estimator import RateFit, WFEntry, WFEstimate
 from anisowf.geometry import AnisoIndex, SphereDirection
 from anisowf.io import (dump_json, poly_from_dict, poly_to_dict,
                         read_signal_csv, wf_estimate_to_dict, write_profile_csv,
@@ -130,10 +130,18 @@ class TestEstimateExport:
 
     def test_profile_csv(self, tmp_path):
         lam = np.geomspace(2.0, 20.0, 12)
-        prof = DecayProfile(SphereDirection(np.array([1.0, 0.0])),
-                            lam, np.exp(-lam), 1e-14)
-        p = tmp_path / "prof.csv"
-        write_profile_csv(p, prof)
+        table = np.array([np.exp(-lam), np.full(12, np.nan), np.exp(-lam)])
+        table[0, 9:] = np.nan
+        table[2, 3] = 0.0
+        entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
+                           RateFit(1.0, 0.0, 0.0, 9), False)] * 3
+        est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
+        p = tmp_path / "profiles.csv"
+        write_profile_csv(p, est)
         lines = p.read_text().strip().splitlines()
-        assert lines[0] == "lambda,magnitude,log_magnitude"
-        assert len(lines) == 13
+        assert lines[0] == "direction,lambda,magnitude,log_magnitude"
+        assert len(lines) == 1 + 9 + 12
+        assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 9 + ["2"] * 12
+        assert lines[1] == (f"0,{lam[0]:.17g},{math.exp(-lam[0]):.17g},"
+                            f"{math.log(math.exp(-lam[0])):.17g}")
+        assert lines[10 + 3].endswith(",0,-inf")
