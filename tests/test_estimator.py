@@ -228,20 +228,30 @@ class TestEstimateWF:
                        for y in sing_small)
             assert best <= step * (1 + 1e-9)
 
-    def test_table_matches_curve_table(self):
+    def test_profiles_match_decay_profile(self):
         # the grid clips every curve before lambda = 50, by a different amount
-        # per direction; the estimate keeps the raw table, NaN beyond reach
+        # per direction; the estimate's rows and the single-direction decay
+        # profile must read the same samples, NaN beyond reach
         u = make_gaussian(1, 256, 0.1)
         w, idx = WindowSpec(1.0), AnisoIndex(1.0, 1.0)
-        est = estimate_wf(u, w, idx, sphere_samples=90, lambda_range=(2.0, 50.0))
-        assert est.magnitudes.shape == (90, 24)
-        assert np.array_equal(est.lambdas, geometric_lambdas(2.0, 50.0, 24))
-        rows = [0, 7, 22, 40, 67]
-        dirs = np.array([est.entries[i].direction.z for i in rows])
-        table = curve_table(u, w, idx, dirs, est.lambdas)
-        np.testing.assert_array_equal(table, est.magnitudes[rows])
-        sizes = {int(np.count_nonzero(np.isfinite(row))) for row in table}
+        est = estimate_wf(u, w, idx, sphere_samples=90, lambda_range=(2.0, 50.0),
+                          cone_steps=0)
+        sizes = set()
+        for i in (0, 7, 22, 40, 67):
+            lambdas, mags = profile(u, idx, est.entries[i].direction, (2.0, 50.0), w=w)
+            assert np.array_equal(lambdas, est.lambdas)
+            np.testing.assert_array_equal(mags, est.magnitudes[i])
+            sizes.add(int(np.count_nonzero(np.isfinite(mags))))
         assert len(sizes) > 1 and max(sizes) < 24
+
+    def test_keep_profiles(self):
+        # every estimate keeps its decay profiles: one table row per direction
+        u = make_gaussian(1, 256, 0.1)
+        est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0),
+                          sphere_samples=90, lambda_range=(2.0, 8.0))
+        assert est.magnitudes.shape == (90, 24) and len(est.entries) == 90
+        assert np.array_equal(est.lambdas, geometric_lambdas(2.0, 8.0, 24))
+        assert np.all(np.isfinite(est.magnitudes))
 
     def test_entries_fit_the_raw_table_at_cone_steps_0(self):
         # cone_steps = 0 classifies each raw row on its own
