@@ -19,125 +19,86 @@ import warnings
 
 from . import __version__, estimator
 from .chirp import compare_wf, predict_chirp_wf
-from .errors import (AliasingError, ConfigError, ResolutionError, ToolkitError,
-                     TruncationError)
+from .errors import ConfigError, ResolutionError, ToolkitError, TruncationError
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
 from .geometry import AnisoIndex, angle_to_nearest
-from .io import (dump_json, poly_from_dict, prediction_to_dict,
-                 point_set_to_list, read_signal_csv, wf_estimate_to_dict,
-                 write_profile_csv, write_signal_csv, write_stft_csv)
+from .io import (cfg_get, count, dump_json, flag, list_of, number, poly_from_dict,
+                 positive, prediction_to_dict, point_set_to_list, read_signal_csv,
+                 text, wf_estimate_to_dict, write_profile_csv, write_signal_csv,
+                 write_stft_csv)
 from .relation import PointSet, compose, sconic_closure_check
-from .signals import (chirp_signal, delta_signal, gaussian_signal, make_chirp,
-                      make_gaussian, make_windowed_chirp, one_signal)
+from .signals import (SampledSignal, chirp_signal, delta_signal, gaussian_signal,
+                      make_chirp, make_gaussian, make_windowed_chirp, one_signal)
 from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
 
 
-def cfg_get(cfg, path, convert=None, required=True, default=None):
-    """Value at a dotted config path, passed through convert when given.
-
-    A missing required field, or a value that convert rejects with a
-    TypeError, ValueError, OverflowError, OSError or ConfigError, raises
-    ConfigError naming the path; a missing optional field gives default as is.
-    """
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing field: {path}")
-            return default
-        node = node[part]
-    if convert is None:
-        return node
-    try:
-        return convert(node)
-    except (TypeError, ValueError, OverflowError, OSError, ConfigError) as exc:
-        raise ConfigError(f"{path}: invalid value {node!r} ({exc})") from None
-
-
-def _float_list(values) -> list:
-    return [float(v) for v in values]
-
-
-def _sweep_counts(values) -> tuple:
-    """The four product-sweep counts (n_psi, n_a, n_b, n_circle)."""
-    if not (isinstance(values, list) and len(values) == 4
-            and all(isinstance(v, int) and v >= 0 for v in values)):
-        raise ValueError("expected a list of four non-negative integers")
-    return tuple(values)
-
-
 def parse_index(cfg, path="index") -> AnisoIndex:
-    t = cfg_get(cfg, f"{path}.t", float)
-    s = cfg_get(cfg, f"{path}.s", float)
+    t = cfg_get(cfg, f"{path}.t", number)
+    s = cfg_get(cfg, f"{path}.s", number)
     if not (t > 0.5 and s > 0.5):
         raise ConfigError(f"{path}: need t, s > 1/2 for a Gaussian window, got ({t}, {s})")
-    if not t + s > 1.0:
-        raise ConfigError(f"{path}: need t + s > 1, got ({t}, {s})")
     return AnisoIndex(t, s)
 
 
 def parse_window(cfg) -> WindowSpec:
-    width = cfg_get(cfg, "window.width", float, required=False, default=1.0)
-    if not width > 0.0:
-        raise ConfigError("window.width: must be positive")
-    return WindowSpec(width)
+    return WindowSpec(cfg_get(cfg, "window.width", positive, default=1.0))
 
 
 def parse_signal(cfg, path="signal"):
-    cfg_get(cfg, path)
+    def field(name, *args, **kwargs):
+        return cfg_get(cfg, f"{path}.{name}", *args, **kwargs)
 
-    def field(name, convert=None, required=True, default=None):
-        return cfg_get(cfg, f"{path}.{name}", convert, required, default)
-
-    kind = field("kind")
+    kind = field("kind", text)
     if kind == "gaussian":
-        return make_gaussian(field("d", int, required=False, default=1),
-                             field("n", int), field("dx", float),
-                             field("width", float, required=False, default=1.0))
+        return make_gaussian(field("d", count, default=1), field("n", count),
+                             field("dx", number), field("width", number, default=1.0))
     if kind == "chirp":
         phase = field("phase", poly_from_dict)
-        n = field("n", int)
-        dx = field("dx", float)
-        env = field("envelope_width", float, required=False)
+        n = field("n", count)
+        dx = field("dx", number)
+        env = field("envelope_width", number, default=None)
         if env is not None:
-            level = field("alias_guard_level", float, required=False, default=1e-14)
+            level = field("alias_guard_level", number, default=1e-14)
             return make_windowed_chirp(phase, n, dx, env, guard_level=level)
         return make_chirp(phase, n, dx)
     if kind == "file":
-        return field("path", read_signal_csv)
+        return field("path", lambda v: read_signal_csv(text(v)))
     if kind == "analytic-gaussian":
-        return gaussian_signal(field("width", float, required=False, default=1.0),
-                               field("d", int, required=False, default=1))
+        return gaussian_signal(field("width", number, default=1.0), field("d", count, default=1))
     if kind == "analytic-one":
-        return one_signal(field("d", int, required=False, default=1))
+        return one_signal(field("d", count, default=1))
     if kind == "analytic-delta":
-        return delta_signal(field("d", int, required=False, default=1))
+        return delta_signal(field("d", count, default=1))
     if kind == "analytic-chirp":
         return chirp_signal(field("phase", poly_from_dict))
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
+def parse_sampled_signal(cfg) -> SampledSignal:
+    """parse_signal for the commands that work on the grid samples themselves."""
+    sig = parse_signal(cfg)
+    if not isinstance(sig, SampledSignal):
+        raise ConfigError("signal.kind: this command needs a sampled signal "
+                          "(gaussian, chirp or file)")
+    return sig
+
+
 def parse_estimator_opts(cfg, circle: bool = True) -> dict:
     """Estimator keyword arguments; circle adds the d = 1 sweep's own two."""
-    def opt(path, convert, default):
-        return cfg_get(cfg, path, convert, required=False, default=default)
-
     opts = {
-        "lambda_range": (opt("lambda.min", float, estimator.LAMBDA_MIN),
-                         opt("lambda.max", float, estimator.LAMBDA_MAX)),
-        "n_lambda": opt("lambda.n", int, estimator.DEFAULT_N_LAMBDA),
-        "r_threshold": opt("r_threshold", float, estimator.DEFAULT_THRESHOLD),
-        "floor": opt("floor", float, estimator.DEFAULT_FLOOR),
+        "lambda_range": (cfg_get(cfg, "lambda.min", number, default=estimator.LAMBDA_MIN),
+                         cfg_get(cfg, "lambda.max", number, default=estimator.LAMBDA_MAX)),
+        "n_lambda": cfg_get(cfg, "lambda.n", count, default=estimator.DEFAULT_N_LAMBDA),
+        "r_threshold": cfg_get(cfg, "r_threshold", positive,
+                               default=estimator.DEFAULT_THRESHOLD),
+        "floor": cfg_get(cfg, "floor", positive, default=estimator.DEFAULT_FLOOR),
     }
-    if not opts["r_threshold"] > 0.0:
-        raise ConfigError("r_threshold: must be positive")
-    if not opts["floor"] > 0.0:
-        raise ConfigError("floor: must be positive")
     if circle:
-        opts["sphere_samples"] = opt("sphere_samples", int, estimator.DEFAULT_SPHERE_SAMPLES)
-        opts["cone_steps"] = opt("cone_steps", int, estimator.DEFAULT_CONE_STEPS)
+        opts["sphere_samples"] = cfg_get(cfg, "sphere_samples", count,
+                                         default=estimator.DEFAULT_SPHERE_SAMPLES)
+        opts["cone_steps"] = cfg_get(cfg, "cone_steps", count, default=estimator.DEFAULT_CONE_STEPS)
     return opts
 
 
@@ -147,7 +108,10 @@ class OutputTracker:
     def __init__(self, outdir):
         self.outdir = outdir
         self.paths = []
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {outdir}: {exc.strerror}") from None
 
     def path(self, name):
         p = os.path.join(self.outdir, name)
@@ -165,12 +129,20 @@ class OutputTracker:
                 os.remove(p)
 
 
+def read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def report_envelope(config, seed, body):
     return {"toolkit_version": __version__, "seed": seed, "config": config, **body}
 
 
 def cmd_stft(config, out, seed):
-    sig = parse_signal(config)
+    sig = parse_sampled_signal(config)
     if sig.dim != 1:
         raise ConfigError("signal: the stft command sweeps 1-d signals")
     w = parse_window(config)
@@ -199,7 +171,7 @@ def cmd_chirp_verify(config, out, seed):
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = cfg_get(config, "tol_angle", float, required=False, default=0.09)
+    tol = cfg_get(config, "tol_angle", number, default=0.09)
     pred = predict_chirp_wf(phase, idx)
     est = estimate_wf(chirp_signal(phase), w, idx, **opts)
     report = compare_wf(est, pred, tol)
@@ -210,13 +182,13 @@ def cmd_chirp_verify(config, out, seed):
 
 def cmd_propagate_verify(config, out, seed):
     symbol = cfg_get(config, "symbol", poly_from_dict)
-    time = cfg_get(config, "time", float)
+    time = cfg_get(config, "time", number)
     spec = EvolutionSpec(symbol, time)
-    sig = parse_signal(config)
+    sig = parse_sampled_signal(config)
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = cfg_get(config, "tol_angle", float, required=False, default=0.09)
+    tol = cfg_get(config, "tol_angle", number, default=0.09)
 
     evolved = propagate(sig, spec)
     write_signal_csv(out.path("evolved.csv"), evolved)
@@ -250,19 +222,18 @@ def _directed_gap(a, b):
 
 def cmd_kernel_check(config, out, seed):
     symbol = cfg_get(config, "symbol", poly_from_dict)
-    time = cfg_get(config, "time", float)
+    time = cfg_get(config, "time", number)
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)
     w = parse_window(config)
-    n = cfg_get(config, "n", int)
-    dx = cfg_get(config, "dx", float)
-    eps_angle = cfg_get(config, "eps_angle", float, required=False, default=0.05)
+    n = cfg_get(config, "n", count)
+    dx = cfg_get(config, "dx", number)
+    eps_angle = cfg_get(config, "eps_angle", number, default=0.05)
     opts = parse_estimator_opts(config, circle=False)
-    sweep = cfg_get(config, "sweep", _sweep_counts, required=False,
-                    default=estimator.DEFAULT_SWEEP)
-    moll_frac = cfg_get(config, "moll_width_frac", float, required=False, default=0.25)
-    halve = cfg_get(config, "halve_check", bool, required=False, default=False)
-    xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", float, required=False)
+    sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)
+    moll_frac = cfg_get(config, "moll_width_frac", number, default=0.25)
+    halve = cfg_get(config, "halve_check", flag, default=False)
+    xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", positive, default=None)
 
     def run(frac):
         wm = frac * math.pi / dx
@@ -290,36 +261,33 @@ def cmd_kernel_check(config, out, seed):
 
 
 def cmd_relation(config, out, seed):
-    tol = cfg_get(config, "tolerance", float, required=False, default=1e-9)
-    if not tol > 0.0:
-        raise ConfigError("tolerance: must be positive")
-    a = cfg_get(config, "A", lambda pts: PointSet(pts, tol))
-    b = cfg_get(config, "B", lambda pts: PointSet(pts, tol))
+    tol = cfg_get(config, "tolerance", positive, default=1e-9)
+    points = list_of(list_of(number))
+    a = cfg_get(config, "A", lambda v: PointSet(points(v), tol))
+    b = cfg_get(config, "B", lambda v: PointSet(points(v), tol))
     composed = compose(a, b)
     body = {"composition": point_set_to_list(composed)}
-    scales = cfg_get(config, "scales", required=False)
+    scales = cfg_get(config, "scales", list_of(positive), default=None)
     if scales:
-        idx = parse_index(config)
-        body["sconic_closed"] = sconic_closure_check(composed, idx, scales) \
-            if len(composed) else True
+        body["sconic_closed"] = sconic_closure_check(composed, parse_index(config), scales)
     out.write_json("composition.json", report_envelope(config, seed, body))
 
 
 def cmd_seminorm(config, out, seed):
-    sig = parse_signal(config)
+    sig = parse_sampled_signal(config)
     idx = parse_index(config)
-    kind = cfg_get(config, "kind", required=False, default="stft")
+    kind = cfg_get(config, "kind", text, default="stft")
     rows = []
     if kind == "stft":
         w = parse_window(config)
-        for r in cfg_get(config, "r_values", _float_list):
+        for r in cfg_get(config, "r_values", list_of(number)):
             val = stft_seminorm(sig, w, idx, r)
             rows.append({"r": r,
                          "value": None if math.isinf(val) else val,
                          "divergent": math.isinf(val)})
     elif kind == "classical":
-        order = cfg_get(config, "max_order", int, required=False, default=4)
-        for h in cfg_get(config, "h_values", _float_list):
+        order = cfg_get(config, "max_order", count, default=4)
+        for h in cfg_get(config, "h_values", list_of(number)):
             val = classical_seminorm(sig, idx, h, order)
             rows.append({"h": h, "value": val, "divergent": False})
     else:
@@ -348,30 +316,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    out = None
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = OutputTracker(args.out)
-    try:
+        config = read_config(args.config)
+        out = OutputTracker(args.out)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             COMMANDS[args.command](config, out, args.seed)
-    except ConfigError as exc:
-        out.cleanup()
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ResolutionError, AliasingError, TruncationError) as exc:
-        out.cleanup()
-        print(f"resolution error: {exc}", file=sys.stderr)
-        return 3
     except ToolkitError as exc:
-        out.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if out is not None:
+            out.cleanup()
+        code, label = ((2, "config error") if isinstance(exc, ConfigError)
+                       else (3, "resolution error")
+                       if isinstance(exc, (ResolutionError, TruncationError))
+                       else (1, "error"))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

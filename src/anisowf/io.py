@@ -3,13 +3,15 @@
 Signals travel as CSV with a leading header carrying n, dx, dim; polynomials
 as JSON multi-index coefficient lists; estimates and reports as JSON written
 with a fixed 17-significant-digit float format so identical runs produce
-byte-identical files.
+byte-identical files.  Config fields are read by cfg_get through one of the
+field kinds below, which reject what JSON would otherwise coerce.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 
 import numpy as np
 
@@ -85,16 +87,97 @@ def poly_to_dict(p: PolynomialData) -> dict:
     return {"dim": p.dim, "coeffs": coeffs}
 
 
-def poly_from_dict(d: dict) -> PolynomialData:
+def _term(item) -> tuple:
+    return tuple(cfg_get(item, "alpha", list_of(count))), cfg_get(item, "c", number)
+
+
+def poly_from_dict(d) -> PolynomialData:
+    """Polynomial from {"dim": d, "coeffs": [{"alpha": [..], "c": v}, ...]}."""
+    terms = cfg_get(d, "coeffs", list_of(_term))
+    coeffs = dict(terms)
+    if len(coeffs) != len(terms):
+        raise ConfigError("bad polynomial spec: repeated multi-index")
     try:
-        if not isinstance(d["coeffs"], list):
-            raise ConfigError("bad polynomial spec: coeffs must be a list")
-        coeffs = {tuple(item["alpha"]): item["c"] for item in d["coeffs"]}
-        if len(coeffs) != len(d["coeffs"]):
-            raise ConfigError("bad polynomial spec: repeated multi-index")
-        return PolynomialData(d["dim"], coeffs)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad polynomial spec: {exc}") from exc
+        return PolynomialData(cfg_get(d, "dim", count), coeffs)
+    except DomainError as exc:
+        raise ConfigError(f"bad polynomial spec: {exc}") from None
+
+
+# Config field kinds: each checks one parsed JSON value and returns it
+# (numbers as float, counts as int) or raises ConfigError.
+
+def number(v) -> float:
+    """A finite JSON number; bools, strings, NaN and Infinity are rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError("expected a finite number")
+    return float(v)
+
+
+def positive(v) -> float:
+    """A number above 0."""
+    x = number(v)
+    if not x > 0.0:
+        raise ConfigError("expected a positive number")
+    return x
+
+
+def count(v) -> int:
+    """A non-negative integral number: 256.0 passes, 90.9 does not."""
+    x = number(v)
+    if x < 0.0 or x != int(x):
+        raise ConfigError("expected a non-negative integer")
+    return int(v)
+
+
+def flag(v) -> bool:
+    """JSON true or false."""
+    if not isinstance(v, bool):
+        raise ConfigError("expected true or false")
+    return v
+
+
+def text(v) -> str:
+    """A JSON string."""
+    if not isinstance(v, str):
+        raise ConfigError("expected a string")
+    return v
+
+
+def list_of(kind, length=None):
+    """Kind of a JSON list of kind items, exactly length of them when given."""
+    def parse(v) -> list:
+        if not isinstance(v, list):
+            raise ConfigError("expected a list")
+        if length is not None and len(v) != length:
+            raise ConfigError(f"expected a list of {length} items")
+        return [kind(item) for item in v]
+    return parse
+
+
+_REQUIRED = object()
+
+
+def cfg_get(cfg, path, kind=None, default=_REQUIRED):
+    """Value at a dotted config path, passed through kind when given.
+
+    A field is optional exactly when a default is passed: a missing optional
+    field gives default as is, a missing required one raises ConfigError.  A
+    value that kind rejects with a ConfigError, TypeError, ValueError,
+    OverflowError or OSError raises ConfigError naming the path.
+    """
+    node = cfg
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing field: {path}")
+            return default
+        node = node[part]
+    if kind is None:
+        return node
+    try:
+        return kind(node)
+    except (TypeError, ValueError, OverflowError, OSError, ConfigError) as exc:
+        raise ConfigError(f"{path}: invalid value {node!r} ({exc})") from None
 
 
 def write_stft_csv(path, grid):

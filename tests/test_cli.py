@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
+import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
+import pytest
 
-from anisowf.cli import main
-from anisowf.io import poly_to_dict
+from anisowf.cli import COMMANDS, main
+from anisowf.io import poly_to_dict, write_signal_csv
 from anisowf.poly import poly_1d
+from anisowf.signals import make_gaussian
 
 XSQ = poly_to_dict(poly_1d(0.0, 0.0, 1.0))
 
@@ -34,6 +42,7 @@ class TestStftCommand:
         gauss = {"kind": "gaussian", "n": 256, "dx": 0.1}
         kernel = {"symbol": XSQ, "time": 0.3, "index": {"t": 1.2, "s": 1.2},
                   "n": 128, "dx": 0.2216}
+        wf = {"signal": gauss, "index": {"t": 1.0, "s": 1.0}, "sphere_samples": 90}
         empty, bad_index = tmp_path / "empty.csv", tmp_path / "bad_index.csv"
         empty.write_text("")
         bad_index.write_text("n,dx,dim\n16,0.1,1\nindex,x0,re,im\n99,0,1,0\n")
@@ -86,6 +95,33 @@ class TestStftCommand:
              "signal.path"),
             ("wf", {"signal": {"kind": "file", "path": str(empty)}}, "signal.path"),
             ("wf", {"signal": {"kind": "file", "path": str(bad_index)}}, "signal.path"),
+            # values that JSON carries but int(), float() and bool() used to coerce
+            ("wf", dict(wf, sphere_samples=90.9), "sphere_samples"),
+            ("wf", dict(wf, sphere_samples=True), "sphere_samples"),
+            ("kernel-check", dict(kernel, halve_check="no"), "halve_check"),
+            ("kernel-check", dict(kernel, sweep=[True, 2, 2, 4]), "sweep"),
+            ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "scales": "ab",
+                          "index": {"t": 1.0, "s": 1.0}}, "scales"),
+            ("kernel-check", dict(kernel, time=math.nan), "time"),
+            ("kernel-check", dict(kernel, time="0.5"), "time"),
+            ("kernel-check", dict(kernel, xi_reach_moll_frac=-1), "xi_reach_moll_frac"),
+            ("wf", {**wf, "lambda": {"min": math.nan}}, "lambda.min"),
+            ("wf", dict(wf, index={"t": math.inf, "s": 1.0}), "index.t"),
+            ("stft", {"signal": gauss, "window": {"width": True}}, "window.width"),
+            ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": True},
+             "tolerance"),
+            ("stft", {"signal": dict(gauss, n=256.7)}, "signal.n"),
+            ("wf", dict(wf, signal={"kind": "file", "path": True}), "signal.path"),
+            ("chirp-verify", {"phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": "1.0"}]}},
+             "phase"),
+            ("seminorm", {"signal": gauss, "index": {"t": 1.0, "s": 1.0}, "kind": "classical",
+                          "max_order": 3.7, "h_values": [0.5]}, "max_order"),
+            # commands that read grid samples, given an analytic signal
+            ("stft", {"signal": {"kind": "analytic-one"}}, "signal.kind"),
+            ("seminorm", {"signal": {"kind": "analytic-gaussian"}, "index": {"t": 1.0, "s": 1.0},
+                          "r_values": [0.5]}, "signal.kind"),
+            ("propagate-verify", {"symbol": XSQ, "time": 0.25,
+                                  "signal": {"kind": "analytic-delta"}}, "signal.kind"),
         ]
         for k, (command, cfg, path) in enumerate(cases):
             code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")
@@ -93,6 +129,26 @@ class TestStftCommand:
             assert code == 2, path
             assert path in err and "Traceback" not in err, err
             assert not any(files for _, _, files in os.walk(outdir)), path
+        os.fstat(1)  # a path of true once opened and then closed stdout
+
+    def test_out_names_a_file_exit_2(self, tmp_path, capsys):
+        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1}}
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for outname in ("taken", "taken/sub"):
+            code, _ = run_cli(tmp_path, "stft", cfg, outname=outname)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: --out ") and "Traceback" not in err, err
+        assert taken.read_text() == ""
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        code = main(["relation", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and "Traceback" not in err, err
 
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}
@@ -246,3 +302,95 @@ class TestPropagateVerify:
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["pass"] is True
+
+
+def fuzz_fixture(command, tmp_path):
+    """A small config that command runs with exit 0 in well under a second."""
+    window, lam = {"width": 1.0}, {"min": 2.0, "max": 8.0, "n": 12}
+    index, unit = {"t": 1.2, "s": 1.2}, {"t": 1.0, "s": 1.0}
+    write_signal_csv(tmp_path / "sig.csv", make_gaussian(1, 64, 0.2))
+    return {
+        "stft": {"signal": {"kind": "gaussian", "n": 64, "dx": 0.2, "width": 1.0},
+                 "window": window},
+        "wf": {"signal": {"kind": "file", "path": str(tmp_path / "sig.csv")}, "window": window,
+               "index": unit, "sphere_samples": 90, "cone_steps": 1, "lambda": lam,
+               "r_threshold": 1.0, "floor": 1e-11},
+        "chirp-verify": {"phase": XSQ, "index": index, "window": window, "sphere_samples": 90,
+                         "lambda": lam, "floor": 1e-8, "tol_angle": 0.09},
+        "propagate-verify": {"symbol": XSQ, "time": 0.1,
+                             "signal": {"kind": "chirp", "n": 256, "dx": 0.1, "phase": XSQ,
+                                        "envelope_width": 2.0, "alias_guard_level": 1e-6},
+                             "index": index, "window": window, "sphere_samples": 90,
+                             "lambda": lam, "r_threshold": 0.26, "floor": 1e-6,
+                             "tol_angle": 0.09},
+        "kernel-check": {"symbol": XSQ, "time": 0.3, "n": 32, "dx": 0.5, "index": index,
+                         "window": window, "sweep": [2, 2, 2, 4],
+                         "lambda": {"min": 2.0, "max": 4.0, "n": 12}, "r_threshold": 0.13,
+                         "floor": 1e-11, "moll_width_frac": 0.6, "xi_reach_moll_frac": 1.0,
+                         "eps_angle": 0.05, "halve_check": False},
+        "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9,
+                     "scales": [2.0], "index": unit},
+        "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "index": unit,
+                     "kind": "classical", "max_order": 2, "h_values": [0.5]},
+    }[command]
+
+
+def field_paths(node, prefix=()):
+    """Key path of every field in a config, nested objects included."""
+    for key, child in node.items():
+        yield prefix + (key,)
+        if isinstance(child, dict):
+            yield from field_paths(child, prefix + (key,))
+
+
+DROP = "<drop>"
+# wrong types, non-finite numbers and out-of-range numbers; no value grows a grid
+FUZZ_VALUES = [DROP, "ab", "0.5", True, False, None, math.nan, math.inf, -math.inf,
+               [1.0], {"a": 1.0}, -1, 0.5]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_exit_codes(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+        good = {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]]}
+        for k, (cfg, want) in enumerate(((good, 0), (dict(good, tolerance="big"), 2))):
+            cfg_path = tmp_path / f"cfg{k}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            proc = subprocess.run([sys.executable, "-m", "anisowf.cli", "relation",
+                                   "--config", str(cfg_path), "--out", str(tmp_path / f"out{k}")],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == want, proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert (tmp_path / "out0" / "composition.json").exists()
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_mutated_fixture_exits_cleanly(self, tmp_path, command):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        fixture = fuzz_fixture(command, tmp_path)
+        assert run_cli(tmp_path, command, fixture)[0] == 0
+        runs = itertools.count()
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.sampled_from(list(field_paths(fixture))), st.sampled_from(FUZZ_VALUES))
+        def check(path, value):
+            cfg = copy.deepcopy(fixture)
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            if value is DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, outdir = run_cli(tmp_path, command, cfg, outname=f"fuzz{next(runs)}")
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert not any(files for _, _, files in os.walk(outdir)), err.getvalue()
+
+        check()
