@@ -3,7 +3,10 @@
 The solution is the Fourier multiplier exp(-i t p(xi)); the kernel is the
 convolution kernel k_t = (2 pi)^(-d/2) F^(-1)(exp(-i t p)) arranged as
 K_t(x, y) = k_t(x - y).  Sampling k_t requires a frequency-domain Gaussian
-mollifier, since k_t itself is only a tempered distribution.
+mollifier, since k_t itself is only a tempered distribution.  The kernel is
+kept as its sampled line k_t (a ConvolutionKernel), never as the n x n
+matrix: its 4-d STFT is one 1-d STFT of the line (stft._convolution), and
+ConvolutionKernel.dense() builds the matrix where a test needs it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import AliasingError, DomainError, UnsupportedRegimeError
 from .geometry import AnisoIndex, PhasePoint, SphereDirection, project
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
-from .signals import SampledSignal, fourier
+from .signals import ConvolutionKernel, SampledSignal, fourier
 
 _TWO_PI = 2.0 * math.pi
 _REGIME_TOL = 1e-12
@@ -32,6 +35,8 @@ class EvolutionSpec:
     def __post_init__(self):
         if self.symbol.degree < 2:
             raise DomainError(f"symbol order must be >= 2, got {self.symbol.degree}")
+        if not math.isfinite(self.time):
+            raise DomainError(f"evolution time must be finite, got {self.time}")
 
     @property
     def order(self) -> int:
@@ -71,11 +76,12 @@ def propagate(u0: SampledSignal, spec: EvolutionSpec) -> SampledSignal:
 
 
 def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
-                  moll_width: float | None = None) -> SampledSignal:
+                  moll_width: float | None = None) -> ConvolutionKernel:
     """Mollified Schwartz kernel K_t(x, y) = k_t(x - y) on the n x n grid (d = 1).
 
     k_t is computed on a doubled 1-d grid so every difference x_i - y_j is
-    covered; moll_width defaults to a quarter of the Nyquist frequency.
+    covered, and kept as that line; moll_width defaults to a quarter of the
+    Nyquist frequency.
     """
     if spec.symbol.dim != 1:
         raise DomainError("kernel synthesis is implemented for d = 1 symbols")
@@ -91,9 +97,7 @@ def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
     mult = np.exp(-1j * spec.time * pvals) * np.exp(-xi * xi / (2.0 * moll_width ** 2))
     spectral = SampledSignal(dxi2, mult.astype(complex))
     k_line = fourier(spectral, inverse=True).values * _TWO_PI ** -0.5
-    i = np.arange(n)
-    offsets = i[:, None] - i[None, :] + n  # x_i - y_j in grid units, into the 2n line
-    return SampledSignal(dx, k_line[offsets])
+    return ConvolutionKernel(SampledSignal(dx, k_line))
 
 
 def hamiltonian_flow(spec: EvolutionSpec, p0: PhasePoint) -> PhasePoint:

@@ -73,6 +73,41 @@ class SampledSignal:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx ** self.dim))
 
 
+class ConvolutionKernel:
+    """Convolution kernel K(x, y) = k(x - y) on the n x n grid, kept as its line k.
+
+    line samples k at the 2n offsets (m - n) dx, which cover every difference
+    x_i - y_j of the n-point grid; dim, dx and extent are those of the n x n
+    grid the kernel stands for.
+    """
+
+    __slots__ = ("line", "n")
+
+    def __init__(self, line: SampledSignal):
+        if line.dim != 1 or line.n < 32:
+            raise DomainError(f"a kernel line needs 2n >= 32 samples in 1-d, "
+                              f"got {line.values.shape}")
+        self.line = line
+        self.n = line.n // 2
+
+    @property
+    def dim(self) -> int:
+        return 2
+
+    @property
+    def dx(self) -> float:
+        return self.line.dx
+
+    @property
+    def extent(self) -> float:
+        return self.n * self.dx / 2.0
+
+    def dense(self) -> SampledSignal:
+        """The n x n matrix K[i, j] = k(x_i - y_j) as a d = 2 sampled signal."""
+        i = np.arange(self.n)
+        return SampledSignal(self.dx, self.line.values[i[:, None] - i[None, :] + self.n])
+
+
 @dataclass(frozen=True)
 class AnalyticSignal:
     """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, or tensor."""

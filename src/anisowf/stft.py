@@ -4,7 +4,8 @@ V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 
 Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (window evaluated analytically at the
-shifted sample points, so x and xi need not lie on any lattice) or from
+shifted sample points, so x and xi need not lie on any lattice), for
+convolution kernels from one 1-d quadrature of their line, or from
 closed forms / oscillatory quadrature for analytic signals.  Full grids
 are swept with an FFT per translate.
 """
@@ -20,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
 from .poly import PolynomialData, coeff_array, iter_multi_indices
-from .signals import AnalyticSignal, SampledSignal, fourier
+from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal, fourier
 
 _TWO_PI = 2.0 * math.pi
 
@@ -95,8 +96,8 @@ class StftGrid:
 # pointwise STFT
 
 
-def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Direct quadrature on the signal grid over each window's support."""
+def _check_reach(u, xs: np.ndarray, xis: np.ndarray):
+    """Reject window centres outside 80% of the grid extent and frequencies past Nyquist."""
     far = np.abs(xs) > 0.8 * u.extent
     if far.any():
         raise TruncationError(f"window center {xs[far.any(axis=1)][0]} outside 80% of "
@@ -107,6 +108,26 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
         raise TruncationError(f"frequency {xis[fast.any(axis=1)][0]} beyond the grid "
                               f"Nyquist rate {nyq}")
 
+
+def _modulation(y0: np.ndarray, dx: float, xis: np.ndarray, length: int) -> np.ndarray:
+    """exp(-i (y0 + l dx) xi) for l < length, on a trailing axis.
+
+    With l = q b + r, b ~ sqrt(length), each entry is a coarse exponential per
+    block q times a fine one per offset r: 2 sqrt(length) complex exps and
+    one product per entry instead of length exps, for one extra rounding.
+    """
+    b = max(1, math.isqrt(length))
+    nq = -(-length // b)
+    xis = xis[..., None]
+    coarse = np.exp(-1j * (y0[..., None] + np.arange(nq) * (b * dx)) * xis)
+    fine = np.exp(-1j * (np.arange(b) * dx) * xis)
+    out = coarse[..., :, None] * fine[..., None, :]
+    return out.reshape(y0.shape + (nq * b,))[..., :length]
+
+
+def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Direct quadrature on the signal grid over each window's support."""
+    _check_reach(u, xs, xis)
     coords = u.axis_coords()
     radius = _SUPPORT_RADIUS * w.width
     d = u.dim
@@ -114,12 +135,13 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     hi = np.searchsorted(coords, xs + radius, side="right")
     # Separable 1-d factors, window shift times modulation, for every point
     # and axis; padded to one length and zero past each support.
-    span = lo[..., None] + np.arange(int(np.max(hi - lo, initial=0)))
+    length = int(np.max(hi - lo, initial=0))
+    span = lo[..., None] + np.arange(length)
     inside = span < hi[..., None]
     span = np.minimum(span, u.n - 1)
-    y = coords[span]
-    f = np.where(inside, w.values_1d(y - xs[..., None], d) * np.exp(-1j * y * xis[..., None]),
-                 0.0)
+    f = _modulation(coords[np.minimum(lo, u.n - 1)], u.dx, xis, length)
+    f *= w.values_1d(coords[span] - xs[..., None], d)
+    f[~inside] = 0.0
     if d == 1:
         acc = np.einsum("pl,pl->p", u.values[span[:, 0]], f[:, 0])
     else:
@@ -135,6 +157,39 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
                     sub = np.tensordot(sub, fk[j], axes=([j], [0]))
                 acc[k] = sub
     return acc * u.dx ** d * _TWO_PI ** (-d / 2.0)
+
+
+def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
+                 xis: np.ndarray) -> np.ndarray:
+    """4-d STFT of K(x, y) = k(x - y) as one 1-d STFT of the line k.
+
+    Substituting r = y0 - y1 and summing the Gaussian in y1 in closed form
+    (Poisson summation; the aliases weigh exp(-(pi w/dx)^2 / 4)) gives
+
+        V_K(x0, x1, xi0, xi1) = c_w (2 pi)^(-1/2)
+            exp(-sigma'^2 w^2 / 4 - i (x0 + x1) sigma' / 2) V_k(x0 - x1, f)
+
+    with sigma = xi0 + xi1, k = round(sigma dx / 2 pi), sigma' = sigma - 2 pi k/dx,
+    f = (xi0 - xi1)/2 - pi k/dx wrapped into [-pi/dx, pi/dx], V_k taken with
+    an amplitude-1 Gaussian window of width sqrt(2) w, and
+    c_w = w.amplitude(2) sqrt(pi) w (1 for a unit-norm window).  Shifting xi0
+    by the period 2 pi/dx, invisible on the grid, is what brings sigma into
+    one period; f carries half of that shift.  Unlike the n x n sum, the
+    y1 sum runs past the grid edge, which differs only where a window
+    reaches it.
+    """
+    _check_reach(u, xs, xis)
+    period = _TWO_PI / u.dx
+    sigma = xis[:, 0] + xis[:, 1]
+    k = np.round(sigma / period)
+    sigma -= k * period
+    f = (xis[:, 0] - xis[:, 1]) / 2.0 - k * period / 2.0
+    f -= period * np.round(f / period)
+    line_w = WindowSpec(math.sqrt(2.0) * w.width, unit_norm=False)
+    v = _sampled(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
+    c_w = w.amplitude(2) * math.sqrt(math.pi) * w.width
+    return c_w * _TWO_PI ** -0.5 * v * np.exp(
+        -(sigma * w.width) ** 2 / 4.0 - 0.5j * (xs[:, 0] + xs[:, 1]) * sigma)
 
 
 def _gaussian(width_u: float, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -207,11 +262,11 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
 
 
 def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
-    """STFT values at the P phase-space points (xs[k], xis[k]); u sampled or analytic.
+    """STFT values at the P phase-space points (xs[k], xis[k]); u sampled, a kernel or analytic.
 
     xs and xis are (P, d) coordinate arrays; the result is a (P,) complex array.
     """
-    if not isinstance(u, (SampledSignal, AnalyticSignal)):
+    if not isinstance(u, (SampledSignal, ConvolutionKernel, AnalyticSignal)):
         raise DomainError(f"unsupported signal type {type(u).__name__}")
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
@@ -225,6 +280,8 @@ def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
 
     if isinstance(u, SampledSignal):
         return _sampled(u, w, xs, xis)
+    if isinstance(u, ConvolutionKernel):
+        return _convolution(u, w, xs, xis)
     d = u.dim
     if u.kind == "gaussian":
         return _gaussian(u.width, w, xs, xis)

@@ -243,9 +243,9 @@ def test_criterion_8_kernel_graph_condition():
     graph = check_graph_condition(est, eps_angle=0.05)
     c_full = cone_constant(est, idx)
     sing = [e.direction.z for e in est.entries if e.singular]
-    tube = max(min(min(angle_between(np.asarray(z), cc),
-                       angle_between(-np.asarray(z), cc)) for cc in circle)
-               for z in sing)
+    # angle from each singular direction, or its antipode, to the nearest circle point
+    cosines = np.clip(np.array(sing) @ np.array(circle).T, -1.0, 1.0)
+    tube = float(np.max(np.min(np.minimum(np.arccos(cosines), np.arccos(-cosines)), axis=1)))
     est_half = run(0.3)
     c_half = cone_constant(est_half, idx)
     stable = f"{c_full:.2g}" == f"{c_half:.2g}"

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from anisowf.errors import AliasingError, DomainError, UnsupportedRegimeError
+from anisowf.errors import AliasingError, DomainError, TruncationError, UnsupportedRegimeError
 from anisowf.evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
                                predict_transport, propagate)
 from anisowf.geometry import AnisoIndex, PhasePoint, SphereDirection, project
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
+from anisowf.stft import WindowSpec, stft_points
 
 XSQ = poly_1d(0.0, 0.0, 1.0)
 
@@ -78,27 +81,100 @@ class TestPropagate:
         with pytest.raises(DomainError):
             EvolutionSpec(poly_1d(0.0, 1.0), 0.1)
 
+    @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_a_domain_error(self, time):
+        with pytest.raises(DomainError, match="finite"):
+            propagate(make_gaussian(1, 256, 0.1), EvolutionSpec(XSQ, time))
+        with pytest.raises(DomainError, match="finite"):
+            kernel_signal(EvolutionSpec(XSQ, time), 64, 0.2)
+
 
 class TestKernelSignal:
     def test_time_zero_concentrates_on_diagonal(self):
-        K = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2)
+        K = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2).dense()
         mags = np.abs(K.values)
         # row maxima sit on the diagonal
         assert np.all(np.argmax(mags, axis=1) == np.arange(64))
 
     def test_translation_structure(self):
-        K = kernel_signal(EvolutionSpec(XSQ, 0.3), 64, 0.2)
+        K = kernel_signal(EvolutionSpec(XSQ, 0.3), 64, 0.2).dense()
         v = K.values
         np.testing.assert_allclose(v[1:, 1:], v[:-1, :-1], atol=1e-14)
 
     def test_mollifier_width_controls_diagonal_spread(self):
         # both mollifiers well inside the spectral grid (no edge ringing)
-        wide = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=4.0)
-        narrow = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=2.0)
+        wide = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=4.0).dense()
+        narrow = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=2.0).dense()
         row_w = np.abs(wide.values[32])
         row_n = np.abs(narrow.values[32])
         spread = lambda r: np.sum(r > np.max(r) * 1e-3)
         assert spread(row_w) < spread(row_n)
+
+
+class TestKernelStftOracle:
+    """The line-based kernel STFT against the sampled d = 2 path on dense()."""
+
+    N, DX = 512, 0.1108
+    NYQ = math.pi / DX
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return kernel_signal(EvolutionSpec(XSQ, 0.3), self.N, self.DX,
+                             moll_width=0.6 * self.NYQ)
+
+    @pytest.fixture(scope="class")
+    def dense(self, kernel):
+        return kernel.dense()
+
+    def test_grid_description_matches_dense(self, kernel, dense):
+        assert (kernel.dim, kernel.n, kernel.dx, kernel.extent) == \
+            (dense.dim, dense.n, dense.dx, dense.extent)
+
+    @pytest.mark.parametrize("w", [WindowSpec(1.0), WindowSpec(0.7, unit_norm=False)])
+    def test_interior_points_match_to_round_off(self, kernel, dense, w):
+        # every window support (10 widths) inside the grid, where both sums agree
+        rng = np.random.default_rng(3)
+        lim = kernel.extent - 10.0 * w.width - self.DX
+        xs = rng.uniform(-lim, lim, (400, 2))
+        xis = rng.uniform(-self.NYQ, self.NYQ, (400, 2))
+        assert np.count_nonzero(np.abs(xis.sum(axis=1)) > self.NYQ) >= 50
+        got = stft_points(kernel, w, xs, xis)
+        want = stft_points(dense, w, xs, xis)
+        assert np.max(np.abs(want)) > 0.05
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_edge_points_within_documented_bound(self, kernel, dense):
+        # At 0.8 of the extent the n x n sum cuts the window off at the grid
+        # edge and the line's closed-form sum does not; a probe measured 5.7e-10.
+        rng = np.random.default_rng(4)
+        edge = 0.8 * kernel.extent
+        xs = rng.uniform(-edge, edge, (300, 2))
+        xs[:, 0] = edge * np.sign(xs[:, 0])
+        xs[::2] = xs[::2, ::-1]
+        xis = rng.uniform(-self.NYQ, self.NYQ, (300, 2))
+        got = stft_points(kernel, WindowSpec(1.0), xs, xis)
+        want = stft_points(dense, WindowSpec(1.0), xs, xis)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+
+    def test_same_truncation_errors(self, kernel, dense):
+        edge, nyq = 0.8 * kernel.extent, self.NYQ
+        points = [([edge, -edge], [nyq, -nyq]),
+                  ([edge * 1.001, 0.0], [0.0, 0.0]),
+                  ([0.0, -edge * 1.001], [1.0, 0.0]),
+                  ([1.0, 2.0], [nyq * 1.001, 0.0]),
+                  ([1.0, 2.0], [0.0, -nyq * 1.001])]
+        raised = 0
+        for x, xi in points:
+            outcomes = []
+            for u in (kernel, dense):
+                try:
+                    stft_points(u, WindowSpec(1.0), [x], [xi])
+                    outcomes.append(None)
+                except TruncationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            raised += outcomes[0] is not None
+        assert raised == 4
 
 
 class TestRegularDataStayRegular:
