@@ -3,13 +3,15 @@
 Signals travel as CSV with a leading header carrying n, dx, dim; polynomials
 as JSON multi-index coefficient lists; estimates and reports as JSON written
 with a fixed 17-significant-digit float format so identical runs produce
-byte-identical files.  Config fields are read by cfg_get through one of the
-field kinds below, which reject what JSON would otherwise coerce.
+byte-identical files.  Every CSV file (signals, STFT grids, decay profiles)
+goes through one writer, _write_table, which formats blocks of rows at 17
+significant digits with CRLF line ends.  Config fields are read by cfg_get
+through one of the field kinds below, which reject what JSON would otherwise
+coerce.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 
@@ -50,35 +52,58 @@ def _encode(obj) -> str:
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
+_BLOCK_ROWS = 1024
+
+
+def _write_table(path, head, fmt, n_rows, rows):
+    """The one CSV writer: the lines in head, then n_rows rows in CRLF lines.
+
+    rows(lo, hi) returns rows lo .. hi - 1 as a (rows, columns) array; fmt has
+    one %-format per column.  Each block of at most _BLOCK_ROWS rows is
+    formatted by a single %, so no whole-table string is built."""
+    line = ",".join(fmt) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(h + "\r\n" for h in head))
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            block = rows(lo, min(lo + _BLOCK_ROWS, n_rows))
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_signal_csv(path, sig: SampledSignal):
     """Header rows carry n, dx, dim; data rows are index, coordinates, re, im."""
     flat = sig.values.reshape(-1)
-    coords = sig.grid().reshape(-1, sig.dim)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["n", "dx", "dim"])
-        wr.writerow([sig.n, format(sig.dx, ".17g"), sig.dim])
-        wr.writerow(["index"] + [f"x{j}" for j in range(sig.dim)] + ["re", "im"])
-        for i in range(flat.size):
-            wr.writerow([i] + [format(c, ".17g") for c in coords[i]]
-                        + [format(flat[i].real, ".17g"), format(flat[i].imag, ".17g")])
+
+    def rows(lo, hi):
+        k = np.arange(lo, hi)
+        coords = sig.axis_coords()[np.array(np.unravel_index(k, sig.values.shape))]
+        return np.column_stack([k, *coords, flat[lo:hi].real, flat[lo:hi].imag])
+
+    names = ",".join(["index"] + [f"x{j}" for j in range(sig.dim)] + ["re", "im"])
+    _write_table(path, ["n,dx,dim", f"{sig.n},{sig.dx:.17g},{sig.dim}", names],
+                 ["%d"] + ["%.17g"] * (sig.dim + 2), flat.size, rows)
 
 
 def read_signal_csv(path) -> SampledSignal:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        if next(rd, [])[:3] != ["n", "dx", "dim"]:
+    """Signal from write_signal_csv's format; the body must hold exactly n^dim
+    rows of dim + 3 columns, indexed 0 .. n^dim - 1, or ConfigError is raised."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n").split(",")[:3] != ["n", "dx", "dim"]:
             raise ConfigError(f"{path}: expected signal header row 'n,dx,dim'")
         try:
-            n, dx, dim = next(rd)
+            n, dx, dim = fh.readline().split(",")
             n, dx, dim = int(n), float(dx), int(dim)
-            next(rd)  # column names
-            flat = np.zeros(n ** dim, dtype=complex)
-            for row in rd:
-                if row:
-                    flat[int(row[0])] = float(row[1 + dim]) + 1j * float(row[2 + dim])
-        except (StopIteration, IndexError) as exc:
-            raise ConfigError(f"{path}: malformed signal CSV ({exc!r})") from None
+            fh.readline()  # column names
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed signal CSV ({exc})") from None
+    # the column count bounds dim, so n ** dim below stays a small computation
+    if body.shape[1] != dim + 3:
+        raise ConfigError(f"{path}: dim {dim} needs {dim + 3} columns, found {body.shape[1]}")
+    size = n ** dim
+    if len(body) != size or not np.array_equal(body[:, 0], np.arange(size)):
+        raise ConfigError(f"{path}: expected {size} rows indexed 0 .. {size - 1} in order, "
+                          f"found {len(body)} rows")
+    flat = body[:, dim + 1] + 1j * body[:, dim + 2]
     return SampledSignal(dx, flat.reshape((n,) * dim))
 
 
@@ -184,15 +209,15 @@ def write_stft_csv(path, grid):
     """Columns x, xi, re, im, abs over the full lattice."""
     xs = grid.positions()
     xis = grid.frequencies()
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "xi", "re", "im", "abs"])
-        for i in range(grid.n_x):
-            for j in range(grid.n_xi):
-                v = grid.values[i, j]
-                wr.writerow([format(xs[i], ".17g"), format(xis[j], ".17g"),
-                             format(v.real, ".17g"), format(v.imag, ".17g"),
-                             format(abs(v), ".17g")])
+    flat = grid.values.reshape(-1)
+
+    def rows(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), grid.n_xi)
+        v = flat[lo:hi]
+        # np.hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
+        return np.column_stack([xs[i], xis[j], v.real, v.imag, np.hypot(v.real, v.imag)])
+
+    _write_table(path, ["x,xi,re,im,abs"], ["%.17g"] * 5, flat.size, rows)
 
 
 def write_profile_csv(path, est):
@@ -200,15 +225,16 @@ def write_profile_csv(path, est):
 
     One row per finite sample of the estimate's curve table.
     """
-    lams = [format(lam, ".17g") for lam in est.lambdas]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["direction", "lambda", "magnitude", "log_magnitude"])
-        for i, row in enumerate(est.magnitudes):
-            for lam, mag in zip(lams, row):
-                if math.isfinite(mag):
-                    wr.writerow([i, lam, format(mag, ".17g"),
-                                 format(math.log(mag), ".17g") if mag > 0 else "-inf"])
+    entry, sample = np.nonzero(np.isfinite(est.magnitudes))
+
+    def rows(lo, hi):
+        mags = est.magnitudes[entry[lo:hi], sample[lo:hi]]
+        # math.log per value: np.log can differ from it in the last bit
+        logs = [math.log(m) if m > 0 else -math.inf for m in mags.tolist()]
+        return np.column_stack([entry[lo:hi], np.asarray(est.lambdas)[sample[lo:hi]], mags, logs])
+
+    _write_table(path, ["direction,lambda,magnitude,log_magnitude"],
+                 ["%d"] + ["%.17g"] * 3, entry.size, rows)
 
 
 def wf_estimate_to_dict(est) -> dict:

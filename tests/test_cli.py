@@ -46,6 +46,14 @@ class TestStftCommand:
         empty, bad_index = tmp_path / "empty.csv", tmp_path / "bad_index.csv"
         empty.write_text("")
         bad_index.write_text("n,dx,dim\n16,0.1,1\nindex,x0,re,im\n99,0,1,0\n")
+        sig_path = tmp_path / "sig.csv"
+        write_signal_csv(sig_path, make_gaussian(1, 64, 0.25))
+        lines = sig_path.read_text().splitlines(keepends=True)
+        bad_bodies = {"truncated": lines[:3 + 37],
+                      "huge": [lines[0], "65536,0.1,3\r\n"] + lines[2:],
+                      "swapped": lines[:10] + [lines[11], lines[10]] + lines[12:]}
+        for name, body in bad_bodies.items():
+            (tmp_path / f"{name}.csv").write_text("".join(body))
         cases = [
             ("stft", {"signal": {"kind": "gaussian", "n": 256}}, "signal.dx"),
             ("stft", {"signal": dict(gauss, n="abc")}, "signal.n"),
@@ -95,6 +103,8 @@ class TestStftCommand:
              "signal.path"),
             ("wf", {"signal": {"kind": "file", "path": str(empty)}}, "signal.path"),
             ("wf", {"signal": {"kind": "file", "path": str(bad_index)}}, "signal.path"),
+            *(("wf", {"signal": {"kind": "file", "path": str(tmp_path / f"{name}.csv")}},
+               "signal.path") for name in bad_bodies),
             # values that JSON carries but int(), float() and bool() used to coerce
             ("wf", dict(wf, sphere_samples=90.9), "sphere_samples"),
             ("wf", dict(wf, sphere_samples=True), "sphere_samples"),

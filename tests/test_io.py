@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -9,9 +11,29 @@ from anisowf.estimator import RateFit, WFEntry, WFEstimate
 from anisowf.geometry import AnisoIndex, SphereDirection
 from anisowf.io import (dump_json, poly_from_dict, poly_to_dict,
                         read_signal_csv, wf_estimate_to_dict, write_profile_csv,
-                        write_signal_csv)
+                        write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
-from anisowf.signals import make_gaussian
+from anisowf.signals import SampledSignal, make_gaussian
+from anisowf.stft import WindowSpec, stft_grid
+
+
+def reference_csv(rows) -> bytes:
+    """Rows as a row-at-a-time csv.writer loop writes them, floats through
+    format(v, ".17g"): the reference the block writer must match byte for byte."""
+    buf = io.StringIO(newline="")
+    wr = csv.writer(buf)
+    for row in rows:
+        wr.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+def reference_signal_rows(sig):
+    coords = sig.grid().reshape(-1, sig.dim)
+    yield ["n", "dx", "dim"]
+    yield [sig.n, sig.dx, sig.dim]
+    yield ["index"] + [f"x{j}" for j in range(sig.dim)] + ["re", "im"]
+    for i, v in enumerate(sig.values.reshape(-1).tolist()):
+        yield [i] + coords[i].tolist() + [v.real, v.imag]
 
 
 class TestDumpJson:
@@ -38,22 +60,66 @@ class TestSignalCsv:
         write_signal_csv(p, sig)
         back = read_signal_csv(p)
         assert back.n == 32 and back.dim == 1
-        assert back.dx == pytest.approx(0.25)
-        np.testing.assert_allclose(back.values, sig.values, atol=1e-16)
+        assert back.dx == sig.dx
+        assert np.array_equal(back.values, sig.values)
 
     def test_round_trip_2d(self, tmp_path):
         sig = make_gaussian(2, 16, 0.3, width=0.4)
         p = tmp_path / "sig2.csv"
         write_signal_csv(p, sig)
         back = read_signal_csv(p)
-        assert back.dim == 2
-        np.testing.assert_allclose(back.values, sig.values, atol=1e-16)
+        assert back.dim == 2 and back.dx == sig.dx
+        assert np.array_equal(back.values, sig.values)
+
+    @pytest.mark.parametrize("shape", [(2048,), (64, 64)])
+    def test_bytes_match_reference(self, tmp_path, shape):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values.flat[5] = -0.0
+        sig = SampledSignal(0.1, values)
+        p = tmp_path / "sig.csv"
+        write_signal_csv(p, sig)
+        assert p.read_bytes() == reference_csv(reference_signal_rows(sig))
+        back = read_signal_csv(p)
+        assert back.dx == sig.dx and np.array_equal(back.values, sig.values)
+
+    def test_body_must_match_header(self, tmp_path):
+        p = tmp_path / "sig.csv"
+        write_signal_csv(p, make_gaussian(1, 16, 0.5, width=0.5))
+        lines = p.read_text().splitlines()
+        bodies = {
+            "found 15 rows": lines[:-1],
+            "in order, found 16 rows": lines[:3] + [lines[4], lines[3]] + lines[5:],
+            "needs 4 columns, found 5": lines[:3] + [line + ",0" for line in lines[3:]],
+            # the column count rejects a huge dim before n ** dim is formed
+            "needs 1000000003 columns": [lines[0], "16,0.5,1000000000"] + lines[2:],
+            "malformed": lines[:5] + ["2,x,0,0"] + lines[6:],
+        }
+        for match, body in bodies.items():
+            p.write_text("\n".join(body) + "\n")
+            with pytest.raises(ConfigError, match=match):
+                read_signal_csv(p)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("nope\n1,2,3\n")
         with pytest.raises(ConfigError):
             read_signal_csv(p)
+
+
+class TestStftCsv:
+    def test_bytes_match_reference(self, tmp_path):
+        grid = stft_grid(make_gaussian(1, 64, 0.25), WindowSpec(1.0))
+        vals = grid.values.tolist()
+        # the abs column is Python's abs(complex); np.abs differs on some values
+        assert np.abs(grid.values).tolist() != [[abs(v) for v in row] for row in vals]
+        rows = [["x", "xi", "re", "im", "abs"]]
+        for x, row in zip(grid.positions().tolist(), vals):
+            for xi, v in zip(grid.frequencies().tolist(), row):
+                rows.append([x, xi, v.real, v.imag, abs(v)])
+        p = tmp_path / "grid.csv"
+        write_stft_csv(p, grid)
+        assert p.read_bytes() == reference_csv(rows)
 
 
 class TestPolyJson:
@@ -145,3 +211,27 @@ class TestEstimateExport:
         assert lines[1] == (f"0,{lam[0]:.17g},{math.exp(-lam[0]):.17g},"
                             f"{math.log(math.exp(-lam[0])):.17g}")
         assert lines[10 + 3].endswith(",0,-inf")
+
+    def test_profile_csv_bytes_match_reference(self, tmp_path):
+        rng = np.random.default_rng(7)
+        lam = np.geomspace(2.0, 60.0, 40)
+        table = np.exp(-rng.uniform(0.0, 30.0, (50, 40)))
+        table[4] = np.nan
+        table[9, 25:] = np.nan
+        table[11, 3] = 0.0
+        # values on which np.log and math.log disagree on this host, if any
+        cand = np.exp(-rng.uniform(0.0, 700.0, 200_000))
+        split = cand[np.log(cand) != [math.log(c) for c in cand.tolist()]][:400]
+        table[20:].flat[:split.size] = split
+        entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
+                           RateFit(1.0, 0.0, 0.0, 9), False)] * 50
+        est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
+        rows = [["direction", "lambda", "magnitude", "log_magnitude"]]
+        for i, row in enumerate(table.tolist()):
+            for la, mag in zip(lam.tolist(), row):
+                if math.isfinite(mag):
+                    rows.append([i, la, mag, math.log(mag) if mag > 0 else "-inf"])
+        assert len(rows) - 1 > 1024
+        p = tmp_path / "profiles.csv"
+        write_profile_csv(p, est)
+        assert p.read_bytes() == reference_csv(rows)
