@@ -13,7 +13,7 @@ from .evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
                         predict_transport, propagate)
 from .geometry import (AnisoIndex, PhasePoint, SphereDirection,
                        dist_to_conic_set, in_gamma_nbhd, in_gamma_tilde_nbhd,
-                       lambda_solve, project, scale_point)
+                       lambda_solve, nearest_angles, project, scale_point)
 from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 from .relation import (PointSet, compose, compose_via_projection, proj_13,
                        proj_2neg4, sconic_closure_check)

@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .geometry import AnisoIndex, angle_to_nearest, project_many
+from .geometry import AnisoIndex, nearest_angles, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 
 _REGIME_TOL = 1e-12
+# is_elliptic: points sampled on the unit sphere for d >= 2
+_SPHERE_SAMPLES = 360
+# _graph_directions: |x| log-spaced in [1e-2, 1e2], and unit x directions for d >= 2
+_N_RADIAL = 400
+_N_ANGULAR = 64
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class WFPrediction:
     equality: bool
 
 
-def is_elliptic(phase_principal: PolynomialData, sphere_samples: int = 360) -> bool:
+def is_elliptic(phase_principal: PolynomialData) -> bool:
     """No zero of a homogeneous polynomial on the unit sphere (within 1e-9)."""
     if not phase_principal.is_homogeneous():
         raise DomainError("ellipticity is defined for homogeneous polynomials")
@@ -38,30 +43,29 @@ def is_elliptic(phase_principal: PolynomialData, sphere_samples: int = 360) -> b
     if d == 1:
         pts = np.array([[1.0], [-1.0]])
     elif d == 2:
-        th = 2.0 * math.pi * np.arange(sphere_samples) / sphere_samples
+        th = 2.0 * math.pi * np.arange(_SPHERE_SAMPLES) / _SPHERE_SAMPLES
         pts = np.stack([np.cos(th), np.sin(th)], axis=1)
     else:
         rng = np.random.default_rng(0)
-        pts = rng.standard_normal((sphere_samples, d))
+        pts = rng.standard_normal((_SPHERE_SAMPLES, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     vals = eval_poly(phase_principal, pts)
     return bool(np.min(np.abs(vals)) > 1e-9)
 
 
-def _graph_directions(phase_m: PolynomialData, idx: AnisoIndex,
-                      n_radial: int = 400, n_angular: int = 64) -> np.ndarray:
+def _graph_directions(phase_m: PolynomialData, idx: AnisoIndex) -> np.ndarray:
     """Projections of (x, grad phi_m(x)) over a log-spaced sweep of x."""
     d = phase_m.dim
-    radii = np.geomspace(1e-2, 1e2, n_radial)
+    radii = np.geomspace(1e-2, 1e2, _N_RADIAL)
     if d == 1:
         xs = np.concatenate([radii, -radii])[:, None]
     else:
-        th = 2.0 * math.pi * np.arange(n_angular) / n_angular
+        th = 2.0 * math.pi * np.arange(_N_ANGULAR) / _N_ANGULAR
         if d == 2:
             units = np.stack([np.cos(th), np.sin(th)], axis=1)
         else:
             rng = np.random.default_rng(1)
-            units = rng.standard_normal((n_angular, d))
+            units = rng.standard_normal((_N_ANGULAR, d))
             units /= np.linalg.norm(units, axis=1, keepdims=True)
         xs = (radii[:, None, None] * units[None, :, :]).reshape(-1, d)
     grads = eval_grad(phase_m, xs)
@@ -123,28 +127,21 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
     predicted set.  Misses (only when the prediction claims equality):
     predicted directions with no detected match within tol_angle.
     """
-    detected = [e.direction.z for e in estimate.entries if e.singular]
+    detected = estimate.singular_directions()
     pred = prediction.directions
-    violations = []
-    max_err = 0.0
-    for z in detected:
-        err = angle_to_nearest(z, pred)
-        max_err = max(max_err, err)
-        if err > tol_angle:
-            violations.append({"direction": z.tolist(), "angle": err})
+    err = nearest_angles(detected, pred)
+    violations = [{"direction": z.tolist(), "angle": float(a)}
+                  for z, a in zip(detected, err) if a > tol_angle]
     misses = []
-    if prediction.equality:
-        for g in pred:
-            if not detected:
-                misses.append({"direction": g.tolist()})
-                continue
-            err = angle_to_nearest(g, detected)
-            if err > tol_angle:
-                misses.append({"direction": g.tolist(), "angle": err})
+    if prediction.equality and not len(detected):
+        misses = [{"direction": g.tolist()} for g in pred]
+    elif prediction.equality:
+        misses = [{"direction": g.tolist(), "angle": float(a)}
+                  for g, a in zip(pred, nearest_angles(pred, detected)) if a > tol_angle]
     return {
         "violations": violations,
         "misses": misses,
-        "max_angle_error": max_err,
+        "max_angle_error": float(np.max(err, initial=0.0)),
         "n_detected": len(detected),
         "pass": not violations and not misses,
     }

@@ -17,13 +17,15 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from . import __version__, estimator
 from .chirp import compare_wf, predict_chirp_wf
 from .errors import ConfigError, ResolutionError, ToolkitError, TruncationError
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
-from .geometry import AnisoIndex, angle_to_nearest
+from .geometry import AnisoIndex, nearest_angles
 from .io import (cfg_get, count, dump_json, flag, list_of, number, poly_from_dict,
                  positive, prediction_to_dict, point_set_to_list, read_signal_csv,
                  text, wf_estimate_to_dict, write_profile_csv, write_signal_csv,
@@ -171,7 +173,7 @@ def cmd_chirp_verify(config, out, seed):
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = cfg_get(config, "tol_angle", number, default=0.09)
+    tol = cfg_get(config, "tol_angle", positive, default=0.09)
     pred = predict_chirp_wf(phase, idx)
     est = estimate_wf(chirp_signal(phase), w, idx, **opts)
     report = compare_wf(est, pred, tol)
@@ -188,36 +190,27 @@ def cmd_propagate_verify(config, out, seed):
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
-    tol = cfg_get(config, "tol_angle", number, default=0.09)
+    tol = cfg_get(config, "tol_angle", positive, default=0.09)
 
     evolved = propagate(sig, spec)
     write_signal_csv(out.path("evolved.csv"), evolved)
     before = estimate_wf(sig, w, idx, **opts)
     after = estimate_wf(evolved, w, idx, **opts)
-    transported = predict_transport(
-        [e.direction for e in before.entries if e.singular], spec, idx)
-
-    after_dirs = [e.direction.z for e in after.entries if e.singular]
-    trans_dirs = [d.z for d in transported]
-    gap_fwd = _directed_gap(after_dirs, trans_dirs)
-    gap_back = _directed_gap(trans_dirs, after_dirs)
-    ok = (gap_fwd is not None and gap_back is not None
-          and gap_fwd <= tol and gap_back <= tol)
+    transported = predict_transport(before.singular_directions(), spec, idx)
+    after_dirs = after.singular_directions()
+    # each gap: max over one set of the angle to the nearest member of the other
+    gaps = [None, None]
+    if len(after_dirs) and len(transported):
+        gaps = [float(np.max(nearest_angles(a, b)))
+                for a, b in ((after_dirs, transported), (transported, after_dirs))]
     out.write_json("before.json", wf_estimate_to_dict(before))
     out.write_json("after.json", wf_estimate_to_dict(after))
-    out.write_json("transported.json", {"directions": [list(map(float, z)) for z in trans_dirs]})
+    out.write_json("transported.json", {"directions": transported})
     out.write_json("report.json", report_envelope(config, seed, {
-        "containment_after_in_transported": gap_fwd,
-        "containment_transported_in_after": gap_back,
-        "pass": bool(ok),
+        "containment_after_in_transported": gaps[0],
+        "containment_transported_in_after": gaps[1],
+        "pass": None not in gaps and max(gaps) <= tol,
     }))
-
-
-def _directed_gap(a, b):
-    """max over a of the angle to the nearest member of b; None when either is empty."""
-    if not a or not b:
-        return None
-    return max(angle_to_nearest(z, b) for z in a)
 
 
 def cmd_kernel_check(config, out, seed):
@@ -228,10 +221,10 @@ def cmd_kernel_check(config, out, seed):
     w = parse_window(config)
     n = cfg_get(config, "n", count)
     dx = cfg_get(config, "dx", number)
-    eps_angle = cfg_get(config, "eps_angle", number, default=0.05)
+    eps_angle = cfg_get(config, "eps_angle", positive, default=0.05)
     opts = parse_estimator_opts(config, circle=False)
     sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)
-    moll_frac = cfg_get(config, "moll_width_frac", number, default=0.25)
+    moll_frac = cfg_get(config, "moll_width_frac", positive, default=0.25)
     halve = cfg_get(config, "halve_check", flag, default=False)
     xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", positive, default=None)
 
@@ -280,14 +273,14 @@ def cmd_seminorm(config, out, seed):
     rows = []
     if kind == "stft":
         w = parse_window(config)
-        for r in cfg_get(config, "r_values", list_of(number)):
+        for r in cfg_get(config, "r_values", list_of(positive)):
             val = stft_seminorm(sig, w, idx, r)
             rows.append({"r": r,
                          "value": None if math.isinf(val) else val,
                          "divergent": math.isinf(val)})
     elif kind == "classical":
         order = cfg_get(config, "max_order", count, default=4)
-        for h in cfg_get(config, "h_values", list_of(number)):
+        for h in cfg_get(config, "h_values", list_of(positive)):
             val = classical_seminorm(sig, idx, h, order)
             rows.append({"h": h, "value": val, "divergent": False})
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GraphConditionError
-from .geometry import AnisoIndex, SphereDirection
+from .geometry import AnisoIndex, SphereDirection, blocks4
 from .signals import AnalyticSignal, SampledSignal
 from .stft import WindowSpec, stft_points
 
@@ -30,7 +30,12 @@ DEFAULT_CONE_STEPS = 1
 DEFAULT_SWEEP = (8, 24, 24, 64)
 LAMBDA_MIN = 2.0
 LAMBDA_MAX = 50.0
+MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
+# Curves stay within this fraction of the grid extent and of its Nyquist rate.
+_REACH_FRAC = 0.8
+# cone_constant: a block norm below this counts as vanishing
+_BLOCK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,11 @@ class WFEstimate:
     lambdas: np.ndarray = field(default=None, repr=False, compare=False)
     magnitudes: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def singular_directions(self) -> list:
-        return [e.direction for e in self.entries if e.singular]
+    def singular_directions(self) -> np.ndarray:
+        """The singular entries' unit directions, in entry order, as (K, 2d) rows."""
+        rows = [e.direction.z for e in self.entries if e.singular]
+        width = self.entries[0].direction.z.size if self.entries else 0
+        return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def geometric_lambdas(lo: float, hi: float, n: int) -> np.ndarray:
@@ -106,25 +114,26 @@ def fit_rate_arrays(lambdas: np.ndarray, table: np.ndarray, floor: float) -> tup
             np.where(fitted, residual, 0.0), n_valid)
 
 
-def curve_reach(u, idx: AnisoIndex, z0: SphereDirection,
-                reach_frac=(0.8, 0.8), xi_reach_abs: float | None = None) -> float:
-    """Largest lambda keeping the curve point inside the usable grid region.
+def curve_reach(u, idx: AnisoIndex, z0: np.ndarray,
+                xi_reach_abs: float | None = None) -> float:
+    """Largest lambda keeping the curve of the unit (x, xi) row z0 inside the
+    usable grid region.
 
-    Analytic signals have unbounded reach.  reach_frac scales the position
-    extent and the Nyquist frequency; xi_reach_abs optionally caps frequency
-    excursions at an absolute value (tighter than the Nyquist fraction),
-    e.g. to keep curves inside a mollifier's passband.
+    Analytic signals have unbounded reach.  Curves stay within _REACH_FRAC of
+    the position extent and of the Nyquist frequency; xi_reach_abs
+    optionally caps frequency excursions at an absolute value (tighter than
+    the Nyquist fraction), e.g. to keep curves inside a mollifier's passband.
     """
     if isinstance(u, AnalyticSignal):
         return math.inf
-    frac_x, frac_xi = reach_frac
-    x_lim = frac_x * u.extent
-    xi_lim = frac_xi * math.pi / u.dx
+    x_lim = _REACH_FRAC * u.extent
+    xi_lim = _REACH_FRAC * math.pi / u.dx
     if xi_reach_abs is not None:
         xi_lim = min(xi_lim, xi_reach_abs)
     cap = math.inf
-    mx = float(np.max(np.abs(z0.x)))
-    mxi = float(np.max(np.abs(z0.xi)))
+    d = z0.size // 2
+    mx = float(np.max(np.abs(z0[:d])))
+    mxi = float(np.max(np.abs(z0[d:])))
     if mx > 0.0:
         cap = min(cap, (x_lim / mx) ** (1.0 / idx.t))
     if mxi > 0.0:
@@ -133,7 +142,7 @@ def curve_reach(u, idx: AnisoIndex, z0: SphereDirection,
 
 
 def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np.ndarray,
-                reach_frac=(0.8, 0.8), xi_reach_abs: float | None = None) -> np.ndarray:
+                xi_reach_abs: float | None = None) -> np.ndarray:
     """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
@@ -145,7 +154,7 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
     for i, z in enumerate(dirs):
-        cap = curve_reach(u, idx, SphereDirection(z), reach_frac, xi_reach_abs)
+        cap = curve_reach(u, idx, z, xi_reach_abs)
         n = int(np.count_nonzero(lambdas <= cap))
         if n >= _MIN_REACHABLE:
             table[i, :n] = np.abs(stft_points(u, w, scales[:n, :1] * z[:d],
@@ -153,10 +162,10 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np
     return table
 
 
-def circle_directions(n: int) -> list:
-    """Uniform directions on the circle S^1 (d = 1 phase space)."""
+def circle_directions(n: int) -> np.ndarray:
+    """n uniform directions on the circle S^1 (d = 1 phase space), as (n, 2) rows."""
     thetas = 2.0 * math.pi * np.arange(n) / n
-    return [SphereDirection(np.array([math.cos(t), math.sin(t)])) for t in thetas]
+    return np.array([[math.cos(t), math.sin(t)] for t in thetas.tolist()])
 
 
 def _classify(dirs, lambdas, table, floor, threshold) -> list:
@@ -181,7 +190,7 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
                 sphere_samples: int = DEFAULT_SPHERE_SAMPLES,
                 lambda_range=(LAMBDA_MIN, LAMBDA_MAX), n_lambda: int = DEFAULT_N_LAMBDA,
                 r_threshold: float = DEFAULT_THRESHOLD, floor: float = DEFAULT_FLOOR,
-                cone_steps: int = DEFAULT_CONE_STEPS, reach_frac=(0.8, 0.8)) -> WFEstimate:
+                cone_steps: int = DEFAULT_CONE_STEPS) -> WFEstimate:
     """Sweep the circle of directions and classify each one (d = 1 signals)."""
     dim = u.dim if isinstance(u, (SampledSignal, AnalyticSignal)) else None
     if dim != 1:
@@ -189,9 +198,9 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
     if sphere_samples < 90:
         raise DomainError("need at least 90 sphere samples for a d = 1 sweep")
 
-    dirs = np.array([z.z for z in circle_directions(sphere_samples)])
+    dirs = circle_directions(sphere_samples)
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
-    mags = curve_table(u, w, idx, dirs, lambdas, reach_frac)
+    mags = curve_table(u, w, idx, dirs, lambdas)
     entries = _classify(dirs, lambdas, _cone_max_circle(mags, cone_steps), floor, r_threshold)
     return WFEstimate(idx, entries, r_threshold, lambdas, mags)
 
@@ -262,10 +271,9 @@ def _tangent_basis(center: np.ndarray) -> np.ndarray:
 
 
 def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
-                       sweep=DEFAULT_SWEEP, max_directions: int = 8000,
+                       sweep=DEFAULT_SWEEP,
                        lambda_range=(LAMBDA_MIN, LAMBDA_MAX), n_lambda: int = DEFAULT_N_LAMBDA,
-                       r_threshold: float = DEFAULT_THRESHOLD,
-                       floor: float = DEFAULT_FLOOR, reach_frac=(0.8, 0.8),
+                       r_threshold: float = DEFAULT_THRESHOLD, floor: float = DEFAULT_FLOOR,
                        xi_reach_abs: float | None = None,
                        refine: int = 24, seed: int = 0) -> WFEstimate:
     """Estimate the wave front set of a kernel (a d = 2 signal, phase space R^4).
@@ -277,23 +285,23 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     if K.dim != 2:
         raise DomainError("estimate_kernel_wf expects a kernel sampled in dimension 2")
     dirs = product_sphere4(*sweep)
-    if dirs.shape[0] > max_directions:
-        raise DomainError(f"sweep of {dirs.shape[0]} directions exceeds budget {max_directions}")
+    if dirs.shape[0] > MAX_DIRECTIONS:
+        raise DomainError(f"sweep of {dirs.shape[0]} directions exceeds budget {MAX_DIRECTIONS}")
 
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)
-    mags = curve_table(K, w, idx, dirs, lambdas, reach_frac, xi_reach_abs)
+    mags = curve_table(K, w, idx, dirs, lambdas, xi_reach_abs)
     entries = _classify(dirs, lambdas, mags, floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
     seed_ids = _refinement_seeds(np.array([e.fit.rhat for e in entries]),
                                  np.array([e.singular for e in entries], dtype=bool))
     spacing = math.pi / (min(sweep[1], sweep[2]) or 1)
-    budget = max_directions - dirs.shape[0]
+    budget = MAX_DIRECTIONS - dirs.shape[0]
     per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
     if per > 0:
         extra = np.concatenate([fibonacci_cap(dirs[i], spacing, per, rng) for i in seed_ids])
-        extra_mags = curve_table(K, w, idx, extra, lambdas, reach_frac, xi_reach_abs)
+        extra_mags = curve_table(K, w, idx, extra, lambdas, xi_reach_abs)
         entries += _classify(extra, lambdas, extra_mags, floor, r_threshold)
         mags = np.concatenate([mags, extra_mags])
     return WFEstimate(idx, entries, r_threshold, lambdas, mags)
@@ -316,59 +324,40 @@ def _refinement_seeds(rates: np.ndarray, singular: np.ndarray) -> np.ndarray:
 # kernel graph condition and cone constant
 
 
-def _plane_angles(z: np.ndarray) -> tuple[float, float]:
-    """Angles from a unit (x, y, xi, eta) direction to the two forbidden planes.
-
-    Plane 1 is {(x, 0, xi, 0)}; plane 2 is {(0, y, 0, -eta)} (as a set the
-    sign of eta is immaterial).
-    """
-    d2 = z.size // 2
-    d = d2 // 2
-    x, y = z[:d], z[d:d2]
-    xi, eta = z[d2:d2 + d], z[d2 + d:]
-    off1 = math.sqrt(float(np.dot(y, y) + np.dot(eta, eta)))
-    off2 = math.sqrt(float(np.dot(x, x) + np.dot(xi, xi)))
-    return math.asin(min(1.0, off1)), math.asin(min(1.0, off2))
-
-
 def check_graph_condition(wf: WFEstimate, eps_angle: float) -> dict:
-    """Empty-ness of the two axis traces of a kernel wave front set."""
-    offenders = []
-    wf1_empty = True
-    wf2_empty = True
-    for e in wf.entries:
-        if not e.singular:
-            continue
-        a1, a2 = _plane_angles(e.direction.z)
-        if a1 < eps_angle:
-            wf1_empty = False
-            offenders.append({"direction": e.direction.z.tolist(), "plane": 1, "angle": a1})
-        if a2 < eps_angle:
-            wf2_empty = False
-            offenders.append({"direction": e.direction.z.tolist(), "plane": 2, "angle": a2})
-    return {"wf1_empty": wf1_empty, "wf2_empty": wf2_empty, "offenders": offenders}
+    """Empty-ness of the two axis traces of a kernel wave front set.
+
+    Offenders are singular directions within eps_angle of plane 1,
+    {(x, 0, xi, 0)}, or of plane 2, {(0, y, 0, -eta)} (as a set the sign of
+    eta is immaterial); they are listed in entry order, plane 1 first.
+    """
+    z = wf.singular_directions()
+    x2, y2, xi2, eta2 = (np.sum(b * b, axis=1) for b in blocks4(z))
+    angles = np.arcsin(np.minimum(1.0, np.sqrt(np.column_stack([y2 + eta2, x2 + xi2]))))
+    hit = angles < eps_angle
+    offenders = [{"direction": z[i].tolist(), "plane": int(j) + 1, "angle": float(angles[i, j])}
+                 for i, j in zip(*np.nonzero(hit))]
+    return {"wf1_empty": not hit[:, 0].any(), "wf2_empty": not hit[:, 1].any(),
+            "offenders": offenders}
 
 
-def cone_constant(wf: WFEstimate, idx: AnisoIndex, block_tol: float = 1e-9) -> float:
+def cone_constant(wf: WFEstimate, idx: AnisoIndex) -> float:
     """Smallest sampled c >= 1 bounding |y|^(1/t)+|eta|^(1/s) against |x|^(1/t)+|xi|^(1/s).
 
     Empty singular sets give the vacuous c = 1; a singular direction with a
     vanishing block violates the graph condition.
     """
-    c = 1.0
-    for e in wf.entries:
-        if not e.singular:
-            continue
-        z = e.direction.z
-        d2 = z.size // 2
-        d = d2 // 2
-        x, y = z[:d], z[d:d2]
-        xi, eta = z[d2:d2 + d], z[d2 + d:]
-        rho_in = np.linalg.norm(x) ** (1.0 / idx.t) + np.linalg.norm(xi) ** (1.0 / idx.s)
-        rho_out = np.linalg.norm(y) ** (1.0 / idx.t) + np.linalg.norm(eta) ** (1.0 / idx.s)
-        if rho_in < block_tol or rho_out < block_tol:
-            raise GraphConditionError(
-                f"singular direction {z.tolist()} has a vanishing block")
-        ratio = rho_out / rho_in
-        c = max(c, ratio, 1.0 / ratio)
-    return c
+    z = wf.singular_directions()
+    x, y, xi, eta = blocks4(z)
+
+    def rho(a, b):
+        return (np.linalg.norm(a, axis=1) ** (1.0 / idx.t)
+                + np.linalg.norm(b, axis=1) ** (1.0 / idx.s))
+
+    rho_in, rho_out = rho(x, xi), rho(y, eta)
+    vanishing = (rho_in < _BLOCK_TOL) | (rho_out < _BLOCK_TOL)
+    if vanishing.any():
+        raise GraphConditionError(
+            f"singular direction {z[np.argmax(vanishing)].tolist()} has a vanishing block")
+    ratio = rho_out / rho_in
+    return float(np.max(np.maximum(ratio, 1.0 / ratio), initial=1.0))

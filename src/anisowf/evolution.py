@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, DomainError, UnsupportedRegimeError
-from .geometry import AnisoIndex, PhasePoint, SphereDirection, project
+from .geometry import AnisoIndex, PhasePoint, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 from .signals import ConvolutionKernel, SampledSignal, fourier
 
@@ -100,32 +100,37 @@ def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
     return ConvolutionKernel(SampledSignal(dx, k_line))
 
 
+def _flow_positions(spec: EvolutionSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """x + t grad p_m(xi) for (N, d) coordinate arrays, p_m the principal part."""
+    return xs + spec.time * eval_grad(principal_part(spec.symbol), xis)
+
+
 def hamiltonian_flow(spec: EvolutionSpec, p0: PhasePoint) -> PhasePoint:
     """chi_t(x0, xi0) = (x0 + t grad p_m(xi0), xi0) for the principal part p_m."""
     if p0.is_zero():
         raise DomainError("the flow is defined away from the origin")
-    pm = principal_part(spec.symbol)
-    return PhasePoint(p0.x + spec.time * eval_grad(pm, p0.xi), p0.xi)
+    return PhasePoint(_flow_positions(spec, p0.x[None, :], p0.xi[None, :])[0], p0.xi)
 
 
-def predict_transport(directions, spec: EvolutionSpec, idx: AnisoIndex) -> list:
-    """Image of a direction set under the propagation theorem.
+def predict_transport(directions: np.ndarray, spec: EvolutionSpec,
+                      idx: AnisoIndex) -> np.ndarray:
+    """Image of an (N, 2d) set of unit directions under the propagation theorem.
 
     For t = s(m-1) each direction moves along the Hamiltonian flow of the
-    principal symbol (representative-independent by conic invariance); for
-    t > s(m-1) the set is unchanged.  Other index pairs are not covered.
+    principal symbol (representative-independent by conic invariance) and
+    is projected back to the sphere; for t > s(m-1) the set is unchanged.
+    Other index pairs are not covered.
     """
+    dirs = np.asarray(directions, dtype=float)
     m = spec.order
     sm1 = idx.s * (m - 1)
     if not sm1 > 1.0:
         raise UnsupportedRegimeError(f"need s(m-1) > 1, got {sm1}")
     if abs(idx.t - sm1) <= _REGIME_TOL:
-        out = []
-        for z0 in directions:
-            moved = hamiltonian_flow(spec, z0.as_point())
-            out.append(project(idx, moved))
-        return out
+        d = dirs.shape[1] // 2
+        xs, xis = dirs[:, :d], dirs[:, d:]
+        return project_many(idx, _flow_positions(spec, xs, xis), xis)
     if idx.t > sm1:
-        return [SphereDirection(z0.z.copy()) for z0 in directions]
+        return dirs.copy()
     raise UnsupportedRegimeError(
         f"transport is stated for t >= s(m-1) > 1, got t = {idx.t}, s(m-1) = {sm1}")

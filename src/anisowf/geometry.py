@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DomainError
 
 _LOG2 = math.log(2.0)
+# gamma_tilde_distance scans lambda in [1e-4, 1e4], then golden-section steps
+_LOG_LAMBDA_BOUND = 4.0 * math.log(10.0)
+_GOLDEN_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,6 @@ class SphereDirection:
     @property
     def xi(self) -> np.ndarray:
         return self.z[self.dim:]
-
-    def as_point(self) -> PhasePoint:
-        return PhasePoint(self.x, self.xi)
 
     def __repr__(self):
         return f"SphereDirection({self.z.tolist()})"
@@ -194,9 +194,7 @@ def in_gamma_nbhd(sigma: float, z0: SphereDirection, eps: float, p: PhasePoint) 
     return bool(np.linalg.norm(z0.z - proj.z) < eps)
 
 
-def gamma_tilde_distance(sigma: float, z0: SphereDirection, p: PhasePoint,
-                         log_lambda_bounds=(-4.0 * math.log(10.0), 4.0 * math.log(10.0)),
-                         max_iter: int = 200) -> float:
+def gamma_tilde_distance(sigma: float, z0: SphereDirection, p: PhasePoint) -> float:
     """min over lambda in [1e-4, 1e4] of |(lambda y, lambda^sigma eta) - z0|.
 
     Coarse scan to bracket, then golden-section on log(lambda).  The distance
@@ -212,8 +210,7 @@ def gamma_tilde_distance(sigma: float, z0: SphereDirection, p: PhasePoint,
         dv = np.concatenate([lam * y - zx, lam ** sigma * eta - zxi])
         return float(np.linalg.norm(dv))
 
-    u_lo, u_hi = log_lambda_bounds
-    grid = np.linspace(u_lo, u_hi, 65)
+    grid = np.linspace(-_LOG_LAMBDA_BOUND, _LOG_LAMBDA_BOUND, 65)
     vals = [dist(u) for u in grid]
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
@@ -223,7 +220,7 @@ def gamma_tilde_distance(sigma: float, z0: SphereDirection, p: PhasePoint,
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = dist(c), dist(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_STEPS):
         if hi - lo < 1e-13:
             break
         if fc < fd:
@@ -244,16 +241,19 @@ def in_gamma_tilde_nbhd(sigma: float, z0: SphereDirection, eps: float, p: PhaseP
     return gamma_tilde_distance(sigma, z0, p) < eps
 
 
-def dist_to_conic_set(sigma: float, directions, p: PhasePoint) -> float:
-    """inf over w in the direction set of |p_{1,sigma}(p) - w|."""
-    dirs = list(directions)
-    if not dirs:
+def dist_to_conic_set(sigma: float, directions: np.ndarray, p: PhasePoint) -> float:
+    """inf over the unit rows w of an (N, 2d) direction set of |p_{1,sigma}(p) - w|.
+
+    A chord length, not an angle: near 0 it cannot be recovered from a dot
+    product to better than about 1e-8.
+    """
+    w = np.asarray(directions, dtype=float)
+    if w.shape[0] == 0:
         raise DomainError("direction set must be nonempty")
     if p.is_zero():
         raise DomainError("distance undefined at the zero point")
-    proj = project(AnisoIndex(1.0, sigma), p)
-    w = np.stack([d.z for d in dirs])
-    return float(np.min(np.linalg.norm(w - proj.z[None, :], axis=1)))
+    proj = project_many(AnisoIndex(1.0, sigma), p.x, p.xi)
+    return float(np.min(np.linalg.norm(w - proj, axis=1)))
 
 
 def growth_bounds(idx: AnisoIndex, points) -> tuple[float, float]:
@@ -266,11 +266,22 @@ def growth_bounds(idx: AnisoIndex, points) -> tuple[float, float]:
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in radians between two unit vectors."""
-    return float(math.acos(min(1.0, max(-1.0, float(np.dot(u, v))))))
+def nearest_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle from each unit row of a to the nearest unit row of b, shape (N,).
+
+    a and b are (N, 2d) and (M, 2d) direction sets, M > 0 (an empty a may
+    have any width): the angle is the arccos of the largest dot product,
+    clipped to [-1, 1].
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] == 0:
+        raise DomainError("the set to measure against must be nonempty")
+    a = np.asarray(a, dtype=float).reshape(-1, b.shape[1])
+    return np.arccos(np.clip(np.max(a @ b.T, axis=1), -1.0, 1.0))
 
 
-def angle_to_nearest(z: np.ndarray, dirs) -> float:
-    """Angle in radians from a unit vector to the nearest member of a nonempty set."""
-    return min(angle_between(z, y) for y in dirs)
+def blocks4(points: np.ndarray) -> tuple:
+    """The (x, y, xi, eta) column blocks of an (N, 4d) array of kernel points."""
+    d = points.shape[1] // 4
+    return (points[:, :d], points[:, d:2 * d],
+            points[:, 2 * d:3 * d], points[:, 3 * d:])

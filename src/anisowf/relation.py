@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import AnisoIndex, project_many
+from .geometry import AnisoIndex, blocks4, project_many
+
+# sconic_closure_check: largest gap from a rescaled point's direction to the set's
+_CLOSURE_TOL = 1e-6
 
 
 class PointSet:
@@ -40,13 +43,6 @@ class PointSet:
         return self.points.shape[0]
 
 
-def _blocks4(points: np.ndarray):
-    """Split (x, y, xi, eta) columns of a 4d-point array."""
-    d = points.shape[1] // 4
-    return (points[:, :d], points[:, d:2 * d],
-            points[:, 2 * d:3 * d], points[:, 3 * d:])
-
-
 def _nonzero_rows(points: np.ndarray) -> np.ndarray:
     if points.shape[0] == 0:
         return points
@@ -55,13 +51,13 @@ def _nonzero_rows(points: np.ndarray) -> np.ndarray:
 
 def proj_13(a: PointSet) -> PointSet:
     """p_{1,3}(x, y, xi, eta) = (x, xi); zero projections are dropped."""
-    x, _, xi, _ = _blocks4(a.points)
+    x, _, xi, _ = blocks4(a.points)
     return PointSet(_nonzero_rows(np.concatenate([x, xi], axis=1)), a.tolerance)
 
 
 def proj_2neg4(a: PointSet) -> PointSet:
     """p_{2,-4}(x, y, xi, eta) = (y, -eta); zero projections are dropped."""
-    _, y, _, eta = _blocks4(a.points)
+    _, y, _, eta = blocks4(a.points)
     return PointSet(_nonzero_rows(np.concatenate([y, -eta], axis=1)), a.tolerance)
 
 
@@ -98,7 +94,7 @@ def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
         raise DomainError("A must live in twice the ambient dimension of B")
     if len(a) == 0 or len(b) == 0:
         return PointSet(np.zeros((0, b.ambient)), b.tolerance)
-    x, y, xi, eta = _blocks4(a.points)
+    x, y, xi, eta = blocks4(a.points)
     pa = np.concatenate([y, -eta], axis=1)
     dists = np.linalg.norm(pa[:, None, :] - b.points[None, :, :], axis=2)
     hit = np.any(dists <= a.tolerance, axis=1)
@@ -108,12 +104,11 @@ def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(np.unique(sel, axis=0), b.tolerance)
 
 
-def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales,
-                         tolerance: float = 1e-6) -> bool:
+def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales) -> bool:
     """Scale stability of a finite set's direction field.
 
     True iff every point, rescaled by every factor, still projects within
-    tolerance of the direction of some member of the set.
+    _CLOSURE_TOL of the direction of some member of the set.
     """
     if len(s) == 0:
         return True
@@ -126,6 +121,6 @@ def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales,
     for mu in mus.tolist():
         z = project_many(idx, xs * mu ** idx.t, xis * mu ** idx.s)
         gaps = np.linalg.norm(member_dirs[None, :, :] - z[:, None, :], axis=2)
-        if np.any(np.min(gaps, axis=1) > tolerance):
+        if np.any(np.min(gaps, axis=1) > _CLOSURE_TOL):
             return False
     return True

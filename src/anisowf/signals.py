@@ -150,11 +150,11 @@ def tensor_signal(u: AnalyticSignal, v: AnalyticSignal) -> AnalyticSignal:
     return AnalyticSignal("tensor", u.dim + v.dim, factors=(u, v))
 
 
-def gaussian_values(x: np.ndarray, width: float, dim_axis: int = -1) -> np.ndarray:
+def gaussian_values(x: np.ndarray, width: float) -> np.ndarray:
     """pi^(-d/4) w^(-d/2) exp(-|x|^2 / (2 w^2)) evaluated on points (..., d)."""
     x = np.asarray(x, dtype=float)
-    d = x.shape[dim_axis]
-    r2 = np.sum(x * x, axis=dim_axis)
+    d = x.shape[-1]
+    r2 = np.sum(x * x, axis=-1)
     return math.pi ** (-d / 4.0) * width ** (-d / 2.0) * np.exp(-r2 / (2.0 * width ** 2))
 
 

@@ -52,11 +52,11 @@ class WindowSpec:
             return math.pi ** (-d / 4.0) * self.width ** (-d / 2.0)
         return 1.0
 
-    def values(self, offsets: np.ndarray, d_axis: int = -1) -> np.ndarray:
+    def values(self, offsets: np.ndarray) -> np.ndarray:
         """Window evaluated at y - x offsets of shape (..., d)."""
         offsets = np.asarray(offsets, dtype=float)
-        d = offsets.shape[d_axis]
-        r2 = np.sum(offsets * offsets, axis=d_axis)
+        d = offsets.shape[-1]
+        r2 = np.sum(offsets * offsets, axis=-1)
         return self.amplitude(d) * np.exp(-r2 / (2.0 * self.width ** 2))
 
     def values_1d(self, offsets: np.ndarray, d: int = 1) -> np.ndarray:
@@ -145,17 +145,14 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     if d == 1:
         acc = np.einsum("pl,pl->p", u.values[span[:, 0]], f[:, 0])
     else:
-        # A gathered (P, L, L) window costs more than the strided slice view.
+        # A gathered (P, L, ..., L) window costs more than the strided slice
+        # view; each factor contracts the leading axis of what is left.
         acc = np.empty(len(xs), dtype=complex)
         for k, (a, b) in enumerate(zip(lo, hi)):
             sub = u.values[tuple(map(slice, a, b))]
-            fk = [f[k, j, :b[j] - a[j]] for j in range(d)]
-            if d == 2:
-                acc[k] = fk[0] @ sub @ fk[1]
-            else:
-                for j in range(d - 1, -1, -1):
-                    sub = np.tensordot(sub, fk[j], axes=([j], [0]))
-                acc[k] = sub
+            for j in range(d):
+                sub = f[k, j, :b[j] - a[j]] @ sub.reshape(b[j] - a[j], -1)
+            acc[k] = sub[0]
     return acc * u.dx ** d * _TWO_PI ** (-d / 2.0)
 
 

@@ -62,7 +62,7 @@ class TestRegimes:
             # reconstruct a graph point from the direction's x component sign
             x = 1.0 if d[0] > 0 else -1.0
             g = PhasePoint(x, eval_grad(pm, np.array([x]))[0])
-            assert dist_to_conic_set(idx.sigma, [SphereDirection(d)], g) < 1e-9
+            assert dist_to_conic_set(idx.sigma, d[None, :], g) < 1e-9
 
     def test_x_axis_regime(self):
         pred = predict_chirp_wf(poly_1d(0.0, 0.0, 1.0), AnisoIndex(1.0, 2.5))

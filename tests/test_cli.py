@@ -404,3 +404,18 @@ class TestConfigFuzz:
                 assert not any(files for _, _, files in os.walk(outdir)), err.getvalue()
 
         check()
+
+    def test_positive_fields_reject_zero_and_negative(self, tmp_path, capsys):
+        stft_seminorm = dict(fuzz_fixture("seminorm", tmp_path), kind="stft")
+        cases = [("kernel-check", None, "eps_angle"), ("kernel-check", None, "moll_width_frac"),
+                 ("chirp-verify", None, "tol_angle"), ("propagate-verify", None, "tol_angle"),
+                 ("seminorm", None, "h_values"), ("seminorm", stft_seminorm, "r_values")]
+        runs = itertools.count()
+        for command, fixture, field in cases:
+            for value in (0, -1):
+                cfg = copy.deepcopy(fixture or fuzz_fixture(command, tmp_path))
+                cfg[field] = [value] if field.endswith("_values") else value
+                code, _ = run_cli(tmp_path, command, cfg, outname=f"out{next(runs)}")
+                err = capsys.readouterr().err
+                assert code == 2, (command, field, value)
+                assert field in err and "Traceback" not in err, err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError, GraphConditionError
-from anisowf.geometry import AnisoIndex, PhasePoint, SphereDirection, project, scale_point
+from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection, nearest_angles, project,
+                              scale_point)
 from anisowf.poly import poly_1d
 from anisowf.signals import chirp_signal, delta_signal, make_gaussian, one_signal
 from anisowf.stft import WindowSpec
@@ -139,7 +140,7 @@ class TestDecayProfile:
         u = make_gaussian(1, 512, 0.1)
         idx = AnisoIndex(1.2, 1.8)
         z = project(idx, PhasePoint(0.7, -0.4))
-        z_alt = project(idx, scale_point(idx, z.as_point(), 5.0))
+        z_alt = project(idx, scale_point(idx, PhasePoint(z.x, z.xi), 5.0))
         _, p1 = profile(u, idx, z, (2.0, 8.0))
         _, p2 = profile(u, idx, z_alt, (2.0, 8.0))
         # agreement is meaningful above the numeric floor; below it the
@@ -160,14 +161,10 @@ class TestEstimateWF:
                           r_threshold=1.0, floor=1e-8, cone_steps=1)
         step = 2.0 * math.pi / 180
         sing = est.singular_directions()
-        assert sing
-        axis = np.array([1.0, 0.0])
-        offs = [math.acos(min(1, abs(float(np.dot(d.z, axis))))) for d in sing]
-        assert max(offs) <= step * (1 + 1e-9)
-        for sgn in (1.0, -1.0):
-            tgt = np.array([sgn, 0.0])
-            best = min(math.acos(min(1, max(-1, float(np.dot(d.z, tgt))))) for d in sing)
-            assert best <= step * (1 + 1e-9)
+        axes = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert len(sing)
+        assert np.max(nearest_angles(sing, axes)) <= step * (1 + 1e-9)
+        assert np.max(nearest_angles(axes, sing)) <= step * (1 + 1e-9)
 
     def test_delta_singular_on_xi_axis(self):
         est = estimate_wf(delta_signal(1), WindowSpec(1.0), AnisoIndex(1.0, 1.0),
@@ -175,17 +172,16 @@ class TestEstimateWF:
                           r_threshold=1.0, floor=1e-8, cone_steps=1)
         step = 2.0 * math.pi / 180
         sing = est.singular_directions()
-        assert sing
-        axis = np.array([0.0, 1.0])
-        offs = [math.acos(min(1, abs(float(np.dot(d.z, axis))))) for d in sing]
-        assert max(offs) <= step * (1 + 1e-9)
+        assert len(sing)
+        axes = np.array([[0.0, 1.0], [0.0, -1.0]])
+        assert np.max(nearest_angles(sing, axes)) <= step * (1 + 1e-9)
 
     def test_gaussian_empty(self):
         u = make_gaussian(1, 512, 0.05)
         est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0),
                           sphere_samples=180, lambda_range=(2.0, 8.0),
                           floor=1e-11, cone_steps=1)
-        assert est.singular_directions() == []
+        assert est.singular_directions().shape == (0, 2)
 
     def test_window_robustness(self):
         # detected sets for two window widths agree within one angular step
@@ -195,22 +191,18 @@ class TestEstimateWF:
         for width in (1.0, 1.4):
             est = estimate_wf(u, WindowSpec(width), idx, sphere_samples=360,
                               lambda_range=(2.0, 60.0), floor=1e-8, cone_steps=1)
-            sets.append([e.direction.z for e in est.entries if e.singular])
+            sets.append(est.singular_directions())
         step = 2.0 * math.pi / 360
-        def hausdorff(a, b):
-            worst = 0.0
-            for z in a:
-                worst = max(worst, min(
-                    math.acos(min(1, max(-1, float(np.dot(z, y))))) for y in b))
-            return worst
-        assert max(hausdorff(sets[0], sets[1]), hausdorff(sets[1], sets[0])) <= 3 * step
+        assert len(sets[0]) and len(sets[1])
+        assert np.max(nearest_angles(sets[0], sets[1])) <= 3 * step
+        assert np.max(nearest_angles(sets[1], sets[0])) <= 3 * step
 
     def test_even_signal_symmetric_set(self):
         u = chirp_signal(poly_1d(0.0, 0.0, 1.0))  # even phase
         est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.2, 1.2),
                           sphere_samples=360, lambda_range=(2.0, 60.0),
                           floor=1e-8, cone_steps=1)
-        sing = {tuple(np.round(d.z, 10)) for d in est.singular_directions()}
+        sing = {tuple(np.round(z, 10)) for z in est.singular_directions()}
         for z in list(sing):
             neg = tuple(np.round(-np.array(z), 10))
             assert neg in sing
@@ -222,11 +214,8 @@ class TestEstimateWF:
         small = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.2, 1.2), **kw)
         big = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.5, 1.5), **kw)
         step = 2.0 * math.pi / 360
-        sing_small = [e.direction.z for e in small.entries if e.singular]
-        for z in (e.direction.z for e in big.entries if e.singular):
-            best = min(math.acos(min(1, max(-1, float(np.dot(z, y)))))
-                       for y in sing_small)
-            assert best <= step * (1 + 1e-9)
+        sing_big = big.singular_directions()
+        assert np.all(nearest_angles(sing_big, small.singular_directions()) <= step * (1 + 1e-9))
 
     def test_profiles_match_decay_profile(self):
         # the grid clips every curve before lambda = 50, by a different amount
@@ -296,7 +285,7 @@ class TestKernelEstimate:
         est = estimate_kernel_wf(K, WindowSpec(1.0), AnisoIndex(1.2, 1.2),
                                  sweep=(4, 12, 12, 24), lambda_range=(2.0, 6.0),
                                  floor=1e-11, refine=8, seed=0)
-        assert [e for e in est.entries if e.singular] == []
+        assert est.singular_directions().shape == (0, 4)
 
     def test_kernel_dimension_guard(self):
         from anisowf.estimator import estimate_kernel_wf
@@ -349,6 +338,31 @@ class TestGraphCondition:
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"] and res["wf2_empty"]
 
+    def test_offenders_in_entry_order_plane_one_first(self):
+        dirs = [[0.01, 1.0, 0.0, -1.0], [1.0, 0.0, 1.0, 0.02], [1.0, 1.0, 1.0, -1.0],
+                [0.0, 1.0, 0.0, 1.0], [1.0, 0.01, 0.5, 0.0]]
+        wf = make_wf4(dirs)
+        wf.entries[2] = WFEntry(wf.entries[2].direction, wf.entries[2].fit, False)
+
+        def reference(eps):
+            # per entry: plane 1 {(x, 0, xi, 0)}, then plane 2 {(0, y, 0, -eta)}
+            out = []
+            for e in (e for e in wf.entries if e.singular):
+                z = e.direction.z
+                for plane, off in ((1, math.hypot(z[1], z[3])), (2, math.hypot(z[0], z[2]))):
+                    if math.asin(min(1.0, off)) < eps:
+                        out.append((z.tolist(), plane, math.asin(min(1.0, off))))
+            return out
+
+        for eps in (0.05, 3.0):
+            got = [(o["direction"], o["plane"], o["angle"])
+                   for o in check_graph_condition(wf, eps)["offenders"]]
+            want = reference(eps)
+            assert [g[:2] for g in got] == [w[:2] for w in want]
+            np.testing.assert_allclose([g[2] for g in got], [w[2] for w in want], atol=1e-12)
+        # at eps > pi/2 every singular entry offends twice, plane 1 first
+        assert [w[1] for w in want] == [1, 2] * 4
+
 
 class TestConeConstant:
     def test_symmetric_graph_near_one(self):
@@ -372,8 +386,8 @@ class TestConeConstant:
 
 
 def test_circle_directions_cover_axes():
-    dirs = circle_directions(360)
-    mat = np.stack([d.z for d in dirs])
+    mat = circle_directions(360)
+    assert mat.shape == (360, 2)
     for axis in ([1, 0], [0, 1], [-1, 0], [0, -1]):
         dots = mat @ np.array(axis, dtype=float)
         assert np.max(dots) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from anisowf.errors import AliasingError, DomainError, TruncationError, UnsupportedRegimeError
 from anisowf.evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
                                predict_transport, propagate)
-from anisowf.geometry import AnisoIndex, PhasePoint, SphereDirection, project
+from anisowf.geometry import AnisoIndex, PhasePoint, project
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
 from anisowf.stft import WindowSpec, stft_points
@@ -188,8 +188,8 @@ class TestRegularDataStayRegular:
                   cone_steps=1)
         w = WindowSpec(1.0)
         idx = AnisoIndex(1.2, 1.2)
-        assert estimate_wf(u0, w, idx, **kw).singular_directions() == []
-        assert estimate_wf(u1, w, idx, **kw).singular_directions() == []
+        assert estimate_wf(u0, w, idx, **kw).singular_directions().shape == (0, 2)
+        assert estimate_wf(u1, w, idx, **kw).singular_directions().shape == (0, 2)
 
 
 class TestHamiltonianFlow:
@@ -224,37 +224,52 @@ class TestPredictTransport:
         idx = AnisoIndex(1.2, 1.2)
         spec = EvolutionSpec(XSQ, 0.25)
         z = project(idx, PhasePoint(1.0, 2.0))
-        out = predict_transport([z], spec, idx)[0]
+        out = predict_transport(z.z[None, :], spec, idx)[0]
         want = project(idx, PhasePoint(1.0 + 4.0 * 0.25, 2.0)).z
-        np.testing.assert_allclose(out.z, want, atol=1e-12)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_time_zero_identity(self):
         idx = AnisoIndex(1.2, 1.2)
         z = project(idx, PhasePoint(0.3, 1.1))
-        out = predict_transport([z], EvolutionSpec(XSQ, 0.0), idx)[0]
-        np.testing.assert_allclose(out.z, z.z, atol=1e-14)
+        out = predict_transport(z.z[None, :], EvolutionSpec(XSQ, 0.0), idx)[0]
+        np.testing.assert_allclose(out, z.z, atol=1e-14)
 
     def test_representative_independent(self):
         idx = AnisoIndex(1.2, 1.2)
         spec = EvolutionSpec(XSQ, 0.4)
         from anisowf.geometry import scale_point
         z = project(idx, PhasePoint(0.8, -0.5))
-        lifted = project(idx, scale_point(idx, z.as_point(), 7.0))
-        a = predict_transport([z], spec, idx)[0]
-        b = predict_transport([lifted], spec, idx)[0]
-        np.testing.assert_allclose(a.z, b.z, atol=1e-12)
+        lifted = project(idx, scale_point(idx, PhasePoint(z.x, z.xi), 7.0))
+        a, b = predict_transport(np.stack([z.z, lifted.z]), spec, idx)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_invariant_regime(self):
         idx = AnisoIndex(3.0, 1.2)
-        z = SphereDirection(np.array([0.6, 0.8]))
-        out = predict_transport([z], EvolutionSpec(XSQ, 0.25), idx)[0]
-        np.testing.assert_allclose(out.z, z.z)
+        z = np.array([[0.6, 0.8]])
+        out = predict_transport(z, EvolutionSpec(XSQ, 0.25), idx)
+        np.testing.assert_array_equal(out, z)
+
+    @pytest.mark.parametrize("symbol", [XSQ, poly_1d(0.0, 1.0, 0.0, 2.0),
+                                        PolynomialData(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0})])
+    def test_batched_equals_per_direction_flow(self, symbol):
+        # flow regime t = s(m-1): project(chi_t(z)); invariant regime t > s(m-1): z
+        m, d = symbol.degree, symbol.dim
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((40, 2 * d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        spec = EvolutionSpec(symbol, 0.3)
+        flow_idx = AnisoIndex(1.2 * (m - 1), 1.2)
+        want = [project(flow_idx, hamiltonian_flow(spec, PhasePoint(r[:d], r[d:]))).z for r in z]
+        np.testing.assert_allclose(predict_transport(z, spec, flow_idx), want,
+                                   rtol=0, atol=1e-14)
+        still = predict_transport(z, spec, AnisoIndex(1.2 * (m - 1) + 1.0, 1.2))
+        np.testing.assert_array_equal(still, z)
 
     def test_unsupported_regime(self):
         with pytest.raises(UnsupportedRegimeError):
-            predict_transport([SphereDirection(np.array([1.0, 0.0]))],
-                              EvolutionSpec(XSQ, 0.25), AnisoIndex(1.0, 1.4))
+            predict_transport(np.array([[1.0, 0.0]]), EvolutionSpec(XSQ, 0.25),
+                              AnisoIndex(1.0, 1.4))
         with pytest.raises(UnsupportedRegimeError):
             # s(m-1) <= 1
-            predict_transport([SphereDirection(np.array([1.0, 0.0]))],
-                              EvolutionSpec(XSQ, 0.25), AnisoIndex(1.0, 0.9))
+            predict_transport(np.array([[1.0, 0.0]]), EvolutionSpec(XSQ, 0.25),
+                              AnisoIndex(1.0, 0.9))

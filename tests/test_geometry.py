@@ -5,11 +5,10 @@ import pytest
 
 from anisowf.errors import DomainError
 from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection,
-                              angle_between, dist_to_conic_set,
-                              gamma_tilde_distance, growth_bounds,
-                              in_gamma_nbhd, in_gamma_tilde_nbhd,
-                              lambda_residual, lambda_solve, project,
-                              project_many, scale_point)
+                              dist_to_conic_set, gamma_tilde_distance,
+                              growth_bounds, in_gamma_nbhd, in_gamma_tilde_nbhd,
+                              lambda_residual, lambda_solve, nearest_angles,
+                              project, project_many, scale_point)
 
 
 def random_points(rng, count, d=1, log_scale=3.0):
@@ -114,7 +113,7 @@ class TestProject:
         for idx in random_indices(rng, 4):
             for p in random_points(rng, 10, d=2):
                 d1 = project(idx, p)
-                d2 = project(idx, d1.as_point())
+                d2 = project(idx, PhasePoint(d1.x, d1.xi))
                 np.testing.assert_allclose(d1.z, d2.z, atol=1e-10)
 
     def test_project_many_matches_scalar(self):
@@ -179,7 +178,7 @@ class TestGammaNeighborhoods:
         idx = AnisoIndex(1.0, 2.0)
         z0 = project(idx, PhasePoint(0.6, 1.7))
         for mu in (0.03, 0.7, 42.0):
-            p = scale_point(idx, z0.as_point(), mu)
+            p = scale_point(idx, PhasePoint(z0.x, z0.xi), mu)
             assert in_gamma_tilde_nbhd(2.0, z0, 1e-6, p)
 
     def test_tilde_orthogonal_direction_outside(self):
@@ -209,16 +208,16 @@ class TestConicSetDistance:
         idx = AnisoIndex(1.0, 2.0)
         p = PhasePoint(0.9, 2.2)
         w = project(idx, p)
-        assert dist_to_conic_set(2.0, [w], p) == pytest.approx(0.0, abs=1e-12)
+        assert dist_to_conic_set(2.0, w.z[None, :], p) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair(self):
-        g = [SphereDirection([0.0, 1.0])]
+        g = np.array([[0.0, 1.0]])
         p = PhasePoint(1.0, 0.0)
         assert dist_to_conic_set(2.0, g, p) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
-            dist_to_conic_set(1.0, [], PhasePoint(1.0, 0.0))
+            dist_to_conic_set(1.0, np.zeros((0, 2)), PhasePoint(1.0, 0.0))
 
     def test_membership_equals_threshold(self):
         rng = np.random.default_rng(37)
@@ -226,7 +225,7 @@ class TestConicSetDistance:
         g = [project(AnisoIndex(1.0, sigma), p) for p in random_points(rng, 5)]
         eps = 0.3
         for p in random_points(rng, 50):
-            dist = dist_to_conic_set(sigma, g, p)
+            dist = dist_to_conic_set(sigma, np.stack([w.z for w in g]), p)
             inside = any(in_gamma_nbhd(sigma, w, eps, p) for w in g)
             assert inside == (dist < eps)
 
@@ -245,6 +244,56 @@ class TestGrowthBounds:
                 assert lam <= c2 * rho * (1 + 1e-12)
 
 
-def test_angle_between():
-    assert angle_between(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(math.pi / 2)
-    assert angle_between(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(0.0)
+def test_nearest_angles():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(nearest_angles(a, b), [0.0, 0.0, math.pi / 2])
+    np.testing.assert_allclose(nearest_angles(a[:1], b[:1]), [math.pi / 2])
+    assert nearest_angles(np.zeros((0, 2)), b).shape == (0,)
+    # a unit row whose dot product with itself rounds to just above 1
+    z = np.array([[-0.8288355951220819, 0.5594922307401815]])
+    assert (z @ z.T)[0, 0] > 1.0
+    assert nearest_angles(z, z).tolist() == [0.0]
+    assert nearest_angles(z, -z).tolist() == [math.pi]
+    with pytest.raises(DomainError):
+        nearest_angles(a, np.zeros((0, 2)))
+
+
+def test_nearest_angles_matches_per_pair_acos():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def direction_sets(draw):
+        k = draw(st.sampled_from([2, 4]))
+        coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        raw = draw(st.lists(st.lists(coord, min_size=k, max_size=k), min_size=1, max_size=6))
+        rows = [np.asarray(v) / np.linalg.norm(v) for v in raw if np.linalg.norm(v) > 1e-3]
+        hyp.assume(rows)
+        b = np.array(rows)
+        # rows of a: fresh, identical to a row of b, or antipodal to one
+        picks = draw(st.lists(st.tuples(st.sampled_from(["fresh", "same", "antipodal"]),
+                                        st.integers(0, len(b) - 1)), min_size=1, max_size=6))
+        fresh = draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                              min_size=len(picks), max_size=len(picks)))
+        a = []
+        for (kind, j), v in zip(picks, fresh):
+            v = np.asarray(v)
+            if kind == "same" or np.linalg.norm(v) <= 1e-3:
+                a.append(b[j])
+            elif kind == "antipodal":
+                a.append(-b[j])
+            else:
+                a.append(v / np.linalg.norm(v))
+        return np.array(a), b
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(direction_sets())
+    def check(sets):
+        a, b = sets
+        want = [min(math.acos(min(1.0, max(-1.0, float(np.dot(z, y))))) for y in b) for z in a]
+        # the batched and per-pair dot products may differ by a few ulps, which
+        # arccos magnifies to at most sqrt(2 * 4 * 2.2e-16) ~ 3e-8 next to +-1
+        np.testing.assert_allclose(nearest_angles(a, b), want, rtol=0, atol=3e-8)
+
+    check()
