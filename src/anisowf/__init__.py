@@ -18,8 +18,7 @@ from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 from .relation import (PointSet, compose, compose_via_projection, proj_13,
                        proj_2neg4, sconic_closure_check)
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal,
-                      apply_gaussian_envelope, chirp_signal, delta_signal,
-                      fourier, gaussian_signal, make_chirp, make_gaussian,
-                      make_windowed_chirp, one_signal, tensor, tensor_signal)
+                      chirp_signal, delta_signal, fourier, gaussian_signal,
+                      make_chirp, make_gaussian, one_signal, tensor, tensor_signal)
 from .stft import (StftGrid, WindowSpec, classical_seminorm, istft,
                    moyal_error, stft_grid, stft_point, stft_seminorm)

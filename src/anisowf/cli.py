@@ -32,7 +32,7 @@ from .io import (cfg_get, count, dump_json, flag, list_of, number, poly_from_dic
                  write_stft_csv)
 from .relation import PointSet, compose, sconic_closure_check
 from .signals import (SampledSignal, chirp_signal, delta_signal, gaussian_signal,
-                      make_chirp, make_gaussian, make_windowed_chirp, one_signal)
+                      make_chirp, make_gaussian, one_signal)
 from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
 
 
@@ -55,20 +55,17 @@ def parse_signal(cfg, path="signal"):
     kind = field("kind", text)
     if kind == "gaussian":
         return make_gaussian(field("d", count, default=1), field("n", count),
-                             field("dx", number), field("width", number, default=1.0))
+                             field("dx", positive), field("width", positive, default=1.0))
     if kind == "chirp":
-        phase = field("phase", poly_from_dict)
-        n = field("n", count)
-        dx = field("dx", number)
-        env = field("envelope_width", number, default=None)
-        if env is not None:
-            level = field("alias_guard_level", number, default=1e-14)
-            return make_windowed_chirp(phase, n, dx, env, guard_level=level)
-        return make_chirp(phase, n, dx)
+        args = [field("phase", poly_from_dict), field("n", count), field("dx", positive)]
+        env = field("envelope_width", positive, default=None)
+        if env is not None:  # the guard level is read only with an envelope
+            args += [env, field("alias_guard_level", positive, default=1e-14)]
+        return make_chirp(*args)
     if kind == "file":
         return field("path", lambda v: read_signal_csv(text(v)))
     if kind == "analytic-gaussian":
-        return gaussian_signal(field("width", number, default=1.0), field("d", count, default=1))
+        return gaussian_signal(field("width", positive, default=1.0), field("d", count, default=1))
     if kind == "analytic-one":
         return one_signal(field("d", count, default=1))
     if kind == "analytic-delta":
@@ -90,8 +87,8 @@ def parse_sampled_signal(cfg) -> SampledSignal:
 def parse_estimator_opts(cfg, circle: bool = True) -> dict:
     """Estimator keyword arguments; circle adds the d = 1 sweep's own two."""
     opts = {
-        "lambda_range": (cfg_get(cfg, "lambda.min", number, default=estimator.LAMBDA_MIN),
-                         cfg_get(cfg, "lambda.max", number, default=estimator.LAMBDA_MAX)),
+        "lambda_range": (cfg_get(cfg, "lambda.min", positive, default=estimator.LAMBDA_MIN),
+                         cfg_get(cfg, "lambda.max", positive, default=estimator.LAMBDA_MAX)),
         "n_lambda": cfg_get(cfg, "lambda.n", count, default=estimator.DEFAULT_N_LAMBDA),
         "r_threshold": cfg_get(cfg, "r_threshold", positive,
                                default=estimator.DEFAULT_THRESHOLD),
@@ -220,7 +217,7 @@ def cmd_kernel_check(config, out, seed):
     idx = parse_index(config)
     w = parse_window(config)
     n = cfg_get(config, "n", count)
-    dx = cfg_get(config, "dx", number)
+    dx = cfg_get(config, "dx", positive)
     eps_angle = cfg_get(config, "eps_angle", positive, default=0.05)
     opts = parse_estimator_opts(config, circle=False)
     sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)

@@ -85,17 +85,17 @@ def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
     """
     if spec.symbol.dim != 1:
         raise DomainError("kernel synthesis is implemented for d = 1 symbols")
+    # the doubled grid; its constructor rejects a bad n or dx before any division
+    line = SampledSignal(dx, np.zeros(2 * n, dtype=complex))
     if moll_width is None:
         moll_width = 0.25 * math.pi / dx
     if not moll_width > 0.0:
         raise DomainError("mollifier width must be positive")
-    n2 = 2 * n
-    dxi2 = _TWO_PI / (n2 * dx)
-    xi = (np.arange(n2) - n2 // 2) * dxi2
+    xi = line.freq_coords()
     pvals = eval_poly(spec.symbol, xi[:, None])
-    _phase_guard(spec, pvals, n2)
+    _phase_guard(spec, pvals, line.n)
     mult = np.exp(-1j * spec.time * pvals) * np.exp(-xi * xi / (2.0 * moll_width ** 2))
-    spectral = SampledSignal(dxi2, mult.astype(complex))
+    spectral = SampledSignal(line.dxi, mult.astype(complex))
     k_line = fourier(spectral, inverse=True).values * _TWO_PI ** -0.5
     return ConvolutionKernel(SampledSignal(dx, k_line))
 

@@ -41,9 +41,6 @@ class AnisoIndex:
         """Anisotropy ratio s/t governing the sphere projection."""
         return self.s / self.t
 
-    def scaled(self, p: float) -> "AnisoIndex":
-        return AnisoIndex(self.t * p, self.s * p)
-
 
 class PhasePoint:
     """A point (x, xi) in phase space R^d x R^d; coordinates are 1-d arrays."""

@@ -169,44 +169,18 @@ def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSigna
         raise ResolutionError(
             f"grid half-width {half} truncates {1.0 - inside:.2e} of the Gaussian mass"
         )
-    coords = (np.arange(n) - n // 2) * dx
-    axes = np.meshgrid(*([coords] * d), indexing="ij")
-    r2 = sum(a * a for a in axes)
-    vals = math.pi ** (-d / 4.0) * width ** (-d / 2.0) * np.exp(-r2 / (2.0 * width ** 2))
-    return SampledSignal(dx, vals.astype(complex))
+    grid = SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
+    return SampledSignal(dx, gaussian_values(grid, width).astype(complex))
 
 
-def make_chirp(phase: PolynomialData, n: int, dx: float) -> SampledSignal:
-    """Unimodular chirp exp(i phase(x)) sampled on the grid, with a Nyquist guard."""
-    d = phase.dim
-    sig_grid = SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
-    grads = eval_grad(phase, sig_grid)
-    worst = float(np.max(np.abs(grads))) * dx
-    if worst > 0.9 * math.pi:
-        raise AliasingError(
-            f"max |grad phase| * dx = {worst:.3f} exceeds the 0.9*pi aliasing guard; "
-            "refine dx or shrink the grid"
-        )
-    vals = np.exp(1j * eval_poly(phase, sig_grid))
-    return SampledSignal(dx, vals)
+def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float = math.inf,
+               guard_level: float = 1e-14) -> SampledSignal:
+    """Chirp exp(i phase(x) - |x|^2/(2 W^2)) sampled on the grid, W = envelope_width.
 
-
-def apply_gaussian_envelope(sig: SampledSignal, width: float) -> SampledSignal:
-    """Multiply by exp(-|x|^2/(2 width^2)); used to confine chirps before evolution."""
-    if not width > 0.0:
-        raise DomainError("envelope width must be positive")
-    r2 = np.sum(sig.grid() ** 2, axis=-1)
-    return SampledSignal(sig.dx, sig.values * np.exp(-r2 / (2.0 * width ** 2)))
-
-
-def make_windowed_chirp(phase: PolynomialData, n: int, dx: float,
-                        envelope_width: float,
-                        guard_level: float = 1e-14) -> SampledSignal:
-    """Chirp times a Gaussian envelope, exp(i phase(x) - |x|^2/(2 W^2)).
-
-    The aliasing guard applies where the envelope exceeds guard_level;
-    samples outside carry at most that amplitude, so any unresolved phase
-    there stays below a classification floor set above guard_level.
+    The aliasing guard applies where the envelope exceeds guard_level, which
+    is every sample of the unimodular chirp (W = inf); samples outside carry
+    at most that amplitude, so any unresolved phase there stays below a
+    classification floor set above guard_level.
     """
     if not envelope_width > 0.0:
         raise DomainError("envelope width must be positive")
@@ -215,14 +189,13 @@ def make_windowed_chirp(phase: PolynomialData, n: int, dx: float,
     d = phase.dim
     grid = SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
     r2 = np.sum(grid ** 2, axis=-1)
-    live_r2 = 2.0 * envelope_width ** 2 * math.log(1.0 / guard_level)
-    live = r2 <= live_r2
+    live = r2 <= 2.0 * envelope_width ** 2 * math.log(1.0 / guard_level)
     grads = eval_grad(phase, grid)
     worst = float(np.max(np.abs(grads)[live])) * dx if np.any(live) else 0.0
     if worst > 0.9 * math.pi:
         raise AliasingError(
             f"max |grad phase| * dx = {worst:.3f} on the envelope support exceeds "
-            "the 0.9*pi guard; refine dx or narrow the envelope")
+            "the 0.9*pi aliasing guard; refine dx, shrink the grid or narrow the envelope")
     vals = np.exp(1j * eval_poly(phase, grid) - r2 / (2.0 * envelope_width ** 2))
     return SampledSignal(dx, vals)
 

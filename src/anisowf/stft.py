@@ -5,9 +5,12 @@ V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (window evaluated analytically at the
 shifted sample points, so x and xi need not lie on any lattice), for
-convolution kernels from one 1-d quadrature of their line, or from
-closed forms / oscillatory quadrature for analytic signals.  Full grids
-are swept with an FFT per translate.
+convolution kernels from one 1-d quadrature of their line, and for
+analytic signals from closed forms: analytic Gaussians, the constant 1
+and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
+whose STFT is one complex Gaussian integral (_gaussian_integral); the
+Dirac delta gives the reflected window, and chirps of degree >= 3 an
+oscillatory quadrature.  Full grids are swept with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ class WindowSpec:
         if self.unit_norm:
             return math.pi ** (-d / 4.0) * self.width ** (-d / 2.0)
         return 1.0
-
-    def values(self, offsets: np.ndarray) -> np.ndarray:
-        """Window evaluated at y - x offsets of shape (..., d)."""
-        offsets = np.asarray(offsets, dtype=float)
-        d = offsets.shape[-1]
-        r2 = np.sum(offsets * offsets, axis=-1)
-        return self.amplitude(d) * np.exp(-r2 / (2.0 * self.width ** 2))
 
     def values_1d(self, offsets: np.ndarray, d: int = 1) -> np.ndarray:
         """Per-axis window factor for separable products (amplitude split evenly)."""
@@ -189,30 +185,22 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
         -(sigma * w.width) ** 2 / 4.0 - 0.5j * (xs[:, 0] + xs[:, 1]) * sigma)
 
 
-def _gaussian(width_u: float, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: complex,
+                       amp: float = 1.0, c0: float = 0.0, c1: float = 0.0) -> np.ndarray:
+    """Closed-form STFT of u(y) = amp exp(i c0 + sum_j (i c1 y_j - alpha y_j^2)), Re alpha >= 0.
+
+    Per axis the window integral is the complex Gaussian integral
+    int exp(-a y^2 + q y) dy = sqrt(pi / a) exp(q^2 / (4 a)) with a = alpha + b,
+    b = 1/(2 W^2) for the window width W and q = 2 b x + i (c1 - xi).
+    """
     d = xs.shape[1]
-    a = 1.0 / (2.0 * width_u ** 2)
     b = 1.0 / (2.0 * w.width ** 2)
-    amp_u = math.pi ** (-d / 4.0) * width_u ** (-d / 2.0)
-    q = 2.0 * b * xs - 1j * xis
-    expo = np.sum(q * q / (4.0 * (a + b)) - b * xs ** 2, axis=1)
-    pref = (math.pi / (a + b)) ** (d / 2.0)
-    return _TWO_PI ** (-d / 2.0) * amp_u * w.amplitude(d) * pref * np.exp(expo)
-
-
-def _quadratic_chirp(phase: PolynomialData, w: WindowSpec, x: np.ndarray,
-                     xi: np.ndarray) -> np.ndarray:
-    """Exact complex Gaussian integral for a 1-d phase of degree <= 2."""
-    c0 = phase.coeffs.get((0,), 0.0)
-    c1 = phase.coeffs.get((1,), 0.0)
-    c2 = phase.coeffs.get((2,), 0.0)
-    b = 1.0 / (2.0 * w.width ** 2)
-    a = b - 1j * c2
-    q = 2.0 * b * x + 1j * (c1 - xi)
+    a = b + alpha
+    q = 2.0 * b * xs + 1j * (c1 - xis)
     # single combined exponent; the separated factors would underflow/overflow
-    expo = 1j * c0 - b * x * x + q * q / (4.0 * a)
-    integral = w.amplitude(1) * np.sqrt(math.pi / a) * np.exp(expo)
-    return _TWO_PI ** (-0.5) * integral
+    expo = 1j * c0 + np.sum(q * q / (4.0 * a) - b * xs * xs, axis=1)
+    integral = amp * w.amplitude(d) * np.sqrt(math.pi / a) ** d * np.exp(expo)
+    return _TWO_PI ** (-d / 2.0) * integral
 
 
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
@@ -281,19 +269,20 @@ def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
         return _convolution(u, w, xs, xis)
     d = u.dim
     if u.kind == "gaussian":
-        return _gaussian(u.width, w, xs, xis)
+        # the unit-L2 signal Gaussian has the unit-norm window's amplitude
+        return _gaussian_integral(w, xs, xis, 1.0 / (2.0 * u.width ** 2),
+                                  amp=WindowSpec(u.width).amplitude(d))
     if u.kind == "constant-one":
-        # F(T_x conj phi)(xi) = exp(-i<x,xi>) conj(hat phi) for the real even window.
-        what = w.amplitude(d) * w.width ** d * np.exp(
-            -w.width ** 2 * np.sum(xis * xis, axis=1) / 2.0)
-        return np.exp(-1j * np.sum(xs * xis, axis=1)) * what
+        return _gaussian_integral(w, xs, xis, 0.0)
     if u.kind == "dirac-delta":
-        return _TWO_PI ** (-d / 2.0) * w.values(-xs)
+        return _TWO_PI ** (-d / 2.0) * np.prod(w.values_1d(-xs, d), axis=1)
     if u.kind == "poly-chirp":
         if d != 1:
             raise DomainError("analytic chirp STFT implemented for d = 1 only")
-        kernel = _quadratic_chirp if u.phase.degree <= 2 else _chirp_quadrature
-        return kernel(u.phase, w, xs[:, 0], xis[:, 0])
+        if u.phase.degree >= 3:
+            return _chirp_quadrature(u.phase, w, xs[:, 0], xis[:, 0])
+        c0, c1, c2 = (u.phase.coeffs.get((k,), 0.0) for k in range(3))
+        return _gaussian_integral(w, xs, xis, -1j * c2, c0=c0, c1=c1)
     # tensor: the product of its factors' values on their column slices
     val = np.ones(len(xs), dtype=complex)
     off = 0

@@ -21,8 +21,8 @@ from anisowf.evolution import EvolutionSpec, kernel_signal, predict_transport, p
 from anisowf.geometry import AnisoIndex, PhasePoint, lambda_solve_many, nearest_angles
 from anisowf.poly import poly_1d
 from anisowf.relation import PointSet, compose, compose_via_projection
-from anisowf.signals import (chirp_signal, delta_signal, make_gaussian,
-                             make_windowed_chirp, one_signal, tensor_signal)
+from anisowf.signals import (chirp_signal, delta_signal, make_chirp, make_gaussian,
+                             one_signal, tensor_signal)
 from anisowf.stft import WindowSpec, istft, moyal_error, stft_grid, stft_point
 
 XSQ = poly_1d(0.0, 0.0, 1.0)
@@ -158,7 +158,7 @@ def test_criterion_6_propagation_flow():
     t0 = time.time()
     idx = AnisoIndex(1.2, 1.2)
     spec = EvolutionSpec(XSQ, 0.25)
-    u0 = make_windowed_chirp(XSQ, 8192, 0.035, 7.0, guard_level=2e-7)
+    u0 = make_chirp(XSQ, 8192, 0.035, envelope_width=7.0, guard_level=2e-7)
     u1 = propagate(u0, spec)
 
     # closed-form oracle: evolved complex Gaussian, slope 1/(1+4t) = 1/2
@@ -190,7 +190,7 @@ def test_criterion_7_invariant_regime():
     t0 = time.time()
     idx = AnisoIndex(3.0, 1.2)
     spec = EvolutionSpec(XSQ, 0.25)
-    u0 = make_windowed_chirp(XSQ, 8192, 0.035, 7.0, guard_level=2e-7)
+    u0 = make_chirp(XSQ, 8192, 0.035, envelope_width=7.0, guard_level=2e-7)
     u1 = propagate(u0, spec)
     kw = dict(sphere_samples=720, lambda_range=(2.0, 9.6), r_threshold=0.26,
               floor=1e-6, cone_steps=1)
@@ -277,7 +277,7 @@ def test_criterion_9_relation_and_tensor():
 
 def test_criterion_10_unitarity_invertibility():
     t0 = time.time()
-    u = make_windowed_chirp(XSQ, 1024, 0.04, 3.0)
+    u = make_chirp(XSQ, 1024, 0.04, envelope_width=3.0)
     spec = EvolutionSpec(XSQ, 0.1)
     fwd = propagate(u, spec)
     norm_defect = abs(fwd.norm() / u.norm() - 1.0)

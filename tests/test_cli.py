@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
@@ -356,7 +357,7 @@ def field_paths(node, prefix=()):
 DROP = "<drop>"
 # wrong types, non-finite numbers and out-of-range numbers; no value grows a grid
 FUZZ_VALUES = [DROP, "ab", "0.5", True, False, None, math.nan, math.inf, -math.inf,
-               [1.0], {"a": 1.0}, -1, 0.5]
+               [1.0], {"a": 1.0}, -1, 0, 0.5]
 
 
 class TestModuleEntryPoint:
@@ -407,15 +408,33 @@ class TestConfigFuzz:
 
     def test_positive_fields_reject_zero_and_negative(self, tmp_path, capsys):
         stft_seminorm = dict(fuzz_fixture("seminorm", tmp_path), kind="stft")
+        analytic = dict(fuzz_fixture("wf", tmp_path), signal={"kind": "analytic-gaussian"})
         cases = [("kernel-check", None, "eps_angle"), ("kernel-check", None, "moll_width_frac"),
-                 ("chirp-verify", None, "tol_angle"), ("propagate-verify", None, "tol_angle"),
-                 ("seminorm", None, "h_values"), ("seminorm", stft_seminorm, "r_values")]
+                 ("kernel-check", None, "dx"), ("chirp-verify", None, "tol_angle"),
+                 ("propagate-verify", None, "tol_angle"), ("seminorm", None, "h_values"),
+                 ("seminorm", stft_seminorm, "r_values"), ("wf", None, "lambda.min"),
+                 ("wf", None, "lambda.max"), ("stft", None, "signal.dx"),
+                 ("stft", None, "signal.width"), ("wf", analytic, "signal.width"),
+                 ("propagate-verify", None, "signal.dx"),
+                 ("propagate-verify", None, "signal.envelope_width"),
+                 ("propagate-verify", None, "signal.alias_guard_level")]
         runs = itertools.count()
         for command, fixture, field in cases:
             for value in (0, -1):
                 cfg = copy.deepcopy(fixture or fuzz_fixture(command, tmp_path))
-                cfg[field] = [value] if field.endswith("_values") else value
+                *parents, key = field.split(".")
+                node = functools.reduce(dict.__getitem__, parents, cfg)
+                node[key] = [value] if key.endswith("_values") else value
                 code, _ = run_cli(tmp_path, command, cfg, outname=f"out{next(runs)}")
                 err = capsys.readouterr().err
                 assert code == 2, (command, field, value)
                 assert field in err and "Traceback" not in err, err
+
+    def test_kernel_grid_size_zero_exits_like_a_bad_size(self, tmp_path, capsys):
+        # n = 0 used to reach a division by zero; like n = 1000 it is a domain error
+        for k, n in enumerate((0, 1000)):
+            cfg = dict(fuzz_fixture("kernel-check", tmp_path), n=n)
+            code, _ = run_cli(tmp_path, "kernel-check", cfg, outname=f"out{k}")
+            err = capsys.readouterr().err
+            assert code == 1, (n, err)
+            assert "Traceback" not in err and "power of two" in err, err

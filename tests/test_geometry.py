@@ -39,10 +39,6 @@ class TestAnisoIndex:
         with pytest.raises(DomainError):
             AnisoIndex(0.4, 0.5)  # t + s <= 1
 
-    def test_scaled(self):
-        idx = AnisoIndex(1.0, 1.5).scaled(2.0)
-        assert (idx.t, idx.s) == (2.0, 3.0)
-
 
 class TestLambdaSolve:
     def test_axis_closed_forms(self):

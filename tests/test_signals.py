@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from anisowf.errors import AliasingError, DomainError, ResolutionError
-from anisowf.poly import poly_1d
-from anisowf.signals import (SampledSignal, apply_gaussian_envelope, fourier,
-                             gaussian_values, make_chirp, make_gaussian,
-                             tensor)
+from anisowf.poly import eval_poly, poly_1d
+from anisowf.signals import (SampledSignal, fourier, gaussian_values, make_chirp,
+                             make_gaussian, tensor)
 
 
 class TestSampledSignal:
@@ -66,10 +65,30 @@ class TestMakeChirp:
             make_chirp(poly_1d(0.0, 0.0, 1.0), 64, 1.0)
 
     def test_envelope(self):
-        sig = make_chirp(poly_1d(0.0, 0.0, 1.0), 64, 0.05)
-        env = apply_gaussian_envelope(sig, 1.0)
-        x = sig.axis_coords()
+        env = make_chirp(poly_1d(0.0, 0.0, 1.0), 64, 0.05, envelope_width=1.0)
+        x = env.axis_coords()
         np.testing.assert_allclose(np.abs(env.values), np.exp(-x * x / 2), atol=1e-14)
+        np.testing.assert_allclose(env.values, np.exp(1j * x * x - x * x / 2), atol=1e-14)
+
+    def test_infinite_envelope_is_the_unimodular_chirp(self):
+        phase = poly_1d(0.3, -1.0, 2.0, 0.5)
+        sig = make_chirp(phase, 128, 0.05)
+        want = np.exp(1j * eval_poly(phase, sig.axis_coords()[:, None]))
+        np.testing.assert_array_equal(sig.values, want)
+        np.testing.assert_array_equal(
+            make_chirp(phase, 128, 0.05, envelope_width=math.inf).values, want)
+
+    def test_envelope_guard_covers_its_support_only(self):
+        # x^2 on 256 points of 0.2: 2 |x| dx exceeds 0.9 pi past |x| = 7.07,
+        # the grid reaches 25.6; the 1e-14 level sits at 8.03 W
+        phase = poly_1d(0.0, 0.0, 1.0)
+        for width in (math.inf, 2.0, 1.0):
+            with pytest.raises(AliasingError):
+                make_chirp(phase, 256, 0.2, envelope_width=width)
+        narrow = make_chirp(phase, 256, 0.2, envelope_width=0.8)
+        assert np.max(np.abs(narrow.values)) == pytest.approx(1.0)
+        with pytest.raises(AliasingError):
+            make_chirp(phase, 256, 0.2, envelope_width=0.8, guard_level=1e-20)
 
     def test_principal_part_factor_is_unimodular_lower_degree(self):
         full = poly_1d(0.5, 1.0, 1.0)

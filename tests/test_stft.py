@@ -9,9 +9,8 @@ from anisowf.poly import poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
-from anisowf.stft import (WindowSpec, _chirp_quadrature, _quadratic_chirp,
-                          classical_seminorm, istft, moyal_error, stft_grid, stft_point,
-                          stft_points, stft_seminorm)
+from anisowf.stft import (WindowSpec, _chirp_quadrature, classical_seminorm, istft,
+                          moyal_error, stft_grid, stft_point, stft_points, stft_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,7 +231,9 @@ class TestChirpQuadrature:
         x = np.repeat([-100.0, -37.5, 0.0, 12.0, 100.0], 4)
         xi = 1.4 * x - 0.5 + np.tile([0.0, 1.5, -3.0, 9.0], 5)
         got = _chirp_quadrature(phase, w, x, xi)
-        np.testing.assert_allclose(got, _quadratic_chirp(phase, w, x, xi), rtol=0.0, atol=1e-10)
+        # a degree-2 phase takes the closed form in stft_points
+        want = stft_points(chirp_signal(phase), w, x[:, None], xi[:, None])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_short_circuited_points_are_negligible(self):
         # no stationary point within 12 units of the centre and |3 y^2 - xi| >= 12
