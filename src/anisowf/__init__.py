@@ -10,7 +10,7 @@ from .estimator import (RateFit, WFEntry, WFEstimate, check_graph_condition,
                         cone_constant, curve_reach, curve_table, estimate_kernel_wf,
                         estimate_wf, fit_rate_arrays)
 from .evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
-                        predict_transport, propagate)
+                        predict_transport, propagate, propagator_kernel)
 from .geometry import (AnisoIndex, PhasePoint, SphereDirection,
                        dist_to_conic_set, in_gamma_nbhd, in_gamma_tilde_nbhd,
                        lambda_solve, nearest_angles, project, scale_point)
@@ -18,7 +18,8 @@ from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 from .relation import (PointSet, compose, compose_via_projection, proj_13,
                        proj_2neg4, sconic_closure_check)
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal,
-                      chirp_signal, delta_signal, fourier, gaussian_signal,
-                      make_chirp, make_gaussian, one_signal, tensor, tensor_signal)
+                      chirp_signal, delta_signal, fourier, fourier_chirp_signal,
+                      gaussian_signal, make_chirp, make_gaussian, one_signal, tensor,
+                      tensor_signal)
 from .stft import (StftGrid, WindowSpec, classical_seminorm, istft,
                    moyal_error, stft_grid, stft_point, stft_seminorm)

@@ -24,12 +24,12 @@ from .chirp import compare_wf, predict_chirp_wf
 from .errors import ConfigError, ResolutionError, ToolkitError, TruncationError
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
-from .evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
+from .evolution import EvolutionSpec, predict_transport, propagate, propagator_kernel
 from .geometry import AnisoIndex, nearest_angles
 from .io import (cfg_get, count, dump_json, flag, list_of, number, poly_from_dict,
-                 positive, prediction_to_dict, point_set_to_list, read_signal_csv,
-                 text, wf_estimate_to_dict, write_profile_csv, write_signal_csv,
-                 write_stft_csv)
+                 positive, positive_count, prediction_to_dict, point_set_to_list,
+                 read_signal_csv, text, wf_estimate_to_dict, write_profile_csv,
+                 write_signal_csv, write_stft_csv)
 from .relation import PointSet, compose, sconic_closure_check
 from .signals import (SampledSignal, chirp_signal, delta_signal, gaussian_signal,
                       make_chirp, make_gaussian, one_signal)
@@ -54,10 +54,11 @@ def parse_signal(cfg, path="signal"):
 
     kind = field("kind", text)
     if kind == "gaussian":
-        return make_gaussian(field("d", count, default=1), field("n", count),
+        return make_gaussian(field("d", count, default=1), field("n", positive_count),
                              field("dx", positive), field("width", positive, default=1.0))
     if kind == "chirp":
-        args = [field("phase", poly_from_dict), field("n", count), field("dx", positive)]
+        args = [field("phase", poly_from_dict), field("n", positive_count),
+                field("dx", positive)]
         env = field("envelope_width", positive, default=None)
         if env is not None:  # the guard level is read only with an envelope
             args += [env, field("alias_guard_level", positive, default=1e-14)]
@@ -89,7 +90,8 @@ def parse_estimator_opts(cfg, circle: bool = True) -> dict:
     opts = {
         "lambda_range": (cfg_get(cfg, "lambda.min", positive, default=estimator.LAMBDA_MIN),
                          cfg_get(cfg, "lambda.max", positive, default=estimator.LAMBDA_MAX)),
-        "n_lambda": cfg_get(cfg, "lambda.n", count, default=estimator.DEFAULT_N_LAMBDA),
+        "n_lambda": cfg_get(cfg, "lambda.n", positive_count,
+                            default=estimator.DEFAULT_N_LAMBDA),
         "r_threshold": cfg_get(cfg, "r_threshold", positive,
                                default=estimator.DEFAULT_THRESHOLD),
         "floor": cfg_get(cfg, "floor", positive, default=estimator.DEFAULT_FLOOR),
@@ -227,7 +229,7 @@ def cmd_kernel_check(config, out, seed):
 
     def run(frac):
         wm = frac * math.pi / dx
-        kernel = kernel_signal(spec, n, dx, moll_width=wm)
+        kernel = propagator_kernel(spec, n, dx, moll_width=wm)
         cap = None if xi_cap_frac is None else xi_cap_frac * wm
         est = estimate_kernel_wf(kernel, w, idx, sweep=sweep, seed=seed,
                                  xi_reach_abs=cap, **opts)

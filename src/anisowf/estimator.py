@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, GraphConditionError
 from .geometry import AnisoIndex, SphereDirection, blocks4
-from .signals import AnalyticSignal, SampledSignal
+from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal
 from .stft import WindowSpec, stft_points
 
 DEFAULT_FLOOR = 1e-14
@@ -34,6 +34,8 @@ MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
 # Curves stay within this fraction of the grid extent and of its Nyquist rate.
 _REACH_FRAC = 0.8
+# Curve-table rows per stft_points call for signals evaluated point by point
+_BATCH_ROWS = 64
 # cone_constant: a block norm below this counts as vanishing
 _BLOCK_TOL = 1e-9
 
@@ -149,16 +151,26 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np
     reach; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
     The scale factors are Python float powers: numpy's vectorized power can
     differ in the last bit, which would change the written profiles.
+    Sampled values (a SampledSignal or a kernel's sampled line) go to
+    stft_points one row at a time: a batch pads every window to the longest
+    support and outgrows the cache.  Anything else is evaluated point by
+    point, _BATCH_ROWS rows to a call, which spreads the per-call cost.
     """
     scales = np.array([(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas])
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
-    for i, z in enumerate(dirs):
-        cap = curve_reach(u, idx, z, xi_reach_abs)
-        n = int(np.count_nonzero(lambdas <= cap))
-        if n >= _MIN_REACHABLE:
-            table[i, :n] = np.abs(stft_points(u, w, scales[:n, :1] * z[:d],
-                                              scales[:n, 1:] * z[d:]))
+    reach = np.array([np.count_nonzero(lambdas <= curve_reach(u, idx, z, xi_reach_abs))
+                      for z in dirs], dtype=int)
+    reach[reach < _MIN_REACHABLE] = 0
+    sampled = isinstance(u.line if isinstance(u, ConvolutionKernel) else u, SampledSignal)
+    rows = np.flatnonzero(reach)
+    step = 1 if sampled else _BATCH_ROWS
+    for start in range(0, rows.size, step):
+        batch = rows[start:start + step]
+        r, c = np.nonzero(np.arange(lambdas.size) < reach[batch, None])
+        r = batch[r]
+        table[r, c] = np.abs(stft_points(u, w, scales[c, :1] * dirs[r, :d],
+                                         scales[c, 1:] * dirs[r, d:]))
     return table
 
 

@@ -154,6 +154,14 @@ def count(v) -> int:
     return int(v)
 
 
+def positive_count(v) -> int:
+    """A count above 0."""
+    k = count(v)
+    if k == 0:
+        raise ConfigError("expected a positive integer")
+    return k
+
+
 def flag(v) -> bool:
     """JSON true or false."""
     if not isinstance(v, bool):

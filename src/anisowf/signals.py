@@ -74,43 +74,52 @@ class SampledSignal:
 
 
 class ConvolutionKernel:
-    """Convolution kernel K(x, y) = k(x - y) on the n x n grid, kept as its line k.
+    """Convolution kernel K(x, y) = k(x - y) on the n x n grid of spacing dx, kept as its line k.
 
-    line samples k at the 2n offsets (m - n) dx, which cover every difference
-    x_i - y_j of the n-point grid; dim, dx and extent are those of the n x n
-    grid the kernel stands for.
+    The line is either sampled, at the 2n offsets (m - n) dx that cover every
+    difference x_i - y_j of the grid, or analytic (a 1-d AnalyticSignal);
+    dim, dx and extent are those of the n x n grid the kernel stands for.
     """
 
-    __slots__ = ("line", "n")
+    __slots__ = ("line", "n", "dx")
 
-    def __init__(self, line: SampledSignal):
-        if line.dim != 1 or line.n < 32:
-            raise DomainError(f"a kernel line needs 2n >= 32 samples in 1-d, "
-                              f"got {line.values.shape}")
+    def __init__(self, line, n: int, dx: float):
+        if line.dim != 1:
+            raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
+        if n < 16 or n & (n - 1) != 0:
+            raise DomainError(f"samples per axis must be a power of two >= 16, got {n}")
+        if not dx > 0.0:
+            raise DomainError(f"grid spacing must be positive, got {dx}")
+        if isinstance(line, SampledSignal) and (line.n != 2 * n or line.dx != dx):
+            raise DomainError(f"a sampled kernel line needs 2n = {2 * n} samples at spacing "
+                              f"{dx}, got {line.n} at {line.dx}")
         self.line = line
-        self.n = line.n // 2
+        self.n = int(n)
+        self.dx = float(dx)
 
     @property
     def dim(self) -> int:
         return 2
 
     @property
-    def dx(self) -> float:
-        return self.line.dx
-
-    @property
     def extent(self) -> float:
         return self.n * self.dx / 2.0
 
     def dense(self) -> SampledSignal:
-        """The n x n matrix K[i, j] = k(x_i - y_j) as a d = 2 sampled signal."""
+        """The n x n matrix K[i, j] = k(x_i - y_j) as a d = 2 sampled signal (sampled lines)."""
+        if not isinstance(self.line, SampledSignal):
+            raise DomainError("dense() needs a sampled kernel line")
         i = np.arange(self.n)
         return SampledSignal(self.dx, self.line.values[i[:, None] - i[None, :] + self.n])
 
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, or tensor."""
+    """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, fourier-chirp or tensor.
+
+    A fourier-chirp is the 1-d line (2 pi)^(-1/2) F^(-1)[exp(i q) exp(-xi^2 / (2 width^2))]
+    for the polynomial q = phase, a chirp windowed by a Gaussian on the Fourier side.
+    """
 
     kind: str
     dim: int
@@ -119,13 +128,16 @@ class AnalyticSignal:
     factors: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("dirac-delta", "constant-one", "gaussian", "poly-chirp", "tensor"):
+        if self.kind not in ("dirac-delta", "constant-one", "gaussian", "poly-chirp",
+                             "fourier-chirp", "tensor"):
             raise DomainError(f"unknown analytic signal kind {self.kind!r}")
-        if self.kind == "gaussian" and not (self.width and self.width > 0):
-            raise DomainError("gaussian width must be positive")
-        if self.kind == "poly-chirp":
+        if self.kind in ("gaussian", "fourier-chirp") and not (self.width and self.width > 0):
+            raise DomainError(f"{self.kind} width must be positive")
+        if self.kind in ("poly-chirp", "fourier-chirp"):
             if self.phase is None or self.phase.dim != self.dim:
-                raise DomainError("poly-chirp needs a phase polynomial of matching dimension")
+                raise DomainError(f"{self.kind} needs a phase polynomial of matching dimension")
+        if self.kind == "fourier-chirp" and self.dim != 1:
+            raise DomainError("fourier-chirp is a 1-d line")
         if self.kind == "tensor" and sum(f.dim for f in self.factors) != self.dim:
             raise DomainError("tensor factor dimensions must sum to the signal dimension")
 
@@ -144,6 +156,10 @@ def gaussian_signal(width: float = 1.0, dim: int = 1) -> AnalyticSignal:
 
 def chirp_signal(phase: PolynomialData) -> AnalyticSignal:
     return AnalyticSignal("poly-chirp", phase.dim, phase=phase)
+
+
+def fourier_chirp_signal(phase: PolynomialData, width: float) -> AnalyticSignal:
+    return AnalyticSignal("fourier-chirp", phase.dim, width=width, phase=phase)
 
 
 def tensor_signal(u: AnalyticSignal, v: AnalyticSignal) -> AnalyticSignal:

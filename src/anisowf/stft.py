@@ -5,12 +5,15 @@ V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (window evaluated analytically at the
 shifted sample points, so x and xi need not lie on any lattice), for
-convolution kernels from one 1-d quadrature of their line, and for
-analytic signals from closed forms: analytic Gaussians, the constant 1
-and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
+convolution kernels from one 1-d STFT of their line, sampled or analytic,
+and for analytic signals from closed forms: analytic Gaussians, the
+constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
 whose STFT is one complex Gaussian integral (_gaussian_integral); the
 Dirac delta gives the reflected window, and chirps of degree >= 3 an
-oscillatory quadrature.  Full grids are swept with an FFT per translate.
+oscillatory quadrature.  A fourier-chirp (a chirp windowed by a Gaussian
+on the Fourier side, the analytic line of an evolution kernel) reduces by
+Parseval to the chirp STFT at a swapped point (_fourier_chirp).  Full
+grids are swept with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
 from .poly import PolynomialData, coeff_array, iter_multi_indices
-from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal, fourier
+from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, chirp_signal,
+                      fourier)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -35,8 +39,10 @@ _SUPPORT_RADIUS = 10.0
 # 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
 _OSR = 2.0
 _MAX_QUAD_POINTS = 1 << 23
-# Rows per batch (stft_grid FFTs, chirp short-circuit probes), bounding the work arrays.
+# Rows per stft_grid FFT batch and points per chirp short-circuit probe, bounding
+# the (rows, n) and (points, 1025) work arrays.
 _ROW_BLOCK = 512
+_PROBE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,8 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
     by the period 2 pi/dx, invisible on the grid, is what brings sigma into
     one period; f carries half of that shift.  Unlike the n x n sum, the
     y1 sum runs past the grid edge, which differs only where a window
-    reaches it.
+    reaches it.  The line is sampled or analytic (a fourier-chirp); the
+    formula is the same.
     """
     _check_reach(u, xs, xis)
     period = _TWO_PI / u.dx
@@ -179,10 +186,34 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
     f = (xis[:, 0] - xis[:, 1]) / 2.0 - k * period / 2.0
     f -= period * np.round(f / period)
     line_w = WindowSpec(math.sqrt(2.0) * w.width, unit_norm=False)
-    v = _sampled(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
+    v = stft_points(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
     c_w = w.amplitude(2) * math.sqrt(math.pi) * w.width
     return c_w * _TWO_PI ** -0.5 * v * np.exp(
         -(sigma * w.width) ** 2 / 4.0 - 0.5j * (xs[:, 0] + xs[:, 1]) * sigma)
+
+
+def _fourier_chirp(u: AnalyticSignal, w: WindowSpec, xs: np.ndarray,
+                   xis: np.ndarray) -> np.ndarray:
+    """STFT of the fourier-chirp k = (2 pi)^(-1/2) F^(-1)[exp(i q) exp(-xi^2 / (2 s^2))].
+
+    By Parseval the window integral moves to the Fourier side, where the
+    mollifier and the window's transform W exp(-W^2 (xi - f)^2 / 2) combine
+    into one Gaussian centred at c:
+
+        V_k(x, f) = (2 pi)^(-1/2) W exp(-i x f + C) V_chirp(c, -x)
+
+    with alpha = 1/s^2 + W^2, c = W^2 f / alpha, C = -W^2 f^2 / (2 s^2 alpha)
+    (that is -W^2 f^2/2 + (W^2 f)^2/(2 alpha)), W the window width, and
+    V_chirp the STFT of exp(i q) against the amplitude-1 window of width
+    alpha^(-1/2): closed form for degree <= 2, quadrature above.
+    """
+    width = w.width
+    alpha = 1.0 / u.width ** 2 + width ** 2
+    v = stft_points(chirp_signal(u.phase), WindowSpec(alpha ** -0.5, unit_norm=False),
+                    (width ** 2 / alpha) * xis, -xs)
+    x, f = xs[:, 0], xis[:, 0]
+    return (w.amplitude(1) * width * _TWO_PI ** -0.5 * v
+            * np.exp(-1j * x * f - (width * f) ** 2 / (2.0 * u.width ** 2 * alpha)))
 
 
 def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: complex,
@@ -220,8 +251,8 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
     # |phase' - xi| * w >= 12 skip the point.  Its bound exp(-(f w)^2/2) ignores
     # complex stationary points: near x = 0 a skipped |V| can reach ~3e-8.
     keep, need = np.empty(len(xs), dtype=bool), np.empty(len(xs))
-    for start in range(0, len(xs), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
+    for start in range(0, len(xs), _PROBE_BLOCK):
+        block = slice(start, start + _PROBE_BLOCK)
         companion = np.tile(np.eye(m - 1, k=-1), (len(dcoef[block]), 1, 1))
         companion[:, 0] = -dcoef[block, -2::-1] / dcoef[block, -1:]
         # a row past float64 (|x| astronomically large) is left to the probe
@@ -276,6 +307,8 @@ def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
         return _gaussian_integral(w, xs, xis, 0.0)
     if u.kind == "dirac-delta":
         return _TWO_PI ** (-d / 2.0) * np.prod(w.values_1d(-xs, d), axis=1)
+    if u.kind == "fourier-chirp":
+        return _fourier_chirp(u, w, xs, xis)
     if u.kind == "poly-chirp":
         if d != 1:
             raise DomainError("analytic chirp STFT implemented for d = 1 only")

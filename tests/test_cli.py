@@ -296,6 +296,27 @@ class TestKernelCheck:
         assert report["wf2_empty"] is True
         assert report["cone_constant"] >= 1.0
 
+    def test_cubic_symbol_in_the_flow_regime(self, tmp_path):
+        # x^3 at t = s(m - 1): the sampled line would alias at n = 512 (it
+        # suggests n = 4096); the analytic line runs on the grid as given
+        cfg = {"symbol": poly_to_dict(poly_1d(0.0, 0.0, 0.0, 1.0)), "time": 0.05,
+               "n": 512, "dx": 0.1108,
+               "index": {"t": 1.2, "s": 0.6},
+               "window": {"width": 1.0},
+               "sweep": [1, 4, 4, 8],
+               "lambda": {"min": 2.0, "max": 13.0, "n": 12},
+               "r_threshold": 0.13, "floor": 1e-11,
+               "moll_width_frac": 0.6, "xi_reach_moll_frac": 1.0,
+               "eps_angle": 0.05, "halve_check": False}
+        code, outdir = run_cli(tmp_path, "kernel-check", cfg)
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["wf1_empty"] is True
+        assert report["wf2_empty"] is True
+        assert math.isfinite(report["cone_constant"])
+        entries = json.loads((outdir / "kernel_wf.json").read_text())["entries"]
+        assert any(e["singular"] for e in entries)
+
 
 class TestPropagateVerify:
     def test_small_fixture(self, tmp_path):
@@ -417,7 +438,11 @@ class TestConfigFuzz:
                  ("stft", None, "signal.width"), ("wf", analytic, "signal.width"),
                  ("propagate-verify", None, "signal.dx"),
                  ("propagate-verify", None, "signal.envelope_width"),
-                 ("propagate-verify", None, "signal.alias_guard_level")]
+                 ("propagate-verify", None, "signal.alias_guard_level"),
+                 ("wf", None, "lambda.n"), ("chirp-verify", None, "lambda.n"),
+                 ("propagate-verify", None, "lambda.n"), ("kernel-check", None, "lambda.n"),
+                 ("stft", None, "signal.n"), ("seminorm", None, "signal.n"),
+                 ("propagate-verify", None, "signal.n")]
         runs = itertools.count()
         for command, fixture, field in cases:
             for value in (0, -1):

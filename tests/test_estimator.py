@@ -7,11 +7,13 @@ from anisowf.errors import DomainError, GraphConditionError
 from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection, nearest_angles, project,
                               scale_point)
 from anisowf.poly import poly_1d
-from anisowf.signals import chirp_signal, delta_signal, make_gaussian, one_signal
-from anisowf.stft import WindowSpec
-from anisowf.estimator import (RateFit, WFEntry, WFEstimate, _refinement_seeds,
-                               check_graph_condition, circle_directions,
-                               cone_constant, curve_table, estimate_wf,
+from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
+from anisowf.signals import (AnalyticSignal, chirp_signal, delta_signal, make_gaussian,
+                             one_signal, tensor_signal)
+from anisowf.stft import WindowSpec, stft_points
+from anisowf.estimator import (RateFit, WFEntry, WFEstimate, _MIN_REACHABLE,
+                               _refinement_seeds, check_graph_condition, circle_directions,
+                               cone_constant, curve_reach, curve_table, estimate_wf,
                                fibonacci_cap, fit_rate_arrays,
                                geometric_lambdas, product_sphere4)
 
@@ -147,6 +149,39 @@ class TestDecayProfile:
         # quadrature is pure cancellation noise
         keep = p1 >= 1e-14
         np.testing.assert_allclose(p1[keep], p2[keep], rtol=1e-6)
+
+
+class TestCurveTable:
+    @pytest.mark.parametrize("make", [
+        lambda: chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)),
+        lambda: make_gaussian(1, 256, 0.1),
+        lambda: tensor_signal(one_signal(1), delta_signal(1)),
+        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05), 128, 0.2),
+        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2)])
+    def test_equals_row_by_row_evaluation(self, make):
+        # the reference loop: one stft_points call per reachable row
+        u = make()
+        d = u.dim
+        rng = np.random.default_rng(6)
+        dirs = rng.standard_normal((150, 2 * d))   # more rows than one batch
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        idx, w = AnisoIndex(1.2, 1.2), WindowSpec(1.0)
+        lambdas = geometric_lambdas(1.0, 30.0, 12)
+        cap = 0.6 * math.pi / 0.2 if d == 2 else None
+        want = np.full((len(dirs), lambdas.size), np.nan)
+        for i, z in enumerate(dirs):
+            n = int(np.count_nonzero(lambdas <= curve_reach(u, idx, z, cap)))
+            if n >= _MIN_REACHABLE:
+                lam = lambdas[:n]
+                want[i, :n] = np.abs(stft_points(
+                    u, w, np.array([float(v) ** idx.t for v in lam])[:, None] * z[:d],
+                    np.array([float(v) ** idx.s for v in lam])[:, None] * z[d:]))
+        got = curve_table(u, w, idx, dirs, lambdas, cap)
+        np.testing.assert_array_equal(got, want)
+        reached = np.count_nonzero(np.isfinite(got), axis=1)
+        assert reached.max() > 0
+        if not isinstance(u, AnalyticSignal):   # clipped rows and all-NaN rows are mixed in
+            assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
 
 
 class TestEstimateWF:

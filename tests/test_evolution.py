@@ -5,7 +5,7 @@ import pytest
 
 from anisowf.errors import AliasingError, DomainError, TruncationError, UnsupportedRegimeError
 from anisowf.evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
-                               predict_transport, propagate)
+                               predict_transport, propagate, propagator_kernel)
 from anisowf.geometry import AnisoIndex, PhasePoint, project
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
@@ -175,6 +175,58 @@ class TestKernelStftOracle:
             assert outcomes[0] == outcomes[1]
             raised += outcomes[0] is not None
         assert raised == 4
+
+
+class TestPropagatorKernel:
+    """The analytic-line kernel against the sampled line through the same _convolution."""
+
+    N, DX = 512, 0.1108
+    MOLL = 0.6 * math.pi / DX
+
+    @pytest.mark.parametrize("symbol, time", [(XSQ, 0.3), (poly_1d(0.0, 0.0, 0.0, 1.0), 0.004),
+                                              (poly_1d(0.0, 0.0, 0.0, 0.0, 1.0), 0.0003)])
+    def test_matches_sampled_line_in_reach(self, symbol, time):
+        spec = EvolutionSpec(symbol, time)
+        sampled = kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
+        analytic = propagator_kernel(spec, self.N, self.DX, moll_width=self.MOLL)
+        assert (analytic.dim, analytic.n, analytic.dx, analytic.extent) == \
+            (sampled.dim, sampled.n, sampled.dx, sampled.extent)
+        # criterion 8's reach: 80% of the extent, frequencies inside the mollifier width
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(-0.8, 0.8, (2000, 2)) * analytic.extent
+        xis = rng.uniform(-self.MOLL, self.MOLL, (2000, 2))
+        xis[:200] *= 1e-3   # |xi| near 0
+        xis[200:300, 1] = -xis[200:300, 0]   # xi0 + xi1 = 0: the mollifier's centre
+        w = WindowSpec(1.0)
+        got = stft_points(analytic, w, xs, xis)
+        want = stft_points(sampled, w, xs, xis)
+        assert np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # the lines themselves, against a unit-norm window
+        x, f = xs[:, :1] - xs[:, 1:], xis[:, :1]
+        w = WindowSpec(0.8)
+        want = stft_points(sampled.line, w, x, f)
+        assert np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(stft_points(analytic.line, w, x, f), want,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, dx", [(0, 0.2), (1000, 0.2), (64, 0.0), (64, -0.2)])
+    def test_rejects_the_grid_kernel_signal_rejects(self, n, dx):
+        spec = EvolutionSpec(XSQ, 0.3)
+        with pytest.raises(DomainError) as want:
+            kernel_signal(spec, n, dx)
+        with pytest.raises(DomainError) as got:
+            propagator_kernel(spec, n, dx)
+        assert str(got.value) == str(want.value)
+
+    def test_no_aliasing_guard_and_no_dense_matrix(self):
+        # the sampled line aliases here (suggests n = 4096); the analytic one has no samples
+        spec = EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)
+        with pytest.raises(AliasingError, match="suggest n = 4096"):
+            kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
+        kernel = propagator_kernel(spec, self.N, self.DX, moll_width=self.MOLL)
+        with pytest.raises(DomainError, match="sampled kernel line"):
+            kernel.dense()
 
 
 class TestRegularDataStayRegular:
