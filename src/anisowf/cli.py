@@ -26,7 +26,7 @@ from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf
                         estimate_wf)
 from .evolution import EvolutionSpec, predict_transport, propagate, propagator_kernel
 from .geometry import AnisoIndex, nearest_angles
-from .io import (cfg_get, count, dump_json, flag, list_of, number, poly_from_dict,
+from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
                  positive, positive_count, prediction_to_dict, point_set_to_list,
                  read_signal_csv, text, wf_estimate_to_dict, write_profile_csv,
                  write_signal_csv, write_stft_csv)
@@ -224,32 +224,18 @@ def cmd_kernel_check(config, out, seed):
     opts = parse_estimator_opts(config, circle=False)
     sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)
     moll_frac = cfg_get(config, "moll_width_frac", positive, default=0.25)
-    halve = cfg_get(config, "halve_check", flag, default=False)
-    xi_cap_frac = cfg_get(config, "xi_reach_moll_frac", positive, default=None)
 
-    def run(frac):
-        wm = frac * math.pi / dx
-        kernel = propagator_kernel(spec, n, dx, moll_width=wm)
-        cap = None if xi_cap_frac is None else xi_cap_frac * wm
-        est = estimate_kernel_wf(kernel, w, idx, sweep=sweep, seed=seed,
-                                 xi_reach_abs=cap, **opts)
-        graph = check_graph_condition(est, eps_angle)
-        return est, graph, cone_constant(est, idx)
-
-    est, graph, c_val = run(moll_frac)
-    body = {
+    kernel = propagator_kernel(spec, n, dx, moll_width=moll_frac * math.pi / dx)
+    est = estimate_kernel_wf(kernel, w, idx, sweep=sweep, seed=seed, **opts)
+    graph = check_graph_condition(est, eps_angle)
+    out.write_json("kernel_wf.json", wf_estimate_to_dict(est))
+    out.write_json("report.json", report_envelope(config, seed, {
         "wf1_empty": graph["wf1_empty"],
         "wf2_empty": graph["wf2_empty"],
         "offenders": graph["offenders"],
-        "cone_constant": c_val,
+        "cone_constant": cone_constant(est, idx),
         "moll_width_frac": moll_frac,
-    }
-    if halve:
-        _, graph2, c2 = run(moll_frac / 2.0)
-        body["cone_constant_halved"] = c2
-        body["cone_constant_stable_2digits"] = f"{c_val:.2g}" == f"{c2:.2g}"
-    out.write_json("kernel_wf.json", wf_estimate_to_dict(est))
-    out.write_json("report.json", report_envelope(config, seed, body))
+    }))
 
 
 def cmd_relation(config, out, seed):

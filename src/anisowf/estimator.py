@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, GraphConditionError
 from .geometry import AnisoIndex, SphereDirection, blocks4
 from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal
-from .stft import WindowSpec, stft_points
+from .stft import REACH_FRAC, WindowSpec, stft_points
 
 DEFAULT_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 1.0
@@ -32,8 +32,8 @@ LAMBDA_MIN = 2.0
 LAMBDA_MAX = 50.0
 MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
-# Curves stay within this fraction of the grid extent and of its Nyquist rate.
-_REACH_FRAC = 0.8
+# WFEntry.status values, indexed by the verdict codes of _classify
+_STATUS = ("unreachable", "singular", "regular", "below-floor")
 # Curve-table rows per stft_points call for signals evaluated point by point
 _BATCH_ROWS = 64
 # cone_constant: a block norm below this counts as vanishing
@@ -56,9 +56,15 @@ class RateFit:
 
 @dataclass(frozen=True)
 class WFEntry:
+    """A direction's verdict, its status as _classify sets it."""
+
     direction: SphereDirection
     fit: RateFit
-    singular: bool
+    status: str
+
+    @property
+    def singular(self) -> bool:
+        return self.status == "singular"
 
 
 @dataclass(frozen=True)
@@ -116,22 +122,20 @@ def fit_rate_arrays(lambdas: np.ndarray, table: np.ndarray, floor: float) -> tup
             np.where(fitted, residual, 0.0), n_valid)
 
 
-def curve_reach(u, idx: AnisoIndex, z0: np.ndarray,
-                xi_reach_abs: float | None = None) -> float:
+def curve_reach(u, idx: AnisoIndex, z0: np.ndarray) -> float:
     """Largest lambda keeping the curve of the unit (x, xi) row z0 inside the
     usable grid region.
 
-    Analytic signals have unbounded reach.  Curves stay within _REACH_FRAC of
-    the position extent and of the Nyquist frequency; xi_reach_abs
-    optionally caps frequency excursions at an absolute value (tighter than
-    the Nyquist fraction), e.g. to keep curves inside a mollifier's passband.
+    Analytic signals have unbounded reach.  Curves stay within REACH_FRAC of
+    the position extent and of the Nyquist frequency, and a convolution
+    kernel's curves also within its passband.
     """
     if isinstance(u, AnalyticSignal):
         return math.inf
-    x_lim = _REACH_FRAC * u.extent
-    xi_lim = _REACH_FRAC * math.pi / u.dx
-    if xi_reach_abs is not None:
-        xi_lim = min(xi_lim, xi_reach_abs)
+    x_lim = REACH_FRAC * u.extent
+    xi_lim = REACH_FRAC * math.pi / u.dx
+    if isinstance(u, ConvolutionKernel):
+        xi_lim = min(xi_lim, u.passband)
     cap = math.inf
     d = z0.size // 2
     mx = float(np.max(np.abs(z0[:d])))
@@ -143,8 +147,8 @@ def curve_reach(u, idx: AnisoIndex, z0: np.ndarray,
     return cap
 
 
-def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np.ndarray,
-                xi_reach_abs: float | None = None) -> np.ndarray:
+def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
+                lambdas: np.ndarray) -> np.ndarray:
     """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
@@ -159,7 +163,7 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray, lambdas: np
     scales = np.array([(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas])
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
-    reach = np.array([np.count_nonzero(lambdas <= curve_reach(u, idx, z, xi_reach_abs))
+    reach = np.array([np.count_nonzero(lambdas <= curve_reach(u, idx, z))
                       for z in dirs], dtype=int)
     reach[reach < _MIN_REACHABLE] = 0
     sampled = isinstance(u.line if isinstance(u, ConvolutionKernel) else u, SampledSignal)
@@ -183,19 +187,22 @@ def circle_directions(n: int) -> np.ndarray:
 def _classify(dirs, lambdas, table, floor, threshold) -> list:
     """One WFEntry per row of a (directions x lambdas) magnitude table.
 
-    NaN marks unreachable curve samples; a row with fewer than
-    _MIN_REACHABLE of them is not fitted (RateFit(inf, 0, 0, 0)).  A
-    direction is singular when the fitted rate is at or below the threshold
-    (ties singular, conservative) and the last reachable magnitude sits
-    above the floor.
+    NaN marks unreachable curve samples.  A row with fewer than
+    _MIN_REACHABLE of them is "unreachable" (not fitted: RateFit(inf, 0, 0,
+    0)); else "singular" when the fitted rate is at or below the threshold
+    (ties singular, conservative) and the last reachable magnitude sits above
+    the floor, "regular" when a finite rate above the threshold was fitted,
+    and "below-floor" when the floor decided instead.
     """
     reach = np.isfinite(table)
-    table = np.where(np.count_nonzero(reach, axis=1)[:, None] >= _MIN_REACHABLE, table, np.nan)
+    reachable = np.count_nonzero(reach, axis=1) >= _MIN_REACHABLE
+    table = np.where(reachable[:, None], table, np.nan)
     rhat, intercept, residual, n_valid = fit_rate_arrays(lambdas, table, floor)
     last = table[np.arange(len(table)), lambdas.size - 1 - np.argmax(reach[:, ::-1], axis=1)]
-    singular = (rhat <= threshold) & (last >= floor)
-    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), bool(f))
-            for z, r, c, e, k, f in zip(dirs, rhat, intercept, residual, n_valid, singular)]
+    status = np.select([~reachable, (rhat <= threshold) & (last >= floor),
+                        np.isfinite(rhat) & (rhat > threshold)], [0, 1, 2], 3)
+    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), _STATUS[f])
+            for z, r, c, e, k, f in zip(dirs, rhat, intercept, residual, n_valid, status)]
 
 
 def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
@@ -286,7 +293,6 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
                        sweep=DEFAULT_SWEEP,
                        lambda_range=(LAMBDA_MIN, LAMBDA_MAX), n_lambda: int = DEFAULT_N_LAMBDA,
                        r_threshold: float = DEFAULT_THRESHOLD, floor: float = DEFAULT_FLOOR,
-                       xi_reach_abs: float | None = None,
                        refine: int = 24, seed: int = 0) -> WFEstimate:
     """Estimate the wave front set of a kernel (a d = 2 signal, phase space R^4).
 
@@ -297,12 +303,14 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     if K.dim != 2:
         raise DomainError("estimate_kernel_wf expects a kernel sampled in dimension 2")
     dirs = product_sphere4(*sweep)
+    if dirs.size == 0:
+        raise DomainError(f"sweep {list(sweep)} yields no direction")
     if dirs.shape[0] > MAX_DIRECTIONS:
         raise DomainError(f"sweep of {dirs.shape[0]} directions exceeds budget {MAX_DIRECTIONS}")
 
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)
-    mags = curve_table(K, w, idx, dirs, lambdas, xi_reach_abs)
+    mags = curve_table(K, w, idx, dirs, lambdas)
     entries = _classify(dirs, lambdas, mags, floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
@@ -313,7 +321,7 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
     if per > 0:
         extra = np.concatenate([fibonacci_cap(dirs[i], spacing, per, rng) for i in seed_ids])
-        extra_mags = curve_table(K, w, idx, extra, lambdas, xi_reach_abs)
+        extra_mags = curve_table(K, w, idx, extra, lambdas)
         entries += _classify(extra, lambdas, extra_mags, floor, r_threshold)
         mags = np.concatenate([mags, extra_mags])
     return WFEstimate(idx, entries, r_threshold, lambdas, mags)

@@ -83,7 +83,7 @@ def _kernel_grid(spec: EvolutionSpec, n: int, dx: float,
     """The doubled 1-d grid of a d = 1 kernel's line and the checked mollifier width.
 
     The grid's constructor rejects a bad n or dx before any division;
-    moll_width defaults to a quarter of the Nyquist frequency.
+    moll_width, the kernel's passband, defaults to a quarter of Nyquist.
     """
     if spec.symbol.dim != 1:
         raise DomainError("kernel synthesis is implemented for d = 1 symbols")
@@ -110,7 +110,7 @@ def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
     mult = np.exp(-1j * spec.time * pvals) * np.exp(-xi * xi / (2.0 * moll_width ** 2))
     spectral = SampledSignal(line.dxi, mult.astype(complex))
     k_line = fourier(spectral, inverse=True).values * _TWO_PI ** -0.5
-    return ConvolutionKernel(SampledSignal(dx, k_line), n, dx)
+    return ConvolutionKernel(SampledSignal(dx, k_line), n, dx, moll_width)
 
 
 def propagator_kernel(spec: EvolutionSpec, n: int, dx: float,
@@ -124,7 +124,7 @@ def propagator_kernel(spec: EvolutionSpec, n: int, dx: float,
     """
     _, moll_width = _kernel_grid(spec, n, dx, moll_width)
     phase = PolynomialData(1, {a: -spec.time * c for a, c in spec.symbol.coeffs.items()})
-    return ConvolutionKernel(fourier_chirp_signal(phase, moll_width), n, dx)
+    return ConvolutionKernel(fourier_chirp_signal(phase, moll_width), n, dx, moll_width)
 
 
 def _flow_positions(spec: EvolutionSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -162,13 +162,6 @@ def positive_count(v) -> int:
     return k
 
 
-def flag(v) -> bool:
-    """JSON true or false."""
-    if not isinstance(v, bool):
-        raise ConfigError("expected true or false")
-    return v
-
-
 def text(v) -> str:
     """A JSON string."""
     if not isinstance(v, str):
@@ -254,7 +247,8 @@ def wf_estimate_to_dict(est) -> dict:
             "rhat": rhat,
             "residual": e.fit.residual,
             "n_valid": e.fit.n_valid,
-            "singular": bool(e.singular),
+            "singular": e.singular,
+            "status": e.status,
         })
     return {
         "idx": {"t": est.idx.t, "s": est.idx.s},

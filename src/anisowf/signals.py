@@ -79,23 +79,28 @@ class ConvolutionKernel:
     The line is either sampled, at the 2n offsets (m - n) dx that cover every
     difference x_i - y_j of the grid, or analytic (a 1-d AnalyticSignal);
     dim, dx and extent are those of the n x n grid the kernel stands for.
+    passband is the frequency width of the line's mollifier: the kernel
+    stands for the unmollified one only at frequencies inside it.
     """
 
-    __slots__ = ("line", "n", "dx")
+    __slots__ = ("line", "n", "dx", "passband")
 
-    def __init__(self, line, n: int, dx: float):
+    def __init__(self, line, n: int, dx: float, passband: float):
         if line.dim != 1:
             raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
         if n < 16 or n & (n - 1) != 0:
             raise DomainError(f"samples per axis must be a power of two >= 16, got {n}")
         if not dx > 0.0:
             raise DomainError(f"grid spacing must be positive, got {dx}")
+        if not passband > 0.0:
+            raise DomainError(f"passband must be positive, got {passband}")
         if isinstance(line, SampledSignal) and (line.n != 2 * n or line.dx != dx):
             raise DomainError(f"a sampled kernel line needs 2n = {2 * n} samples at spacing "
                               f"{dx}, got {line.n} at {line.dx}")
         self.line = line
         self.n = int(n)
         self.dx = float(dx)
+        self.passband = float(passband)
 
     @property
     def dim(self) -> int:

@@ -31,6 +31,9 @@ from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, chirp_si
                       fourier)
 
 _TWO_PI = 2.0 * math.pi
+# Window centres stay within this fraction of a grid's extent.  Estimator
+# curves stop at it, and at the same fraction of the Nyquist rate.
+REACH_FRAC = 0.8
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
@@ -99,11 +102,11 @@ class StftGrid:
 
 
 def _check_reach(u, xs: np.ndarray, xis: np.ndarray):
-    """Reject window centres outside 80% of the grid extent and frequencies past Nyquist."""
-    far = np.abs(xs) > 0.8 * u.extent
+    """Reject window centres outside REACH_FRAC of the grid extent and frequencies past Nyquist."""
+    far = np.abs(xs) > REACH_FRAC * u.extent
     if far.any():
-        raise TruncationError(f"window center {xs[far.any(axis=1)][0]} outside 80% of "
-                              f"the grid extent {u.extent}")
+        raise TruncationError(f"window center {xs[far.any(axis=1)][0]} outside {REACH_FRAC:.0%} "
+                              f"of the grid extent {u.extent}")
     nyq = math.pi / u.dx
     fast = np.abs(xis) > nyq
     if fast.any():

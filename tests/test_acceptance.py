@@ -222,8 +222,7 @@ def test_criterion_8_kernel_graph_condition():
         kernel = kernel_signal(spec, n, dx, moll_width=wm)
         est = estimate_kernel_wf(kernel, WINDOW, idx, sweep=(8, 24, 24, 64),
                                  lambda_range=(2.0, 13.0), r_threshold=0.13,
-                                 floor=1e-11, refine=24, seed=0,
-                                 xi_reach_abs=wm)
+                                 floor=1e-11, refine=24, seed=0)
         return est
 
     est = run(0.6)

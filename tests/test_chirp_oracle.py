@@ -13,7 +13,7 @@ from anisowf.poly import PolynomialData, eval_grad, poly_1d, principal_part
 
 def make_estimate(dirs, idx):
     entries = [WFEntry(SphereDirection(np.asarray(z) / np.linalg.norm(z)),
-                       RateFit(0.0, 0.0, 0.0, 10), True) for z in dirs]
+                       RateFit(0.0, 0.0, 0.0, 10), "singular") for z in dirs]
     return WFEstimate(idx, entries, 1.0)
 
 

@@ -109,13 +109,11 @@ class TestStftCommand:
             # values that JSON carries but int(), float() and bool() used to coerce
             ("wf", dict(wf, sphere_samples=90.9), "sphere_samples"),
             ("wf", dict(wf, sphere_samples=True), "sphere_samples"),
-            ("kernel-check", dict(kernel, halve_check="no"), "halve_check"),
             ("kernel-check", dict(kernel, sweep=[True, 2, 2, 4]), "sweep"),
             ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "scales": "ab",
                           "index": {"t": 1.0, "s": 1.0}}, "scales"),
             ("kernel-check", dict(kernel, time=math.nan), "time"),
             ("kernel-check", dict(kernel, time="0.5"), "time"),
-            ("kernel-check", dict(kernel, xi_reach_moll_frac=-1), "xi_reach_moll_frac"),
             ("wf", {**wf, "lambda": {"min": math.nan}}, "lambda.min"),
             ("wf", dict(wf, index={"t": math.inf, "s": 1.0}), "index.t"),
             ("stft", {"signal": gauss, "window": {"width": True}}, "window.width"),
@@ -287,14 +285,34 @@ class TestKernelCheck:
                "sweep": [4, 12, 12, 24],
                "lambda": {"min": 2.0, "max": 6.0, "n": 24},
                "r_threshold": 0.13, "floor": 1e-11,
-               "moll_width_frac": 0.6, "xi_reach_moll_frac": 1.0,
-               "eps_angle": 0.05, "halve_check": False}
+               "moll_width_frac": 0.6, "eps_angle": 0.05}
         code, outdir = run_cli(tmp_path, "kernel-check", cfg)
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["wf1_empty"] is True
         assert report["wf2_empty"] is True
         assert report["cone_constant"] >= 1.0
+
+    def test_removed_reach_fields_are_ignored(self, tmp_path):
+        # the sweep's xi reach is the kernel's passband: configs that still set
+        # xi_reach_moll_frac or halve_check run as if they did not
+        cfg = fuzz_fixture("kernel-check", tmp_path)
+        old = dict(cfg, xi_reach_moll_frac=1.0, halve_check=True)
+        assert run_cli(tmp_path, "kernel-check", cfg, outname="new")[0] == 0
+        assert run_cli(tmp_path, "kernel-check", old, outname="old")[0] == 0
+        assert ((tmp_path / "new" / "kernel_wf.json").read_bytes()
+                == (tmp_path / "old" / "kernel_wf.json").read_bytes())
+        report = json.loads((tmp_path / "old" / "report.json").read_text())
+        assert "cone_constant_halved" not in report
+
+    def test_sweep_without_directions_exit_1(self, tmp_path, capsys):
+        for k, sweep in enumerate(([0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 2, 0])):
+            cfg = dict(fuzz_fixture("kernel-check", tmp_path), sweep=sweep)
+            code, outdir = run_cli(tmp_path, "kernel-check", cfg, outname=f"out{k}")
+            err = capsys.readouterr().err
+            assert code == 1, (sweep, err)
+            assert "Traceback" not in err and "no direction" in err, err
+            assert not any(files for _, _, files in os.walk(outdir)), sweep
 
     def test_cubic_symbol_in_the_flow_regime(self, tmp_path):
         # x^3 at t = s(m - 1): the sampled line would alias at n = 512 (it
@@ -306,8 +324,7 @@ class TestKernelCheck:
                "sweep": [1, 4, 4, 8],
                "lambda": {"min": 2.0, "max": 13.0, "n": 12},
                "r_threshold": 0.13, "floor": 1e-11,
-               "moll_width_frac": 0.6, "xi_reach_moll_frac": 1.0,
-               "eps_angle": 0.05, "halve_check": False}
+               "moll_width_frac": 0.6, "eps_angle": 0.05}
         code, outdir = run_cli(tmp_path, "kernel-check", cfg)
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
@@ -358,8 +375,7 @@ def fuzz_fixture(command, tmp_path):
         "kernel-check": {"symbol": XSQ, "time": 0.3, "n": 32, "dx": 0.5, "index": index,
                          "window": window, "sweep": [2, 2, 2, 4],
                          "lambda": {"min": 2.0, "max": 4.0, "n": 12}, "r_threshold": 0.13,
-                         "floor": 1e-11, "moll_width_frac": 0.6, "xi_reach_moll_frac": 1.0,
-                         "eps_angle": 0.05, "halve_check": False},
+                         "floor": 1e-11, "moll_width_frac": 0.6, "eps_angle": 0.05},
         "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9,
                      "scales": [2.0], "index": unit},
         "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "index": unit,

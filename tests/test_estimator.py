@@ -156,8 +156,10 @@ class TestCurveTable:
         lambda: chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)),
         lambda: make_gaussian(1, 256, 0.1),
         lambda: tensor_signal(one_signal(1), delta_signal(1)),
-        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05), 128, 0.2),
-        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2)])
+        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05), 128, 0.2,
+                                  moll_width=0.6 * math.pi / 0.2),
+        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
+                              moll_width=0.6 * math.pi / 0.2)])
     def test_equals_row_by_row_evaluation(self, make):
         # the reference loop: one stft_points call per reachable row
         u = make()
@@ -167,21 +169,36 @@ class TestCurveTable:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         idx, w = AnisoIndex(1.2, 1.2), WindowSpec(1.0)
         lambdas = geometric_lambdas(1.0, 30.0, 12)
-        cap = 0.6 * math.pi / 0.2 if d == 2 else None
         want = np.full((len(dirs), lambdas.size), np.nan)
         for i, z in enumerate(dirs):
-            n = int(np.count_nonzero(lambdas <= curve_reach(u, idx, z, cap)))
+            n = int(np.count_nonzero(lambdas <= curve_reach(u, idx, z)))
             if n >= _MIN_REACHABLE:
                 lam = lambdas[:n]
                 want[i, :n] = np.abs(stft_points(
                     u, w, np.array([float(v) ** idx.t for v in lam])[:, None] * z[:d],
                     np.array([float(v) ** idx.s for v in lam])[:, None] * z[d:]))
-        got = curve_table(u, w, idx, dirs, lambdas, cap)
+        got = curve_table(u, w, idx, dirs, lambdas)
         np.testing.assert_array_equal(got, want)
         reached = np.count_nonzero(np.isfinite(got), axis=1)
         assert reached.max() > 0
         if not isinstance(u, AnalyticSignal):   # clipped rows and all-NaN rows are mixed in
             assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
+
+    @pytest.mark.parametrize("build", [kernel_signal, propagator_kernel])
+    def test_kernel_curves_stay_inside_the_passband(self, build):
+        # a passband of a quarter of Nyquist, well inside the 80% Nyquist reach
+        passband = 0.25 * math.pi / 0.2
+        K = build(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2, moll_width=passband)
+        assert K.passband == passband
+        rng = np.random.default_rng(3)
+        dirs = rng.standard_normal((60, 4))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        idx, lambdas = AnisoIndex(1.2, 1.2), geometric_lambdas(1.0, 10.0, 12)
+        got = curve_table(K, WindowSpec(1.0), idx, dirs, lambdas)
+        r, c = np.nonzero(np.isfinite(got))
+        assert r.size
+        xi = np.abs(lambdas[c, None] ** idx.s * dirs[r, 2:])
+        assert 0.9 * passband < xi.max() <= passband
 
 
 class TestEstimateWF:
@@ -286,6 +303,24 @@ class TestEstimateWF:
         assert [e.fit.n_valid for e in est.entries] == n_valid.tolist()
         assert [e.fit.rhat for e in est.entries] == rhat.tolist()
 
+    @pytest.mark.parametrize("cone_steps, unreachable", [(0, 186), (1, 182)])
+    def test_unreachable_rows_are_not_regular(self, cone_steps, unreachable):
+        # from lambda = 8 on most curves of a 25.6-wide grid leave it too early;
+        # the cone maximum lends a few edge rows their neighbors' samples
+        est = estimate_wf(make_gaussian(1, 256, 0.1), WindowSpec(1.0), AnisoIndex(1.0, 1.0),
+                          sphere_samples=360, lambda_range=(8.0, 60.0), cone_steps=cone_steps)
+        status = np.array([e.status for e in est.entries])
+        assert np.count_nonzero(status == "unreachable") == unreachable
+        assert set(status) <= {"singular", "regular", "below-floor", "unreachable"}
+        assert all(e.singular == (e.status == "singular") for e in est.entries)
+        for e in est.entries:
+            if e.status == "unreachable":
+                assert e.fit == RateFit(math.inf, 0.0, 0.0, 0)
+            elif e.status == "regular":
+                assert 1.0 < e.fit.rhat < math.inf
+            elif e.status == "below-floor":
+                assert e.fit.rhat == math.inf or e.fit.rhat <= 1.0
+
 
 class TestRefinementSeeds:
     def test_last_bit_noise_keeps_the_seeds(self):
@@ -344,15 +379,15 @@ class TestSphereSampling:
         assert np.max(angles) <= 0.25
 
 
-def make_wf4(directions, idx=AnisoIndex(1.2, 1.2), singular=True):
+def make_wf4(directions, idx=AnisoIndex(1.2, 1.2)):
     entries = [WFEntry(SphereDirection(np.asarray(z) / np.linalg.norm(z)),
-                       RateFit(0.0, 0.0, 0.0, 10), singular) for z in directions]
+                       RateFit(0.0, 0.0, 0.0, 10), "singular") for z in directions]
     return WFEstimate(idx, entries, 1.0)
 
 
 class TestGraphCondition:
     def test_empty_set_passes(self):
-        wf = make_wf4([], singular=True)
+        wf = make_wf4([])
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"] and res["wf2_empty"] and not res["offenders"]
 
@@ -377,7 +412,7 @@ class TestGraphCondition:
         dirs = [[0.01, 1.0, 0.0, -1.0], [1.0, 0.0, 1.0, 0.02], [1.0, 1.0, 1.0, -1.0],
                 [0.0, 1.0, 0.0, 1.0], [1.0, 0.01, 0.5, 0.0]]
         wf = make_wf4(dirs)
-        wf.entries[2] = WFEntry(wf.entries[2].direction, wf.entries[2].fit, False)
+        wf.entries[2] = WFEntry(wf.entries[2].direction, wf.entries[2].fit, "regular")
 
         def reference(eps):
             # per entry: plane 1 {(x, 0, xi, 0)}, then plane 2 {(0, y, 0, -eta)}

@@ -188,10 +188,11 @@ class TestEstimateExport:
     def test_sentinel_rhat_null(self):
         e = WFEstimate(AnisoIndex(1.0, 1.0),
                        [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                                RateFit(math.inf, 0.0, 0.0, 0), False)], 1.0)
+                                RateFit(math.inf, 0.0, 0.0, 0), "unreachable")], 1.0)
         d = wf_estimate_to_dict(e)
         assert d["entries"][0]["rhat"] is None
         assert d["entries"][0]["singular"] is False
+        assert d["entries"][0]["status"] == "unreachable"
         assert dump_json(d)  # serializable
 
     def test_profile_csv(self, tmp_path):
@@ -200,7 +201,7 @@ class TestEstimateExport:
         table[0, 9:] = np.nan
         table[2, 3] = 0.0
         entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                           RateFit(1.0, 0.0, 0.0, 9), False)] * 3
+                           RateFit(1.0, 0.0, 0.0, 9), "regular")] * 3
         est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
         p = tmp_path / "profiles.csv"
         write_profile_csv(p, est)
@@ -224,7 +225,7 @@ class TestEstimateExport:
         split = cand[np.log(cand) != [math.log(c) for c in cand.tolist()]][:400]
         table[20:].flat[:split.size] = split
         entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                           RateFit(1.0, 0.0, 0.0, 9), False)] * 50
+                           RateFit(1.0, 0.0, 0.0, 9), "regular")] * 50
         est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
         rows = [["direction", "lambda", "magnitude", "log_magnitude"]]
         for i, row in enumerate(table.tolist()):
