@@ -28,7 +28,7 @@ from .evolution import EvolutionSpec, predict_transport, propagate, propagator_k
 from .geometry import AnisoIndex, nearest_angles
 from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
                  positive, positive_count, prediction_to_dict, point_set_to_list,
-                 read_signal_csv, text, wf_estimate_to_dict, write_profile_csv,
+                 read_signal_csv, text, wf_estimate_to_dict, whole, write_profile_csv,
                  write_signal_csv, write_stft_csv)
 from .relation import PointSet, compose, sconic_closure_check
 from .signals import (SampledSignal, chirp_signal, delta_signal, gaussian_signal,
@@ -99,7 +99,7 @@ def parse_estimator_opts(cfg, circle: bool = True) -> dict:
     if circle:
         opts["sphere_samples"] = cfg_get(cfg, "sphere_samples", count,
                                          default=estimator.DEFAULT_SPHERE_SAMPLES)
-        opts["cone_steps"] = cfg_get(cfg, "cone_steps", count, default=estimator.DEFAULT_CONE_STEPS)
+        opts["cone_steps"] = cfg_get(cfg, "cone_steps", whole, default=estimator.DEFAULT_CONE_STEPS)
     return opts
 
 

@@ -34,8 +34,8 @@ MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
 # WFEntry.status values, indexed by the verdict codes of _classify
 _STATUS = ("unreachable", "singular", "regular", "below-floor")
-# Curve-table rows per stft_points call for signals evaluated point by point
-_BATCH_ROWS = 64
+# Curve-table points per stft_points call, bounding the closed forms' (points,) temporaries
+_TABLE_CHUNK = 2048
 # cone_constant: a block norm below this counts as vanishing
 _BLOCK_TOL = 1e-9
 
@@ -123,28 +123,28 @@ def fit_rate_arrays(lambdas: np.ndarray, table: np.ndarray, floor: float) -> tup
 
 
 def curve_reach(u, idx: AnisoIndex, z0: np.ndarray) -> float:
-    """Largest lambda keeping the curve of the unit (x, xi) row z0 inside the
-    usable grid region.
+    """_curve_reaches of the one unit (x, xi) row z0."""
+    return float(_curve_reaches(u, idx, np.reshape(z0, (1, -1)))[0])
+
+
+def _curve_reaches(u, idx: AnisoIndex, dirs: np.ndarray) -> np.ndarray:
+    """Largest lambda keeping the curve of each unit (x, xi) row of dirs
+    inside the usable grid region.
 
     Analytic signals have unbounded reach.  Curves stay within REACH_FRAC of
     the position extent and of the Nyquist frequency, and a convolution
     kernel's curves also within its passband.
     """
     if isinstance(u, AnalyticSignal):
-        return math.inf
+        return np.full(len(dirs), math.inf)
     x_lim = REACH_FRAC * u.extent
     xi_lim = REACH_FRAC * math.pi / u.dx
     if isinstance(u, ConvolutionKernel):
         xi_lim = min(xi_lim, u.passband)
-    cap = math.inf
-    d = z0.size // 2
-    mx = float(np.max(np.abs(z0[:d])))
-    mxi = float(np.max(np.abs(z0[d:])))
-    if mx > 0.0:
-        cap = min(cap, (x_lim / mx) ** (1.0 / idx.t))
-    if mxi > 0.0:
-        cap = min(cap, (xi_lim / mxi) ** (1.0 / idx.s))
-    return cap
+    d = dirs.shape[1] // 2
+    with np.errstate(divide="ignore"):   # a zero block leaves its bound at inf
+        return np.minimum((x_lim / np.max(np.abs(dirs[:, :d]), axis=1)) ** (1.0 / idx.t),
+                          (xi_lim / np.max(np.abs(dirs[:, d:]), axis=1)) ** (1.0 / idx.s))
 
 
 def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
@@ -155,24 +155,16 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
     reach; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
     The scale factors are Python float powers: numpy's vectorized power can
     differ in the last bit, which would change the written profiles.
-    Sampled values (a SampledSignal or a kernel's sampled line) go to
-    stft_points one row at a time: a batch pads every window to the longest
-    support and outgrows the cache.  Anything else is evaluated point by
-    point, _BATCH_ROWS rows to a call, which spreads the per-call cost.
+    Reachable points go to stft_points _TABLE_CHUNK at a time, for every signal.
     """
     scales = np.array([(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas])
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
-    reach = np.array([np.count_nonzero(lambdas <= curve_reach(u, idx, z))
-                      for z in dirs], dtype=int)
+    reach = np.count_nonzero(lambdas <= _curve_reaches(u, idx, dirs)[:, None], axis=1)
     reach[reach < _MIN_REACHABLE] = 0
-    sampled = isinstance(u.line if isinstance(u, ConvolutionKernel) else u, SampledSignal)
-    rows = np.flatnonzero(reach)
-    step = 1 if sampled else _BATCH_ROWS
-    for start in range(0, rows.size, step):
-        batch = rows[start:start + step]
-        r, c = np.nonzero(np.arange(lambdas.size) < reach[batch, None])
-        r = batch[r]
+    points = np.flatnonzero(np.arange(lambdas.size) < reach[:, None])
+    for start in range(0, points.size, _TABLE_CHUNK):
+        r, c = np.divmod(points[start:start + _TABLE_CHUNK], lambdas.size)
         table[r, c] = np.abs(stft_points(u, w, scales[c, :1] * dirs[r, :d],
                                          scales[c, 1:] * dirs[r, d:]))
     return table
@@ -214,8 +206,9 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
     dim = u.dim if isinstance(u, (SampledSignal, AnalyticSignal)) else None
     if dim != 1:
         raise DomainError("estimate_wf sweeps d = 1 signals; use estimate_kernel_wf in 4d")
-    if sphere_samples < 90:
-        raise DomainError("need at least 90 sphere samples for a d = 1 sweep")
+    if not 90 <= sphere_samples <= MAX_DIRECTIONS:
+        raise DomainError(f"a d = 1 sweep needs 90 to {MAX_DIRECTIONS} sphere samples, "
+                          f"got {sphere_samples}")
 
     dirs = circle_directions(sphere_samples)
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
@@ -225,11 +218,15 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
 
 
 def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
-    """Running max over +-cone_steps neighboring directions (circular)."""
+    """Running max over +-cone_steps neighboring directions (circular).
+
+    Past half the circle every direction is already in the cone, so larger
+    cone_steps give the same table.
+    """
     if cone_steps <= 0:
         return mags
     out = mags.copy()
-    for k in range(1, cone_steps + 1):
+    for k in range(1, min(cone_steps, len(mags) // 2) + 1):
         for shift in (k, -k):
             out = np.fmax(out, np.roll(mags, shift, axis=0))
     return out
@@ -302,11 +299,13 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     """
     if K.dim != 2:
         raise DomainError("estimate_kernel_wf expects a kernel sampled in dimension 2")
-    dirs = product_sphere4(*sweep)
-    if dirs.size == 0:
+    n_psi, n_a, n_b, n_circle = sweep
+    size = 2 * n_circle + n_psi * n_a * n_b   # product_sphere4 builds this many
+    if size == 0:
         raise DomainError(f"sweep {list(sweep)} yields no direction")
-    if dirs.shape[0] > MAX_DIRECTIONS:
-        raise DomainError(f"sweep of {dirs.shape[0]} directions exceeds budget {MAX_DIRECTIONS}")
+    if size > MAX_DIRECTIONS:
+        raise DomainError(f"sweep of {size} directions exceeds budget {MAX_DIRECTIONS}")
+    dirs = product_sphere4(*sweep)
 
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)

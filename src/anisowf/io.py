@@ -131,6 +131,9 @@ def poly_from_dict(d) -> PolynomialData:
 # Config field kinds: each checks one parsed JSON value and returns it
 # (numbers as float, counts as int) or raises ConfigError.
 
+MAX_COUNT = 2 ** 31 - 1
+
+
 def number(v) -> float:
     """A finite JSON number; bools, strings, NaN and Infinity are rejected."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
@@ -146,12 +149,21 @@ def positive(v) -> float:
     return x
 
 
-def count(v) -> int:
-    """A non-negative integral number: 256.0 passes, 90.9 does not."""
+def whole(v) -> int:
+    """A non-negative integral number of any size: 256.0 passes, 90.9 does not.
+    For fields whose large values all mean the same (cone_steps)."""
     x = number(v)
     if x < 0.0 or x != int(x):
         raise ConfigError("expected a non-negative integer")
     return int(v)
+
+
+def count(v) -> int:
+    """A whole number up to MAX_COUNT, so that no size overflows before a check sees it."""
+    k = whole(v)
+    if k > MAX_COUNT:
+        raise ConfigError(f"expected an integer at most {MAX_COUNT}")
+    return k
 
 
 def positive_count(v) -> int:

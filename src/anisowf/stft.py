@@ -42,10 +42,9 @@ _SUPPORT_RADIUS = 10.0
 # 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
 _OSR = 2.0
 _MAX_QUAD_POINTS = 1 << 23
-# Rows per stft_grid FFT batch and points per chirp short-circuit probe, bounding
-# the (rows, n) and (points, 1025) work arrays.
-_ROW_BLOCK = 512
-_PROBE_BLOCK = 32
+# Elements per work array: _sampled's (points, d, stencil) factors, the chirp
+# probe's (points, 1025) and stft_grid's (rows, n) are built this many at a time.
+_WORK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,12 @@ def _check_reach(u, xs: np.ndarray, xis: np.ndarray):
                               f"Nyquist rate {nyq}")
 
 
+def _blocks(total: int, width: int):
+    """Slices of range(total) whose rows of width elements fill at most _WORK_ELEMENTS."""
+    step = max(1, _WORK_ELEMENTS // width)
+    return [slice(start, start + step) for start in range(0, total, step)]
+
+
 def _modulation(y0: np.ndarray, dx: float, xis: np.ndarray, length: int) -> np.ndarray:
     """exp(-i (y0 + l dx) xi) for l < length, on a trailing axis.
 
@@ -136,11 +141,16 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     coords = u.axis_coords()
     radius = _SUPPORT_RADIUS * w.width
     d = u.dim
+    # One stencil for every window, so a value does not depend on its batch: a
+    # support holds at most 2 radius / dx + 1 nodes, one more covers rounding.
+    length = min(u.n, int(2.0 * radius / u.dx) + 2)
+    blocks = _blocks(len(xs), d * length)
+    if len(blocks) > 1:
+        return np.concatenate([_sampled(u, w, xs[b], xis[b]) for b in blocks])
     lo = np.searchsorted(coords, xs - radius, side="left")
     hi = np.searchsorted(coords, xs + radius, side="right")
     # Separable 1-d factors, window shift times modulation, for every point
     # and axis; padded to one length and zero past each support.
-    length = int(np.max(hi - lo, initial=0))
     span = lo[..., None] + np.arange(length)
     inside = span < hi[..., None]
     span = np.minimum(span, u.n - 1)
@@ -254,8 +264,7 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
     # |phase' - xi| * w >= 12 skip the point.  Its bound exp(-(f w)^2/2) ignores
     # complex stationary points: near x = 0 a skipped |V| can reach ~3e-8.
     keep, need = np.empty(len(xs), dtype=bool), np.empty(len(xs))
-    for start in range(0, len(xs), _PROBE_BLOCK):
-        block = slice(start, start + _PROBE_BLOCK)
+    for block in _blocks(len(xs), 1025):
         companion = np.tile(np.eye(m - 1, k=-1), (len(dcoef[block]), 1, 1))
         companion[:, 0] = -dcoef[block, -2::-1] / dcoef[block, -1:]
         # a row past float64 (|x| astronomically large) is left to the probe
@@ -345,12 +354,10 @@ def stft_grid(u: SampledSignal, w: WindowSpec) -> StftGrid:
     n = u.n
     out = np.empty((n, n), dtype=complex)
     scale = u.dx * _TWO_PI ** (-0.5)
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
+    for block in _blocks(n, n):
         # rows: signal times the conjugated window translated to x_j
-        offs = coords[None, :] - coords[start:stop, None]
-        rows = u.values[None, :] * w.values_1d(offs)
-        out[start:stop] = np.fft.fftshift(
+        rows = u.values[None, :] * w.values_1d(coords[None, :] - coords[block, None])
+        out[block] = np.fft.fftshift(
             np.fft.fft(np.fft.ifftshift(rows, axes=1), axis=1), axes=1) * scale
     return StftGrid(u.dx, u.dxi, out)
 

@@ -204,6 +204,16 @@ class TestWfCommand:
         for name in ("wf_estimate.json", "profiles.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_cone_steps_past_the_count_ceiling(self, tmp_path):
+        # any cone wider than half the circle is the whole circle; 1e300 used to hang
+        cfg = fuzz_fixture("wf", tmp_path)   # 90 directions
+        entries = {}
+        for steps in (44, 45, 500, 1e300):
+            code, outdir = run_cli(tmp_path, "wf", dict(cfg, cone_steps=steps), outname=str(steps))
+            assert code == 0
+            entries[steps] = json.loads((outdir / "wf_estimate.json").read_text())["entries"]
+        assert entries[500] == entries[1e300] == entries[45] != entries[44]
+
 
 class TestFileSignal:
     def test_wf_from_signal_file(self, tmp_path):
@@ -470,6 +480,31 @@ class TestConfigFuzz:
                 err = capsys.readouterr().err
                 assert code == 2, (command, field, value)
                 assert field in err and "Traceback" not in err, err
+
+    # (command, field path, the name the error gives it): a list item is named
+    # by its list, a polynomial's field by the polynomial first
+    @pytest.mark.parametrize("command, path, named", [
+        ("wf", "sphere_samples", "sphere_samples"),
+        ("chirp-verify", "sphere_samples", "sphere_samples"),
+        ("propagate-verify", "sphere_samples", "sphere_samples"),
+        ("wf", "lambda.n", "lambda.n"), ("chirp-verify", "lambda.n", "lambda.n"),
+        ("kernel-check", "lambda.n", "lambda.n"), ("kernel-check", "sweep.0", "sweep"),
+        ("kernel-check", "sweep.3", "sweep"), ("kernel-check", "n", "n"),
+        ("stft", "signal.n", "signal.n"), ("propagate-verify", "signal.n", "signal.n"),
+        ("seminorm", "signal.n", "signal.n"), ("stft", "signal.d", "signal.d"),
+        ("seminorm", "max_order", "max_order"), ("chirp-verify", "phase.dim", "phase"),
+        ("chirp-verify", "phase.coeffs.0.alpha.0", "phase")])
+    def test_huge_counts_exit_2(self, tmp_path, capsys, command, path, named):
+        # 1e300 used to overflow an allocation or an int conversion with a raw traceback
+        cfg = copy.deepcopy(fuzz_fixture(command, tmp_path))
+        *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+        functools.reduce(lambda node, k: node[k], parents, cfg)[key] = 1e300
+        code, outdir = run_cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err and f"{named}: invalid value" in err, err
+        assert "at most 2147483647" in err, err
+        assert not any(files for _, _, files in os.walk(outdir))
 
     def test_kernel_grid_size_zero_exits_like_a_bad_size(self, tmp_path, capsys):
         # n = 0 used to reach a division by zero; like n = 1000 it is a domain error

@@ -10,8 +10,8 @@ from anisowf.poly import poly_1d
 from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
 from anisowf.signals import (AnalyticSignal, chirp_signal, delta_signal, make_gaussian,
                              one_signal, tensor_signal)
-from anisowf.stft import WindowSpec, stft_points
-from anisowf.estimator import (RateFit, WFEntry, WFEstimate, _MIN_REACHABLE,
+from anisowf.stft import REACH_FRAC, WindowSpec, stft_points
+from anisowf.estimator import (MAX_DIRECTIONS, RateFit, WFEntry, WFEstimate, _MIN_REACHABLE,
                                _refinement_seeds, check_graph_condition, circle_directions,
                                cone_constant, curve_reach, curve_table, estimate_wf,
                                fibonacci_cap, fit_rate_arrays,
@@ -201,11 +201,45 @@ class TestCurveTable:
         assert 0.9 * passband < xi.max() <= passband
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_gaussian(1, 256, 0.1),
+        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
+                              moll_width=0.6 * math.pi / 0.2),
+        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
+                                  moll_width=0.25 * math.pi / 0.2)])
+    def test_reach_from_the_grid_bounds(self, make):
+        # an oracle that shares no code with curve_reach: each curve point is
+        # checked against the extent, Nyquist and passband bounds themselves
+        u = make()
+        d = u.dim
+        rng = np.random.default_rng(8)
+        dirs = rng.standard_normal((200, 2 * d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        idx, lambdas = AnisoIndex(1.2, 0.9), geometric_lambdas(2.0, 40.0, 16)
+        x_lim = REACH_FRAC * u.extent
+        xi_lim = min(REACH_FRAC * math.pi / u.dx, getattr(u, "passband", math.inf))
+
+        def inside(z, lam):
+            return (np.all(np.abs(float(lam) ** idx.t * z[:d]) <= x_lim)
+                    and np.all(np.abs(float(lam) ** idx.s * z[d:]) <= xi_lim))
+
+        finite = np.isfinite(curve_table(u, WindowSpec(1.0), idx, dirs, lambdas))
+        reached = np.count_nonzero(finite, axis=1)
+        for z, row, n in zip(dirs, finite, reached):
+            assert np.array_equal(row, np.arange(lambdas.size) < n)   # a prefix of lambdas
+            assert n == 0 or n >= _MIN_REACHABLE
+            assert all(inside(z, lam) for lam in lambdas[:n])
+            if n < lambdas.size:   # clipped, or unreachable before _MIN_REACHABLE samples
+                assert not inside(z, lambdas[n or _MIN_REACHABLE - 1])
+        assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
+
+
 class TestEstimateWF:
     def test_needs_enough_directions(self):
         u = one_signal(1)
-        with pytest.raises(DomainError):
-            estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0), sphere_samples=45)
+        for samples in (45, MAX_DIRECTIONS + 1):
+            with pytest.raises(DomainError):
+                estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.0, 1.0), sphere_samples=samples)
 
     def test_constant_one_singular_on_x_axis(self):
         est = estimate_wf(one_signal(1), WindowSpec(1.0), AnisoIndex(1.0, 1.0),
@@ -356,6 +390,16 @@ class TestKernelEstimate:
                                  sweep=(4, 12, 12, 24), lambda_range=(2.0, 6.0),
                                  floor=1e-11, refine=8, seed=0)
         assert est.singular_directions().shape == (0, 4)
+
+    def test_sweep_is_counted_before_it_is_built(self):
+        from anisowf.estimator import estimate_kernel_wf
+        for sweep in ((8, 24, 24, 64), (3, 5, 7, 0), (0, 4, 4, 9)):
+            assert len(product_sphere4(*sweep)) == 2 * sweep[3] + sweep[0] * sweep[1] * sweep[2]
+        # 2^93 directions: rejected before any of them is made
+        with pytest.raises(DomainError, match="exceeds budget"):
+            estimate_kernel_wf(propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3),
+                                                 32, 0.5, moll_width=2.0),
+                               WindowSpec(1.0), AnisoIndex(1.2, 1.2), sweep=(2 ** 31 - 1,) * 4)
 
     def test_kernel_dimension_guard(self):
         from anisowf.estimator import estimate_kernel_wf

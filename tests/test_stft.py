@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError, ResolutionError, TruncationError
+from anisowf.evolution import EvolutionSpec, kernel_signal
 from anisowf.geometry import AnisoIndex, PhasePoint
 from anisowf.poly import poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
-from anisowf.stft import (WindowSpec, _chirp_quadrature, classical_seminorm, istft,
-                          moyal_error, stft_grid, stft_point, stft_points, stft_seminorm)
+from anisowf.stft import (_WORK_ELEMENTS, WindowSpec, _chirp_quadrature, classical_seminorm,
+                          istft, moyal_error, stft_grid, stft_point, stft_points, stft_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,6 +207,47 @@ def dense_chirp_oracle(coeffs, x, xi, half=12.0, npts=(1 << 20) + 1):
     theta = sum(c * y ** j for j, c in enumerate(coeffs)) - y * xi
     vals = np.exp(1j * theta) * math.pi ** -0.25 * np.exp(-(y - x) ** 2 / 2.0)
     return np.trapezoid(vals, dx=y[1] - y[0]) / math.sqrt(TWO_PI)
+
+
+class TestBatchInvariance:
+    """A point's value does not depend on the batch it comes in: one call on
+    many points equals one call per point, bit for bit."""
+
+    @staticmethod
+    def check(u, w, xs, xis):
+        got = stft_points(u, w, xs, xis)
+        alone = np.concatenate([stft_points(u, w, xs[k:k + 1], xis[k:k + 1])
+                                for k in range(len(xs))])
+        np.testing.assert_array_equal(got, alone)
+
+    @staticmethod
+    def points(rng, count, x_max, xi_max, d):
+        return rng.uniform(-x_max, x_max, (count, d)), rng.uniform(-xi_max, xi_max, (count, d))
+
+    @pytest.mark.parametrize("d, n, dx", [(1, 256, 0.05), (2, 64, 0.2)])
+    def test_sampled(self, d, n, dx):
+        u = rough_signal(np.random.default_rng(11 + d), d, n, dx)
+        w = WindowSpec(0.3)
+        # |x| up to the 80% reach, 5.12: windows of radius 3 there are clipped
+        xs, xis = self.points(np.random.default_rng(d), 600, 5.1, 0.8 * math.pi / dx, d)
+        assert len(xs) * d * (20.0 * w.width / dx) > 2 * _WORK_ELEMENTS   # several chunks
+        assert np.any(np.abs(xs) + 10.0 * w.width > u.extent)
+        self.check(u, w, xs, xis)
+
+    def test_kernel_with_sampled_line(self):
+        K = kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
+                          moll_width=0.6 * math.pi / 0.2)
+        # the line's window is sqrt(2) wide, 141 nodes of spacing 0.2 each side
+        xs, xis = self.points(np.random.default_rng(4), 400, 10.0, 7.0, 2)
+        assert len(xs) * 20.0 * math.sqrt(2.0) / 0.2 > 2 * _WORK_ELEMENTS
+        assert np.any(np.abs(xs[:, 0] - xs[:, 1]) + 10.0 * math.sqrt(2.0) > K.line.extent)
+        self.check(K, WindowSpec(1.0), xs, xis)
+
+    def test_cubic_chirp(self):
+        # more points than one (points, 1025) probe chunk
+        xs, xis = self.points(np.random.default_rng(9), 40, 3.0, 20.0, 1)
+        assert len(xs) * 1025 > _WORK_ELEMENTS
+        self.check(chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)), WindowSpec(1.0), xs, xis)
 
 
 class TestChirpQuadrature:
