@@ -29,7 +29,13 @@ def dump_json(obj) -> str:
 
 def _encode(obj) -> str:
     """JSON text of obj; each container is joined as soon as its members are
-    encoded, so a large report never holds one string per token."""
+    encoded, so a large report never holds one string per token.  The
+    common kinds are tested first, and a float vector is formatted in one
+    pass rather than one call per float."""
+    if isinstance(obj, (float, np.floating)):
+        return _float(float(obj))
+    if isinstance(obj, str):
+        return _string(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -38,18 +44,23 @@ def _encode(obj) -> str:
         return "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return "null" if math.isnan(x) or math.isinf(x) else format(x, ".17g")
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, dict):
-        return "{" + ",".join(_encode(str(k)) + ":" + _encode(v)
+        return "{" + ",".join(_string(str(k)) + ":" + _encode(v)
                               for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ",".join(_encode(v) for v in seq) + "]"
+        if all(isinstance(v, float) for v in seq):
+            return "[" + ",".join(map(_float, seq)) + "]"
+        return "[" + ",".join(map(_encode, seq)) + "]"
     raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def _string(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 _BLOCK_ROWS = 1024

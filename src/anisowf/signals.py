@@ -179,6 +179,17 @@ def gaussian_values(x: np.ndarray, width: float) -> np.ndarray:
     return math.pi ** (-d / 4.0) * width ** (-d / 2.0) * np.exp(-r2 / (2.0 * width ** 2))
 
 
+def _grid(d: int, n: int, dx: float) -> np.ndarray:
+    """Node coordinates of the centred n^d grid, shape (n,) * d + (d,).
+
+    Its size is checked against numpy's array limits (64 axes, the grid
+    having d + 1, and bytes addressable by intp) before anything is built.
+    """
+    if d + 1 > 64 or max(16, 8 * d) * n ** d > np.iinfo(np.intp).max:
+        raise DomainError(f"a grid of {n}^{d} samples exceeds numpy's array limits")
+    return SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
+
+
 def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSignal:
     """Unit-L2 Gaussian of the given width, sampled on the centered grid."""
     if not width > 0.0:
@@ -190,7 +201,7 @@ def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSigna
         raise ResolutionError(
             f"grid half-width {half} truncates {1.0 - inside:.2e} of the Gaussian mass"
         )
-    grid = SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
+    grid = _grid(d, n, dx)
     return SampledSignal(dx, gaussian_values(grid, width).astype(complex))
 
 
@@ -207,8 +218,7 @@ def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float =
         raise DomainError("envelope width must be positive")
     if not 0.0 < guard_level < 1.0:
         raise DomainError("guard level must sit in (0, 1)")
-    d = phase.dim
-    grid = SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
+    grid = _grid(phase.dim, n, dx)
     r2 = np.sum(grid ** 2, axis=-1)
     live = r2 <= 2.0 * envelope_width ** 2 * math.log(1.0 / guard_level)
     grads = eval_grad(phase, grid)

@@ -41,10 +41,25 @@ _SUPPORT_RADIUS = 10.0
 # entire, Gaussian-decaying integrand's Fourier transform at the multiples of
 # 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
 _OSR = 2.0
-_MAX_QUAD_POINTS = 1 << 23
 # Elements per work array: _sampled's (points, d, stencil) factors, the chirp
-# probe's (points, 1025) and stft_grid's (rows, n) are built this many at a time.
+# paths' (points, saddles, 2) and trapezoid's (points, nodes) and stft_grid's
+# (rows, n) are built this many at a time.
 _WORK_ELEMENTS = 1 << 14
+# Gauss-Hermite nodes per steepest-descent path: with _SADDLE_GAP below the
+# rule reaches round-off (6e-14 absolute against a dense trapezoid on x^3).
+_NSD_ORDER = 32
+_GH_P, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_NSD_ORDER)
+_GH_U, _GH_W = _GH_P[_NSD_ORDER // 2:], _GH_WEIGHTS[_NSD_ORDER // 2:]
+# A saddle within this distance in g of another puts a branch point of h(p)
+# at |p| <= gap^(1/2) among the nodes; the error measured on x^3 falls like
+# exp(-2 gap), below 1e-17 here, and closer pairs go to the trapezoid.
+_SADDLE_GAP = 20.0
+# Newton corrections per continuation step; a step that has not converged is retried shorter.
+_NEWTON_STEPS = 3
+# Step growth after a converged continuation step.
+_STEP_GROWTH = 2.0
+# exp(g(s)) below the smallest normal float64: the saddle adds nothing.
+_UNDERFLOW = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -247,10 +262,188 @@ def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: co
     return _TWO_PI ** (-d / 2.0) * integral
 
 
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c[..., k] z^k, coefficients ascending on the last axis of c."""
+    out = c[..., -1]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = out * z + c[..., k]
+    return out
+
+
+def _taylor_shift(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of f(s + d) in d from those of f, for every s."""
+    c = np.broadcast_to(c, s.shape + c.shape[-1:]).copy()
+    n = c.shape[-1] - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[..., j] += s * c[..., j + 1]
+    return c
+
+
+def _newton(c: np.ndarray, d: np.ndarray, u2: np.ndarray):
+    """_NEWTON_STEPS Newton corrections for G(d) = sum_k c[..., k] d^(k+1) = -u2, from d.
+
+    Returns the result, G' there, the first correction and the residual
+    relative to the size of G's terms.
+    """
+    dc = c * np.arange(1, c.shape[-1] + 1)
+    first = None
+    for _ in range(_NEWTON_STEPS):
+        step = (_horner(c, d) * d + u2) / _horner(dc, d)
+        d = d - step
+        first = np.abs(step) if first is None else first
+    size = _horner(np.abs(c), np.abs(d)) * np.abs(d) + u2
+    return d, _horner(dc, d), first, np.abs(_horner(c, d) * d + u2) / size
+
+
+def _trace(c, d, slope, u, bad, target, step):
+    """Advance descent paths d(u), G(d) = -u^2, from u to target, in place; one row per path.
+
+    Each step predicts d from the local power law d ~ u^(u d'/d) (exact at a
+    saddle, where d ~ u, and far out, where d ~ u^(2/m)) and corrects it by
+    Newton.  A step is taken when Newton converges and its first correction
+    stays well below the predicted move, so that it cannot land on another
+    branch of the level set; otherwise it is quartered.  A path whose step
+    vanishes is marked bad.
+    """
+    active = np.flatnonzero((u < target) & ~bad)
+    while active.size:
+        u0, d0 = u[active], d[active]
+        u1 = np.minimum(u0 + step[active], target[active])
+        guess = d0 * np.exp(np.log(u1 / u0) * u0 * slope[active] / d0)
+        root, deriv, first, residual = _newton(c[active], guess, u1 * u1)
+        good = (first <= 0.3 * np.abs(guess - d0)) & (residual < 1e-10)
+        took, failed = active[good], active[~good]
+        d[took], u[took] = root[good], u1[good]
+        slope[took] = -2.0 * u1[good] / deriv[good]
+        step[took] *= _STEP_GROWTH
+        step[failed] /= 4.0
+        bad[failed] |= step[failed] < 1e-6 * u[failed]
+        active = active[(u[active] < target[active]) & ~bad[active]]
+
+
+def _steepest_descent(taylor: np.ndarray, width: float):
+    """int exp(g(h)) dh over the real line by numerical steepest descent.
+
+    g(h) = i sum_{j>=1} taylor[:, j] h^j - h^2 / (2 width^2), one row per
+    point.  The line is deformed into the chain of steepest-descent paths
+    through the saddles of g, the roots of g'.  On the path from a saddle s,
+    g(s + d) = g(s) - p^2, so its integral is exp(g(s)) times the integral
+    of h'(p) = -2p / g'(s + d) against exp(-p^2): a Gauss-Hermite sum, its
+    nodes found by Newton continuation in p of the Taylor expansion of g at
+    s (no round-off from the size of g far from the origin).  Each path is
+    followed until the leading term b_m h^m of g dominates, where it stays
+    in one valley of that term: with R = 3 max_j |b_j/b_m|^(1/(m-j)) the
+    lower terms are below half the leading one outside |h| = R, and
+    Re g < -3/2 |b_m| R^m there keeps the path out of the disk and off the
+    hills between valleys.  Every path links two valleys and the m - 1 links
+    form a tree, so the real line, from the valley at angle pi to the one at
+    angle 0, is the one signed chain found by a least-squares solve on the
+    links' incidence matrix.  Links whose path was lost are left out; the
+    chain must not need one.
+
+    Returns the integrals and a mask of the points to integrate otherwise:
+    no chain, or a used saddle whose factor exp(g(s)) does not underflow
+    and that lies within _SADDLE_GAP of another.
+    """
+    P, m = taylor.shape[0], taylor.shape[1] - 1
+    b = 1j * taylor
+    b[:, 0] = 0.0
+    b[:, 2] -= 0.5 / width ** 2
+    dg = b[:, 1:] * np.arange(1, m + 1)
+    companion = np.tile(np.eye(m - 1, k=-1, dtype=complex), (P, 1, 1))
+    companion[:, 0] = -dg[:, -2::-1] / dg[:, -1:]
+    s = np.linalg.eigvals(companion)                       # (P, m - 1) saddles
+    d2g = dg[:, None, 1:] * np.arange(1, m)
+    for _ in range(2):
+        s = s - _horner(dg[:, None], s) / _horner(d2g, s)
+    c = _taylor_shift(b[:, None], s)                       # g(s + d) = sum_k c_k d^k
+    gs = c[..., 0]
+    # A saddle that matters and has a near neighbour is not followed: if the
+    # chain needs it, there is no chain without it and the point falls back.
+    gap = np.abs(gs[:, :, None] - gs[:, None, :]) + np.where(np.eye(m - 1) > 0, np.inf, 0.0)
+    near = (np.min(gap, axis=2, initial=np.inf) < _SADDLE_GAP) & (gs.real > _UNDERFLOW)
+    # one row per half path: p > 0, then p < 0, for every saddle
+    coef = np.repeat(c[..., 1:].reshape(-1, m), 2, axis=0)
+    u = np.full(len(coef), _GH_U[0])
+    bad = np.repeat(near.ravel(), 2)
+    d = np.zeros(len(coef), dtype=complex)
+    d[~bad] = np.sqrt(-1.0 / coef[~bad, 1]) * u[~bad]
+    d[1::2] *= -1.0
+    slope = np.zeros(len(coef), dtype=complex)
+    d[~bad], deriv, _, _ = _newton(coef[~bad], d[~bad], u[~bad] ** 2)
+    slope[~bad] = -2.0 * u[~bad] / deriv
+    total = np.zeros(s.shape, dtype=complex)
+    for k, uk in enumerate(_GH_U):
+        _trace(coef, d, slope, u, bad, np.full(len(u), uk), uk - u)
+        # h'(p) = +-slope at p = +-uk
+        half = slope.reshape(s.shape + (2,))
+        total += _GH_W[k] * (half[..., 0] - half[..., 1])
+    bm = b[:, m:]
+    j = np.arange(1, m)
+    reach = 3.0 * np.max(np.abs(b[:, 1:m] / bm) ** (1.0 / (m - j)), axis=1, keepdims=True)
+    deep = gs.real + 1.5 * np.abs(bm) * reach ** m
+    target = np.repeat(np.sqrt(np.maximum(deep, 0.0) + 1.0).ravel(), 2)
+    _trace(coef, d, slope, u, bad, np.maximum(target, u), u.copy())
+    d, bad = d.reshape(s.shape + (2,)), bad.reshape(s.shape + (2,))
+
+    def valley(theta):
+        return np.round((m * theta + np.angle(bm[..., None]) - np.pi) / _TWO_PI).astype(int) % m
+
+    ends = valley(np.angle(s[..., None] + d))              # (P, m - 1, 2): p -> +inf, -inf
+    left, right = valley(np.full((P, 1, 1), np.pi)), valley(np.zeros((P, 1, 1)))
+    lost = bad.any(axis=-1) | (ends[..., 0] == ends[..., 1])
+    nodes = np.arange(m)
+    incidence = (ends[..., :1] == nodes).astype(float) - (ends[..., 1:] == nodes)
+    incidence[lost] = 0.0
+    line = (right[:, 0] == nodes).astype(float) - (left[:, 0] == nodes)
+    gram = incidence @ incidence.transpose(0, 2, 1) + lost[..., None] * np.eye(m - 1)
+    forest = np.linalg.det(gram) > 0.5
+    n = np.zeros(s.shape)
+    n[forest] = np.linalg.solve(gram[forest], incidence[forest] @ line[forest, :, None])[..., 0]
+    n = np.round(n)
+    chain = forest & np.all(np.einsum("pe,pev->pv", n, incidence) == line, axis=1)
+    used = n != 0
+    fallback = ~chain | np.any(used & ~np.isfinite(total), axis=1)
+    used &= ~fallback[:, None]
+    terms = np.zeros(s.shape, dtype=complex)
+    terms[used] = n[used] * np.exp(gs[used]) * total[used]
+    return terms.sum(axis=1), fallback
+
+
+def _trapezoid(taylor: np.ndarray, w: WindowSpec) -> np.ndarray:
+    """Centred trapezoid of exp(i sum_j taylor[:, j] h^j) times the window over its support.
+
+    Nodes per point: _OSR per period of the fastest local frequency, bounded
+    by sum_j j |taylor_j| r^(j-1) on |h| <= r, rounded up to a multiple of 256
+    so that points of one count share their blocks.  The window is e^-50 at
+    the ends, so the end corrections are below round-off and a plain sum
+    remains.
+    """
+    radius = _SUPPORT_RADIUS * w.width
+    m = taylor.shape[1] - 1
+    fmax = np.abs(taylor[:, 1:]) @ (np.arange(1, m + 1) * radius ** np.arange(m))
+    need = np.maximum(2048.0, 2.0 * radius * fmax * _OSR / _TWO_PI)
+    counts = 256 * np.ceil(need / 256.0).astype(np.int64) + 1
+    out = np.zeros(len(taylor), dtype=complex)
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        h = np.linspace(-radius, radius, count)
+        window = np.exp(-h * h / (2.0 * w.width ** 2))
+        for block in _blocks(len(rows), count):
+            r = rows[block]
+            for span in _blocks(count, len(r)):
+                # real cosine and sine sums cost half a complex exponential
+                theta = h[span] * npoly.polyval(h[span], taylor[r, 1:].T)
+                out[r] += (np.sum(np.cos(theta) * window[span], axis=1)
+                           + 1j * np.sum(np.sin(theta) * window[span], axis=1))
+        out[rows] *= h[1] - h[0]
+    return w.amplitude(1) * out
+
+
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
                       xis: np.ndarray) -> np.ndarray:
-    """Oscillatory quadrature for 1-d polynomial phases of degree >= 3."""
-    radius = _SUPPORT_RADIUS * w.width
+    """STFT of exp(i phase) for 1-d polynomial phases: steepest descent, trapezoid near coalescing saddles."""
     c = coeff_array(phase)
     m = len(c) - 1
     # Phase centred on each window, so its size at large x adds no round-off:
@@ -259,34 +452,16 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
     taylor = np.stack([npoly.polyval(xs, npoly.polyder(c, j)) / math.factorial(j)
                        for j in range(m + 1)], axis=1)
     taylor[:, 1] -= xis
-    dcoef = taylor[:, 1:] * np.arange(1, m + 1)  # phase' - xi in ascending powers of h
-    # Nonstationary short-circuit: no real stationary point near the support and
-    # |phase' - xi| * w >= 12 skip the point.  Its bound exp(-(f w)^2/2) ignores
-    # complex stationary points: near x = 0 a skipped |V| can reach ~3e-8.
-    keep, need = np.empty(len(xs), dtype=bool), np.empty(len(xs))
-    for block in _blocks(len(xs), 1025):
-        companion = np.tile(np.eye(m - 1, k=-1), (len(dcoef[block]), 1, 1))
-        companion[:, 0] = -dcoef[block, -2::-1] / dcoef[block, -1:]
-        # a row past float64 (|x| astronomically large) is left to the probe
-        finite = np.all(np.isfinite(companion), axis=(1, 2))
-        roots = np.linalg.eigvals(np.where(finite[:, None, None], companion, 0.0))
-        near = finite & np.any((np.abs(roots.imag) < 1e-9) &
-                               (np.abs(roots.real) < radius + 2.0 * w.width), axis=1)
-        fprobe = np.abs(npoly.polyval(np.linspace(-radius, radius, 1025), dcoef[block].T))
-        keep[block] = near | (np.min(fprobe, axis=1) * w.width < 12.0)
-        fmax = np.max(fprobe, axis=1) * 1.2 + 1.0
-        need[block] = np.maximum(2049.0, 2.0 * radius * fmax * _OSR / _TWO_PI)
-    if not np.all(need[keep] <= _MAX_QUAD_POINTS):
-        raise ResolutionError(f"chirp quadrature would need {np.max(need[keep]):.3g} points")
-    out = np.zeros(len(xs), dtype=complex)
-    for k in np.flatnonzero(keep):
-        h = np.linspace(-radius, radius, int(need[k]))
-        integrand = np.exp(1j * h * npoly.polyval(h, taylor[k, 1:])) * w.values_1d(h, 1)
-        shift = np.exp(1j * (taylor[k, 0] - xs[k] * xis[k]))
-        out[k] = _TWO_PI ** (-0.5) * shift * np.trapezoid(integrand, dx=h[1] - h[0])
-        # up to _MAX_QUAD_POINTS nodes: free them before the next point allocates its own
-        del h, integrand
-    return out
+    if not np.all(np.isfinite(taylor)):
+        raise DomainError(f"chirp phase overflows float64 at window centre "
+                          f"{xs[~np.all(np.isfinite(taylor), axis=1)][0]}")
+    out = np.empty(len(xs), dtype=complex)
+    fallback = np.empty(len(xs), dtype=bool)
+    for block in _blocks(len(xs), 2 * (m - 1) * (m + 1)):
+        integral, fallback[block] = _steepest_descent(taylor[block], w.width)
+        out[block] = w.amplitude(1) * integral
+    out[fallback] = _trapezoid(taylor[fallback], w)
+    return _TWO_PI ** (-0.5) * np.exp(1j * (taylor[:, 0] - xs * xis)) * out
 
 
 def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:

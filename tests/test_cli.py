@@ -159,6 +159,21 @@ class TestStftCommand:
         assert code == 2
         assert err.startswith("config error: ") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("signal", [
+        {"kind": "gaussian", "n": 16, "dx": 2.0, "d": 40},
+        {"kind": "gaussian", "n": 16, "dx": 2.0, "d": 100},
+        {"kind": "chirp", "n": 16, "dx": 2.0,
+         "phase": {"dim": 40, "coeffs": [{"alpha": [2] + [0] * 39, "c": 1.0}]}},
+    ])
+    def test_grid_beyond_numpy_limits_exit_1(self, tmp_path, capsys, signal):
+        # 16^40 samples overflow numpy's byte count and 101 axes its dimension
+        # limit; both are refused before any array is built
+        code, outdir = run_cli(tmp_path, "stft", {"signal": signal})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: a grid of 16^") and "Traceback" not in err, err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}
         code, outdir = run_cli(tmp_path, "stft", cfg)

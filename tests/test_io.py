@@ -52,6 +52,18 @@ class TestDumpJson:
         payload = {"x": 1.0 / 3.0, "list": [math.pi] * 3}
         assert dump_json(payload) == dump_json(payload)
 
+    def test_float_vectors_encode_like_their_elements(self):
+        # a list or array of floats is formatted in one pass; mixed lists,
+        # float32 members and nested arrays go element by element, to the same text
+        vals = [0.1, -1.0, math.nan, np.float64(1.0 / 3.0), -math.inf, 2.5e-300]
+        one_by_one = "[" + ",".join(dump_json(v) for v in vals) + "]"
+        assert dump_json(vals) == one_by_one
+        assert dump_json(tuple(vals)) == one_by_one
+        assert dump_json(np.array(vals)) == one_by_one
+        assert dump_json([0.5, 1, True, np.float32(0.25)]) == "[0.5,1,true,0.25]"
+        assert dump_json(np.array([[1.0, 0.5], [math.nan, 2.0]])) == "[[1,0.5],[null,2]]"
+        assert dump_json([]) == "[]"
+
 
 class TestSignalCsv:
     def test_round_trip_1d(self, tmp_path):

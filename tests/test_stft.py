@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anisowf import stft as stft_module
 from anisowf.errors import DomainError, ResolutionError, TruncationError
 from anisowf.evolution import EvolutionSpec, kernel_signal
 from anisowf.geometry import AnisoIndex, PhasePoint
@@ -200,13 +201,27 @@ class TestPointsBatch:
             np.testing.assert_array_equal(got, want)
 
 
-def dense_chirp_oracle(coeffs, x, xi, half=12.0, npts=(1 << 20) + 1):
-    """Independent oracle for the unit-width window: a dense trapezoid over
-    [x - half, x + half] with the phase sum c_j y^j - y xi left un-centred."""
-    y = np.linspace(x - half, x + half, npts)
-    theta = sum(c * y ** j for j, c in enumerate(coeffs)) - y * xi
-    vals = np.exp(1j * theta) * math.pi ** -0.25 * np.exp(-(y - x) ** 2 / 2.0)
-    return np.trapezoid(vals, dx=y[1] - y[0]) / math.sqrt(TWO_PI)
+def dense_chirp_oracle(coeffs, x, xi, width=1.0, unit_norm=True, half=12.0,
+                       npts=(1 << 20) + 1):
+    """Independent oracle: a dense trapezoid over [x - half width, x + half width]
+    with the phase sum c_j y^j - y xi left un-centred.
+
+    The phase is summed in long double and reduced mod 2 pi before the
+    exponential: in double, its round-off at |y|^m ~ 1e4 alone is ~1e-9 of a
+    |V| of 1e-8.
+    """
+    ld = np.longdouble
+    y = np.linspace(ld(x) - ld(half * width), ld(x) + ld(half * width), npts)
+    theta = np.zeros_like(y)
+    for c in coeffs[:0:-1]:
+        theta = (theta + ld(c)) * y
+    theta += ld(coeffs[0]) - y * ld(xi)
+    two_pi = 2 * np.arccos(ld(-1.0))
+    theta = (theta - two_pi * np.round(theta / two_pi)).astype(float)
+    h = (y - ld(x)).astype(float)
+    amp = math.pi ** -0.25 * width ** -0.5 if unit_norm else 1.0
+    vals = amp * np.exp(1j * theta - h * h / (2.0 * width ** 2))
+    return np.trapezoid(vals, dx=h[1] - h[0]) / math.sqrt(TWO_PI)
 
 
 class TestBatchInvariance:
@@ -244,10 +259,29 @@ class TestBatchInvariance:
         self.check(K, WindowSpec(1.0), xs, xis)
 
     def test_cubic_chirp(self):
-        # more points than one (points, 1025) probe chunk
         xs, xis = self.points(np.random.default_rng(9), 40, 3.0, 20.0, 1)
-        assert len(xs) * 1025 > _WORK_ELEMENTS
         self.check(chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)), WindowSpec(1.0), xs, xis)
+
+    def test_cubic_chirp_mixes_steepest_descent_and_trapezoid(self, monkeypatch):
+        # near the origin saddles of x^3 - xi x coalesce and points fall back to
+        # the trapezoid, several of its (points, nodes) blocks; far out they do not
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 40), rng.uniform(30.0, 60.0, 20)])
+        xi = np.concatenate([rng.uniform(-20.0, 20.0, 40),
+                             3.0 * x[40:] ** 2 + rng.uniform(-50.0, 50.0, 20)])
+        rows = []
+        trapezoid = stft_module._trapezoid
+
+        def recording(taylor, w):
+            rows.append(len(taylor))
+            return trapezoid(taylor, w)
+
+        monkeypatch.setattr(stft_module, "_trapezoid", recording)
+        self.check(chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)), WindowSpec(1.0),
+                   x[:, None], xi[:, None])
+        # the batch call comes first: some of its points, not all, fall back
+        assert 0 < rows[0] < len(x)
+        assert rows[0] * 2049 > 2 * _WORK_ELEMENTS
 
 
 class TestChirpQuadrature:
@@ -277,42 +311,99 @@ class TestChirpQuadrature:
         want = stft_points(chirp_signal(phase), w, x[:, None], xi[:, None])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
-    def test_short_circuited_points_are_negligible(self):
-        # no stationary point within 12 units of the centre and |3 y^2 - xi| >= 12
+    def test_no_point_is_skipped(self):
+        # no stationary point within 12 units of the centre and |3 y^2 - xi| >= 12:
+        # the values are tiny but computed, and agree to the oracle's round-off floor
         x = np.array([-40.0, -40.0, 0.0, 3.0, 10.0, 20.0, 20.0, 40.0, 40.0, 55.0, 55.0, 1.0])
         xi = np.array([-50.0, 3.0 * 55.0 ** 2, -30.0, 3.0 * 16.0 ** 2, -20.0, 3.0 * 33.0 ** 2,
                        -400.0, 3.0 * 25.0 ** 2, 3.0 * 55.0 ** 2, -100.0, 3.0 * 70.0 ** 2, 3.0])
         got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), x, xi)
-        skipped = got == 0.0
-        assert skipped[:-1].all() and not skipped[-1]
-        for k in np.flatnonzero(skipped):
-            assert abs(dense_chirp_oracle(self.CUBE, x[k], xi[k])) < 1e-12
+        want = np.array([dense_chirp_oracle(self.CUBE, a, b) for a, b in zip(x, xi)])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got[-1], want[-1], rtol=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="the short-circuit bound ignores the complex "
-                       "stationary points of x^3 - xi x near the origin")
     def test_short_circuit_near_origin(self):
-        # |3 y^2 + 13| >= 13 on the support, so the point is skipped, but the
-        # saddles at y = +-i (13/3)^(1/2) leave |V| ~ 2e-8
+        # |3 y^2 + 13| >= 13 on the support, yet the saddles at
+        # y = +-i (13/3)^(1/2) leave |V| ~ 2e-8
         got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), np.array([0.0]),
                                 np.array([-13.0]))
-        assert abs(got[0] - dense_chirp_oracle(self.CUBE, 0.0, -13.0)) < 1e-12
+        want = dense_chirp_oracle(self.CUBE, 0.0, -13.0)
+        assert abs(want) > 1e-8
+        assert abs(got[0] - want) < 1e-9 * abs(want)
 
-    def test_ceiling_raises_before_any_node_array(self, monkeypatch):
-        # x^5 at x = 300 needs ~1e10 nodes; the resolvable point ahead of it is
-        # not integrated first: only the 1025-point probes are allocated
+    @staticmethod
+    def recording_sizes(monkeypatch):
+        """Record the size of every array np.linspace builds or np.exp receives."""
         sizes = []
-        linspace = np.linspace
+        linspace, exp = np.linspace, np.exp
 
-        def recording(start, stop, num=50, **kw):
+        def recording_linspace(start, stop, num=50, **kw):
             sizes.append(num)
             return linspace(start, stop, num, **kw)
 
-        monkeypatch.setattr(np, "linspace", recording)
-        x = np.array([1.0, 300.0])
-        xi = 5.0 * x ** 4
-        with pytest.raises(ResolutionError):
-            _chirp_quadrature(poly_1d(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), WindowSpec(1.0), x, xi)
-        assert sizes and max(sizes) <= 1025
+        def recording_exp(a, *args, **kw):
+            sizes.append(np.size(a))
+            return exp(a, *args, **kw)
+
+        monkeypatch.setattr(np, "linspace", recording_linspace)
+        monkeypatch.setattr(np, "exp", recording_exp)
+        return sizes
+
+    def test_far_quintic_point_allocates_no_node_array(self, monkeypatch):
+        # x^5 at x = 300 would need ~1e10 trapezoid nodes; on the ridge xi = 5 x^4
+        # and off it the paths cost a few numbers per saddle
+        sizes = self.recording_sizes(monkeypatch)
+        x = np.array([300.0, 300.0])
+        # off it the stationary point lies 1e10 / p''(x) ~ 19 widths away
+        xi = 5.0 * x ** 4 + np.array([0.0, -1e10])
+        got = _chirp_quadrature(poly_1d(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), WindowSpec(1.0), x, xi)
+        monkeypatch.undo()
+        assert np.all(np.isfinite(got))
+        assert max(sizes) <= 2 * 4 * len(x)
+        # on the ridge the window sees the phase 10 x^3 h^2 plus a cubic term
+        # below 1e-7 over its effective width: the quadratic chirp's closed form
+        quad = stft_points(chirp_signal(poly_1d(0.0, 0.0, 10.0 * 300.0 ** 3)), WindowSpec(1.0),
+                           np.zeros((1, 1)), np.zeros((1, 1)))
+        assert abs(got[0]) == pytest.approx(abs(quad[0]), rel=1e-9)
+        assert abs(got[1]) < 1e-60
+
+    def test_node_count_does_not_grow_with_lambda(self, monkeypatch):
+        # criterion 4's index (0.6, 1.2) keeps the curve through (1, 3) on the
+        # ridge xi = 3 x^2; the trapezoid needed up to 53,679 nodes at lambda = 2000
+        lam = np.array([20.0, 200.0, 2000.0])
+        x, xi = lam ** 0.6, 3.0 * lam ** 1.2
+        want = [dense_chirp_oracle(self.CUBE, a, b) for a, b in zip(x, xi)]
+        for k in range(len(lam)):
+            sizes = self.recording_sizes(monkeypatch)
+            got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), x[k:k + 1],
+                                    xi[k:k + 1])
+            monkeypatch.undo()
+            # no node array: nothing larger than the 2 (m - 1) half paths of one point
+            assert max(sizes) <= 4
+            assert got[0] == pytest.approx(want[k], rel=1e-9)
+
+    # degree 4 and 5, negative leading coefficients, and the amplitude-1 window
+    # of width (1 + 1)^(-1/2) that _fourier_chirp passes for sigma_m = W = 1
+    @pytest.mark.parametrize("coeffs, width, unit_norm", [
+        ((0.0, 0.5, -2.0, 0.0, 1.0), 1.0, True),
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0, True),
+        ((0.0, 0.0, 0.0, -1.0), 1.0, True),
+        ((0.0, 0.0, 0.0, 0.0, -0.5), 1.0, True),
+        ((0.0, 0.0, 0.0, 1.0), 2.0 ** -0.5, False),
+    ])
+    def test_matches_dense_oracle(self, coeffs, width, unit_norm):
+        dphase = np.polynomial.polynomial.polyder(coeffs)
+        x = np.repeat([-2.0, -1.0, 0.0, 0.5, 1.5, 2.0], 4)
+        xi = np.polynomial.polynomial.polyval(x, dphase) + np.tile([0.0, 3.0, -8.0, 20.0], 6)
+        got = stft_points(chirp_signal(poly_1d(*coeffs)), WindowSpec(width, unit_norm),
+                          x[:, None], xi[:, None])
+        # ten widths each side: there the oracle's nodes still resolve x^5
+        want = np.array([dense_chirp_oracle(coeffs, a, b, width, unit_norm, half=10.0,
+                                            npts=(1 << 18) + 1) for a, b in zip(x, xi)])
+        big = np.abs(want) > 1e-8
+        assert big.sum() >= 12
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[~big], want[~big], rtol=0.0, atol=1e-13)
 
 
 class TestGridAndInversion:
