@@ -9,15 +9,19 @@ convolution kernels from one 1-d STFT of their line, sampled or analytic,
 and for analytic signals from closed forms: analytic Gaussians, the
 constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
 whose STFT is one complex Gaussian integral (_gaussian_integral); the
-Dirac delta gives the reflected window, and chirps of degree >= 3 an
-oscillatory quadrature.  A fourier-chirp (a chirp windowed by a Gaussian
-on the Fourier side, the analytic line of an evolution kernel) reduces by
-Parseval to the chirp STFT at a swapped point (_fourier_chirp).  Full
-grids are swept with an FFT per translate.
+Dirac delta gives the reflected window.  Chirps of degree >= 3 are
+integrated along the steepest-descent paths through the saddles of the
+windowed phase, a fixed number of Gauss-Hermite nodes per path whatever
+the point (_steepest_descent); where two saddles nearly coalesce, a
+trapezoid over the window takes over (_trapezoid).  A fourier-chirp (a
+chirp windowed by a Gaussian on the Fourier side, the analytic line of an
+evolution kernel) reduces by Parseval to the chirp STFT at a swapped point
+(_fourier_chirp).  Full grids are swept with an FFT per translate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,23 +46,23 @@ _SUPPORT_RADIUS = 10.0
 # 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
 _OSR = 2.0
 # Elements per work array: _sampled's (points, d, stencil) factors, the chirp
-# paths' (points, saddles, 2) and trapezoid's (points, nodes) and stft_grid's
-# (rows, n) are built this many at a time.
+# paths' (points, saddles, 2 halves, m + 1 coefficients), the chirp
+# trapezoid's (points, nodes) and stft_grid's (rows, n) are built this many at
+# a time.
 _WORK_ELEMENTS = 1 << 14
-# Gauss-Hermite nodes per steepest-descent path: with _SADDLE_GAP below the
-# rule reaches round-off (6e-14 absolute against a dense trapezoid on x^3).
+# Gauss-Hermite nodes per steepest-descent path: with _SADDLE_GAP the rule
+# reaches round-off (6e-14 absolute against the trapezoid on the x^3 sweep).
 _NSD_ORDER = 32
-_GH_P, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_NSD_ORDER)
-_GH_U, _GH_W = _GH_P[_NSD_ORDER // 2:], _GH_WEIGHTS[_NSD_ORDER // 2:]
-# A saddle within this distance in g of another puts a branch point of h(p)
-# at |p| <= gap^(1/2) among the nodes; the error measured on x^3 falls like
-# exp(-2 gap), below 1e-17 here, and closer pairs go to the trapezoid.
+# A neighbour at distance gap in g puts a branch point of h(p) at |p| ~ gap^(1/2)
+# among the nodes; the rule's error, measured on x^3, is about
+# exp(Re g(s) - 2 gap) for a term of size exp(Re g(s)).  A saddle goes to the
+# trapezoid when that could exceed exp(-2 _SADDLE_GAP) = 4e-18: gap < 20 at
+# Re g(s) = 0.
 _SADDLE_GAP = 20.0
-# Newton corrections per continuation step; a step that has not converged is retried shorter.
-_NEWTON_STEPS = 3
-# Step growth after a converged continuation step.
-_STEP_GROWTH = 2.0
-# exp(g(s)) below the smallest normal float64: the saddle adds nothing.
+# A trapezoid point past this many nodes (0.2 s) raises ResolutionError rather
+# than run for minutes: 100 x^5 at its cluster of saddles would need 3e7.
+_MAX_QUAD_POINTS = 1 << 23
+# exp(g(s)) below the smallest normal double: the saddle adds nothing.
 _UNDERFLOW = math.log(np.finfo(float).tiny)
 
 
@@ -233,7 +237,7 @@ def _fourier_chirp(u: AnalyticSignal, w: WindowSpec, xs: np.ndarray,
     with alpha = 1/s^2 + W^2, c = W^2 f / alpha, C = -W^2 f^2 / (2 s^2 alpha)
     (that is -W^2 f^2/2 + (W^2 f)^2/(2 alpha)), W the window width, and
     V_chirp the STFT of exp(i q) against the amplitude-1 window of width
-    alpha^(-1/2): closed form for degree <= 2, quadrature above.
+    alpha^(-1/2): closed form for degree <= 2, steepest descent above.
     """
     width = w.width
     alpha = 1.0 / u.width ** 2 + width ** 2
@@ -262,6 +266,17 @@ def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: co
     return _TWO_PI ** (-d / 2.0) * integral
 
 
+@functools.cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """The positive nodes of the _NSD_ORDER-point Gauss-Hermite rule and their weights.
+
+    Built on first use: hermgauss loads LAPACK, which runs that never
+    integrate a chirp do not need.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(_NSD_ORDER)
+    return nodes[_NSD_ORDER // 2:], weights[_NSD_ORDER // 2:]
+
+
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k c[..., k] z^k, coefficients ascending on the last axis of c."""
     out = c[..., -1]
@@ -281,14 +296,14 @@ def _taylor_shift(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _newton(c: np.ndarray, d: np.ndarray, u2: np.ndarray):
-    """_NEWTON_STEPS Newton corrections for G(d) = sum_k c[..., k] d^(k+1) = -u2, from d.
+    """Three Newton corrections for G(d) = sum_k c[..., k] d^(k+1) = -u2, from d.
 
     Returns the result, G' there, the first correction and the residual
     relative to the size of G's terms.
     """
     dc = c * np.arange(1, c.shape[-1] + 1)
     first = None
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(3):
         step = (_horner(c, d) * d + u2) / _horner(dc, d)
         d = d - step
         first = np.abs(step) if first is None else first
@@ -301,10 +316,12 @@ def _trace(c, d, slope, u, bad, target, step):
 
     Each step predicts d from the local power law d ~ u^(u d'/d) (exact at a
     saddle, where d ~ u, and far out, where d ~ u^(2/m)) and corrects it by
-    Newton.  A step is taken when Newton converges and its first correction
-    stays well below the predicted move, so that it cannot land on another
-    branch of the level set; otherwise it is quartered.  A path whose step
-    vanishes is marked bad.
+    Newton.  A step is taken when the residual is below 1e-10 of G's terms
+    and the first correction below 0.3 of the predicted move (plus 1e-10 |d|,
+    for a last step of a few ulps), so that it cannot land on another branch
+    of the level set; the next step is then twice as long.  Otherwise the
+    step is quartered, and a path whose step falls below 1e-6 u is marked
+    bad.
     """
     active = np.flatnonzero((u < target) & ~bad)
     while active.size:
@@ -312,11 +329,11 @@ def _trace(c, d, slope, u, bad, target, step):
         u1 = np.minimum(u0 + step[active], target[active])
         guess = d0 * np.exp(np.log(u1 / u0) * u0 * slope[active] / d0)
         root, deriv, first, residual = _newton(c[active], guess, u1 * u1)
-        good = (first <= 0.3 * np.abs(guess - d0)) & (residual < 1e-10)
+        good = (first <= 0.3 * np.abs(guess - d0) + 1e-10 * np.abs(d0)) & (residual < 1e-10)
         took, failed = active[good], active[~good]
         d[took], u[took] = root[good], u1[good]
         slope[took] = -2.0 * u1[good] / deriv[good]
-        step[took] *= _STEP_GROWTH
+        step[took] *= 2.0
         step[failed] /= 4.0
         bad[failed] |= step[failed] < 1e-6 * u[failed]
         active = active[(u[active] < target[active]) & ~bad[active]]
@@ -326,27 +343,28 @@ def _steepest_descent(taylor: np.ndarray, width: float):
     """int exp(g(h)) dh over the real line by numerical steepest descent.
 
     g(h) = i sum_{j>=1} taylor[:, j] h^j - h^2 / (2 width^2), one row per
-    point.  The line is deformed into the chain of steepest-descent paths
-    through the saddles of g, the roots of g'.  On the path from a saddle s,
+    point.  The line is deformed into a chain of steepest-descent paths
+    through saddles of g, the roots of g'.  On the path from a saddle s,
     g(s + d) = g(s) - p^2, so its integral is exp(g(s)) times the integral
     of h'(p) = -2p / g'(s + d) against exp(-p^2): a Gauss-Hermite sum, its
-    nodes found by Newton continuation in p of the Taylor expansion of g at
+    nodes found by Newton continuation in p on the Taylor expansion of g at
     s (no round-off from the size of g far from the origin).  Each path is
     followed until the leading term b_m h^m of g dominates, where it stays
     in one valley of that term: with R = 3 max_j |b_j/b_m|^(1/(m-j)) the
     lower terms are below half the leading one outside |h| = R, and
-    Re g < -3/2 |b_m| R^m there keeps the path out of the disk and off the
-    hills between valleys.  Every path links two valleys and the m - 1 links
-    form a tree, so the real line, from the valley at angle pi to the one at
-    angle 0, is the one signed chain found by a least-squares solve on the
-    links' incidence matrix.  Links whose path was lost are left out; the
-    chain must not need one.
+    Re g < -3/2 |b_m| R^m there keeps the path out of that disk and off the
+    hills between valleys.  The m - 1 paths link the m valleys into a tree,
+    so the real line, from the valley at angle pi to the one at angle 0, is
+    the one signed chain of links that a least-squares solve on their
+    incidence matrix finds.  Paths that were not followed or were lost are
+    left out, and the chain must not need them.
 
     Returns the integrals and a mask of the points to integrate otherwise:
-    no chain, or a used saddle whose factor exp(g(s)) does not underflow
-    and that lies within _SADDLE_GAP of another.
+    their chain needs a left-out path, such as that of a saddle too near
+    another for the Gauss-Hermite rule.
     """
     P, m = taylor.shape[0], taylor.shape[1] - 1
+    gh_nodes, gh_weights = _gauss_hermite()
     b = 1j * taylor
     b[:, 0] = 0.0
     b[:, 2] -= 0.5 / width ** 2
@@ -359,26 +377,42 @@ def _steepest_descent(taylor: np.ndarray, width: float):
         s = s - _horner(dg[:, None], s) / _horner(d2g, s)
     c = _taylor_shift(b[:, None], s)                       # g(s + d) = sum_k c_k d^k
     gs = c[..., 0]
-    # A saddle that matters and has a near neighbour is not followed: if the
-    # chain needs it, there is no chain without it and the point falls back.
+    # Only a saddle with Re g(s) <= 0, up to its round-off, can be on the chain:
+    # its ascent path reaches the real line, where Re g = -h^2 / (2 width^2).
+    # Of those, one whose exp(g(s)) underflows adds nothing to the sum, and
+    # one too near another saddle for the rule (_SADDLE_GAP) is not followed:
+    # if the chain needs it, there is no chain without it and the point falls
+    # back.  A point with no saddle left that adds anything is 0.
+    noise = 4.0 * np.finfo(float).eps * _horner(np.abs(b[:, None]), np.abs(s))
+    below = gs.real <= noise
+    live = below & (gs.real + noise > _UNDERFLOW)
+    if np.any(live & (noise > 1.0)):
+        raise DomainError(f"chirp phase beyond double precision: its round-off at a "
+                          f"saddle is {np.max(noise[live]):.3g} rad")
+    silent = ~live.any(axis=1)
     gap = np.abs(gs[:, :, None] - gs[:, None, :]) + np.where(np.eye(m - 1) > 0, np.inf, 0.0)
-    near = (np.min(gap, axis=2, initial=np.inf) < _SADDLE_GAP) & (gs.real > _UNDERFLOW)
+    near = live & (gs.real - 2.0 * np.min(gap, axis=2, initial=np.inf) > -2.0 * _SADDLE_GAP)
+    skip = ~below | near | silent[:, None] | (c[..., 2] == 0.0)
     # one row per half path: p > 0, then p < 0, for every saddle
     coef = np.repeat(c[..., 1:].reshape(-1, m), 2, axis=0)
-    u = np.full(len(coef), _GH_U[0])
-    bad = np.repeat(near.ravel(), 2)
+    u = np.full(len(coef), gh_nodes[0])
+    bad = np.repeat(skip.ravel(), 2)
     d = np.zeros(len(coef), dtype=complex)
     d[~bad] = np.sqrt(-1.0 / coef[~bad, 1]) * u[~bad]
     d[1::2] *= -1.0
     slope = np.zeros(len(coef), dtype=complex)
-    d[~bad], deriv, _, _ = _newton(coef[~bad], d[~bad], u[~bad] ** 2)
-    slope[~bad] = -2.0 * u[~bad] / deriv
+    start = np.flatnonzero(~bad)
+    guess = d[start]
+    d[start], deriv, first, residual = _newton(coef[start], guess, u[start] ** 2)
+    slope[start] = -2.0 * u[start] / deriv
+    # the quadratic start must hold at the first node, as _trace demands of a step
+    bad[start] |= (first > 0.3 * np.abs(guess)) | ~(residual < 1e-10)
     total = np.zeros(s.shape, dtype=complex)
-    for k, uk in enumerate(_GH_U):
+    for uk, wk in zip(gh_nodes, gh_weights):
         _trace(coef, d, slope, u, bad, np.full(len(u), uk), uk - u)
         # h'(p) = +-slope at p = +-uk
         half = slope.reshape(s.shape + (2,))
-        total += _GH_W[k] * (half[..., 0] - half[..., 1])
+        total += wk * (half[..., 0] - half[..., 1])
     bm = b[:, m:]
     j = np.arange(1, m)
     reach = 3.0 * np.max(np.abs(b[:, 1:m] / bm) ** (1.0 / (m - j)), axis=1, keepdims=True)
@@ -390,7 +424,8 @@ def _steepest_descent(taylor: np.ndarray, width: float):
     def valley(theta):
         return np.round((m * theta + np.angle(bm[..., None]) - np.pi) / _TWO_PI).astype(int) % m
 
-    ends = valley(np.angle(s[..., None] + d))              # (P, m - 1, 2): p -> +inf, -inf
+    # (P, m - 1, 2): the valleys at p -> +inf and p -> -inf; a lost path's is moot
+    ends = valley(np.angle(s[..., None] + np.where(bad, 0.0, d)))
     left, right = valley(np.full((P, 1, 1), np.pi)), valley(np.zeros((P, 1, 1)))
     lost = bad.any(axis=-1) | (ends[..., 0] == ends[..., 1])
     nodes = np.arange(m)
@@ -404,8 +439,8 @@ def _steepest_descent(taylor: np.ndarray, width: float):
     n = np.round(n)
     chain = forest & np.all(np.einsum("pe,pev->pv", n, incidence) == line, axis=1)
     used = n != 0
-    fallback = ~chain | np.any(used & ~np.isfinite(total), axis=1)
-    used &= ~fallback[:, None]
+    fallback = ~silent & (~chain | np.any(used & ~np.isfinite(total), axis=1))
+    used &= ~(fallback | silent)[:, None]
     terms = np.zeros(s.shape, dtype=complex)
     terms[used] = n[used] * np.exp(gs[used]) * total[used]
     return terms.sum(axis=1), fallback
@@ -424,6 +459,9 @@ def _trapezoid(taylor: np.ndarray, w: WindowSpec) -> np.ndarray:
     m = taylor.shape[1] - 1
     fmax = np.abs(taylor[:, 1:]) @ (np.arange(1, m + 1) * radius ** np.arange(m))
     need = np.maximum(2048.0, 2.0 * radius * fmax * _OSR / _TWO_PI)
+    if not np.all(need <= _MAX_QUAD_POINTS):
+        raise ResolutionError(f"chirp trapezoid would need {np.max(need):.3g} nodes "
+                              f"where saddles of the phase coalesce")
     counts = 256 * np.ceil(need / 256.0).astype(np.int64) + 1
     out = np.zeros(len(taylor), dtype=complex)
     for count in np.unique(counts):
@@ -443,7 +481,11 @@ def _trapezoid(taylor: np.ndarray, w: WindowSpec) -> np.ndarray:
 
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
                       xis: np.ndarray) -> np.ndarray:
-    """STFT of exp(i phase) for 1-d polynomial phases: steepest descent, trapezoid near coalescing saddles."""
+    """STFT of exp(i phase) for 1-d polynomial phases of degree >= 2.
+
+    Steepest descent for every point, the trapezoid for those whose chain of
+    paths it could not build.
+    """
     c = coeff_array(phase)
     m = len(c) - 1
     # Phase centred on each window, so its size at large x adds no round-off:

@@ -312,8 +312,9 @@ class TestChirpQuadrature:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_no_point_is_skipped(self):
-        # no stationary point within 12 units of the centre and |3 y^2 - xi| >= 12:
-        # the values are tiny but computed, and agree to the oracle's round-off floor
+        # all but the last point have no stationary point within 12 units of the
+        # centre and |3 y^2 - xi| >= 12: their values are tiny but computed, and
+        # agree with the oracle to its round-off floor
         x = np.array([-40.0, -40.0, 0.0, 3.0, 10.0, 20.0, 20.0, 40.0, 40.0, 55.0, 55.0, 1.0])
         xi = np.array([-50.0, 3.0 * 55.0 ** 2, -30.0, 3.0 * 16.0 ** 2, -20.0, 3.0 * 33.0 ** 2,
                        -400.0, 3.0 * 25.0 ** 2, 3.0 * 55.0 ** 2, -100.0, 3.0 * 70.0 ** 2, 3.0])
@@ -367,9 +368,29 @@ class TestChirpQuadrature:
         assert abs(got[0]) == pytest.approx(abs(quad[0]), rel=1e-9)
         assert abs(got[1]) < 1e-60
 
+    def test_ceiling_raises_before_any_node_array(self, monkeypatch):
+        # 100 x^5 at x = 0, xi = 0 sits on its cluster of coalescing saddles and
+        # falls back to the trapezoid, which would need 3e7 nodes: the ceiling
+        # raises before any node array, after the far point's steepest descent
+        sizes = self.recording_sizes(monkeypatch)
+        x = np.array([300.0, 0.0])
+        xi = np.array([500.0 * 300.0 ** 4, 0.0])
+        with pytest.raises(ResolutionError, match="coalesce"):
+            _chirp_quadrature(poly_1d(0.0, 0.0, 0.0, 0.0, 0.0, 100.0), WindowSpec(1.0), x, xi)
+        monkeypatch.undo()
+        assert max(sizes) <= 2 * 4 * len(x)
+
+    def test_phase_beyond_double_precision_is_a_domain_error(self):
+        # at x = 1e50 g(s) carries a round-off of ~1e135 at the saddles: no
+        # path, and no trapezoid, resolves that phase
+        with pytest.raises(DomainError, match="double precision"):
+            _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), np.array([1.0, 1e50]),
+                              np.array([3.0, 0.0]))
+
     def test_node_count_does_not_grow_with_lambda(self, monkeypatch):
         # criterion 4's index (0.6, 1.2) keeps the curve through (1, 3) on the
-        # ridge xi = 3 x^2; the trapezoid needed up to 53,679 nodes at lambda = 2000
+        # ridge xi = 3 x^2; a trapezoid over the window needs 53,679 nodes at
+        # lambda = 2000
         lam = np.array([20.0, 200.0, 2000.0])
         x, xi = lam ** 0.6, 3.0 * lam ** 1.2
         want = [dense_chirp_oracle(self.CUBE, a, b) for a, b in zip(x, xi)]
