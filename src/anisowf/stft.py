@@ -50,16 +50,13 @@ _OSR = 2.0
 # trapezoid's (points, nodes) and stft_grid's (rows, n) are built this many at
 # a time.
 _WORK_ELEMENTS = 1 << 14
-# Gauss-Hermite nodes per steepest-descent path: with _SADDLE_GAP the rule
-# reaches round-off (6e-14 absolute against the trapezoid on the x^3 sweep).
+# Gauss-Hermite nodes per steepest-descent path: 32 reach round-off under the
+# gap rule below (6e-14 absolute against the trapezoid on the x^3 sweep).
 _NSD_ORDER = 32
-# A neighbour at distance gap in g puts a branch point of h(p) at |p| ~ gap^(1/2)
-# among the nodes; the rule's error, measured on x^3, is about
-# exp(Re g(s) - 2 gap) for a term of size exp(Re g(s)).  A saddle goes to the
-# trapezoid when that could exceed exp(-2 _SADDLE_GAP) = 4e-18: gap < 20 at
-# Re g(s) = 0.
+# Gap rule: a neighbour at distance gap in g costs the rule exp(Re g(s) - 2 gap)
+# (measured on x^3), so a saddle falls back when that may pass exp(-2 * 20) = 4e-18.
 _SADDLE_GAP = 20.0
-# A trapezoid point past this many nodes (0.2 s) raises ResolutionError rather
+# A fallback point past this many nodes (0.2 s) raises ResolutionError rather
 # than run for minutes: 100 x^5 at its cluster of saddles would need 3e7.
 _MAX_QUAD_POINTS = 1 << 23
 # exp(g(s)) below the smallest normal double: the saddle adds nothing.
