@@ -175,7 +175,7 @@ def cmd_chirp_verify(config, out, seed):
     tol = cfg_get(config, "tol_angle", positive, default=0.09)
     pred = predict_chirp_wf(phase, idx)
     est = estimate_wf(chirp_signal(phase), w, idx, **opts)
-    report = compare_wf(est, pred, tol)
+    report = {**compare_wf(est, pred, tol), "status_counts": est.status_counts()}
     out.write_json("estimate.json", wf_estimate_to_dict(est))
     out.write_json("prediction.json", prediction_to_dict(pred))
     out.write_json("report.json", report_envelope(config, seed, report))

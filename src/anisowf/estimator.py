@@ -87,6 +87,11 @@ class WFEstimate:
         width = self.entries[0].direction.z.size if self.entries else 0
         return np.array(rows, dtype=float).reshape(len(rows), width)
 
+    def status_counts(self) -> dict:
+        """Rows per status, for every status _classify can give."""
+        return {s: sum(e.status == s for e in self.entries)
+                for s in ("singular", "regular", "below-floor", "unreachable")}
+
 
 def geometric_lambdas(lo: float, hi: float, n: int) -> np.ndarray:
     if not (hi > lo > 0.0 and n >= _MIN_REACHABLE):
@@ -221,7 +226,8 @@ def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
     """Running max over +-cone_steps neighboring directions (circular).
 
     Past half the circle every direction is already in the cone, so larger
-    cone_steps give the same table.
+    cone_steps give the same table.  A sample a curve did not reach stays
+    NaN: a neighbour's value would give its row a verdict it has no data for.
     """
     if cone_steps <= 0:
         return mags
@@ -229,6 +235,7 @@ def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
     for k in range(1, min(cone_steps, len(mags) // 2) + 1):
         for shift in (k, -k):
             out = np.fmax(out, np.roll(mags, shift, axis=0))
+    out[np.isnan(mags)] = np.nan
     return out
 
 

@@ -66,18 +66,30 @@ def _string(s: str) -> str:
 _BLOCK_ROWS = 1024
 
 
-def _write_table(path, head, fmt, n_rows, rows):
+def _write_table(path, head, fmt, n_rows, rows, axes=()):
     """The one CSV writer: the lines in head, then n_rows rows in CRLF lines.
 
     rows(lo, hi) returns rows lo .. hi - 1 as a (rows, columns) array; fmt has
     one %-format per column.  Each block of at most _BLOCK_ROWS rows is
-    formatted by a single %, so no whole-table string is built."""
-    line = ",".join(fmt) + "\r\n"
+    formatted by a single %, so no whole-table string is built.  The first
+    len(axes) columns are the row-major lattice over the 1-d arrays in axes:
+    each axis value is formatted once and copied into the blocks' templates,
+    and rows returns only the columns after them."""
+    labels = [[f % v + "," for v in a.tolist()] for f, a in zip(fmt, axes)]
+    tail = ",".join(fmt[len(axes):]) + "\r\n"
+    if labels:
+        labels[-1] = [lab + tail for lab in labels[-1]]
     with open(path, "w", newline="") as fh:
         fh.write("".join(h + "\r\n" for h in head))
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            block = rows(lo, min(lo + _BLOCK_ROWS, n_rows))
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            hi = min(lo + _BLOCK_ROWS, n_rows)
+            if labels:
+                cells = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
+                line = "".join(map("".join, zip(*[[lab[i] for i in ix.tolist()]
+                                                  for lab, ix in zip(labels, cells)])))
+            else:
+                line = tail * (hi - lo)
+            fh.write(line % tuple(rows(lo, hi).ravel().tolist()))
 
 
 def write_signal_csv(path, sig: SampledSignal):
@@ -231,17 +243,15 @@ def cfg_get(cfg, path, kind=None, default=_REQUIRED):
 
 def write_stft_csv(path, grid):
     """Columns x, xi, re, im, abs over the full lattice."""
-    xs = grid.positions()
-    xis = grid.frequencies()
     flat = grid.values.reshape(-1)
 
     def rows(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), grid.n_xi)
         v = flat[lo:hi]
         # np.hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
-        return np.column_stack([xs[i], xis[j], v.real, v.imag, np.hypot(v.real, v.imag)])
+        return np.column_stack([v.real, v.imag, np.hypot(v.real, v.imag)])
 
-    _write_table(path, ["x,xi,re,im,abs"], ["%.17g"] * 5, flat.size, rows)
+    _write_table(path, ["x,xi,re,im,abs"], ["%.17g"] * 5, flat.size, rows,
+                 axes=(grid.positions(), grid.frequencies()))
 
 
 def write_profile_csv(path, est):

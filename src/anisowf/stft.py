@@ -10,13 +10,13 @@ and for analytic signals from closed forms: analytic Gaussians, the
 constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
 whose STFT is one complex Gaussian integral (_gaussian_integral); the
 Dirac delta gives the reflected window.  Chirps of degree >= 3 are
-integrated along the steepest-descent paths through the saddles of the
-windowed phase, a fixed number of Gauss-Hermite nodes per path whatever
-the point (_steepest_descent); where two saddles nearly coalesce, a
-trapezoid over the window takes over (_trapezoid).  A fourier-chirp (a
-chirp windowed by a Gaussian on the Fourier side, the analytic line of an
-evolution kernel) reduces by Parseval to the chirp STFT at a swapped point
-(_fourier_chirp).  Full grids are swept with an FFT per translate.
+integrated along steepest-descent paths from the saddles of the windowed
+phase, and from discs around saddles too near each other for that, at a
+fixed number of nodes per path and segment whatever the point
+(_steepest_descent).  A fourier-chirp (a chirp windowed by a Gaussian on the
+Fourier side, the analytic line of an evolution kernel) reduces by Parseval
+to the chirp STFT at a swapped point (_fourier_chirp).  Full grids are swept
+with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -41,24 +41,25 @@ REACH_FRAC = 0.8
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
-# Trapezoid nodes per period of the fastest local frequency.  The error is the
-# entire, Gaussian-decaying integrand's Fourier transform at the multiples of
-# 2 pi / step, negligible past OSR 1; 2, the Nyquist rate, doubles that margin.
-_OSR = 2.0
 # Elements per work array: _sampled's (points, d, stencil) factors, the chirp
-# paths' (points, saddles, 2 halves, m + 1 coefficients), the chirp
-# trapezoid's (points, nodes) and stft_grid's (rows, n) are built this many at
-# a time.
+# paths' (points, saddles, 2 halves, m + 1 coefficients) and a cluster's rim
+# of as many samples, and stft_grid's (rows, n) are built this many at a time.
 _WORK_ELEMENTS = 1 << 14
-# Gauss-Hermite nodes per steepest-descent path: 32 reach round-off under the
-# gap rule below (6e-14 absolute against the trapezoid on the x^3 sweep).
+# Gauss-Hermite nodes per path from a saddle (32 reach round-off under the gap
+# rule); a path from an exit point takes half as many Gauss-Laguerre nodes.
 _NSD_ORDER = 32
-# Gap rule: a neighbour at distance gap in g costs the rule exp(Re g(s) - 2 gap)
-# (measured on x^3), so a saddle falls back when that may pass exp(-2 * 20) = 4e-18.
+# Gap rule: a neighbour at distance gap in g costs Gauss-Hermite exp(Re g(s) -
+# 2 gap) (measured on x^3); where that may pass 4e-18 and discs meet, saddles cluster.
 _SADDLE_GAP = 20.0
-# A fallback point past this many nodes (0.2 s) raises ResolutionError rather
-# than run for minutes: 100 x^5 at its cluster of saddles would need 3e7.
-_MAX_QUAD_POINTS = 1 << 23
+# A disc reaches where a Taylor term of g at its centre first grows to 40, so
+# exits on its rim lie ~e^-40 below it: the Gauss-Laguerre tails add 4e-18.
+_DISC_DEPTH = 40.0
+# A cluster's disc reaches 1.5 times past its farthest saddle, and takes in
+# every saddle within 1.5 radii.
+_DISC_MARGIN = 1.5
+# Gauss-Legendre nodes per segment in a disc: 3e-11 relative against a
+# long-double oracle on x^3, x^5 and random quartics and quintics.
+_SEGMENT_ORDER = 64
 # exp(g(s)) below the smallest normal double: the saddle adds nothing.
 _UNDERFLOW = math.log(np.finfo(float).tiny)
 
@@ -264,14 +265,17 @@ def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: co
 
 
 @functools.cache
-def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
-    """The positive nodes of the _NSD_ORDER-point Gauss-Hermite rule and their weights.
-
-    Built on first use: hermgauss loads LAPACK, which runs that never
-    integrate a chirp do not need.
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(_NSD_ORDER)
-    return nodes[_NSD_ORDER // 2:], weights[_NSD_ORDER // 2:]
+def _rules() -> tuple[np.ndarray, ...]:
+    """Gauss-Hermite (positive half), Gauss-Laguerre (in u = t^(1/2), weights
+    over 2 u, as dz/dt = (dz/du) / (2 u)) and Gauss-Legendre (on [0, 1]) nodes
+    and weights, built on first use: runs that never integrate a chirp do not
+    load LAPACK."""
+    gh_nodes, gh_weights = np.polynomial.hermite.hermgauss(_NSD_ORDER)
+    lag_nodes, lag_weights = np.polynomial.laguerre.laggauss(_NSD_ORDER // 2)
+    leg_nodes, leg_weights = np.polynomial.legendre.leggauss(_SEGMENT_ORDER)
+    lag_u = np.sqrt(lag_nodes)
+    return (gh_nodes[_NSD_ORDER // 2:], gh_weights[_NSD_ORDER // 2:], lag_u,
+            lag_weights / (2.0 * lag_u), (leg_nodes + 1.0) / 2.0, leg_weights / 2.0)
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -336,50 +340,119 @@ def _trace(c, d, slope, u, bad, target, step):
         active = active[(u[active] < target[active]) & ~bad[active]]
 
 
-def _steepest_descent(taylor: np.ndarray, width: float):
-    """int exp(g(h)) dh over the real line by numerical steepest descent.
-
-    g(h) = i sum_{j>=1} taylor[:, j] h^j - h^2 / (2 width^2), one row per
-    point.  The line is deformed into a chain of steepest-descent paths
-    through saddles of g, the roots of g'.  On the path from a saddle s,
-    g(s + d) = g(s) - p^2, so its integral is exp(g(s)) times the integral
-    of h'(p) = -2p / g'(s + d) against exp(-p^2): a Gauss-Hermite sum, its
-    nodes found by Newton continuation in p on the Taylor expansion of g at
-    s (no round-off from the size of g far from the origin).  Each path is
-    followed until the leading term b_m h^m of g dominates, where it stays
-    in one valley of that term: with R = 3 max_j |b_j/b_m|^(1/(m-j)) the
-    lower terms are below half the leading one outside |h| = R, and
-    Re g < -3/2 |b_m| R^m there keeps the path out of that disk and off the
-    hills between valleys.  The m - 1 paths link the m valleys into a tree,
-    so the real line, from the valley at angle pi to the one at angle 0, is
-    the one signed chain of links that a least-squares solve on their
-    incidence matrix finds.  Paths that were not followed or were lost are
-    left out, and the chain must not need them.
-
-    Returns the integrals and a mask of the points to integrate otherwise:
-    their chain needs a left-out path, such as that of a saddle too near
-    another for the Gauss-Hermite rule.
-    """
-    P, m = taylor.shape[0], taylor.shape[1] - 1
-    gh_nodes, gh_weights = _gauss_hermite()
-    b = 1j * taylor
-    b[:, 0] = 0.0
-    b[:, 2] -= 0.5 / width ** 2
+def _saddles(b: np.ndarray) -> np.ndarray:
+    """Roots of g' for g = sum_j b[:, j] h^j: companion eigenvalues, two Newton steps."""
+    P, m = b.shape[0], b.shape[1] - 1
     dg = b[:, 1:] * np.arange(1, m + 1)
     companion = np.tile(np.eye(m - 1, k=-1, dtype=complex), (P, 1, 1))
     companion[:, 0] = -dg[:, -2::-1] / dg[:, -1:]
-    s = np.linalg.eigvals(companion)                       # (P, m - 1) saddles
+    s = np.linalg.eigvals(companion)
     d2g = dg[:, None, 1:] * np.arange(1, m)
     for _ in range(2):
         s = s - _horner(dg[:, None], s) / _horner(d2g, s)
+    return s
+
+
+def _clusters(b, s, c, live, silent, gap_rule):
+    """Clusters: saddles within gap_rule of each other (the gap rule) whose
+    discs meet, and every saddle near a cluster's disc.  c holds g's Taylor
+    coefficients at the saddles s.  Returns link (link[p, i, j]: j is in i's
+    cluster) and, per cluster, its point, its saddles, its disc's centre, g's
+    Taylor coefficients there and its radius."""
+    k, m = s.shape[1], s.shape[1] + 1
+    gs = c[..., 0]
+    gap = np.abs(gs[:, :, None] - gs[:, None, :]) + np.where(np.eye(k) > 0, np.inf, 0.0)
+    with np.errstate(divide="ignore"):
+        ball = np.min((_DISC_DEPTH / np.abs(c[..., 2:])) ** (1.0 / np.arange(2, m + 1)), axis=2)
+    link = (live[..., None] & (gs.real[..., None] - 2.0 * gap > -2.0 * gap_rule)
+            & (np.abs(s[:, :, None] - s[:, None, :]) < ball[:, :, None] + ball[:, None, :]))
+    link |= link.transpose(0, 2, 1) | np.eye(k, dtype=bool)
+    while True:
+        for _ in range(k.bit_length()):
+            link = link @ link
+        pp, ii = np.nonzero((np.argmax(link, axis=2) == np.arange(k))
+                            & (link.sum(axis=2) > 1) & ~silent[:, None])
+        members = link[pp, ii]
+        centre = np.sum(s[pp] * members, axis=1) / np.sum(members, axis=1)
+        cc = _taylor_shift(b[pp], centre)                  # g(c + d) = sum_k cc_k d^k
+        with np.errstate(divide="ignore"):
+            radius = np.maximum(
+                _DISC_MARGIN * np.max(np.abs(s[pp] - centre[:, None]) * members, axis=1,
+                                      initial=0.0),
+                np.min((_DISC_DEPTH / np.abs(cc[:, 1:])) ** (1.0 / np.arange(1, m + 1)),
+                       axis=1, initial=np.inf))
+        inside = np.abs(s[pp] - centre[:, None]) < _DISC_MARGIN * radius[:, None]
+        if not np.any(inside & ~members):
+            return link, pp, members, centre, cc, radius
+        link[pp, ii] |= inside
+        link |= link.transpose(0, 2, 1)
+
+
+def _exits(cc, centre, radius, members, rows, coef):
+    """Exit points, the minima of Re g on each disc's rim (sampled at as many
+    angles as a point's paths have coefficients), at most one per path row of
+    the cluster's saddles, from the first of which rows counts.  coef takes
+    g's Taylor coefficients at each exit.  Returns the exits' rows, positions,
+    values of g and straight segments' integrals from the disc's centre."""
+    k = members.shape[1]
+    if not len(cc):
+        none = np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=int), none, none, none
+    rim = radius[:, None] * np.exp(1j * np.linspace(0.0, _TWO_PI, 2 * k * (k + 2),
+                                                    endpoint=False))
+    level = _horner(cc[:, None], rim).real
+    low = (level < np.roll(level, 1, axis=1)) & (level <= np.roll(level, -1, axis=1))
+    q, a = np.nonzero(low)
+    order = np.cumsum(low, axis=1)[q, a] - 1
+    keep = order < 2 * np.sum(members, axis=1)[q]
+    slots = np.argsort(~np.repeat(members, 2, axis=1), axis=1, kind="stable")
+    q, a, order = q[keep], a[keep], order[keep]
+    exits, delta = rows[q] + slots[q, order], rim[q, a]
+    ce = _taylor_shift(cc[q], delta)                       # g(e + d) = sum_k ce_k d^k
+    coef[exits] = ce[:, 1:]
+    _, _, _, _, leg_t, leg_w = _rules()
+    straight = delta * sum(wt * np.exp(_horner(cc[q], t * delta)) for t, wt in zip(leg_t, leg_w))
+    return exits, centre[q] + delta, ce[:, 0].copy(), straight
+
+
+def _steepest_descent(taylor: np.ndarray, width: float, gap_rule: float) -> np.ndarray:
+    """int exp(g(h)) dh over the real line by numerical steepest descent.
+
+    g(h) = i sum_{j>=1} taylor[:, j] h^j - h^2 / (2 width^2), one row per
+    point.  The line is deformed into paths from hubs to the m valleys of g's
+    leading term b_m h^m.  A hub is a saddle s (a root of g'), whose paths
+    g(s + d) = g(s) - p^2 give exp(g(s)) times the integral of
+    h'(p) = -2p / g'(s + d) against exp(-p^2), a Gauss-Hermite sum; or the
+    centre of a disc around saddles too near each other for that rule, with
+    straight segments (Gauss-Legendre) to exit points e, the minima of Re g on
+    its rim, and paths g(e + d) = g(e) - t on, which give exp(g(e)) times the
+    integral of -1/g'(e + d) against exp(-t), a Gauss-Laguerre sum in
+    u = t^(1/2) (Gibbs, Hewett and Huybrechs, J. Comput. Phys. 2024).  Nodes
+    come from Newton continuation in u on the Taylor expansion of g at each
+    path's start (no round-off from the size of g far from the origin).  A
+    path is followed until it stays in one valley: with
+    R = 3 max_j |b_j/b_m|^(1/(m-j)) the lower terms are below half the leading
+    one outside |h| = R, and Re g < -3/2 |b_m| R^m there keeps the path out of
+    that disk and off the hills between valleys.  Hubs and valleys form a
+    tree, so the real line, from the valley at angle pi to the one at angle 0,
+    is the one signed chain of paths that a least-squares solve on their
+    incidence matrix finds.  Lost paths are left out; a point whose chain
+    needs one is NaN.  Saddles cluster by the gap rule with gap_rule for
+    _SADDLE_GAP.
+    """
+    P, m = taylor.shape[0], taylor.shape[1] - 1
+    k = m - 1
+    gh_u, gh_w, lag_u, lag_w, _, _ = _rules()
+    b = 1j * taylor
+    b[:, 0] = 0.0
+    b[:, 2] -= 0.5 / width ** 2
+    s = _saddles(b)                                        # (P, k) saddles
     c = _taylor_shift(b[:, None], s)                       # g(s + d) = sum_k c_k d^k
     gs = c[..., 0]
     # Only a saddle with Re g(s) <= 0, up to its round-off, can be on the chain:
     # its ascent path reaches the real line, where Re g = -h^2 / (2 width^2).
-    # Of those, one whose exp(g(s)) underflows adds nothing to the sum, and
-    # one too near another saddle for the rule (_SADDLE_GAP) is not followed:
-    # if the chain needs it, there is no chain without it and the point falls
-    # back.  A point with no saddle left that adds anything is 0.
+    # Of those, one whose exp(g(s)) underflows adds nothing to the sum.  A
+    # point with no saddle left that adds anything is 0.
     noise = 4.0 * np.finfo(float).eps * _horner(np.abs(b[:, None]), np.abs(s))
     below = gs.real <= noise
     live = below & (gs.real + noise > _UNDERFLOW)
@@ -387,102 +460,105 @@ def _steepest_descent(taylor: np.ndarray, width: float):
         raise DomainError(f"chirp phase beyond double precision: its round-off at a "
                           f"saddle is {np.max(noise[live]):.3g} rad")
     silent = ~live.any(axis=1)
-    gap = np.abs(gs[:, :, None] - gs[:, None, :]) + np.where(np.eye(m - 1) > 0, np.inf, 0.0)
-    near = live & (gs.real - 2.0 * np.min(gap, axis=2, initial=np.inf) > -2.0 * _SADDLE_GAP)
-    skip = ~below | near | silent[:, None] | (c[..., 2] == 0.0)
-    # one row per half path: p > 0, then p < 0, for every saddle
+    link, pp, members, centre, cc, radius = _clusters(b, s, c, live, silent, gap_rule)
+    hub = np.repeat(np.argmax(link, axis=2), 2, axis=1)    # each path's hub, by first member
+    clustered = link.sum(axis=2) > 1
+    skip = ~below | clustered | silent[:, None] | (c[..., 2] == 0.0)
+    # one row per path: p > 0, then p < 0, for every isolated saddle; a
+    # cluster's exit paths take its saddles' rows, in order
     coef = np.repeat(c[..., 1:].reshape(-1, m), 2, axis=0)
-    u = np.full(len(coef), gh_nodes[0])
     bad = np.repeat(skip.ravel(), 2)
+    exits, exit_at, exit_g, straight = _exits(cc, centre, radius, members, pp * 2 * k, coef)
+    u = np.full(len(coef), gh_u[0])
+    u[exits] = lag_u[0]
     d = np.zeros(len(coef), dtype=complex)
     d[~bad] = np.sqrt(-1.0 / coef[~bad, 1]) * u[~bad]
     d[1::2] *= -1.0
+    d[exits] = -u[exits] ** 2 / coef[exits, 0]
+    bad[exits] = False
     slope = np.zeros(len(coef), dtype=complex)
     start = np.flatnonzero(~bad)
     guess = d[start]
     d[start], deriv, first, residual = _newton(coef[start], guess, u[start] ** 2)
     slope[start] = -2.0 * u[start] / deriv
-    # the quadratic start must hold at the first node, as _trace demands of a step
+    # the leading-order start must hold at the first node, as _trace demands of a step
     bad[start] |= (first > 0.3 * np.abs(guess)) | ~(residual < 1e-10)
-    total = np.zeros(s.shape, dtype=complex)
-    for uk, wk in zip(gh_nodes, gh_weights):
-        _trace(coef, d, slope, u, bad, np.full(len(u), uk), uk - u)
-        # h'(p) = +-slope at p = +-uk
-        half = slope.reshape(s.shape + (2,))
-        total += wk * (half[..., 0] - half[..., 1])
+    # each path's integral outward from its start, less exp(g) there: h'(p) is
+    # +-slope at p = +-uk, so a saddle's two paths give its p-line as their difference
+    total = np.zeros(len(coef), dtype=complex)
+    for uk, wk, lu, lw in zip(gh_u, gh_w, lag_u, lag_w):
+        target = np.full(len(u), uk)
+        target[exits] = lu
+        _trace(coef, d, slope, u, bad, target, target - u)
+        total += wk * slope
+        total[exits] += (lw - wk) * slope[exits]
+    g0 = np.repeat(gs.ravel(), 2)                          # g where each path starts
+    g0[exits] = exit_g
     bm = b[:, m:]
     j = np.arange(1, m)
     reach = 3.0 * np.max(np.abs(b[:, 1:m] / bm) ** (1.0 / (m - j)), axis=1, keepdims=True)
-    deep = gs.real + 1.5 * np.abs(bm) * reach ** m
-    target = np.repeat(np.sqrt(np.maximum(deep, 0.0) + 1.0).ravel(), 2)
+    deep = g0.real + np.repeat(1.5 * np.abs(bm) * reach ** m, 2 * k)
+    target = np.sqrt(np.maximum(deep, 0.0) + 1.0)
     _trace(coef, d, slope, u, bad, np.maximum(target, u), u.copy())
-    d, bad = d.reshape(s.shape + (2,)), bad.reshape(s.shape + (2,))
 
     def valley(theta):
-        return np.round((m * theta + np.angle(bm[..., None]) - np.pi) / _TWO_PI).astype(int) % m
+        return np.round((m * theta + np.angle(bm) - np.pi) / _TWO_PI).astype(int) % m
 
-    # (P, m - 1, 2): the valleys at p -> +inf and p -> -inf; a lost path's is moot
-    ends = valley(np.angle(s[..., None] + np.where(bad, 0.0, d)))
-    left, right = valley(np.full((P, 1, 1), np.pi)), valley(np.zeros((P, 1, 1)))
-    lost = bad.any(axis=-1) | (ends[..., 0] == ends[..., 1])
-    nodes = np.arange(m)
-    incidence = (ends[..., :1] == nodes).astype(float) - (ends[..., 1:] == nodes)
-    incidence[lost] = 0.0
-    line = (right[:, 0] == nodes).astype(float) - (left[:, 0] == nodes)
-    gram = incidence @ incidence.transpose(0, 2, 1) + lost[..., None] * np.eye(m - 1)
+    # (P, 2 k): where each path starts and the valley it ends in
+    tip = np.repeat(s.ravel(), 2)
+    tip[exits] = exit_at
+    tip = tip.reshape(P, 2 * k)
+    end = valley(np.angle(tip + d.reshape(P, 2 * k)))
+    # A path lost _DISC_DEPTH below its start, as one that runs into a lower
+    # saddle near a Stokes line, keeps the nodes it reached and takes the valley
+    # of the path that starts nearest to where it was lost: the ways on from
+    # there differ by a path from that saddle, e^-40 of this one's.
+    p, lost = np.nonzero((bad & (u * u >= _DISC_DEPTH)).reshape(P, 2 * k))
+    gone = np.abs(tip[p] - (tip[p, lost] + d.reshape(P, 2 * k)[p, lost])[:, None])
+    near = np.argmin(np.where(bad.reshape(P, 2 * k)[p], np.inf, gone), axis=1)
+    end[p, lost] = end[p, near]
+    bad.reshape(P, 2 * k)[p, lost] = bad.reshape(P, 2 * k)[p, near]
+    n, chain = _chain(end, hub, ~bad.reshape(P, 2 * k), valley(np.full((P, 1), np.pi)),
+                      valley(np.zeros((P, 1))))
+    value = np.zeros(2 * P * k, dtype=complex)
+    value[exits] = straight
+    used = np.flatnonzero(n)
+    value[used] += np.exp(g0[used]) * total[used]
+    terms = np.where(n != 0, n * value.reshape(P, 2 * k), 0.0)
+    return np.where(chain | silent, terms.sum(axis=1), np.nan)
+
+
+def _chain(end: np.ndarray, hub: np.ndarray, valid: np.ndarray, left: np.ndarray,
+           right: np.ndarray):
+    """The signed chain of paths from the valley left to the valley right, and
+    whether it holds.  Paths join their hub to their end valley; with their
+    incidence matrix E (+1 at a valley, -1 at a hub) the chain solves
+    E E^T n = E line, line = +1 at right, -1 at left and 0 at hubs."""
+    P, paths = end.shape
+    k = paths // 2
+    m = k + 1
+    # a second path from one hub into one valley would close a loop; a path
+    # left alone at its hub is a leaf, off the chain
+    same_end, same_hub = end[:, :, None] == end[:, None, :], hub[:, :, None] == hub[:, None, :]
+    valid = valid & ~np.any(same_end & same_hub & valid[:, None, :]
+                            & np.tri(paths, k=-1, dtype=bool), axis=2)
+    gram = ((same_end.astype(float) + same_hub) * (valid[:, :, None] & valid[:, None, :])
+            + (~valid)[..., None] * np.eye(paths))
     forest = np.linalg.det(gram) > 0.5
-    n = np.zeros(s.shape)
-    n[forest] = np.linalg.solve(gram[forest], incidence[forest] @ line[forest, :, None])[..., 0]
+    n = np.zeros((P, paths))
+    rhs = ((end == right).astype(float) - (end == left)) * valid
+    n[forest] = np.linalg.solve(gram[forest], rhs[forest, :, None])[..., 0]
     n = np.round(n)
-    chain = forest & np.all(np.einsum("pe,pev->pv", n, incidence) == line, axis=1)
-    used = n != 0
-    fallback = ~silent & (~chain | np.any(used & ~np.isfinite(total), axis=1))
-    used &= ~(fallback | silent)[:, None]
-    terms = np.zeros(s.shape, dtype=complex)
-    terms[used] = n[used] * np.exp(gs[used]) * total[used]
-    return terms.sum(axis=1), fallback
-
-
-def _trapezoid(taylor: np.ndarray, w: WindowSpec) -> np.ndarray:
-    """Centred trapezoid of exp(i sum_j taylor[:, j] h^j) times the window over its support.
-
-    Nodes per point: _OSR per period of the fastest local frequency, bounded
-    by sum_j j |taylor_j| r^(j-1) on |h| <= r, rounded up to a multiple of 256
-    so that points of one count share their blocks.  The window is e^-50 at
-    the ends, so the end corrections are below round-off and a plain sum
-    remains.
-    """
-    radius = _SUPPORT_RADIUS * w.width
-    m = taylor.shape[1] - 1
-    fmax = np.abs(taylor[:, 1:]) @ (np.arange(1, m + 1) * radius ** np.arange(m))
-    need = np.maximum(2048.0, 2.0 * radius * fmax * _OSR / _TWO_PI)
-    if not np.all(need <= _MAX_QUAD_POINTS):
-        raise ResolutionError(f"chirp trapezoid would need {np.max(need):.3g} nodes "
-                              f"where saddles of the phase coalesce")
-    counts = 256 * np.ceil(need / 256.0).astype(np.int64) + 1
-    out = np.zeros(len(taylor), dtype=complex)
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        h = np.linspace(-radius, radius, count)
-        window = np.exp(-h * h / (2.0 * w.width ** 2))
-        for block in _blocks(len(rows), count):
-            r = rows[block]
-            for span in _blocks(count, len(r)):
-                # real cosine and sine sums cost half a complex exponential
-                theta = h[span] * npoly.polyval(h[span], taylor[r, 1:].T)
-                out[r] += (np.sum(np.cos(theta) * window[span], axis=1)
-                           + 1j * np.sum(np.sin(theta) * window[span], axis=1))
-        out[rows] *= h[1] - h[0]
-    return w.amplitude(1) * out
+    flow = np.zeros((P, m + k))
+    np.add.at(flow, (np.arange(P)[:, None], end), n)
+    np.add.at(flow, (np.arange(P)[:, None], m + hub), -n)
+    line = (right == np.arange(m)).astype(float) - (left == np.arange(m))
+    return n, forest & np.all(flow == np.concatenate([line, np.zeros((P, k))], axis=1), axis=1)
 
 
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
                       xis: np.ndarray) -> np.ndarray:
-    """STFT of exp(i phase) for 1-d polynomial phases of degree >= 2.
-
-    Steepest descent for every point, the trapezoid for those whose chain of
-    paths it could not build.
-    """
+    """STFT of exp(i phase) for 1-d polynomial phases of degree >= 2, by steepest descent."""
     c = coeff_array(phase)
     m = len(c) - 1
     # Phase centred on each window, so its size at large x adds no round-off:
@@ -495,11 +571,19 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
         raise DomainError(f"chirp phase overflows float64 at window centre "
                           f"{xs[~np.all(np.isfinite(taylor), axis=1)][0]}")
     out = np.empty(len(xs), dtype=complex)
-    fallback = np.empty(len(xs), dtype=bool)
-    for block in _blocks(len(xs), 2 * (m - 1) * (m + 1)):
-        integral, fallback[block] = _steepest_descent(taylor[block], w.width)
-        out[block] = w.amplitude(1) * integral
-    out[fallback] = _trapezoid(taylor[fallback], w)
+    width = 2 * (m - 1) * (m + 1)
+    for block in _blocks(len(xs), width):
+        out[block] = w.amplitude(1) * _steepest_descent(taylor[block], w.width, _SADDLE_GAP)
+    # A point whose chain needs a lost path, as one that runs into a saddle not
+    # far below its own, integrates again with saddles clustered wherever their
+    # discs meet, whatever their gap.
+    again = np.flatnonzero(np.isnan(out))
+    for block in _blocks(len(again), width):
+        rows = again[block]
+        out[rows] = w.amplitude(1) * _steepest_descent(taylor[rows], w.width, math.inf)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"no chain of steepest-descent paths at window centre "
+                          f"{xs[~np.isfinite(out)][0]}")
     return _TWO_PI ** (-0.5) * np.exp(1j * (taylor[:, 0] - xs * xis)) * out
 
 

@@ -264,6 +264,10 @@ class TestChirpVerify:
         assert report["max_angle_error"] <= 0.09
         pred = json.loads((outdir / "prediction.json").read_text())
         assert pred["regime"] == "gradient-graph"
+        counts = report["status_counts"]
+        assert list(counts) == ["singular", "regular", "below-floor", "unreachable"]
+        assert sum(counts.values()) == 360
+        assert counts["singular"] == report["n_detected"]
 
 
 class TestRelationCommand:

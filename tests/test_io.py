@@ -14,7 +14,7 @@ from anisowf.io import (dump_json, poly_from_dict, poly_to_dict,
                         write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
-from anisowf.stft import WindowSpec, stft_grid
+from anisowf.stft import StftGrid, WindowSpec, stft_grid
 
 
 def reference_csv(rows) -> bytes:
@@ -132,6 +132,20 @@ class TestStftCsv:
         p = tmp_path / "grid.csv"
         write_stft_csv(p, grid)
         assert p.read_bytes() == reference_csv(rows)
+
+    def test_axis_labels_match_per_row_formatting(self, tmp_path):
+        # 700 frequencies per position: the 1024-row blocks split lattice rows
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((3, 700)) + 1j * rng.standard_normal((3, 700))
+        values[0, :3] = [0.0, -0.0, 1e-300j]
+        grid = StftGrid(0.1, 2.0 * math.pi / 70.0, values)
+        want = "x,xi,re,im,abs\r\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (x, xi, v.real, v.imag, abs(v))
+            for x, row in zip(grid.positions().tolist(), values.tolist())
+            for xi, v in zip(grid.frequencies().tolist(), row))
+        p = tmp_path / "grid.csv"
+        write_stft_csv(p, grid)
+        assert p.read_bytes() == want.encode()
 
 
 class TestPolyJson:

@@ -202,26 +202,43 @@ class TestPointsBatch:
 
 
 def dense_chirp_oracle(coeffs, x, xi, width=1.0, unit_norm=True, half=12.0,
-                       npts=(1 << 20) + 1):
+                       npts=(1 << 20) + 1, shift=0.0):
     """Independent oracle: a dense trapezoid over [x - half width, x + half width]
-    with the phase sum c_j y^j - y xi left un-centred.
+    with the phase sum c_j y^j - y xi left un-centred; x and xi may be arrays.
 
     The phase is summed in long double and reduced mod 2 pi before the
-    exponential: in double, its round-off at |y|^m ~ 1e4 alone is ~1e-9 of a
-    |V| of 1e-8.
+    exponential, and the terms are added in long double: in double, the
+    phase's round-off at |y|^m ~ 1e4, or the sum's, reaches ~1e-9 of a |V| of
+    1e-8.  With shift > 0 the line runs at Im y = shift, which Cauchy's
+    theorem allows where the phase's leading term c y^m has c > 0 and m odd:
+    it damps the oscillation of the tails, so few nodes resolve any window.
     """
     ld = np.longdouble
-    y = np.linspace(ld(x) - ld(half * width), ld(x) + ld(half * width), npts)
-    theta = np.zeros_like(y)
-    for c in coeffs[:0:-1]:
-        theta = (theta + ld(c)) * y
-    theta += ld(coeffs[0]) - y * ld(xi)
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float)).astype(ld)[:, None]
+    xi = np.atleast_1d(np.asarray(xi, dtype=float)).astype(ld)[:, None]
     two_pi = 2 * np.arccos(ld(-1.0))
-    theta = (theta - two_pi * np.round(theta / two_pi)).astype(float)
-    h = (y - ld(x)).astype(float)
+    step = ld(2.0 * half * width) / (npts - 1)
+    total = np.zeros(len(x), dtype=np.clongdouble)
+    chunk = max(1, (1 << 18) // len(x))
+    for lo in range(0, npts, chunk):
+        k = np.arange(lo, min(lo + chunk, npts))
+        h = (k - (npts - 1) // 2) * step + (1j * ld(shift) if shift else 0)
+        y = x + h
+        theta = np.zeros_like(y)
+        for c in coeffs[:0:-1]:
+            theta = (theta + ld(c)) * y
+        theta += ld(coeffs[0]) - y * xi
+        window = h * h / (2 * ld(width) ** 2)
+        phase = np.real(theta) - np.imag(window)
+        phase -= two_pi * np.round(phase / two_pi)
+        size = -np.imag(theta) - np.real(window)
+        terms = np.exp(size.astype(float) + 1j * phase.astype(float))
+        terms[:, (k == 0) | (k == npts - 1)] /= 2.0
+        total += np.sum(terms, axis=1, dtype=np.clongdouble)
     amp = math.pi ** -0.25 * width ** -0.5 if unit_norm else 1.0
-    vals = amp * np.exp(1j * theta - h * h / (2.0 * width ** 2))
-    return np.trapezoid(vals, dx=h[1] - h[0]) / math.sqrt(TWO_PI)
+    out = (total * step).astype(complex) * (amp / math.sqrt(TWO_PI))
+    return out[0] if scalar else out
 
 
 class TestBatchInvariance:
@@ -262,26 +279,26 @@ class TestBatchInvariance:
         xs, xis = self.points(np.random.default_rng(9), 40, 3.0, 20.0, 1)
         self.check(chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)), WindowSpec(1.0), xs, xis)
 
-    def test_cubic_chirp_mixes_steepest_descent_and_trapezoid(self, monkeypatch):
-        # near the origin saddles of x^3 - xi x coalesce and points fall back to
-        # the trapezoid, several of its (points, nodes) blocks; far out they do not
+    def test_cubic_chirp_mixes_clusters_and_isolated_saddles(self, monkeypatch):
+        # near the origin saddles of x^3 - xi x coalesce and points integrate
+        # through a cluster's disc; far out they do not
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.uniform(-3.0, 3.0, 40), rng.uniform(30.0, 60.0, 20)])
         xi = np.concatenate([rng.uniform(-20.0, 20.0, 40),
                              3.0 * x[40:] ** 2 + rng.uniform(-50.0, 50.0, 20)])
-        rows = []
-        trapezoid = stft_module._trapezoid
+        centres = []
+        taylor_shift = stft_module._taylor_shift
 
-        def recording(taylor, w):
-            rows.append(len(taylor))
-            return trapezoid(taylor, w)
+        def recording(c, s):
+            if s.ndim == 1:   # a shift to cluster centres or exit points
+                centres.append(len(s))
+            return taylor_shift(c, s)
 
-        monkeypatch.setattr(stft_module, "_trapezoid", recording)
+        monkeypatch.setattr(stft_module, "_taylor_shift", recording)
         self.check(chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)), WindowSpec(1.0),
                    x[:, None], xi[:, None])
-        # the batch call comes first: some of its points, not all, fall back
-        assert 0 < rows[0] < len(x)
-        assert rows[0] * 2049 > 2 * _WORK_ELEMENTS
+        # the batch call comes first: some of its points, not all, have a cluster
+        assert 0 < centres[0] < len(x)
 
 
 class TestChirpQuadrature:
@@ -368,17 +385,98 @@ class TestChirpQuadrature:
         assert abs(got[0]) == pytest.approx(abs(quad[0]), rel=1e-9)
         assert abs(got[1]) < 1e-60
 
-    def test_ceiling_raises_before_any_node_array(self, monkeypatch):
-        # 100 x^5 at x = 0, xi = 0 sits on its cluster of coalescing saddles and
-        # falls back to the trapezoid, which would need 3e7 nodes: the ceiling
-        # raises before any node array, after the far point's steepest descent
+    def test_quintic_cluster_matches_dense_oracle(self, monkeypatch):
+        # 100 x^5 at x = 0, xi = 0 sits on its cluster of four coalescing
+        # saddles, where a trapezoid over the window would need 3e7 nodes; the
+        # cluster's disc costs a fixed number per point, like the far point
+        quintic = (0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
         sizes = self.recording_sizes(monkeypatch)
         x = np.array([300.0, 0.0])
         xi = np.array([500.0 * 300.0 ** 4, 0.0])
-        with pytest.raises(ResolutionError, match="coalesce"):
-            _chirp_quadrature(poly_1d(0.0, 0.0, 0.0, 0.0, 0.0, 100.0), WindowSpec(1.0), x, xi)
+        got = _chirp_quadrature(poly_1d(*quintic), WindowSpec(1.0), x, xi)
         monkeypatch.undo()
-        assert max(sizes) <= 2 * 4 * len(x)
+        # no array beyond the work width of a point: 2 (m - 1) half paths of
+        # m + 1 coefficients, or a rim of as many samples
+        assert max(sizes) <= 2 * 4 * 6 * len(x)
+        # five widths each side: the oscillating tail beyond adds ~1e-11, and
+        # 2^21 nodes resolve the phase's 3e5 rad per unit at the ends
+        want = dense_chirp_oracle(quintic, 0.0, 0.0, half=5.0, npts=(1 << 21) + 1)
+        assert abs(want) > 0.1
+        assert got[1] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_quintic_grid_matches_dense_oracle(self):
+        # x^5 has a cluster of four saddles at the origin; windows from x = -36
+        # to 36 see it, or the phase's far ridge, or neither
+        x, xi = np.meshgrid(np.arange(-36.0, 37.0), [0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0],
+                            indexing="ij")
+        x, xi = x.ravel(), xi.ravel()
+        quintic = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        got = _chirp_quadrature(poly_1d(*quintic), WindowSpec(1.0), x, xi)
+        # at Im y = 0.1 the tails are damped: 8193 nodes over nine widths each
+        # side resolve every window, and agree with the real line
+        want = dense_chirp_oracle(quintic, x, xi, half=9.0, npts=(1 << 13) + 1, shift=0.1)
+        for k in (36 * 7 + 1, 37 * 7 + 6):   # (0, 1) and (1, -20)
+            line = dense_chirp_oracle(quintic, x[k], xi[k], half=9.0, npts=(1 << 19) + 1)
+            assert want[k] == pytest.approx(line, rel=1e-10, abs=0.0)
+        big = np.abs(want) > 1e-8
+        assert big.sum() >= 80
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[~big], want[~big], rtol=0.0, atol=1e-17)
+
+    def test_former_trapezoid_points_match_dense_oracle(self):
+        # criterion 4's curve points near the origin, where saddles of x^3 - xi x
+        # coalesce: the box holds every point that once fell back to a trapezoid
+        lam = np.geomspace(2.0, 2000.0, 24)
+        theta = 2.0 * math.pi * np.arange(720) / 720
+        x = np.outer(np.cos(theta), lam ** 0.6).ravel()
+        xi = np.outer(np.sin(theta), lam ** 1.2).ravel()
+        box = (np.abs(x) < 5.4) & (np.abs(xi) < 8.8)
+        x, xi = x[box], xi[box]
+        assert len(x) > 4000
+        got = _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), x, xi)
+        # nine widths each side; the phase there moves at most 631 rad per unit
+        want = dense_chirp_oracle(self.CUBE, x, xi, half=9.0, npts=(1 << 12) + 1)
+        big = np.abs(want) > 1e-8
+        assert big.sum() > 3000
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[~big], want[~big], rtol=0.0, atol=1e-16)
+
+    # the lines of propagator kernels for x^3 and x^4 (t = 0.3) and x^5 (t = 1):
+    # a path from the top saddle runs into a lower one near a Stokes line, far
+    # below it (first, third) or not (second, fourth, integrated again with
+    # saddles clustered by their discs alone)
+    @pytest.mark.parametrize("coeffs, x, xi, again, npts", [
+        ((0.0, 0.0, 0.0, -0.3), -3.9467210993624895, -5.925358285060389, False, 1 << 16),
+        ((0.0, 0.0, 0.0, 0.0, -0.3), 4.147532141497684, 2.110750811476862, True, 1 << 17),
+        ((0.0, 0.0, 0.0, 0.0, -0.3), 5.605134301902045, -10.96770839965626, False, 1 << 17),
+        ((0.0, 0.0, 0.0, 0.0, 0.0, -1.0), -5.202187741146262, -12.760999324570548, True, 1 << 21),
+    ])
+    def test_paths_lost_near_a_stokes_line(self, monkeypatch, coeffs, x, xi, again, npts):
+        gap_rules = []
+        steepest_descent = stft_module._steepest_descent
+
+        def recording(taylor, width, gap_rule):
+            gap_rules.append(gap_rule)
+            return steepest_descent(taylor, width, gap_rule)
+
+        monkeypatch.setattr(stft_module, "_steepest_descent", recording)
+        # (2 + 1/sigma^2)^(-1/2), sigma = 0.6 pi / 0.1108, as _fourier_chirp computes it
+        w = WindowSpec(0.7064967668949592, unit_norm=False)
+        got = _chirp_quadrature(poly_1d(*coeffs), w, np.array([x]), np.array([xi]))
+        assert (math.inf in gap_rules) == again
+        want = dense_chirp_oracle(coeffs, x, xi, w.width, unit_norm=False, npts=npts + 1)
+        assert abs(want) > 1e-8
+        assert got[0] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_a_point_without_a_chain_is_a_domain_error(self, monkeypatch):
+        # a path lost on the way leaves the chain short: no value is made up
+        def lose_every_path(c, d, slope, u, bad, target, step):
+            bad[:] = True
+
+        monkeypatch.setattr(stft_module, "_trace", lose_every_path)
+        with pytest.raises(DomainError, match="no chain"):
+            _chirp_quadrature(poly_1d(*self.CUBE), WindowSpec(1.0), np.array([1.0]),
+                              np.array([3.0]))
 
     def test_phase_beyond_double_precision_is_a_domain_error(self):
         # at x = 1e50 g(s) carries a round-off of ~1e135 at the saddles: no
