@@ -209,6 +209,7 @@ def cmd_propagate_verify(config, out, seed):
         "containment_after_in_transported": gaps[0],
         "containment_transported_in_after": gaps[1],
         "pass": None not in gaps and max(gaps) <= tol,
+        "status_counts": {"before": before.status_counts(), "after": after.status_counts()},
     }))
 
 
@@ -218,23 +219,17 @@ def cmd_kernel_check(config, out, seed):
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)
     w = parse_window(config)
-    n = cfg_get(config, "n", count)
-    dx = cfg_get(config, "dx", positive)
     eps_angle = cfg_get(config, "eps_angle", positive, default=0.05)
     opts = parse_estimator_opts(config, circle=False)
     sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)
-    moll_frac = cfg_get(config, "moll_width_frac", positive, default=0.25)
 
-    kernel = propagator_kernel(spec, n, dx, moll_width=moll_frac * math.pi / dx)
-    est = estimate_kernel_wf(kernel, w, idx, sweep=sweep, seed=seed, **opts)
+    est = estimate_kernel_wf(propagator_kernel(spec), w, idx, sweep=sweep, seed=seed, **opts)
     graph = check_graph_condition(est, eps_angle)
     out.write_json("kernel_wf.json", wf_estimate_to_dict(est))
     out.write_json("report.json", report_envelope(config, seed, {
-        "wf1_empty": graph["wf1_empty"],
-        "wf2_empty": graph["wf2_empty"],
-        "offenders": graph["offenders"],
+        **graph,
         "cone_constant": cone_constant(est, idx),
-        "moll_width_frac": moll_frac,
+        "status_counts": est.status_counts(),
     }))
 
 

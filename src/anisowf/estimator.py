@@ -32,8 +32,8 @@ LAMBDA_MIN = 2.0
 LAMBDA_MAX = 50.0
 MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
-# WFEntry.status values, indexed by the verdict codes of _classify
-_STATUS = ("unreachable", "singular", "regular", "below-floor")
+# WFEntry.status values, indexed by the verdict codes of _classify, in report order
+STATUSES = ("singular", "regular", "below-floor", "unreachable")
 # Curve-table points per stft_points call, bounding the closed forms' (points,) temporaries
 _TABLE_CHUNK = 2048
 # cone_constant: a block norm below this counts as vanishing
@@ -89,8 +89,7 @@ class WFEstimate:
 
     def status_counts(self) -> dict:
         """Rows per status, for every status _classify can give."""
-        return {s: sum(e.status == s for e in self.entries)
-                for s in ("singular", "regular", "below-floor", "unreachable")}
+        return {s: sum(e.status == s for e in self.entries) for s in STATUSES}
 
 
 def geometric_lambdas(lo: float, hi: float, n: int) -> np.ndarray:
@@ -136,11 +135,11 @@ def _curve_reaches(u, idx: AnisoIndex, dirs: np.ndarray) -> np.ndarray:
     """Largest lambda keeping the curve of each unit (x, xi) row of dirs
     inside the usable grid region.
 
-    Analytic signals have unbounded reach.  Curves stay within REACH_FRAC of
-    the position extent and of the Nyquist frequency, and a convolution
-    kernel's curves also within its passband.
+    Analytic signals and kernels with an analytic line have unbounded reach.
+    Curves stay within REACH_FRAC of the position extent and of the Nyquist
+    frequency, and a sampled kernel's curves also within its passband.
     """
-    if isinstance(u, AnalyticSignal):
+    if isinstance(u.line if isinstance(u, ConvolutionKernel) else u, AnalyticSignal):
         return np.full(len(dirs), math.inf)
     x_lim = REACH_FRAC * u.extent
     xi_lim = REACH_FRAC * math.pi / u.dx
@@ -197,8 +196,8 @@ def _classify(dirs, lambdas, table, floor, threshold) -> list:
     rhat, intercept, residual, n_valid = fit_rate_arrays(lambdas, table, floor)
     last = table[np.arange(len(table)), lambdas.size - 1 - np.argmax(reach[:, ::-1], axis=1)]
     status = np.select([~reachable, (rhat <= threshold) & (last >= floor),
-                        np.isfinite(rhat) & (rhat > threshold)], [0, 1, 2], 3)
-    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), _STATUS[f])
+                        np.isfinite(rhat) & (rhat > threshold)], [3, 0, 1], 2)
+    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), STATUSES[f])
             for z, r, c, e, k, f in zip(dirs, rhat, intercept, residual, n_valid, status)]
 
 
@@ -356,15 +355,22 @@ def check_graph_condition(wf: WFEstimate, eps_angle: float) -> dict:
     Offenders are singular directions within eps_angle of plane 1,
     {(x, 0, xi, 0)}, or of plane 2, {(0, y, 0, -eta)} (as a set the sign of
     eta is immaterial); they are listed in entry order, plane 1 first.
+    wf1_rows and wf2_rows count the rows of every status within eps_angle of
+    each plane: a trace is empty of singular rows, but only the regular
+    ones near it confirm that.
     """
-    z = wf.singular_directions()
+    z = np.array([e.direction.z for e in wf.entries], dtype=float).reshape(-1, 4)
+    status = np.array([e.status for e in wf.entries], dtype=object)
     x2, y2, xi2, eta2 = (np.sum(b * b, axis=1) for b in blocks4(z))
     angles = np.arcsin(np.minimum(1.0, np.sqrt(np.column_stack([y2 + eta2, x2 + xi2]))))
-    hit = angles < eps_angle
+    near = angles < eps_angle
+    hit = near & (status == "singular")[:, None]
     offenders = [{"direction": z[i].tolist(), "plane": int(j) + 1, "angle": float(angles[i, j])}
                  for i, j in zip(*np.nonzero(hit))]
+    rows = [{s: int(np.count_nonzero(near[:, j] & (status == s))) for s in STATUSES}
+            for j in (0, 1)]
     return {"wf1_empty": not hit[:, 0].any(), "wf2_empty": not hit[:, 1].any(),
-            "offenders": offenders}
+            "offenders": offenders, "wf1_rows": rows[0], "wf2_rows": rows[1]}
 
 
 def cone_constant(wf: WFEstimate, idx: AnisoIndex) -> float:

@@ -74,32 +74,23 @@ class SampledSignal:
 
 
 class ConvolutionKernel:
-    """Convolution kernel K(x, y) = k(x - y) on the n x n grid of spacing dx, kept as its line k.
+    """Convolution kernel K(x, y) = k(x - y), kept as its line k.
 
-    The line is either sampled, at the 2n offsets (m - n) dx that cover every
-    difference x_i - y_j of the grid, or analytic (a 1-d AnalyticSignal);
-    dim, dx and extent are those of the n x n grid the kernel stands for.
-    passband is the frequency width of the line's mollifier: the kernel
-    stands for the unmollified one only at frequencies inside it.
+    An analytic line (a 1-d AnalyticSignal) gives a kernel with no grid.  A
+    line sampled at 2n offsets (m - n) dx covers every difference x_i - y_j
+    of an n x n grid, which the kernel then stands for: n, dx and extent are
+    that grid's.  passband is the frequency width of a sampled line's
+    mollifier: the kernel stands for the unmollified one only inside it.
     """
 
-    __slots__ = ("line", "n", "dx", "passband")
+    __slots__ = ("line", "passband")
 
-    def __init__(self, line, n: int, dx: float, passband: float):
+    def __init__(self, line, passband: float = math.inf):
         if line.dim != 1:
             raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
-        if n < 16 or n & (n - 1) != 0:
-            raise DomainError(f"samples per axis must be a power of two >= 16, got {n}")
-        if not dx > 0.0:
-            raise DomainError(f"grid spacing must be positive, got {dx}")
         if not passband > 0.0:
             raise DomainError(f"passband must be positive, got {passband}")
-        if isinstance(line, SampledSignal) and (line.n != 2 * n or line.dx != dx):
-            raise DomainError(f"a sampled kernel line needs 2n = {2 * n} samples at spacing "
-                              f"{dx}, got {line.n} at {line.dx}")
         self.line = line
-        self.n = int(n)
-        self.dx = float(dx)
         self.passband = float(passband)
 
     @property
@@ -107,8 +98,16 @@ class ConvolutionKernel:
         return 2
 
     @property
+    def n(self) -> int:
+        return self.line.n // 2
+
+    @property
+    def dx(self) -> float:
+        return self.line.dx
+
+    @property
     def extent(self) -> float:
-        return self.n * self.dx / 2.0
+        return self.line.extent / 2.0
 
     def dense(self) -> SampledSignal:
         """The n x n matrix K[i, j] = k(x_i - y_j) as a d = 2 sampled signal (sampled lines)."""
@@ -123,7 +122,8 @@ class AnalyticSignal:
     """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, fourier-chirp or tensor.
 
     A fourier-chirp is the 1-d line (2 pi)^(-1/2) F^(-1)[exp(i q) exp(-xi^2 / (2 width^2))]
-    for the polynomial q = phase, a chirp windowed by a Gaussian on the Fourier side.
+    for the polynomial q = phase, a chirp windowed by a Gaussian on the Fourier side;
+    width = inf leaves it unwindowed.
     """
 
     kind: str

@@ -13,10 +13,10 @@ Dirac delta gives the reflected window.  Chirps of degree >= 3 are
 integrated along steepest-descent paths from the saddles of the windowed
 phase, and from discs around saddles too near each other for that, at a
 fixed number of nodes per path and segment whatever the point
-(_steepest_descent).  A fourier-chirp (a chirp windowed by a Gaussian on the
-Fourier side, the analytic line of an evolution kernel) reduces by Parseval
-to the chirp STFT at a swapped point (_fourier_chirp).  Full grids are swept
-with an FFT per translate.
+(_steepest_descent).  A fourier-chirp (a chirp on the Fourier side, windowed
+by a Gaussian or not, the analytic line of an evolution kernel) reduces by
+Parseval to the chirp STFT at a swapped point (_fourier_chirp).  Full grids
+are swept with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -192,29 +192,32 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
                  xis: np.ndarray) -> np.ndarray:
     """4-d STFT of K(x, y) = k(x - y) as one 1-d STFT of the line k.
 
-    Substituting r = y0 - y1 and summing the Gaussian in y1 in closed form
-    (Poisson summation; the aliases weigh exp(-(pi w/dx)^2 / 4)) gives
+    Substituting r = y0 - y1 and integrating the Gaussian in y1 in closed
+    form gives
 
         V_K(x0, x1, xi0, xi1) = c_w (2 pi)^(-1/2)
-            exp(-sigma'^2 w^2 / 4 - i (x0 + x1) sigma' / 2) V_k(x0 - x1, f)
+            exp(-sigma^2 w^2 / 4 - i (x0 + x1) sigma / 2) V_k(x0 - x1, f)
 
-    with sigma = xi0 + xi1, k = round(sigma dx / 2 pi), sigma' = sigma - 2 pi k/dx,
-    f = (xi0 - xi1)/2 - pi k/dx wrapped into [-pi/dx, pi/dx], V_k taken with
-    an amplitude-1 Gaussian window of width sqrt(2) w, and
-    c_w = w.amplitude(2) sqrt(pi) w (1 for a unit-norm window).  Shifting xi0
-    by the period 2 pi/dx, invisible on the grid, is what brings sigma into
-    one period; f carries half of that shift.  Unlike the n x n sum, the
-    y1 sum runs past the grid edge, which differs only where a window
-    reaches it.  The line is sampled or analytic (a fourier-chirp); the
-    formula is the same.
+    with sigma = xi0 + xi1, f = (xi0 - xi1)/2, V_k taken with an amplitude-1
+    Gaussian window of width sqrt(2) w, and c_w = w.amplitude(2) sqrt(pi) w
+    (1 for a unit-norm window).  An analytic line takes the formula as it
+    is.  A sampled line is a sum over its grid, where the y1 integral is a
+    Poisson sum (the aliases weigh exp(-(pi w/dx)^2 / 4)) and xi0 is seen
+    only modulo the period 2 pi/dx: with k = round(sigma dx / 2 pi), sigma
+    becomes sigma - 2 pi k/dx, f becomes f - pi k/dx wrapped into
+    [-pi/dx, pi/dx], and points past the grid's reach are rejected.  Unlike
+    the n x n sum, the y1 sum runs past the grid edge, which differs only
+    where a window reaches it.
     """
-    _check_reach(u, xs, xis)
-    period = _TWO_PI / u.dx
     sigma = xis[:, 0] + xis[:, 1]
-    k = np.round(sigma / period)
-    sigma -= k * period
-    f = (xis[:, 0] - xis[:, 1]) / 2.0 - k * period / 2.0
-    f -= period * np.round(f / period)
+    f = (xis[:, 0] - xis[:, 1]) / 2.0
+    if isinstance(u.line, SampledSignal):
+        _check_reach(u, xs, xis)
+        period = _TWO_PI / u.dx
+        k = np.round(sigma / period)
+        sigma -= k * period
+        f -= k * period / 2.0
+        f -= period * np.round(f / period)
     line_w = WindowSpec(math.sqrt(2.0) * w.width, unit_norm=False)
     v = stft_points(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
     c_w = w.amplitude(2) * math.sqrt(math.pi) * w.width
@@ -235,7 +238,8 @@ def _fourier_chirp(u: AnalyticSignal, w: WindowSpec, xs: np.ndarray,
     with alpha = 1/s^2 + W^2, c = W^2 f / alpha, C = -W^2 f^2 / (2 s^2 alpha)
     (that is -W^2 f^2/2 + (W^2 f)^2/(2 alpha)), W the window width, and
     V_chirp the STFT of exp(i q) against the amplitude-1 window of width
-    alpha^(-1/2): closed form for degree <= 2, steepest descent above.
+    alpha^(-1/2): closed form for degree <= 2, steepest descent above.  With
+    no mollifier (s = inf), alpha = W^2, c = f and C = 0.
     """
     width = w.width
     alpha = 1.0 / u.width ** 2 + width ** 2

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from anisowf.cli import COMMANDS, main
@@ -41,8 +42,7 @@ class TestStftCommand:
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         gauss = {"kind": "gaussian", "n": 256, "dx": 0.1}
-        kernel = {"symbol": XSQ, "time": 0.3, "index": {"t": 1.2, "s": 1.2},
-                  "n": 128, "dx": 0.2216}
+        kernel = {"symbol": XSQ, "time": 0.3, "index": {"t": 1.2, "s": 1.2}}
         wf = {"signal": gauss, "index": {"t": 1.0, "s": 1.0}, "sphere_samples": 90}
         empty, bad_index = tmp_path / "empty.csv", tmp_path / "bad_index.csv"
         empty.write_text("")
@@ -97,7 +97,6 @@ class TestStftCommand:
             ("chirp-verify", {"phase": {"dim": 1, "coeffs": {}}}, "phase"),
             ("kernel-check", dict(kernel, sweep="abcd"), "sweep"),
             ("kernel-check", dict(kernel, sweep=[1, 2]), "sweep"),
-            ("kernel-check", dict(kernel, n=math.inf), "n"),
             ("relation", {"A": "xx", "B": [[2.0, 4.0]]}, "A"),
             ("relation", {"A": [[1.0, 2.0, 3.0, -4.0], [1.0, 2.0]], "B": [[2.0, 4.0]]}, "A"),
             ("wf", {"signal": {"kind": "file", "path": str(tmp_path / "missing.csv")}},
@@ -305,6 +304,14 @@ class TestSeminormCommand:
         assert rows[0]["value"] >= rows[1]["value"]
 
 
+def kernel_graph_circle():
+    """Criterion 8's predicted kernel wave front directions for x^2 at t = 0.3, both signs."""
+    t = np.linspace(0, 2 * math.pi, 721)[:-1]
+    v = np.column_stack([np.cos(t) + 0.6 * np.sin(t), np.cos(t), np.sin(t), -np.sin(t)])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.vstack([v, -v])
+
+
 class TestKernelCheck:
     def test_small_kernel_smoke(self, tmp_path):
         cfg = {"symbol": XSQ, "time": 0.3,
@@ -321,18 +328,45 @@ class TestKernelCheck:
         assert report["wf1_empty"] is True
         assert report["wf2_empty"] is True
         assert report["cone_constant"] >= 1.0
+        rows = len(json.loads((outdir / "kernel_wf.json").read_text())["entries"])
+        assert sum(report["status_counts"].values()) == rows
+        # every row near a plane is counted, and the planes' singular rows are the offenders
+        for plane in (1, 2):
+            near = report[f"wf{plane}_rows"]
+            assert near["singular"] == sum(o["plane"] == plane for o in report["offenders"])
+            assert sum(near.values()) > 0
+
+    def test_flow_graph_at_large_lambda(self, tmp_path):
+        # criterion 8's fixture, unmollified, with lambda up to 100: no reach cap stops it
+        cfg = {"symbol": XSQ, "time": 0.3, "index": {"t": 1.2, "s": 1.2},
+               "window": {"width": 1.0}, "sweep": [8, 24, 24, 64],
+               "lambda": {"min": 2.0, "max": 100.0, "n": 24}, "r_threshold": 0.13,
+               "floor": 1e-11, "eps_angle": 0.05}
+        code, outdir = run_cli(tmp_path, "kernel-check", cfg)
+        assert code == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["wf1_empty"] is True and report["wf2_empty"] is True
+        entries = json.loads((outdir / "kernel_wf.json").read_text())["entries"]
+        sing = np.array([e["dir"] for e in entries if e["singular"]])
+        assert len(sing)
+        tube = np.max(np.arccos(np.clip(np.max(sing @ kernel_graph_circle().T, axis=1), -1, 1)))
+        assert tube <= 0.1
 
     def test_removed_reach_fields_are_ignored(self, tmp_path):
-        # the sweep's xi reach is the kernel's passband: configs that still set
-        # xi_reach_moll_frac or halve_check run as if they did not
+        # the kernel has no grid and no reach cap: configs that still set n, dx,
+        # moll_width_frac, xi_reach_moll_frac or halve_check, valid or not,
+        # run as if they did not
         cfg = fuzz_fixture("kernel-check", tmp_path)
-        old = dict(cfg, xi_reach_moll_frac=1.0, halve_check=True)
         assert run_cli(tmp_path, "kernel-check", cfg, outname="new")[0] == 0
-        assert run_cli(tmp_path, "kernel-check", old, outname="old")[0] == 0
-        assert ((tmp_path / "new" / "kernel_wf.json").read_bytes()
-                == (tmp_path / "old" / "kernel_wf.json").read_bytes())
-        report = json.loads((tmp_path / "old" / "report.json").read_text())
-        assert "cone_constant_halved" not in report
+        want = (tmp_path / "new" / "kernel_wf.json").read_bytes()
+        for k, old in enumerate(({"n": 512, "dx": 0.1108, "moll_width_frac": 0.6,
+                                  "xi_reach_moll_frac": 1.0, "halve_check": True},
+                                 {"n": 0, "dx": -1.0, "moll_width_frac": "abc"})):
+            code, outdir = run_cli(tmp_path, "kernel-check", dict(cfg, **old), outname=f"old{k}")
+            assert code == 0
+            assert (outdir / "kernel_wf.json").read_bytes() == want
+            report = json.loads((outdir / "report.json").read_text())
+            assert "cone_constant_halved" not in report and "moll_width_frac" not in report
 
     def test_sweep_without_directions_exit_1(self, tmp_path, capsys):
         for k, sweep in enumerate(([0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 2, 0])):
@@ -343,19 +377,17 @@ class TestKernelCheck:
             assert "Traceback" not in err and "no direction" in err, err
             assert not any(files for _, _, files in os.walk(outdir)), sweep
 
-    def test_cubic_symbol_in_the_flow_regime(self, tmp_path):
-        # x^3 at t = s(m - 1): the sampled line would alias at n = 512 (it
-        # suggests n = 4096); the analytic line runs on the grid as given
-        cfg = {"symbol": poly_to_dict(poly_1d(0.0, 0.0, 0.0, 1.0)), "time": 0.05,
-               "n": 512, "dx": 0.1108,
+    def test_cubic_symbol_in_the_flow_regime(self, tmp_path, capsys):
+        # x^3 at t = s(m - 1) with lambda up to 100: a sampled line would alias,
+        # the analytic one has no grid
+        cfg = {"symbol": poly_to_dict(poly_1d(0.0, 0.0, 0.0, 1.0)), "time": 0.3,
                "index": {"t": 1.2, "s": 0.6},
                "window": {"width": 1.0},
-               "sweep": [1, 4, 4, 8],
-               "lambda": {"min": 2.0, "max": 13.0, "n": 12},
-               "r_threshold": 0.13, "floor": 1e-11,
-               "moll_width_frac": 0.6, "eps_angle": 0.05}
+               "sweep": [4, 12, 12, 24],
+               "lambda": {"min": 2.0, "max": 100.0, "n": 24},
+               "r_threshold": 0.13, "floor": 1e-11, "eps_angle": 0.05}
         code, outdir = run_cli(tmp_path, "kernel-check", cfg)
-        assert code == 0
+        assert code == 0, capsys.readouterr().err
         report = json.loads((outdir / "report.json").read_text())
         assert report["wf1_empty"] is True
         assert report["wf2_empty"] is True
@@ -380,6 +412,9 @@ class TestPropagateVerify:
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["pass"] is True
+        for name in ("before", "after"):
+            rows = len(json.loads((outdir / f"{name}.json").read_text())["entries"])
+            assert sum(report["status_counts"][name].values()) == rows
 
 
 def fuzz_fixture(command, tmp_path):
@@ -401,10 +436,9 @@ def fuzz_fixture(command, tmp_path):
                              "index": index, "window": window, "sphere_samples": 90,
                              "lambda": lam, "r_threshold": 0.26, "floor": 1e-6,
                              "tol_angle": 0.09},
-        "kernel-check": {"symbol": XSQ, "time": 0.3, "n": 32, "dx": 0.5, "index": index,
-                         "window": window, "sweep": [2, 2, 2, 4],
-                         "lambda": {"min": 2.0, "max": 4.0, "n": 12}, "r_threshold": 0.13,
-                         "floor": 1e-11, "moll_width_frac": 0.6, "eps_angle": 0.05},
+        "kernel-check": {"symbol": XSQ, "time": 0.3, "index": index, "window": window,
+                         "sweep": [2, 2, 2, 4], "lambda": {"min": 2.0, "max": 4.0, "n": 12},
+                         "r_threshold": 0.13, "floor": 1e-11, "eps_angle": 0.05},
         "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9,
                      "scales": [2.0], "index": unit},
         "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "index": unit,
@@ -475,8 +509,7 @@ class TestConfigFuzz:
     def test_positive_fields_reject_zero_and_negative(self, tmp_path, capsys):
         stft_seminorm = dict(fuzz_fixture("seminorm", tmp_path), kind="stft")
         analytic = dict(fuzz_fixture("wf", tmp_path), signal={"kind": "analytic-gaussian"})
-        cases = [("kernel-check", None, "eps_angle"), ("kernel-check", None, "moll_width_frac"),
-                 ("kernel-check", None, "dx"), ("chirp-verify", None, "tol_angle"),
+        cases = [("kernel-check", None, "eps_angle"), ("chirp-verify", None, "tol_angle"),
                  ("propagate-verify", None, "tol_angle"), ("seminorm", None, "h_values"),
                  ("seminorm", stft_seminorm, "r_values"), ("wf", None, "lambda.min"),
                  ("wf", None, "lambda.max"), ("stft", None, "signal.dx"),
@@ -508,7 +541,7 @@ class TestConfigFuzz:
         ("propagate-verify", "sphere_samples", "sphere_samples"),
         ("wf", "lambda.n", "lambda.n"), ("chirp-verify", "lambda.n", "lambda.n"),
         ("kernel-check", "lambda.n", "lambda.n"), ("kernel-check", "sweep.0", "sweep"),
-        ("kernel-check", "sweep.3", "sweep"), ("kernel-check", "n", "n"),
+        ("kernel-check", "sweep.3", "sweep"),
         ("stft", "signal.n", "signal.n"), ("propagate-verify", "signal.n", "signal.n"),
         ("seminorm", "signal.n", "signal.n"), ("stft", "signal.d", "signal.d"),
         ("seminorm", "max_order", "max_order"), ("chirp-verify", "phase.dim", "phase"),
@@ -524,12 +557,3 @@ class TestConfigFuzz:
         assert "Traceback" not in err and f"{named}: invalid value" in err, err
         assert "at most 2147483647" in err, err
         assert not any(files for _, _, files in os.walk(outdir))
-
-    def test_kernel_grid_size_zero_exits_like_a_bad_size(self, tmp_path, capsys):
-        # n = 0 used to reach a division by zero; like n = 1000 it is a domain error
-        for k, n in enumerate((0, 1000)):
-            cfg = dict(fuzz_fixture("kernel-check", tmp_path), n=n)
-            code, _ = run_cli(tmp_path, "kernel-check", cfg, outname=f"out{k}")
-            err = capsys.readouterr().err
-            assert code == 1, (n, err)
-            assert "Traceback" not in err and "power of two" in err, err

@@ -156,8 +156,7 @@ class TestCurveTable:
         lambda: chirp_signal(poly_1d(0.0, 0.0, 0.0, 1.0)),
         lambda: make_gaussian(1, 256, 0.1),
         lambda: tensor_signal(one_signal(1), delta_signal(1)),
-        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05), 128, 0.2,
-                                  moll_width=0.6 * math.pi / 0.2),
+        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)),
         lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
                               moll_width=0.6 * math.pi / 0.2)])
     def test_equals_row_by_row_evaluation(self, make):
@@ -180,15 +179,21 @@ class TestCurveTable:
         got = curve_table(u, w, idx, dirs, lambdas)
         np.testing.assert_array_equal(got, want)
         reached = np.count_nonzero(np.isfinite(got), axis=1)
-        assert reached.max() > 0
-        if not isinstance(u, AnalyticSignal):   # clipped rows and all-NaN rows are mixed in
+        if isinstance(getattr(u, "line", u), AnalyticSignal):   # unbounded reach
+            assert reached.min() == lambdas.size
+        else:   # clipped rows and all-NaN rows are mixed in
             assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
 
     @pytest.mark.parametrize("build", [kernel_signal, propagator_kernel])
     def test_kernel_curves_stay_inside_the_passband(self, build):
-        # a passband of a quarter of Nyquist, well inside the 80% Nyquist reach
+        # a sampled line's passband of a quarter of Nyquist, well inside the
+        # 80% Nyquist reach; the unmollified analytic line has none
         passband = 0.25 * math.pi / 0.2
-        K = build(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2, moll_width=passband)
+        spec = EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3)
+        if build is kernel_signal:
+            K = kernel_signal(spec, 128, 0.2, moll_width=passband)
+        else:
+            K, passband = propagator_kernel(spec), math.inf
         assert K.passband == passband
         rng = np.random.default_rng(3)
         dirs = rng.standard_normal((60, 4))
@@ -198,24 +203,31 @@ class TestCurveTable:
         r, c = np.nonzero(np.isfinite(got))
         assert r.size
         xi = np.abs(lambdas[c, None] ** idx.s * dirs[r, 2:])
-        assert 0.9 * passband < xi.max() <= passband
+        if math.isfinite(passband):
+            assert 0.9 * passband < xi.max() <= passband
+        else:
+            assert r.size == got.size
 
 
     @pytest.mark.parametrize("make", [
         lambda: make_gaussian(1, 256, 0.1),
         lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
                               moll_width=0.6 * math.pi / 0.2),
-        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
-                                  moll_width=0.25 * math.pi / 0.2)])
+        lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3))])
     def test_reach_from_the_grid_bounds(self, make):
         # an oracle that shares no code with curve_reach: each curve point is
-        # checked against the extent, Nyquist and passband bounds themselves
+        # checked against the extent, Nyquist and passband bounds themselves;
+        # a kernel with an analytic line has no grid, so no bound
         u = make()
         d = u.dim
         rng = np.random.default_rng(8)
         dirs = rng.standard_normal((200, 2 * d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         idx, lambdas = AnisoIndex(1.2, 0.9), geometric_lambdas(2.0, 40.0, 16)
+        if isinstance(getattr(u, "line", u), AnalyticSignal):
+            finite = np.isfinite(curve_table(u, WindowSpec(1.0), idx, dirs, lambdas))
+            assert finite.all()
+            return
         x_lim = REACH_FRAC * u.extent
         xi_lim = min(REACH_FRAC * math.pi / u.dx, getattr(u, "passband", math.inf))
 
@@ -397,8 +409,7 @@ class TestKernelEstimate:
             assert len(product_sphere4(*sweep)) == 2 * sweep[3] + sweep[0] * sweep[1] * sweep[2]
         # 2^93 directions: rejected before any of them is made
         with pytest.raises(DomainError, match="exceeds budget"):
-            estimate_kernel_wf(propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3),
-                                                 32, 0.5, moll_width=2.0),
+            estimate_kernel_wf(propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3)),
                                WindowSpec(1.0), AnisoIndex(1.2, 1.2), sweep=(2 ** 31 - 1,) * 4)
 
     def test_kernel_dimension_guard(self):
@@ -446,6 +457,22 @@ class TestGraphCondition:
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"]
         assert not res["wf2_empty"]
+
+    def test_rows_near_each_plane_are_counted_by_status(self):
+        # a below-floor row inside plane 1 is counted there but is no offender:
+        # the empty trace over it is not confirmed by any regular row
+        wf = make_wf4([[1.0, 0.01, 1.0, 0.0], [1.0, 0.0, 0.99, 0.01], [0.0, 1.0, 0.0, -1.0],
+                       [1.0, 1.0, 1.0, -1.0]])
+        fit = wf.entries[0].fit
+        for i, status in ((0, "below-floor"), (1, "regular"), (3, "unreachable")):
+            wf.entries[i] = WFEntry(wf.entries[i].direction, fit, status)
+        res = check_graph_condition(wf, 0.05)
+        assert res["wf1_empty"] and not res["wf2_empty"]
+        assert [o["plane"] for o in res["offenders"]] == [2]
+        assert res["wf1_rows"] == {"singular": 0, "regular": 1, "below-floor": 1,
+                                   "unreachable": 0}
+        assert res["wf2_rows"] == {"singular": 1, "regular": 0, "below-floor": 0,
+                                   "unreachable": 0}
 
     def test_generic_direction_clears_both(self):
         wf = make_wf4([[1.0, 1.0, 1.0, -1.0]])

@@ -8,10 +8,16 @@ from anisowf.evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
                                predict_transport, propagate, propagator_kernel)
 from anisowf.geometry import AnisoIndex, PhasePoint, project
 from anisowf.poly import PolynomialData, poly_1d
-from anisowf.signals import SampledSignal, make_gaussian
+from anisowf.signals import (ConvolutionKernel, SampledSignal, fourier_chirp_signal,
+                             make_gaussian)
 from anisowf.stft import WindowSpec, stft_points
 
 XSQ = poly_1d(0.0, 0.0, 1.0)
+
+
+def kernel_phase(spec):
+    """-t p, the phase of the evolution kernel's line on the Fourier side."""
+    return PolynomialData(1, {a: -spec.time * c for a, c in spec.symbol.coeffs.items()})
 
 
 def windowed_chirp(n, dx, chirp_rate=1.0, env_width=7.0):
@@ -110,6 +116,12 @@ class TestKernelSignal:
         spread = lambda r: np.sum(r > np.max(r) * 1e-3)
         assert spread(row_w) < spread(row_n)
 
+    @pytest.mark.parametrize("n, dx", [(0, 0.2), (8, 0.2), (1000, 0.2), (64, 0.0), (64, -0.2)])
+    def test_rejects_bad_grids(self, n, dx):
+        # n must be a power of two >= 16 and dx positive, checked before any division
+        with pytest.raises(DomainError):
+            kernel_signal(EvolutionSpec(XSQ, 0.3), n, dx)
+
 
 class TestKernelStftOracle:
     """The line-based kernel STFT against the sampled d = 2 path on dense()."""
@@ -178,7 +190,7 @@ class TestKernelStftOracle:
 
 
 class TestPropagatorKernel:
-    """The analytic-line kernel against the sampled line through the same _convolution."""
+    """The kernel of exp(-i t p(D)) itself: an analytic line, unmollified, with no grid."""
 
     N, DX = 512, 0.1108
     MOLL = 0.6 * math.pi / DX
@@ -186,14 +198,15 @@ class TestPropagatorKernel:
     @pytest.mark.parametrize("symbol, time", [(XSQ, 0.3), (poly_1d(0.0, 0.0, 0.0, 1.0), 0.004),
                                               (poly_1d(0.0, 0.0, 0.0, 0.0, 1.0), 0.0003)])
     def test_matches_sampled_line_in_reach(self, symbol, time):
+        # the analytic line under the sampled line's mollifier; the sampled
+        # kernel's period wrap of xi0 + xi1 does not matter here: wherever
+        # |xi0 + xi1| > pi/dx, both sides' Gaussian factor is below e^-120
         spec = EvolutionSpec(symbol, time)
         sampled = kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
-        analytic = propagator_kernel(spec, self.N, self.DX, moll_width=self.MOLL)
-        assert (analytic.dim, analytic.n, analytic.dx, analytic.extent) == \
-            (sampled.dim, sampled.n, sampled.dx, sampled.extent)
+        analytic = ConvolutionKernel(fourier_chirp_signal(kernel_phase(spec), self.MOLL))
         # criterion 8's reach: 80% of the extent, frequencies inside the mollifier width
         rng = np.random.default_rng(8)
-        xs = rng.uniform(-0.8, 0.8, (2000, 2)) * analytic.extent
+        xs = rng.uniform(-0.8, 0.8, (2000, 2)) * sampled.extent
         xis = rng.uniform(-self.MOLL, self.MOLL, (2000, 2))
         xis[:200] *= 1e-3   # |xi| near 0
         xis[200:300, 1] = -xis[200:300, 0]   # xi0 + xi1 = 0: the mollifier's centre
@@ -210,21 +223,42 @@ class TestPropagatorKernel:
         np.testing.assert_allclose(stft_points(analytic.line, w, x, f), want,
                                    rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n, dx", [(0, 0.2), (1000, 0.2), (64, 0.0), (64, -0.2)])
-    def test_rejects_the_grid_kernel_signal_rejects(self, n, dx):
-        spec = EvolutionSpec(XSQ, 0.3)
-        with pytest.raises(DomainError) as want:
-            kernel_signal(spec, n, dx)
-        with pytest.raises(DomainError) as got:
-            propagator_kernel(spec, n, dx)
-        assert str(got.value) == str(want.value)
+    @pytest.mark.parametrize("symbol", [XSQ, poly_1d(0.0, 0.0, 0.0, 1.0)])
+    def test_is_the_limit_of_wide_mollifiers(self, symbol):
+        # a mollifier of width 1e8 changes the exponent by about f^2 / 2e16
+        spec = EvolutionSpec(symbol, 0.3)
+        kernel = propagator_kernel(spec)
+        wide = ConvolutionKernel(fourier_chirp_signal(kernel_phase(spec), 1e8))
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-20.0, 20.0, (2000, 2))
+        xis = rng.uniform(-20.0, 20.0, (2000, 2))
+        xis[:500, 1] = rng.uniform(-1.0, 1.0, 500) - xis[:500, 0]   # near the diagonal
+        w = WindowSpec(1.0)
+        want = stft_points(wide, w, xs, xis)
+        assert np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(stft_points(kernel, w, xs, xis), want, rtol=1e-12, atol=1e-20)
+
+    def test_curves_reach_lambda_100_on_and_off_the_graph(self):
+        # x - y = 2 t xi on the graph of the flow: |V| keeps its size along
+        # (0.6, 0, 1, -1) and vanishes along (0.6, 0.3, 1, -1)
+        kernel = propagator_kernel(EvolutionSpec(XSQ, 0.3))
+        scale = np.geomspace(2.0, 100.0, 24)[:, None] ** 1.2
+
+        def curve(z):
+            return np.abs(stft_points(kernel, WindowSpec(1.0), scale * z[:2], scale * z[2:]))
+
+        on = curve(np.array([0.6, 0.0, 1.0, -1.0]))
+        np.testing.assert_allclose(on, 0.156, rtol=0.01)
+        off = curve(np.array([0.6, 0.3, 1.0, -1.0]))
+        assert off[0] > 0.1 and off[-1] < 1e-200
 
     def test_no_aliasing_guard_and_no_dense_matrix(self):
         # the sampled line aliases here (suggests n = 4096); the analytic one has no samples
         spec = EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)
         with pytest.raises(AliasingError, match="suggest n = 4096"):
             kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
-        kernel = propagator_kernel(spec, self.N, self.DX, moll_width=self.MOLL)
+        kernel = propagator_kernel(spec)
+        assert kernel.passband == math.inf
         with pytest.raises(DomainError, match="sampled kernel line"):
             kernel.dense()
 
