@@ -557,3 +557,16 @@ class TestConfigFuzz:
         assert "Traceback" not in err and f"{named}: invalid value" in err, err
         assert "at most 2147483647" in err, err
         assert not any(files for _, _, files in os.walk(outdir))
+
+    def test_kernel_grid_size_zero_exits_like_a_bad_size(self, tmp_path, capsys):
+        # n = 0 used to reach a division by zero, then exited 1 like n = 1000; the
+        # kernel has no grid now, so both run like a config that sets no n
+        cfg = fuzz_fixture("kernel-check", tmp_path)
+        assert run_cli(tmp_path, "kernel-check", cfg, outname="none")[0] == 0
+        want = (tmp_path / "none" / "kernel_wf.json").read_bytes()
+        for k, n in enumerate((0, 1000)):
+            code, outdir = run_cli(tmp_path, "kernel-check", dict(cfg, n=n), outname=f"out{k}")
+            err = capsys.readouterr().err
+            assert code == 0, (n, err)
+            assert "Traceback" not in err, err
+            assert (outdir / "kernel_wf.json").read_bytes() == want
