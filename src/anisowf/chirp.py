@@ -124,24 +124,40 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
     """Estimated-versus-predicted report.
 
     Violations: detected singular directions farther than tol_angle from the
-    predicted set.  Misses (only when the prediction claims equality):
-    predicted directions with no detected match within tol_angle.
+    predicted set.  Coverage: the fraction of predicted directions with a
+    singular or regular row within tol_angle.  Misses (only when the
+    prediction claims equality): covered predicted directions with no detected
+    match within tol_angle.  A predicted direction whose rows within tol_angle
+    are all below-floor or unreachable is uncovered, neither a miss nor a
+    confirmation; one with no row at all within tol_angle is a miss.
     """
     detected = estimate.singular_directions()
     pred = prediction.directions
     err = nearest_angles(detected, pred)
     violations = [{"direction": z.tolist(), "angle": float(a)}
                   for z, a in zip(detected, err) if a > tol_angle]
+    rows = np.array([e.direction.z for e in estimate.entries], dtype=float)
+    rows = rows.reshape(len(estimate.entries), pred.shape[1])
+    decided = np.array([e.status in ("singular", "regular") for e in estimate.entries], dtype=bool)
+    covered = _near(pred, rows[decided], tol_angle)
+    counted = covered | ~_near(pred, rows, tol_angle)
     misses = []
     if prediction.equality and not len(detected):
-        misses = [{"direction": g.tolist()} for g in pred]
+        misses = [{"direction": g.tolist()} for g in pred[counted]]
     elif prediction.equality:
         misses = [{"direction": g.tolist(), "angle": float(a)}
-                  for g, a in zip(pred, nearest_angles(pred, detected)) if a > tol_angle]
+                  for g, a, c in zip(pred, nearest_angles(pred, detected), counted)
+                  if c and a > tol_angle]
     return {
         "violations": violations,
         "misses": misses,
         "max_angle_error": float(np.max(err, initial=0.0)),
         "n_detected": len(detected),
+        "coverage": float(np.mean(covered)),
         "pass": not violations and not misses,
     }
+
+
+def _near(a: np.ndarray, b: np.ndarray, tol_angle: float) -> np.ndarray:
+    """Whether each row of a lies within tol_angle of some row of b."""
+    return nearest_angles(a, b) <= tol_angle if len(b) else np.zeros(len(a), dtype=bool)

@@ -1,11 +1,11 @@
 """Command-line entry point: JSON experiment configs in, report files out.
 
 Subcommands: stft, wf, chirp-verify, propagate-verify, kernel-check,
-relation, seminorm.  Exit codes: 0 success, 1 any other toolkit error
-(e.g. a domain check of the estimator), 2 configuration error, 3
-resolution/aliasing/reach error.  Reports embed the resolved config and
-toolkit version; floats are written with a fixed 17-digit format so equal
-configs and seeds produce byte-identical output.
+relation, seminorm.  Exit codes: 0 success, 1 an output that cannot be
+written or any other toolkit error (e.g. a domain check of the estimator),
+2 configuration error, 3 resolution/aliasing/reach error.  Reports embed
+the resolved config and toolkit version; floats are written with a fixed
+17-digit format so equal configs and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -125,8 +125,10 @@ class OutputTracker:
             fh.write("\n")
 
     def cleanup(self):
+        """Remove the regular files among the paths; a path that is a
+        directory (the cause of a failed write, say) is left as it is."""
         for p in self.paths:
-            if os.path.exists(p):
+            if os.path.isfile(p):
                 os.remove(p)
 
 
@@ -296,14 +298,16 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             COMMANDS[args.command](config, out, args.seed)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         if out is not None:
             out.cleanup()
         code, label = ((2, "config error") if isinstance(exc, ConfigError)
                        else (3, "resolution error")
                        if isinstance(exc, (ResolutionError, TruncationError))
                        else (1, "error"))
-        print(f"{label}: {exc}", file=sys.stderr)
+        message = (f"{exc.filename}: {exc.strerror}"
+                   if isinstance(exc, OSError) and exc.filename is not None else exc)
+        print(f"{label}: {message}", file=sys.stderr)
         return code
     return 0
 

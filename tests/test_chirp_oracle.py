@@ -123,6 +123,28 @@ class TestCompareWF:
         assert not report["pass"]
         assert len(report["misses"]) == len(pred.directions)
 
+    @pytest.mark.parametrize("status, misses, coverage", [
+        ("below-floor", 0, 0.5),   # counted as a miss before coverage
+        ("unreachable", 0, 0.5),
+        ("regular", 1, 1.0),
+        (None, 1, 0.5),            # no row within tol_angle at all
+    ])
+    def test_uncovered_direction_is_no_miss(self, status, misses, coverage):
+        # x^2 at (1.2, 1.2) predicts exactly +-(1, 2)/sqrt5, with equality
+        idx = AnisoIndex(1.2, 1.2)
+        pred = predict_chirp_wf(poly_1d(0.0, 0.0, 1.0), idx)
+        assert pred.equality and len(pred.directions) == 2
+        rows = [([1.0, 2.0], "singular"), ([0.0, 1.0], "regular")]
+        if status is not None:
+            rows.append(([-1.0, -2.0], status))
+        est = WFEstimate(idx, [WFEntry(SphereDirection(np.array(z) / np.linalg.norm(z)),
+                                       RateFit(0.0, 0.0, 0.0, 10), s) for z, s in rows], 1.0)
+        report = compare_wf(est, pred, tol_angle=0.05)
+        assert not report["violations"]
+        assert len(report["misses"]) == misses
+        assert report["coverage"] == coverage
+        assert report["pass"] == (misses == 0)
+
     def test_off_prediction_direction_is_violation(self):
         idx = AnisoIndex(1.2, 1.2)
         pred = predict_chirp_wf(poly_1d(0.0, 0.0, 1.0), idx)

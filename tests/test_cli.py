@@ -150,6 +150,27 @@ class TestStftCommand:
             assert err.startswith("config error: --out ") and "Traceback" not in err, err
         assert taken.read_text() == ""
 
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        # an output name taken by a directory: the write fails and the directory stays
+        blocked = tmp_path / "out" / "stft_grid.csv"
+        blocked.mkdir(parents=True)
+        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1}}
+        code, outdir = run_cli(tmp_path, "stft", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {blocked}: Is a directory\n", err
+        assert blocked.is_dir() and os.listdir(outdir) == ["stft_grid.csv"]
+        # the report written before the failed one is removed
+        blocked = tmp_path / "wf" / "profiles.csv"
+        blocked.mkdir(parents=True)
+        cfg = {"signal": {"kind": "analytic-gaussian"}, "index": {"t": 1.0, "s": 1.0},
+               "sphere_samples": 90, "lambda": {"min": 2.0, "max": 8.0, "n": 8}}
+        code, outdir = run_cli(tmp_path, "wf", cfg, outname="wf")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {blocked}: Is a directory\n", err
+        assert os.listdir(outdir) == ["profiles.csv"]
+
     def test_undecodable_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b"\xff\xfe{}")

@@ -1,16 +1,19 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from anisowf.errors import ConfigError, DomainError
+from anisowf.errors import ConfigError, DomainError, ToolkitError
 from anisowf.estimator import RateFit, WFEntry, WFEstimate
 from anisowf.geometry import AnisoIndex, SphereDirection
-from anisowf.io import (dump_json, poly_from_dict, poly_to_dict,
-                        read_signal_csv, wf_estimate_to_dict, write_profile_csv,
+from anisowf.io import (_PARALLEL_ROWS, _cuts, _write_table, dump_json, poly_from_dict,
+                        poly_to_dict, read_signal_csv, wf_estimate_to_dict, write_profile_csv,
                         write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
@@ -146,6 +149,74 @@ class TestStftCsv:
         p = tmp_path / "grid.csv"
         write_stft_csv(p, grid)
         assert p.read_bytes() == want.encode()
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+class TestParallelWriter:
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        # 700 frequencies per position: the range cuts, like the blocks, split lattice rows
+        rng = np.random.default_rng(11)
+        shape = (3 * _PARALLEL_ROWS // 700 + 2, 700)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values[0, :3] = [0.0, -0.0, 1e-300j]
+        grid = StftGrid(0.1, 2.0 * math.pi / 70.0, values)
+        want = ("x,xi,re,im,abs\r\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (x, xi, v.real, v.imag, abs(v))
+            for x, row in zip(grid.positions().tolist(), values.tolist())
+            for xi, v in zip(grid.frequencies().tolist(), row))).encode()
+        for k in (1, 2, 3):
+            usable_cpus(monkeypatch, range(k))
+            cuts = _cuts(values.size)
+            assert len(cuts) == k + 1 and all(c % 700 for c in cuts[1:-1])
+            with monkeypatch.context() as m:
+                if k == 1:  # one range is the serial loop: no child is made
+                    m.setattr(os, "fork", lambda: pytest.fail("forked for one range"))
+                write_stft_csv(tmp_path / f"grid{k}.csv", grid)
+            assert (tmp_path / f"grid{k}.csv").read_bytes() == want, k
+        assert sorted(os.listdir(tmp_path)) == ["grid1.csv", "grid2.csv", "grid3.csv"]
+
+    def test_signal_round_trip_above_the_threshold(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, range(3))
+        n = 4 * _PARALLEL_ROWS  # a signal has a power of two samples per axis
+        assert len(_cuts(n)) == 4
+        rng = np.random.default_rng(13)
+        sig = SampledSignal(0.01, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        p = tmp_path / "sig.csv"
+        write_signal_csv(p, sig)
+        assert p.read_bytes() == reference_csv(reference_signal_rows(sig))
+        back = read_signal_csv(p)
+        assert back.dx == sig.dx and np.array_equal(back.values, sig.values)
+
+    @pytest.mark.parametrize("bad_row, exc", [
+        (_PARALLEL_ROWS // 2, DomainError("bad block in the parent's range")),
+        (3 * _PARALLEL_ROWS // 2, DomainError("bad block in the child's range")),
+        (3 * _PARALLEL_ROWS // 2, OSError(errno.ENOSPC, "No space left on device", "t.csv")),
+        (3 * _PARALLEL_ROWS // 2, None),  # the child is killed
+    ])
+    def test_failure_leaves_no_part_and_no_child(self, tmp_path, monkeypatch, bad_row, exc):
+        usable_cpus(monkeypatch, range(2))
+        n_rows = 2 * _PARALLEL_ROWS
+        assert _cuts(n_rows) == [0, _PARALLEL_ROWS, n_rows]
+
+        def rows(lo, hi):
+            if lo <= bad_row < hi:
+                if exc is None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise exc
+            return np.arange(lo, hi, dtype=float)[:, None]
+
+        want = (ToolkitError, "ended with status -9") if exc is None else (type(exc), str(exc))
+        with pytest.raises(want[0]) as info:
+            _write_table(tmp_path / "t.csv", ["v"], ["%.17g"], n_rows, rows)
+        assert str(info.value).endswith(want[1])
+        if isinstance(exc, OSError):
+            assert (info.value.errno, info.value.filename) == (errno.ENOSPC, "t.csv")
+        assert os.listdir(tmp_path) == ["t.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPolyJson:
