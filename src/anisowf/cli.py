@@ -45,7 +45,7 @@ def parse_index(cfg, path="index") -> AnisoIndex:
 
 
 def parse_window(cfg) -> WindowSpec:
-    return WindowSpec(cfg_get(cfg, "window.width", positive, default=1.0))
+    return cfg_get(cfg, "window.width", lambda v: WindowSpec(positive(v)), default=WindowSpec())
 
 
 def parse_signal(cfg, path="signal"):

@@ -150,13 +150,6 @@ def lambda_solve(idx: AnisoIndex, p: PhasePoint) -> float:
     return float(lambda_solve_many(idx, p.x, p.xi)[0])
 
 
-def lambda_residual(idx: AnisoIndex, p: PhasePoint, lam: float) -> float:
-    """Defect of the defining equation at lam (target 0, scale 1)."""
-    a = float(np.dot(p.x, p.x))
-    b = float(np.dot(p.xi, p.xi))
-    return abs(lam ** (-2.0 * idx.t) * a + lam ** (-2.0 * idx.s) * b - 1.0)
-
-
 def project(idx: AnisoIndex, p: PhasePoint) -> SphereDirection:
     """Retract p onto S^(2d-1) along its anisotropic curve."""
     return SphereDirection(project_many(idx, p.x, p.xi)[0])
@@ -251,16 +244,6 @@ def dist_to_conic_set(sigma: float, directions: np.ndarray, p: PhasePoint) -> fl
         raise DomainError("distance undefined at the zero point")
     proj = project_many(AnisoIndex(1.0, sigma), p.x, p.xi)
     return float(np.min(np.linalg.norm(w - proj, axis=1)))
-
-
-def growth_bounds(idx: AnisoIndex, points) -> tuple[float, float]:
-    """Sampled constants (c1, c2) with c1 rho <= lambda <= c2 rho, rho = |x|^(1/t)+|xi|^(1/s)."""
-    xs = np.array([p.x for p in points])
-    xis = np.array([p.xi for p in points])
-    rho = (np.linalg.norm(xs, axis=1) ** (1.0 / idx.t)
-           + np.linalg.norm(xis, axis=1) ** (1.0 / idx.s))
-    ratios = lambda_solve_many(idx, xs, xis) / rho
-    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def nearest_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 
 Pointwise values, computed a batch of points at a time, come from direct
-quadrature on the signal grid (window evaluated analytically at the
-shifted sample points, so x and xi need not lie on any lattice), for
+quadrature on the signal grid (x and xi need not lie on any lattice: each
+point's stencil weighs its nodes by one Gaussian row shared by all points
+times two short per-point exponentials, _sampled), for
 convolution kernels from one 1-d STFT of their line, sampled or analytic,
 and for analytic signals from closed forms: analytic Gaussians, the
 constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
@@ -41,9 +42,10 @@ REACH_FRAC = 0.8
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
-# Elements per work array: _sampled's (points, d, stencil) factors, the chirp
-# paths' (points, saddles, 2 halves, m + 1 coefficients) and a cluster's rim
-# of as many samples, and stft_grid's (rows, n) are built this many at a time.
+# Elements per work array: _sampled's (points, stencil) signal windows in d = 1
+# and (points, d, stencil) factors above, the chirp paths' (points, saddles,
+# 2 halves, m + 1 coefficients) and a cluster's rim of as many samples, and
+# stft_grid's (rows, n) are built this many at a time.
 _WORK_ELEMENTS = 1 << 14
 # Gauss-Hermite nodes per path from a saddle (32 reach round-off under the gap
 # rule); a path from an exit point takes half as many Gauss-Laguerre nodes.
@@ -72,8 +74,9 @@ class WindowSpec:
     unit_norm: bool = True
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError(f"window width must be positive, got {self.width}")
+        # 1 / width^2 scales every window exponent: below 2^-511 it overflows
+        if not self.width >= 2.0 ** -511:
+            raise DomainError(f"window width must be at least 2^-511, got {self.width}")
 
     def amplitude(self, d: int) -> float:
         if self.unit_norm:
@@ -136,56 +139,79 @@ def _blocks(total: int, width: int):
     return [slice(start, start + step) for start in range(0, total, step)]
 
 
-def _modulation(y0: np.ndarray, dx: float, xis: np.ndarray, length: int) -> np.ndarray:
-    """exp(-i (y0 + l dx) xi) for l < length, on a trailing axis.
-
-    With l = q b + r, b ~ sqrt(length), each entry is a coarse exponential per
-    block q times a fine one per offset r: 2 sqrt(length) complex exps and
-    one product per entry instead of length exps, for one extra rounding.
-    """
-    b = max(1, math.isqrt(length))
-    nq = -(-length // b)
-    xis = xis[..., None]
-    coarse = np.exp(-1j * (y0[..., None] + np.arange(nq) * (b * dx)) * xis)
-    fine = np.exp(-1j * (np.arange(b) * dx) * xis)
-    out = coarse[..., :, None] * fine[..., None, :]
-    return out.reshape(y0.shape + (nq * b,))[..., :length]
-
-
 def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Direct quadrature on the signal grid over each window's support."""
+    """Direct quadrature on the signal grid over each window's support, factored per stencil.
+
+    Every window takes one stencil of L = 2 J + 1 nodes centred on the node
+    nearest x, so a value does not depend on its batch.  About that node c,
+    with delta = y_c - x (|delta| <= dx/2), stencil node l weighs
+
+        w(y_l - x) e^(-i y_l xi) = G[l] exp(A + (l - c) B),
+        G[l] = amp exp(-((l - c) dx)^2 / (2 W^2)),
+        A = -delta^2 / (2 W^2) - i y_c xi,   B = -dx (delta / W^2 + i xi),
+
+    where G is one real row shared by every point.  With l = q b + r and
+    b = isqrt(L), exp(A + (l - c) B) = exp(A + (q b - c) B) exp(r B): 2 sqrt(L)
+    complex exps per point and axis.  In d = 1 the windows of signal times G
+    contract with exp(r B) over r, then with the coarse factor over q; in
+    d >= 2 the same three build each axis's factor.  The stencil spans at
+    most the support and one node, and |delta| <= dx/2, so every factor
+    stays within the double range whatever dx/W.
+    """
     _check_reach(u, xs, xis)
-    coords = u.axis_coords()
+    d, n, dx = u.dim, u.n, u.dx
     radius = _SUPPORT_RADIUS * w.width
-    d = u.dim
-    # One stencil for every window, so a value does not depend on its batch: a
-    # support holds at most 2 radius / dx + 1 nodes, one more covers rounding.
-    length = min(u.n, int(2.0 * radius / u.dx) + 2)
-    blocks = _blocks(len(xs), d * length)
-    if len(blocks) > 1:
-        return np.concatenate([_sampled(u, w, xs[b], xis[b]) for b in blocks])
-    lo = np.searchsorted(coords, xs - radius, side="left")
-    hi = np.searchsorted(coords, xs + radius, side="right")
-    # Separable 1-d factors, window shift times modulation, for every point
-    # and axis; padded to one length and zero past each support.
-    span = lo[..., None] + np.arange(length)
-    inside = span < hi[..., None]
-    span = np.minimum(span, u.n - 1)
-    f = _modulation(coords[np.minimum(lo, u.n - 1)], u.dx, xis, length)
-    f *= w.values_1d(coords[span] - xs[..., None], d)
-    f[~inside] = 0.0
+    # A support holds at most J = half nodes either side of the nearest one,
+    # past which a rounding tie weighs below e^-50; J = n covers the grid.
+    half = min(n, int(radius / dx + 0.5))
+    length = 2 * half + 1
+    b = math.isqrt(length)
+    nq = -(-length // b)
+    # Only the stencil's end nodes may lie outside the support.
+    ends = np.array([-half, half]) * dx
+    row = w.values_1d((np.arange(nq * b) - half) * dx, d)
+    row[length:] = 0.0
     if d == 1:
-        acc = np.einsum("pl,pl->p", u.values[span[:, 0]], f[:, 0])
-    else:
+        # the stencil of the point nearest node m is windows[m]
+        padded = np.zeros(n + nq * b, dtype=complex)
+        padded[half:half + n] = u.values
+        windows = np.lib.stride_tricks.sliding_window_view(padded, nq * b)
+    inv_w2 = 1.0 / w.width ** 2
+    out = np.empty(len(xs), dtype=complex)
+    for block in _blocks(len(xs), d * length):
+        x, xi = xs[block], xis[block]
+        nearest = np.rint(x / dx).astype(np.int64) + n // 2
+        y_c = (nearest - n // 2) * dx
+        delta = y_c - x
+        slope = (-dx * delta * inv_w2 - 1j * dx * xi)[..., None]
+        coarse = np.exp((-0.5 * inv_w2 * delta * delta - 1j * y_c * xi)[..., None]
+                        + (np.arange(nq) * b - half) * slope)
+        fine = np.exp(np.arange(b) * slope)
+        outside = np.abs(delta[..., None] + ends) > radius
+        if d == 1:
+            win = windows[nearest[:, 0]]
+            win *= row
+            win[:, 0] *= ~outside[:, 0, 0]
+            win[:, length - 1] *= ~outside[:, 0, 1]
+            part = win.reshape(-1, nq, b) @ fine[:, 0, :, None]
+            out[block] = np.einsum("pq,pq->p", part[..., 0], coarse[:, 0])
+            continue
+        f = (coarse[..., :, None] * fine[..., None, :]).reshape(len(x), d, -1)[..., :length]
+        f *= row[:length]
+        f[..., [0, length - 1]] *= ~outside
         # A gathered (P, L, ..., L) window costs more than the strided slice
-        # view; each factor contracts the leading axis of what is left.
-        acc = np.empty(len(xs), dtype=complex)
-        for k, (a, b) in enumerate(zip(lo, hi)):
-            sub = u.values[tuple(map(slice, a, b))]
+        # view, and a padded copy would hold (n + L)^d values: the slices stop
+        # at the grid edge, and each factor contracts the leading axis left.
+        first = nearest - half
+        lo, hi = np.maximum(first, 0), np.minimum(first + length, n)
+        acc = np.empty(len(x), dtype=complex)
+        for k, (a, e, s) in enumerate(zip(lo.tolist(), hi.tolist(), (lo - first).tolist())):
+            sub = u.values[tuple(map(slice, a, e))]
             for j in range(d):
-                sub = f[k, j, :b[j] - a[j]] @ sub.reshape(b[j] - a[j], -1)
+                sub = f[k, j, s[j]:s[j] + e[j] - a[j]] @ sub.reshape(e[j] - a[j], -1)
             acc[k] = sub[0]
-    return acc * u.dx ** d * _TWO_PI ** (-d / 2.0)
+        out[block] = acc
+    return out * dx ** d * _TWO_PI ** (-d / 2.0)
 
 
 def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,

@@ -116,6 +116,7 @@ class TestStftCommand:
             ("wf", {**wf, "lambda": {"min": math.nan}}, "lambda.min"),
             ("wf", dict(wf, index={"t": math.inf, "s": 1.0}), "index.t"),
             ("stft", {"signal": gauss, "window": {"width": True}}, "window.width"),
+            ("wf", dict(wf, window={"width": 1e-160}), "window.width"),
             ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": True},
              "tolerance"),
             ("stft", {"signal": dict(gauss, n=256.7)}, "signal.n"),

@@ -6,9 +6,9 @@ import pytest
 from anisowf.errors import DomainError
 from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection,
                               dist_to_conic_set, gamma_tilde_distance,
-                              growth_bounds, in_gamma_nbhd, in_gamma_tilde_nbhd,
-                              lambda_residual, lambda_solve, nearest_angles,
-                              project, project_many, scale_point)
+                              in_gamma_nbhd, in_gamma_tilde_nbhd, lambda_solve,
+                              lambda_solve_many, nearest_angles, project,
+                              project_many, scale_point)
 
 
 def random_points(rng, count, d=1, log_scale=3.0):
@@ -18,6 +18,13 @@ def random_points(rng, count, d=1, log_scale=3.0):
         z *= math.exp(rng.uniform(-log_scale, log_scale)) / np.linalg.norm(z)
         pts.append(PhasePoint(z[:d], z[d:]))
     return pts
+
+
+def lambda_residual(idx, p, lam):
+    """Defect of lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1 at lam (target 0, scale 1)."""
+    a = float(np.dot(p.x, p.x))
+    b = float(np.dot(p.xi, p.xi))
+    return abs(lam ** (-2.0 * idx.t) * a + lam ** (-2.0 * idx.s) * b - 1.0)
 
 
 def random_indices(rng, count):
@@ -228,16 +235,20 @@ class TestConicSetDistance:
 
 class TestGrowthBounds:
     def test_two_sided_bounds(self):
+        # Each term of the defining equation is at most 1, so lambda >= max(|x|^(1/t),
+        # |xi|^(1/s)) >= rho / 2; one of them is at least 1/2, so lambda <= c2 rho
+        # with c2 = 2^(1 / (2 min(t, s))).
         rng = np.random.default_rng(41)
         for idx in random_indices(rng, 3):
             pts = random_points(rng, 200, d=2)
-            c1, c2 = growth_bounds(idx, pts)
-            assert 0.0 < c1 <= c2
-            for p in pts[:20]:
-                rho = np.linalg.norm(p.x) ** (1 / idx.t) + np.linalg.norm(p.xi) ** (1 / idx.s)
-                lam = lambda_solve(idx, p)
-                assert c1 * rho <= lam * (1 + 1e-12)
-                assert lam <= c2 * rho * (1 + 1e-12)
+            xs = np.array([p.x for p in pts])
+            xis = np.array([p.xi for p in pts])
+            rho = (np.linalg.norm(xs, axis=1) ** (1 / idx.t)
+                   + np.linalg.norm(xis, axis=1) ** (1 / idx.s))
+            lam = lambda_solve_many(idx, xs, xis)
+            c2 = 2.0 ** (1.0 / (2.0 * min(idx.t, idx.s)))
+            assert np.all(0.5 * rho <= lam * (1 + 1e-12))
+            assert np.all(lam <= c2 * rho * (1 + 1e-12))
 
 
 def test_nearest_angles():

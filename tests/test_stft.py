@@ -114,6 +114,15 @@ class TestPointSampled:
         with pytest.raises(TruncationError):
             stft_point(u, WindowSpec(1.0), PhasePoint(0.0, 100.0))  # beyond Nyquist
 
+    def test_window_width_floor(self):
+        # below 2^-511 the window's 1 / width^2 leaves the double range
+        with pytest.raises(DomainError):
+            WindowSpec(1e-160)
+        u = make_gaussian(1, 64, 1.0)
+        got = stft_points(u, WindowSpec(2.0 ** -511), np.array([[0.0], [0.3]]),
+                          np.array([[1.0], [1.0]]))
+        assert np.all(np.isfinite(got)) and got[1] == 0.0
+
     def test_sampled_2d_matches_tensor_closed_form(self):
         g = make_gaussian(2, 64, 0.25)
         w = WindowSpec(1.0)
@@ -201,6 +210,74 @@ class TestPointsBatch:
             np.testing.assert_array_equal(got, want)
 
 
+def fsum_oracle(u, width, x, xi):
+    """Scalar reference for one point: math.fsum over the nodes within 10 widths of x
+    on every axis of u_j w(y_j - x) e^(-i y_j.xi), and of |u_j| w(y_j - x), both
+    times dx^d (2 pi)^(-d/2)."""
+    d = u.dim
+    y = u.grid().reshape(-1, d)
+    near = np.all(np.abs(y - x) <= 10.0 * width, axis=1)
+    y, vals = y[near], u.values.reshape(-1)[near]
+    w = math.pi ** (-d / 4) * width ** (-d / 2) * np.exp(-np.sum((y - x) ** 2, axis=1)
+                                                         / (2.0 * width ** 2))
+    phase = y @ xi
+    re = vals.real * np.cos(phase) + vals.imag * np.sin(phase)
+    im = vals.imag * np.cos(phase) - vals.real * np.sin(phase)
+    scale = u.dx ** d * TWO_PI ** (-d / 2)
+    return (complex(math.fsum(re * w), math.fsum(im * w)) * scale,
+            math.fsum(np.abs(vals) * w) * scale)
+
+
+class TestSampledOracle:
+    """The sampled quadrature against a per-node fsum, to 1e-12 of the point's
+    windowed mass sum |u_j| w_j dx^d (2 pi)^(-d/2)."""
+
+    @staticmethod
+    def check(u, width, xs, xis):
+        got = stft_points(u, WindowSpec(width), xs, xis)
+        for k in range(len(xs)):
+            want, mass = fsum_oracle(u, width, xs[k], xis[k])
+            assert abs(got[k] - want) <= 1e-12 * mass, (xs[k], xis[k], got[k], want)
+
+    @staticmethod
+    def signal(seed, d, n, dx):
+        rng = np.random.default_rng(seed)
+        shape = (n,) * d
+        return SampledSignal(dx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @staticmethod
+    def points(seed, count, u, x_frac=(0.0, 0.8)):
+        """Centres with |x| in x_frac of the extent, frequencies up to Nyquist."""
+        rng = np.random.default_rng(seed)
+        shape = (count, u.dim)
+        xs = rng.choice([-1.0, 1.0], shape) * rng.uniform(*x_frac, shape) * u.extent
+        return xs, rng.uniform(-1.0, 1.0, shape) * math.pi / u.dx
+
+    # dx / W from a fine grid to one coarser than any support
+    @pytest.mark.parametrize("ratio, n", [(0.05, 1024), (0.5, 256), (2.0, 64), (4.0, 64),
+                                          (8.0, 64), (40.0, 64)])
+    def test_d1_grid_to_window_ratios(self, ratio, n):
+        u = self.signal(1, 1, n, 0.1)
+        width = 0.1 / ratio
+        self.check(u, width, *self.points(2, 40, u))
+
+    def test_d1_windows_clipped_at_the_grid_edge(self):
+        u = self.signal(3, 1, 256, 0.1)   # extent 12.8; windows reach 5
+        xs, xis = self.points(4, 40, u, x_frac=(0.65, 0.8))
+        assert np.all(np.abs(xs) + 5.0 > u.extent)
+        self.check(u, 0.5, xs, xis)
+
+    def test_d1_window_wider_than_the_grid(self):
+        u = self.signal(5, 1, 16, 0.25)   # extent 2; windows reach 10
+        self.check(u, 1.0, *self.points(6, 40, u))
+
+    def test_d2(self):
+        u = self.signal(7, 2, 32, 0.25)   # extent 4; windows reach 3
+        xs, xis = self.points(8, 30, u)
+        assert np.any(np.abs(xs) + 3.0 > u.extent)
+        self.check(u, 0.3, xs, xis)
+
+
 def dense_chirp_oracle(coeffs, x, xi, width=1.0, unit_norm=True, half=12.0,
                        npts=(1 << 20) + 1, shift=0.0):
     """Independent oracle: a dense trapezoid over [x - half width, x + half width]
@@ -264,6 +341,25 @@ class TestBatchInvariance:
         xs, xis = self.points(np.random.default_rng(d), 600, 5.1, 0.8 * math.pi / dx, d)
         assert len(xs) * d * (20.0 * w.width / dx) > 2 * _WORK_ELEMENTS   # several chunks
         assert np.any(np.abs(xs) + 10.0 * w.width > u.extent)
+        self.check(u, w, xs, xis)
+
+    def test_sampled_coarse_grid(self):
+        # dx = 4 W: a stencil of 7 nodes, a few of them inside each support;
+        # no envelope, so no window sees only zeros
+        rng = np.random.default_rng(21)
+        u = SampledSignal(1.2, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        w = WindowSpec(0.3)
+        xs, xis = self.points(np.random.default_rng(22), 5000, 0.8 * u.extent,
+                              math.pi / u.dx, 1)
+        assert len(xs) * 7 > 2 * _WORK_ELEMENTS
+        self.check(u, w, xs, xis)
+
+    def test_sampled_window_wider_than_the_grid(self):
+        u = rough_signal(np.random.default_rng(23), 1, 16, 0.25)
+        w = WindowSpec(1.0)   # reaches 10, past the whole grid of extent 2
+        xs, xis = self.points(np.random.default_rng(24), 2500, 0.8 * u.extent,
+                              math.pi / u.dx, 1)
+        assert len(xs) * 16 > 2 * _WORK_ELEMENTS
         self.check(u, w, xs, xis)
 
     def test_kernel_with_sampled_line(self):
