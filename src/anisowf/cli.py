@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -295,9 +294,7 @@ def main(argv=None) -> int:
     try:
         config = read_config(args.config)
         out = OutputTracker(args.out)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            COMMANDS[args.command](config, out, args.seed)
+        COMMANDS[args.command](config, out, args.seed)
     except (ToolkitError, OSError) as exc:
         if out is not None:
             out.cleanup()

@@ -23,7 +23,7 @@ class PointSet:
     def __init__(self, points, tolerance: float = 1e-9):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
-            pts = pts.reshape(0, 2)
+            pts = pts.reshape(0, pts.shape[-1] or 2)
         if pts.shape[1] % 2 != 0:
             raise DomainError("phase-space points need an even number of coordinates")
         if not np.all(np.isfinite(pts)):

@@ -539,15 +539,6 @@ def _steepest_descent(taylor: np.ndarray, width: float, gap_rule: float) -> np.n
     tip[exits] = exit_at
     tip = tip.reshape(P, 2 * k)
     end = valley(np.angle(tip + d.reshape(P, 2 * k)))
-    # A path lost _DISC_DEPTH below its start, as one that runs into a lower
-    # saddle near a Stokes line, keeps the nodes it reached and takes the valley
-    # of the path that starts nearest to where it was lost: the ways on from
-    # there differ by a path from that saddle, e^-40 of this one's.
-    p, lost = np.nonzero((bad & (u * u >= _DISC_DEPTH)).reshape(P, 2 * k))
-    gone = np.abs(tip[p] - (tip[p, lost] + d.reshape(P, 2 * k)[p, lost])[:, None])
-    near = np.argmin(np.where(bad.reshape(P, 2 * k)[p], np.inf, gone), axis=1)
-    end[p, lost] = end[p, near]
-    bad.reshape(P, 2 * k)[p, lost] = bad.reshape(P, 2 * k)[p, near]
     n, chain = _chain(end, hub, ~bad.reshape(P, 2 * k), valley(np.full((P, 1), np.pi)),
                       valley(np.zeros((P, 1))))
     value = np.zeros(2 * P * k, dtype=complex)
@@ -604,9 +595,9 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
     width = 2 * (m - 1) * (m + 1)
     for block in _blocks(len(xs), width):
         out[block] = w.amplitude(1) * _steepest_descent(taylor[block], w.width, _SADDLE_GAP)
-    # A point whose chain needs a lost path, as one that runs into a saddle not
-    # far below its own, integrates again with saddles clustered wherever their
-    # discs meet, whatever their gap.
+    # A point whose chain needs a lost path, as one that runs into a lower saddle
+    # near a Stokes line, is integrated again with saddles clustered wherever
+    # their discs meet, whatever their gap.
     again = np.flatnonzero(np.isnan(out))
     for block in _blocks(len(again), width):
         rows = again[block]

@@ -10,7 +10,6 @@ signal also outgrows the reference extent).
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -101,11 +100,9 @@ def test_criterion_3_quadratic_chirp():
     ridge = np.array([[1.0, 2.0], [-1.0, -2.0]]) / math.sqrt(5.0)
     spread = gap(sing, ridge)
     covered = gap(ridge, sing)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        control = estimate_wf(make_gaussian(1, REF_N, REF_DX), WINDOW, idx,
-                              sphere_samples=720, lambda_range=(2.0, 60.0),
-                              r_threshold=1.0, floor=1e-11, cone_steps=1)
+    control = estimate_wf(make_gaussian(1, REF_N, REF_DX), WINDOW, idx,
+                          sphere_samples=720, lambda_range=(2.0, 60.0),
+                          r_threshold=1.0, floor=1e-11, cone_steps=1)
     n_control = len(control.singular_directions())
     ok = spread <= 0.09 and covered <= 0.09 and n_control == 0
     report(3, ok, 120.0, t0,

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,17 @@ DROP = "<drop>"
 # wrong types, non-finite numbers and out-of-range numbers; no value grows a grid
 FUZZ_VALUES = [DROP, "ab", "0.5", True, False, None, math.nan, math.inf, -math.inf,
                [1.0], {"a": 1.0}, -1, 0, 0.5]
+
+
+class TestWarnings:
+    def test_main_lets_warnings_out(self, tmp_path, monkeypatch):
+        def warn(config, out, seed):
+            warnings.warn("overflow in a command", RuntimeWarning)
+
+        monkeypatch.setitem(COMMANDS, "relation", warn)
+        with pytest.warns(RuntimeWarning, match="overflow in a command"):
+            code, _ = run_cli(tmp_path, "relation", {})
+        assert code == 0
 
 
 class TestModuleEntryPoint:

@@ -66,6 +66,16 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose(PointSet([[1.0, 0.0]]), PointSet([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("op", [compose, compose_via_projection])
+    def test_empty_result_keeps_the_width(self, op):
+        # an 8-column A and a 4-column B with no match compose to a (0, 4) set
+        a = PointSet([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]])
+        b = PointSet([[9.0, 9.0, 9.0, 9.0]])
+        assert op(a, b).points.shape == (0, 4)
+        assert op(a, PointSet(np.zeros((0, 4)))).points.shape == (0, 4)
+        assert PointSet(np.zeros((0, 4))).ambient == 4
+        assert PointSet([]).points.shape == (0, 2)
+
     def test_propagation_containment_from_kernel_oracle(self):
         # A sampled from the flow graph {(x1 + t grad p_m(x2), x1, x2, -x2)}
         # composed with B recovers the flow image of B directionwise
