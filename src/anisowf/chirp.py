@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
-from .geometry import AnisoIndex, nearest_angles, project_many
+from .geometry import AnisoIndex, nearest_angles, project_many, unique_rows
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 
 _REGIME_TOL = 1e-12
@@ -100,7 +100,7 @@ def predict_chirp_wf(phase: PolynomialData, idx: AnisoIndex) -> WFPrediction:
             raise UnsupportedRegimeError(
                 f"graph regime needs t > 1/(m-1), got t = {idx.t}")
         dirs = _graph_directions(pm, idx)
-        return WFPrediction("gradient-graph", idx, np.unique(np.round(dirs, 12), axis=0),
+        return WFPrediction("gradient-graph", idx, unique_rows(np.round(dirs, 12)),
                             equality=one_d_parity)
     if idx.s > tm1:
         # the regularity index itself must admit compactly supported windows;
@@ -136,11 +136,9 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
     err = nearest_angles(detected, pred)
     violations = [{"direction": z.tolist(), "angle": float(a)}
                   for z, a in zip(detected, err) if a > tol_angle]
-    rows = np.array([e.direction.z for e in estimate.entries], dtype=float)
-    rows = rows.reshape(len(estimate.entries), pred.shape[1])
-    decided = np.array([e.status in ("singular", "regular") for e in estimate.entries], dtype=bool)
-    covered = _near(pred, rows[decided], tol_angle)
-    counted = covered | ~_near(pred, rows, tol_angle)
+    decided = estimate.status <= 1   # singular (0) or regular (1)
+    covered = _near(pred, estimate.dirs[decided], tol_angle)
+    counted = covered | ~_near(pred, estimate.dirs, tol_angle)
     misses = []
     if prediction.equality and not len(detected):
         misses = [{"direction": g.tolist()} for g in pred[counted]]

@@ -13,12 +13,14 @@ classification is cone_steps = 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, GraphConditionError
-from .geometry import AnisoIndex, SphereDirection, blocks4
+from .geometry import AnisoIndex, SphereDirection, blocks4, unique_rows
 from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal
 from .stft import REACH_FRAC, WindowSpec, stft_points
 
@@ -32,7 +34,7 @@ LAMBDA_MIN = 2.0
 LAMBDA_MAX = 50.0
 MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
-# WFEntry.status values, indexed by the verdict codes of _classify, in report order
+# Row verdicts, in report order: WFEstimate.status holds their indices
 STATUSES = ("singular", "regular", "below-floor", "unreachable")
 # Curve-table points per stft_points call, bounding the closed forms' (points,) temporaries
 _TABLE_CHUNK = 2048
@@ -40,56 +42,58 @@ _TABLE_CHUNK = 2048
 _BLOCK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares exponential rate of a decay profile.
-
-    rhat is +inf (super-exponential sentinel) when fewer than three samples
-    sit above the numeric floor.
-    """
-
-    rhat: float
-    intercept: float
-    residual: float
-    n_valid: int
+# A row of WFEstimate.entries: its fit (rhat inf: not fitted, or under three
+# samples above the floor) and its verdict, named as in STATUSES
+RateFit = namedtuple("RateFit", "rhat intercept residual n_valid")
 
 
-@dataclass(frozen=True)
-class WFEntry:
-    """A direction's verdict, its status as _classify sets it."""
-
-    direction: SphereDirection
-    fit: RateFit
-    status: str
-
-    @property
-    def singular(self) -> bool:
-        return self.status == "singular"
+class WFEntry(namedtuple("WFEntry", "direction fit status")):
+    __slots__ = ()
+    singular = property(lambda self: self.status == "singular")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WFEstimate:
-    """Classified directions with the sweep's raw |V| table (see curve_table).
+    """Classified directions as columns, with the sweep's raw |V| table (see curve_table).
 
-    Row i of magnitudes is the decay profile of entries[i]; a kernel sweep
-    stacks its refinement rows under the coarse ones.
+    Row i of each column belongs to the unit (x, xi) row dirs[i]: its fit_rate_arrays
+    fit and its verdict, status[i], an index into STATUSES.  Row i of magnitudes is its
+    decay profile; a kernel sweep stacks its refinement rows under the coarse ones.
     """
 
     idx: AnisoIndex
-    entries: list
     r_threshold: float
-    lambdas: np.ndarray = field(default=None, repr=False, compare=False)
-    magnitudes: np.ndarray = field(default=None, repr=False, compare=False)
+    dirs: np.ndarray
+    status: np.ndarray
+    rhat: np.ndarray
+    intercept: np.ndarray
+    residual: np.ndarray
+    n_valid: np.ndarray
+    lambdas: np.ndarray = field(default=None, repr=False)
+    magnitudes: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def singular(self) -> np.ndarray:
+        """Row mask of the singular rows."""
+        return self.status == STATUSES.index("singular")
+
+    @cached_property
+    def entries(self) -> list:
+        """One WFEntry per row, built from the columns on first use."""
+        return [WFEntry(SphereDirection(z), RateFit(r, c, e, k), STATUSES[f])
+                for z, r, c, e, k, f in zip(self.dirs, self.rhat.tolist(),
+                                            self.intercept.tolist(), self.residual.tolist(),
+                                            self.n_valid.tolist(), self.status.tolist())]
 
     def singular_directions(self) -> np.ndarray:
-        """The singular entries' unit directions, in entry order, as (K, 2d) rows."""
-        rows = [e.direction.z for e in self.entries if e.singular]
-        width = self.entries[0].direction.z.size if self.entries else 0
-        return np.array(rows, dtype=float).reshape(len(rows), width)
+        """The singular rows of dirs, in row order, as (K, 2d) rows."""
+        return self.dirs[self.singular]
 
-    def status_counts(self) -> dict:
-        """Rows per status, for every status _classify can give."""
-        return {s: sum(e.status == s for e in self.entries) for s in STATUSES}
+    def status_counts(self, rows=slice(None)) -> dict:
+        """Rows per status, for every status _classify can give; given a row
+        mask or slice, only the rows it selects."""
+        counts = np.bincount(self.status[rows], minlength=len(STATUSES))
+        return dict(zip(STATUSES, counts.tolist()))
 
 
 def geometric_lambdas(lo: float, hi: float, n: int) -> np.ndarray:
@@ -176,19 +180,25 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
 
 def circle_directions(n: int) -> np.ndarray:
     """n uniform directions on the circle S^1 (d = 1 phase space), as (n, 2) rows."""
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    return np.array([[math.cos(t), math.sin(t)] for t in thetas.tolist()])
+    return np.column_stack(_cos_sin(2.0 * math.pi * np.arange(n) / n))
 
 
-def _classify(dirs, lambdas, table, floor, threshold) -> list:
-    """One WFEntry per row of a (directions x lambdas) magnitude table.
+def _cos_sin(angles: np.ndarray) -> tuple:
+    """math.cos and math.sin of each angle, as two arrays: numpy's vectorized
+    ones can differ from them in the last bit, which would move the sweeps."""
+    vals = angles.tolist()
+    return np.array([math.cos(v) for v in vals]), np.array([math.sin(v) for v in vals])
+
+
+def _classify(dirs, lambdas, table, floor, threshold) -> dict:
+    """The WFEstimate columns of a (directions x lambdas) magnitude table.
 
     NaN marks unreachable curve samples.  A row with fewer than
-    _MIN_REACHABLE of them is "unreachable" (not fitted: RateFit(inf, 0, 0,
-    0)); else "singular" when the fitted rate is at or below the threshold
-    (ties singular, conservative) and the last reachable magnitude sits above
-    the floor, "regular" when a finite rate above the threshold was fitted,
-    and "below-floor" when the floor decided instead.
+    _MIN_REACHABLE of them is "unreachable" (not fitted: rhat inf, intercept,
+    residual and n_valid 0); else "singular" when the fitted rate is at or
+    below the threshold (ties singular, conservative) and the last reachable
+    magnitude sits above the floor, "regular" when a finite rate above the
+    threshold was fitted, and "below-floor" when the floor decided instead.
     """
     reach = np.isfinite(table)
     reachable = np.count_nonzero(reach, axis=1) >= _MIN_REACHABLE
@@ -197,8 +207,8 @@ def _classify(dirs, lambdas, table, floor, threshold) -> list:
     last = table[np.arange(len(table)), lambdas.size - 1 - np.argmax(reach[:, ::-1], axis=1)]
     status = np.select([~reachable, (rhat <= threshold) & (last >= floor),
                         np.isfinite(rhat) & (rhat > threshold)], [3, 0, 1], 2)
-    return [WFEntry(SphereDirection(z), RateFit(float(r), float(c), float(e), int(k)), STATUSES[f])
-            for z, r, c, e, k, f in zip(dirs, rhat, intercept, residual, n_valid, status)]
+    return {"dirs": dirs, "status": status, "rhat": rhat, "intercept": intercept,
+            "residual": residual, "n_valid": n_valid}
 
 
 def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
@@ -217,8 +227,8 @@ def estimate_wf(u, w: WindowSpec, idx: AnisoIndex,
     dirs = circle_directions(sphere_samples)
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     mags = curve_table(u, w, idx, dirs, lambdas)
-    entries = _classify(dirs, lambdas, _cone_max_circle(mags, cone_steps), floor, r_threshold)
-    return WFEstimate(idx, entries, r_threshold, lambdas, mags)
+    cols = _classify(dirs, lambdas, _cone_max_circle(mags, cone_steps), floor, r_threshold)
+    return WFEstimate(idx, r_threshold, **cols, lambdas=lambdas, magnitudes=mags)
 
 
 def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
@@ -244,19 +254,18 @@ def _cone_max_circle(mags: np.ndarray, cone_steps: int) -> np.ndarray:
 
 def product_sphere4(n_psi: int, n_a: int, n_b: int, n_circle: int) -> np.ndarray:
     """Product sweep of S^3: mixing angle psi between the paired 2-planes
-    (x, xi)-block and (y, eta)-block, with dense pure-plane circles."""
-    dirs = []
-    for t in 2.0 * math.pi * np.arange(n_circle) / n_circle:
-        dirs.append([math.cos(t), 0.0, math.sin(t), 0.0])
-        dirs.append([0.0, math.cos(t), 0.0, math.sin(t)])
-    psis = (np.arange(1, n_psi + 1)) * (math.pi / 2.0) / (n_psi + 1)
-    for psi in psis:
-        c, s = math.cos(psi), math.sin(psi)
-        for a in 2.0 * math.pi * np.arange(n_a) / n_a:
-            for b in 2.0 * math.pi * np.arange(n_b) / n_b:
-                dirs.append([c * math.cos(a), s * math.cos(b),
-                             c * math.sin(a), s * math.sin(b)])
-    return np.unique(np.round(np.array(dirs), 15), axis=0)
+    (x, xi)-block and (y, eta)-block, with dense pure-plane circles: sorted
+    rows rounded to 15 decimals."""
+    cos_t, sin_t = _cos_sin(2.0 * math.pi * np.arange(n_circle) / n_circle)
+    zero = np.zeros(n_circle)
+    circles = np.stack([cos_t, zero, sin_t, zero, zero, cos_t, zero, sin_t], axis=1)
+    c, s = (v[:, None, None] for v in _cos_sin(np.arange(1, n_psi + 1) * (math.pi / 2.0)
+                                               / (n_psi + 1)))
+    cos_a, sin_a = (v[:, None] for v in _cos_sin(2.0 * math.pi * np.arange(n_a) / n_a))
+    cos_b, sin_b = _cos_sin(2.0 * math.pi * np.arange(n_b) / n_b)
+    mixed = np.stack(np.broadcast_arrays(c * cos_a, s * cos_b, c * sin_a, s * sin_b), axis=-1)
+    return unique_rows(np.round(np.concatenate([circles.reshape(-1, 4),
+                                                mixed.reshape(-1, 4)]), 15))
 
 
 def fibonacci_cap(center: np.ndarray, radius: float, count: int,
@@ -267,29 +276,20 @@ def fibonacci_cap(center: np.ndarray, radius: float, count: int,
     shells times a 2-sphere spiral) with a small seeded jitter, pushed onto
     the sphere by the exponential map.
     """
-    basis = _tangent_basis(center)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    pts = []
-    for k in range(count):
-        r = radius * ((k + 0.5) / count) ** (1.0 / 3.0)
-        z = 1.0 - 2.0 * ((k + 0.5) % count) / count
-        phi = 2.0 * math.pi * ((k / golden) % 1.0)
-        rho = math.sqrt(max(0.0, 1.0 - z * z))
-        v3 = np.array([rho * math.cos(phi), rho * math.sin(phi), z])
-        v3 = v3 + 1e-3 * rng.standard_normal(3)
-        v3 *= r / np.linalg.norm(v3)
-        tangent = basis @ v3
-        norm_t = np.linalg.norm(tangent)
-        pt = math.cos(norm_t) * center + math.sin(norm_t) * tangent / norm_t
-        pts.append(pt / np.linalg.norm(pt))
-    return np.array(pts)
-
-
-def _tangent_basis(center: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at a unit 4-vector, as columns."""
-    m = np.concatenate([center[:, None], np.eye(4)], axis=1)
-    q, _ = np.linalg.qr(m)
-    return q[:, 1:4]
+    k = np.arange(count)
+    r = radius * ((k + 0.5) / count) ** (1.0 / 3.0)
+    z = 1.0 - 2.0 * ((k + 0.5) % count) / count
+    cos_phi, sin_phi = _cos_sin(2.0 * math.pi * ((k / ((1.0 + math.sqrt(5.0)) / 2.0)) % 1.0))
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    v3 = np.column_stack([rho * cos_phi, rho * sin_phi, z])
+    v3 += 1e-3 * rng.standard_normal((count, 3))
+    v3 *= (r / np.linalg.norm(v3, axis=1))[:, None]
+    # columns 1-3 of the QR of [center | I]: an orthonormal basis of the tangent space
+    basis = np.linalg.qr(np.concatenate([center[:, None], np.eye(4)], axis=1))[0][:, 1:]
+    tangent = v3 @ basis.T
+    norm_t = np.linalg.norm(tangent, axis=1)[:, None]
+    pts = np.cos(norm_t) * center + np.sin(norm_t) * tangent / norm_t
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
 def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
@@ -316,20 +316,20 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n_lambda)
     rng = np.random.default_rng(seed)
     mags = curve_table(K, w, idx, dirs, lambdas)
-    entries = _classify(dirs, lambdas, mags, floor, r_threshold)
+    cols = _classify(dirs, lambdas, mags, floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
-    seed_ids = _refinement_seeds(np.array([e.fit.rhat for e in entries]),
-                                 np.array([e.singular for e in entries], dtype=bool))
+    seed_ids = _refinement_seeds(cols["rhat"], cols["status"] == STATUSES.index("singular"))
     spacing = math.pi / (min(sweep[1], sweep[2]) or 1)
     budget = MAX_DIRECTIONS - dirs.shape[0]
     per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
     if per > 0:
         extra = np.concatenate([fibonacci_cap(dirs[i], spacing, per, rng) for i in seed_ids])
         extra_mags = curve_table(K, w, idx, extra, lambdas)
-        entries += _classify(extra, lambdas, extra_mags, floor, r_threshold)
+        more = _classify(extra, lambdas, extra_mags, floor, r_threshold)
+        cols = {k: np.concatenate([v, more[k]]) for k, v in cols.items()}
         mags = np.concatenate([mags, extra_mags])
-    return WFEstimate(idx, entries, r_threshold, lambdas, mags)
+    return WFEstimate(idx, r_threshold, **cols, lambdas=lambdas, magnitudes=mags)
 
 
 def _refinement_seeds(rates: np.ndarray, singular: np.ndarray) -> np.ndarray:
@@ -354,21 +354,19 @@ def check_graph_condition(wf: WFEstimate, eps_angle: float) -> dict:
 
     Offenders are singular directions within eps_angle of plane 1,
     {(x, 0, xi, 0)}, or of plane 2, {(0, y, 0, -eta)} (as a set the sign of
-    eta is immaterial); they are listed in entry order, plane 1 first.
+    eta is immaterial); they are listed in row order, plane 1 first.
     wf1_rows and wf2_rows count the rows of every status within eps_angle of
     each plane: a trace is empty of singular rows, but only the regular
     ones near it confirm that.
     """
-    z = np.array([e.direction.z for e in wf.entries], dtype=float).reshape(-1, 4)
-    status = np.array([e.status for e in wf.entries], dtype=object)
+    z = wf.dirs
     x2, y2, xi2, eta2 = (np.sum(b * b, axis=1) for b in blocks4(z))
     angles = np.arcsin(np.minimum(1.0, np.sqrt(np.column_stack([y2 + eta2, x2 + xi2]))))
     near = angles < eps_angle
-    hit = near & (status == "singular")[:, None]
+    hit = near & wf.singular[:, None]
     offenders = [{"direction": z[i].tolist(), "plane": int(j) + 1, "angle": float(angles[i, j])}
                  for i, j in zip(*np.nonzero(hit))]
-    rows = [{s: int(np.count_nonzero(near[:, j] & (status == s))) for s in STATUSES}
-            for j in (0, 1)]
+    rows = [wf.status_counts(near[:, j]) for j in (0, 1)]
     return {"wf1_empty": not hit[:, 0].any(), "wf2_empty": not hit[:, 1].any(),
             "offenders": offenders, "wf1_rows": rows[0], "wf2_rows": rows[1]}
 

@@ -265,3 +265,12 @@ def blocks4(points: np.ndarray) -> tuple:
     d = points.shape[1] // 4
     return (points[:, :d], points[:, d:2 * d],
             points[:, 2 * d:3 * d], points[:, 3 * d:])
+
+
+def unique_rows(a: np.ndarray) -> np.ndarray:
+    """np.unique(a, axis=0) of a finite (N, k) array by one stable lexsort: rows
+    equal as floats (0.0 == -0.0) are one row, the first of them in a kept."""
+    rows = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]

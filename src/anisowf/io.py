@@ -27,6 +27,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, DomainError, ToolkitError
+from .estimator import STATUSES
 from .poly import PolynomialData
 from .signals import SampledSignal
 
@@ -44,7 +45,7 @@ def _encode(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _float(float(obj))
     if isinstance(obj, str):
-        return _string(obj)
+        return obj if isinstance(obj, _Raw) else _string(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -62,6 +63,10 @@ def _encode(obj) -> str:
             return "[" + ",".join(map(_float, seq)) + "]"
         return "[" + ",".join(map(_encode, seq)) + "]"
     raise DomainError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Raw(str):
+    """JSON text that _encode writes as it is."""
 
 
 def _float(x: float) -> str:
@@ -362,21 +367,21 @@ def write_profile_csv(path, est):
 
 
 def wf_estimate_to_dict(est) -> dict:
-    entries = []
-    for e in est.entries:
-        rhat = None if math.isinf(e.fit.rhat) else e.fit.rhat
-        entries.append({
-            "dir": e.direction.z.tolist(),
-            "rhat": rhat,
-            "residual": e.fit.residual,
-            "n_valid": e.fit.n_valid,
-            "singular": e.singular,
-            "status": e.status,
-        })
+    """The estimate's JSON object; its entries, one {dir, rhat, residual,
+    n_valid, singular, status} object per row, are formatted from the columns
+    through one row template, with the bytes dump_json gives those objects."""
+    width = est.dirs.shape[1]
+    row = ('{"dir":[' + ",".join(["%s"] * width) + '],"rhat":%s,"residual":%s,'
+           '"n_valid":%d,"singular":%s,"status":"%s"}')
+    status = [STATUSES[k] for k in est.status.tolist()]
+    cells = zip(*[map(_float, col) for col in est.dirs.T.tolist()],
+                map(_float, est.rhat.tolist()), map(_float, est.residual.tolist()),
+                est.n_valid.tolist(), ["true" if s == "singular" else "false" for s in status],
+                status)
     return {
         "idx": {"t": est.idx.t, "s": est.idx.s},
         "threshold": est.r_threshold,
-        "entries": entries,
+        "entries": _Raw("[" + ",".join(row % c for c in cells) + "]"),
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import AnisoIndex, blocks4, project_many
+from .geometry import AnisoIndex, blocks4, project_many, unique_rows
 
 # sconic_closure_check: largest gap from a rescaled point's direction to the set's
 _CLOSURE_TOL = 1e-6
@@ -26,9 +26,9 @@ class PointSet:
             pts = pts.reshape(0, pts.shape[-1] or 2)
         if pts.shape[1] % 2 != 0:
             raise DomainError("phase-space points need an even number of coordinates")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DomainError("phase-space points must have finite coordinates")
-        if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) == 0.0):
+        if not (pts != 0.0).any(axis=1).all():   # a norm underflows near 1e-170
             raise DomainError("point sets exclude the origin")
         if not tolerance > 0.0:
             raise DomainError("tolerance must be positive")
@@ -44,9 +44,7 @@ class PointSet:
 
 
 def _nonzero_rows(points: np.ndarray) -> np.ndarray:
-    if points.shape[0] == 0:
-        return points
-    return points[np.linalg.norm(points, axis=1) > 0.0]
+    return points[(points != 0.0).any(axis=1)]
 
 
 def proj_13(a: PointSet) -> PointSet:
@@ -69,8 +67,6 @@ def compose(a: PointSet, b: PointSet) -> PointSet:
     """
     if a.ambient != 2 * b.ambient:
         raise DomainError("A must live in twice the ambient dimension of B")
-    if len(a) == 0 or len(b) == 0:
-        return PointSet(np.zeros((0, b.ambient)), b.tolerance)
     d = b.ambient // 2
     out = []
     for i in range(len(a)):
@@ -82,26 +78,20 @@ def compose(a: PointSet, b: PointSet) -> PointSet:
             if np.linalg.norm(candidate - arow) <= a.tolerance:
                 out.append(np.concatenate([arow[:d], arow[2 * d:3 * d]]))
                 break
-    kept = _nonzero_rows(np.array(out)) if out else np.zeros((0, b.ambient))
-    if kept.shape[0] == 0:
-        return PointSet(np.zeros((0, b.ambient)), b.tolerance)
-    return PointSet(np.unique(kept, axis=0), b.tolerance)
+    kept = _nonzero_rows(np.array(out).reshape(-1, b.ambient))
+    return PointSet(unique_rows(kept), b.tolerance)
 
 
 def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
     """p_{1,3}(A intersect p_{2,-4}^{-1} B), the projection form of A' o B."""
     if a.ambient != 2 * b.ambient:
         raise DomainError("A must live in twice the ambient dimension of B")
-    if len(a) == 0 or len(b) == 0:
-        return PointSet(np.zeros((0, b.ambient)), b.tolerance)
     x, y, xi, eta = blocks4(a.points)
     pa = np.concatenate([y, -eta], axis=1)
     dists = np.linalg.norm(pa[:, None, :] - b.points[None, :, :], axis=2)
     hit = np.any(dists <= a.tolerance, axis=1)
     sel = _nonzero_rows(np.concatenate([x, xi], axis=1)[hit])
-    if sel.shape[0] == 0:
-        return PointSet(np.zeros((0, b.ambient)), b.tolerance)
-    return PointSet(np.unique(sel, axis=0), b.tolerance)
+    return PointSet(unique_rows(sel), b.tolerance)
 
 
 def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales) -> bool:

@@ -5,16 +5,19 @@ import pytest
 
 from anisowf.chirp import compare_wf, is_elliptic, predict_chirp_wf
 from anisowf.errors import DomainError, UnsupportedRegimeError
-from anisowf.estimator import RateFit, WFEntry, WFEstimate
-from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection,
-                              dist_to_conic_set, project)
+from anisowf.estimator import STATUSES, WFEstimate
+from anisowf.geometry import AnisoIndex, PhasePoint, dist_to_conic_set, project
 from anisowf.poly import PolynomialData, eval_grad, poly_1d, principal_part
 
 
-def make_estimate(dirs, idx):
-    entries = [WFEntry(SphereDirection(np.asarray(z) / np.linalg.norm(z)),
-                       RateFit(0.0, 0.0, 0.0, 10), "singular") for z in dirs]
-    return WFEstimate(idx, entries, 1.0)
+def make_estimate(dirs, idx, statuses=None):
+    """d = 1 rows along dirs, normalised, each with rate 0 and the given
+    status (singular by default)."""
+    z = np.array(dirs, dtype=float).reshape(-1, 2)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    n = len(z)
+    status = np.array([STATUSES.index(s) for s in statuses or ["singular"] * n], dtype=int)
+    return WFEstimate(idx, 1.0, z, status, np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, 10))
 
 
 class TestIsElliptic:
@@ -118,7 +121,7 @@ class TestCompareWF:
     def test_empty_estimate_vs_equality_prediction(self):
         idx = AnisoIndex(1.2, 1.2)
         pred = predict_chirp_wf(poly_1d(0.0, 0.0, 1.0), idx)
-        est = WFEstimate(idx, [], 1.0)
+        est = make_estimate([], idx)
         report = compare_wf(est, pred, tol_angle=0.05)
         assert not report["pass"]
         assert len(report["misses"]) == len(pred.directions)
@@ -137,8 +140,7 @@ class TestCompareWF:
         rows = [([1.0, 2.0], "singular"), ([0.0, 1.0], "regular")]
         if status is not None:
             rows.append(([-1.0, -2.0], status))
-        est = WFEstimate(idx, [WFEntry(SphereDirection(np.array(z) / np.linalg.norm(z)),
-                                       RateFit(0.0, 0.0, 0.0, 10), s) for z, s in rows], 1.0)
+        est = make_estimate([z for z, _ in rows], idx, [s for _, s in rows])
         report = compare_wf(est, pred, tol_angle=0.05)
         assert not report["violations"]
         assert len(report["misses"]) == misses

@@ -11,7 +11,7 @@ from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
 from anisowf.signals import (AnalyticSignal, chirp_signal, delta_signal, make_gaussian,
                              one_signal, tensor_signal)
 from anisowf.stft import REACH_FRAC, WindowSpec, stft_points
-from anisowf.estimator import (MAX_DIRECTIONS, RateFit, WFEntry, WFEstimate, _MIN_REACHABLE,
+from anisowf.estimator import (MAX_DIRECTIONS, STATUSES, RateFit, WFEstimate, _MIN_REACHABLE,
                                _refinement_seeds, check_graph_condition, circle_directions,
                                cone_constant, curve_reach, curve_table, estimate_wf,
                                fibonacci_cap, fit_rate_arrays,
@@ -346,8 +346,22 @@ class TestEstimateWF:
         est = estimate_wf(u, WindowSpec(1.0), AnisoIndex(1.2, 1.2), sphere_samples=90,
                           lambda_range=(2.0, 30.0), floor=1e-8, cone_steps=0)
         rhat, _, _, n_valid = fit_rate_arrays(est.lambdas, est.magnitudes, 1e-8)
-        assert [e.fit.n_valid for e in est.entries] == n_valid.tolist()
-        assert [e.fit.rhat for e in est.entries] == rhat.tolist()
+        assert est.n_valid.tolist() == n_valid.tolist()
+        assert est.rhat.tolist() == rhat.tolist()
+
+    def test_entries_view_matches_the_columns(self):
+        # entries is the per-row view bench/ reads; it is built once, from the columns
+        est = estimate_wf(make_gaussian(1, 256, 0.1), WindowSpec(1.0), AnisoIndex(1.0, 1.0),
+                          sphere_samples=360, lambda_range=(8.0, 60.0))
+        assert est.entries is est.entries and len(est.entries) == len(est.dirs) == 360
+        assert np.array_equal([e.direction.z for e in est.entries], est.dirs)
+        assert [e.status for e in est.entries] == [STATUSES[k] for k in est.status]
+        assert [e.singular for e in est.entries] == est.singular.tolist()
+        assert [e.fit for e in est.entries] == [
+            RateFit(*row) for row in zip(est.rhat.tolist(), est.intercept.tolist(),
+                                         est.residual.tolist(), est.n_valid.tolist())]
+        assert est.status_counts() == {s: [e.status for e in est.entries].count(s)
+                                       for s in STATUSES}
 
     @pytest.mark.parametrize("cone_steps, unreachable", [(0, 186), (1, 186)])
     def test_unreachable_rows_are_not_regular(self, cone_steps, unreachable):
@@ -419,7 +433,69 @@ class TestKernelEstimate:
             estimate_kernel_wf(g, WindowSpec(1.0), AnisoIndex(1.2, 1.2))
 
 
+def product_sphere4_loop(n_psi, n_a, n_b, n_circle):
+    """The direction-by-direction loop product_sphere4 replaced: its reference."""
+    dirs = []
+    for t in 2.0 * math.pi * np.arange(n_circle) / n_circle:
+        dirs.append([math.cos(t), 0.0, math.sin(t), 0.0])
+        dirs.append([0.0, math.cos(t), 0.0, math.sin(t)])
+    psis = (np.arange(1, n_psi + 1)) * (math.pi / 2.0) / (n_psi + 1)
+    for psi in psis:
+        c, s = math.cos(psi), math.sin(psi)
+        for a in 2.0 * math.pi * np.arange(n_a) / n_a:
+            for b in 2.0 * math.pi * np.arange(n_b) / n_b:
+                dirs.append([c * math.cos(a), s * math.cos(b),
+                             c * math.sin(a), s * math.sin(b)])
+    return np.unique(np.round(np.array(dirs).reshape(-1, 4), 15), axis=0)
+
+
+def fibonacci_cap_loop(center, radius, count, rng):
+    """The point-by-point loop fibonacci_cap replaced: its reference."""
+    basis = np.linalg.qr(np.concatenate([center[:, None], np.eye(4)], axis=1))[0][:, 1:4]
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    pts = []
+    for k in range(count):
+        r = radius * ((k + 0.5) / count) ** (1.0 / 3.0)
+        z = 1.0 - 2.0 * ((k + 0.5) % count) / count
+        phi = 2.0 * math.pi * ((k / golden) % 1.0)
+        rho = math.sqrt(max(0.0, 1.0 - z * z))
+        v3 = np.array([rho * math.cos(phi), rho * math.sin(phi), z])
+        v3 = v3 + 1e-3 * rng.standard_normal(3)
+        v3 *= r / np.linalg.norm(v3)
+        tangent = basis @ v3
+        norm_t = np.linalg.norm(tangent)
+        pt = math.cos(norm_t) * center + math.sin(norm_t) * tangent / norm_t
+        pts.append(pt / np.linalg.norm(pt))
+    return np.array(pts).reshape(-1, 4)
+
+
 class TestSphereSampling:
+    @pytest.mark.parametrize("sweep", [(8, 24, 24, 64), (6, 20, 20, 48), (4, 12, 12, 24),
+                                       (3, 5, 7, 0), (0, 4, 4, 9), (1, 1, 1, 1), (0, 0, 0, 0)])
+    def test_product_sphere4_is_the_loop_bit_for_bit(self, sweep):
+        # the same products of the same math.cos and math.sin values
+        want, got = product_sphere4_loop(*sweep), product_sphere4(*sweep)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_circle_directions_are_the_loop_bit_for_bit(self):
+        thetas = 2.0 * math.pi * np.arange(720) / 720
+        want = np.array([[math.cos(t), math.sin(t)] for t in thetas.tolist()])
+        assert np.array_equal(circle_directions(720).view(np.int64), want.view(np.int64))
+
+    def test_fibonacci_cap_is_the_loop_to_round_off(self):
+        # same jitter stream; norms, products and cosines may round in another
+        # order, by a few ulps of the unit coordinates (2.2e-16 each)
+        centers = np.random.default_rng(5).standard_normal((20, 4))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+        for center in centers:
+            for count in (1, 8, 24):
+                np.testing.assert_allclose(fibonacci_cap(center, 0.13, count, rng_b),
+                                           fibonacci_cap_loop(center, 0.13, count, rng_a),
+                                           rtol=0, atol=1e-15)
+        assert rng_a.random() == rng_b.random()
+
     def test_product_sphere4_unit(self):
         dirs = product_sphere4(4, 12, 12, 32)
         norms = np.linalg.norm(dirs, axis=1)
@@ -434,10 +510,14 @@ class TestSphereSampling:
         assert np.max(angles) <= 0.25
 
 
-def make_wf4(directions, idx=AnisoIndex(1.2, 1.2)):
-    entries = [WFEntry(SphereDirection(np.asarray(z) / np.linalg.norm(z)),
-                       RateFit(0.0, 0.0, 0.0, 10), "singular") for z in directions]
-    return WFEstimate(idx, entries, 1.0)
+def make_wf4(directions, idx=AnisoIndex(1.2, 1.2), statuses=None):
+    """Kernel rows along the directions, normalised, each with rate 0 and the
+    given status (singular by default)."""
+    z = np.array(directions, dtype=float).reshape(-1, 4)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    n = len(z)
+    status = np.array([STATUSES.index(s) for s in statuses or ["singular"] * n], dtype=int)
+    return WFEstimate(idx, 1.0, z, status, np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, 10))
 
 
 class TestGraphCondition:
@@ -462,10 +542,8 @@ class TestGraphCondition:
         # a below-floor row inside plane 1 is counted there but is no offender:
         # the empty trace over it is not confirmed by any regular row
         wf = make_wf4([[1.0, 0.01, 1.0, 0.0], [1.0, 0.0, 0.99, 0.01], [0.0, 1.0, 0.0, -1.0],
-                       [1.0, 1.0, 1.0, -1.0]])
-        fit = wf.entries[0].fit
-        for i, status in ((0, "below-floor"), (1, "regular"), (3, "unreachable")):
-            wf.entries[i] = WFEntry(wf.entries[i].direction, fit, status)
+                       [1.0, 1.0, 1.0, -1.0]],
+                      statuses=["below-floor", "regular", "singular", "unreachable"])
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"] and not res["wf2_empty"]
         assert [o["plane"] for o in res["offenders"]] == [2]
@@ -482,8 +560,7 @@ class TestGraphCondition:
     def test_offenders_in_entry_order_plane_one_first(self):
         dirs = [[0.01, 1.0, 0.0, -1.0], [1.0, 0.0, 1.0, 0.02], [1.0, 1.0, 1.0, -1.0],
                 [0.0, 1.0, 0.0, 1.0], [1.0, 0.01, 0.5, 0.0]]
-        wf = make_wf4(dirs)
-        wf.entries[2] = WFEntry(wf.entries[2].direction, wf.entries[2].fit, "regular")
+        wf = make_wf4(dirs, statuses=["singular", "singular", "regular", "singular", "singular"])
 
         def reference(eps):
             # per entry: plane 1 {(x, 0, xi, 0)}, then plane 2 {(0, y, 0, -eta)}

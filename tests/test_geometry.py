@@ -8,7 +8,7 @@ from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection,
                               dist_to_conic_set, gamma_tilde_distance,
                               in_gamma_nbhd, in_gamma_tilde_nbhd, lambda_solve,
                               lambda_solve_many, nearest_angles, project,
-                              project_many, scale_point)
+                              project_many, scale_point, unique_rows)
 
 
 def random_points(rng, count, d=1, log_scale=3.0):
@@ -302,5 +302,60 @@ def test_nearest_angles_matches_per_pair_acos():
         # the batched and per-pair dot products may differ by a few ulps, which
         # arccos magnifies to at most sqrt(2 * 4 * 2.2e-16) ~ 3e-8 next to +-1
         np.testing.assert_allclose(nearest_angles(a, b), want, rtol=0, atol=3e-8)
+
+    check()
+
+
+def _row_sequences(hyp, max_rows):
+    """Strategy: (N, k) float arrays, N from 0 to max_rows, whose rows repeat a
+    pool of at most five rows rich in zeros, each copy with the signs of its
+    zeros kept or flipped, so rows equal as floats may differ in their bits."""
+    st = hyp.strategies
+
+    @st.composite
+    def rows(draw):
+        k = draw(st.integers(1, 4))
+        coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        pool = np.array(draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                                      min_size=1, max_size=5)))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                              max_size=max_rows))
+        out = [np.where(pool[i] == 0.0, -pool[i], pool[i]) if flip else pool[i]
+               for i, flip in picks]
+        return np.array(out).reshape(len(out), k)
+
+    return rows()
+
+
+def test_unique_rows_is_np_unique_bit_for_bit():
+    # up to 16 rows np.unique sorts by insertion, which keeps the first of
+    # rows equal as floats, as unique_rows does: the bits agree, signed zeros too
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(_row_sequences(hyp, 16))
+    def check(a):
+        want, got = np.unique(a, axis=0), unique_rows(a)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    check()
+    assert unique_rows(np.zeros((0, 4))).shape == (0, 4)
+    assert unique_rows(np.array([[-0.0, 1.0]])).view(np.int64).tolist() == \
+        np.array([[-0.0, 1.0]]).view(np.int64).tolist()
+
+
+def test_unique_rows_is_np_unique_up_to_the_sign_of_zero():
+    # above 16 rows np.unique's introsort keeps an arbitrary member of a group
+    # of rows equal as floats; only the sign of their zeros can then differ
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(_row_sequences(hyp, 200))
+    def check(a):
+        want, got = np.unique(a, axis=0), unique_rows(a)
+        assert got.shape == want.shape
+        assert np.array_equal((got + 0.0).view(np.int64), (want + 0.0).view(np.int64))
 
     check()

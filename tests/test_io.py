@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from anisowf.errors import ConfigError, DomainError, ToolkitError
-from anisowf.estimator import RateFit, WFEntry, WFEstimate
-from anisowf.geometry import AnisoIndex, SphereDirection
+from anisowf.estimator import STATUSES, WFEstimate
+from anisowf.geometry import AnisoIndex
 from anisowf.io import (_PARALLEL_ROWS, _cuts, _write_table, dump_json, poly_from_dict,
                         poly_to_dict, read_signal_csv, wf_estimate_to_dict, write_profile_csv,
                         write_signal_csv, write_stft_csv)
@@ -281,25 +281,84 @@ class TestPolyJson:
         check()
 
 
+def make_estimate(dirs, statuses, rhat, residual=None, n_valid=None, idx=AnisoIndex(1.0, 1.0),
+                  lambdas=None, magnitudes=None) -> WFEstimate:
+    """An estimate from its columns; residual and n_valid default to 0 and 9."""
+    n = len(statuses)
+    z = np.array(dirs, dtype=float).reshape(n, -1) if n else np.zeros((0, 2))
+    status = np.array([STATUSES.index(s) for s in statuses], dtype=int)
+    return WFEstimate(idx, 1.0, z, status, np.array(rhat, dtype=float), np.zeros(n),
+                      np.zeros(n) if residual is None else np.array(residual, dtype=float),
+                      np.full(n, 9) if n_valid is None else np.array(n_valid), lambdas, magnitudes)
+
+
+def reference_estimate_dict(est) -> dict:
+    """The estimate JSON object built entry by entry from the entries view, one
+    dict per row: the reference whose dump_json bytes wf_estimate_to_dict must give."""
+    entries = []
+    for e in est.entries:
+        rhat = None if math.isinf(e.fit.rhat) else e.fit.rhat
+        entries.append({
+            "dir": e.direction.z.tolist(),
+            "rhat": rhat,
+            "residual": e.fit.residual,
+            "n_valid": e.fit.n_valid,
+            "singular": e.singular,
+            "status": e.status,
+        })
+    return {
+        "idx": {"t": est.idx.t, "s": est.idx.s},
+        "threshold": est.r_threshold,
+        "entries": entries,
+    }
+
+
 class TestEstimateExport:
     def test_sentinel_rhat_null(self):
-        e = WFEstimate(AnisoIndex(1.0, 1.0),
-                       [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                                RateFit(math.inf, 0.0, 0.0, 0), "unreachable")], 1.0)
-        d = wf_estimate_to_dict(e)
+        e = make_estimate([[1.0, 0.0]], ["unreachable"], [math.inf], n_valid=[0])
+        d = json.loads(dump_json(wf_estimate_to_dict(e)))
         assert d["entries"][0]["rhat"] is None
         assert d["entries"][0]["singular"] is False
         assert d["entries"][0]["status"] == "unreachable"
-        assert dump_json(d)  # serializable
+
+    def test_columns_write_the_bytes_of_the_entry_dicts(self):
+        # every status, an infinite rate (null), a -0.0 component, 17-digit floats
+        third = 1.0 / 3.0
+        est = make_estimate(
+            [[-0.0, 1.0], [0.6, -0.8], [math.sqrt(0.5), -math.sqrt(0.5)], [-1.0, -0.0]],
+            ["singular", "regular", "below-floor", "unreachable"],
+            [0.05 + 1e-17, math.pi, math.inf, math.inf], residual=[third, 1e-300, 0.0, 0.0],
+            n_valid=[24, 17, 2, 0], idx=AnisoIndex(1.2, 0.6))
+        text = dump_json(wf_estimate_to_dict(est))
+        assert text == dump_json(reference_estimate_dict(est))
+        assert '"dir":[-0,1]' in text and '"rhat":null' in text
+        assert [e["status"] for e in json.loads(text)["entries"]] == list(STATUSES)
+
+    @pytest.mark.parametrize("seed, width", [(0, 2), (1, 4), (2, 4)])
+    def test_random_columns_match_the_entry_dicts(self, seed, width):
+        rng = np.random.default_rng(seed)
+        n = 300
+        z = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-20, 3, (n, 1))
+        z[:, 1:][rng.random((n, width - 1)) < 0.15] = -0.0
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        statuses = rng.choice(STATUSES, n).tolist()
+        rhat = np.where(rng.random(n) < 0.2, math.inf, rng.exponential(0.5, n))
+        est = make_estimate(z, statuses, rhat, residual=rng.exponential(1e-3, n),
+                            n_valid=rng.integers(0, 25, n))
+        assert dump_json(wf_estimate_to_dict(est)) == dump_json(reference_estimate_dict(est))
+
+    def test_no_rows(self):
+        est = make_estimate([], [], [])
+        assert dump_json(wf_estimate_to_dict(est)) == dump_json(reference_estimate_dict(est))
+        assert json.loads(dump_json(wf_estimate_to_dict(est)))["entries"] == []
 
     def test_profile_csv(self, tmp_path):
         lam = np.geomspace(2.0, 20.0, 12)
         table = np.array([np.exp(-lam), np.full(12, np.nan), np.exp(-lam)])
         table[0, 9:] = np.nan
         table[2, 3] = 0.0
-        entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                           RateFit(1.0, 0.0, 0.0, 9), "regular")] * 3
-        est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
+        est = make_estimate([[1.0, 0.0]] * 3, ["regular"] * 3, [1.0] * 3,
+                            lambdas=lam, magnitudes=table)
         p = tmp_path / "profiles.csv"
         write_profile_csv(p, est)
         lines = p.read_text().strip().splitlines()
@@ -321,9 +380,8 @@ class TestEstimateExport:
         cand = np.exp(-rng.uniform(0.0, 700.0, 200_000))
         split = cand[np.log(cand) != [math.log(c) for c in cand.tolist()]][:400]
         table[20:].flat[:split.size] = split
-        entries = [WFEntry(SphereDirection(np.array([1.0, 0.0])),
-                           RateFit(1.0, 0.0, 0.0, 9), "regular")] * 50
-        est = WFEstimate(AnisoIndex(1.0, 1.0), entries, 1.0, lam, table)
+        est = make_estimate([[1.0, 0.0]] * 50, ["regular"] * 50, [1.0] * 50,
+                            lambdas=lam, magnitudes=table)
         rows = [["direction", "lambda", "magnitude", "log_magnitude"]]
         for i, row in enumerate(table.tolist()):
             for la, mag in zip(lam.tolist(), row):

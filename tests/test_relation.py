@@ -19,6 +19,20 @@ class TestProjections:
         np.testing.assert_allclose(proj_2neg4(a).points, [[2.0, -4.0]])
 
 
+def test_tiny_coordinates_are_not_the_origin():
+    # |p|^2 underflows to 0 for coordinates near 1e-170; the point is still nonzero
+    tiny = 1e-170
+    assert PointSet([[tiny, 0.0]]).points.tolist() == [[tiny, 0.0]]
+    a = PointSet([[tiny, tiny, 0.0, 0.0]])
+    b = PointSet([[tiny, 0.0]])
+    assert proj_2neg4(a).points.tolist() == [[tiny, 0.0]]
+    assert proj_13(PointSet([[0.0, 1.0, tiny, 1.0]])).points.tolist() == [[0.0, tiny]]
+    for fn in (compose, compose_via_projection):
+        assert fn(a, b).points.tolist() == [[tiny, 0.0]], fn.__name__
+    with pytest.raises(DomainError, match="origin"):
+        PointSet([[tiny, 0.0], [0.0, -0.0]])
+
+
 class TestCompose:
     def test_single_match(self):
         a = PointSet([[1.0, 2.0, 3.0, -4.0]])
