@@ -239,6 +239,13 @@ def cmd_relation(config, out, seed):
     points = list_of(list_of(number))
     a = cfg_get(config, "A", lambda v: PointSet(points(v), tol))
     b = cfg_get(config, "B", lambda v: PointSet(points(v), tol))
+    if len(a) == 0:   # an empty set takes the width the other set implies
+        a = PointSet(np.zeros((0, 2 * b.ambient)), tol)
+    elif len(b) == 0 and a.ambient % 4 == 0:
+        b = PointSet(np.zeros((0, a.ambient // 2)), tol)
+    if a.ambient != 2 * b.ambient:
+        raise ConfigError(f"A: rows of {a.ambient} coordinates; (x, y, xi, eta) rows "
+                          f"need twice the {b.ambient} of B's (y, eta) rows")
     composed = compose(a, b)
     body = {"composition": point_set_to_list(composed)}
     scales = cfg_get(config, "scales", list_of(positive), default=None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, DomainError, UnsupportedRegimeError
-from .geometry import AnisoIndex, PhasePoint, project_many
+from .geometry import AnisoIndex, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 from .signals import ConvolutionKernel, SampledSignal, fourier, fourier_chirp_signal
 
@@ -117,15 +117,9 @@ def propagator_kernel(spec: EvolutionSpec) -> ConvolutionKernel:
 
 
 def _flow_positions(spec: EvolutionSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """x + t grad p_m(xi) for (N, d) coordinate arrays, p_m the principal part."""
+    """x + t grad p_m(xi) for (N, d) coordinate arrays, p_m the principal part: the
+    x block of the Hamiltonian flow chi_t(x, xi) = (x + t grad p_m(xi), xi)."""
     return xs + spec.time * eval_grad(principal_part(spec.symbol), xis)
-
-
-def hamiltonian_flow(spec: EvolutionSpec, p0: PhasePoint) -> PhasePoint:
-    """chi_t(x0, xi0) = (x0 + t grad p_m(xi0), xi0) for the principal part p_m."""
-    if p0.is_zero():
-        raise DomainError("the flow is defined away from the origin")
-    return PhasePoint(_flow_positions(spec, p0.x[None, :], p0.xi[None, :])[0], p0.xi)
 
 
 def predict_transport(directions: np.ndarray, spec: EvolutionSpec,

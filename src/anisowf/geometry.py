@@ -1,11 +1,10 @@
-"""Anisotropic phase-space geometry.
+"""Anisotropic phase-space geometry on (N, d) coordinate arrays.
 
 The scaling radius lambda solves lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1
 for a phase-space point (x, xi).  Projection along the power curve
-mu -> (mu^t x, mu^s xi) retracts any nonzero point onto the unit sphere,
-and two families of anisotropically conic neighborhoods are built on top
-of that projection.  The projection depends only on the ratio s/t, so the
-neighborhood helpers take that ratio (sigma) directly.
+mu -> (mu^t x, mu^s xi) retracts any nonzero point onto the unit sphere
+S^(2d-1), and the angle to the nearest member is the one metric between
+sets of such unit directions.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ import numpy as np
 from .errors import DomainError
 
 _LOG2 = math.log(2.0)
-# gamma_tilde_distance scans lambda in [1e-4, 1e4], then golden-section steps
-_LOG_LAMBDA_BOUND = 4.0 * math.log(10.0)
-_GOLDEN_STEPS = 200
+_TINY = np.finfo(float).tiny
+_LOG_TINY = -math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,6 @@ class AnisoIndex:
             raise DomainError(f"indices must be positive, got t={self.t}, s={self.s}")
         if not self.t + self.s > 1.0:
             raise DomainError(f"need t + s > 1, got t + s = {self.t + self.s}")
-
-    @property
-    def sigma(self) -> float:
-        """Anisotropy ratio s/t governing the sphere projection."""
-        return self.s / self.t
 
 
 class PhasePoint:
@@ -56,16 +49,6 @@ class PhasePoint:
             raise DomainError("phase point has non-finite coordinates")
         self.x = x
         self.xi = xi
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.linalg.norm(self.as_vector()) <= tol)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.xi])
 
     def __repr__(self):
         return f"PhasePoint(x={self.x.tolist()}, xi={self.xi.tolist()})"
@@ -85,20 +68,21 @@ class SphereDirection:
             raise DomainError(f"direction norm {n} deviates from 1 beyond 1e-12")
         self.z = z
 
-    @property
-    def dim(self) -> int:
-        return self.z.size // 2
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z[: self.dim]
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.z[self.dim:]
-
     def __repr__(self):
         return f"SphereDirection({self.z.tolist()})"
+
+
+def _log_sq_norms(v: np.ndarray) -> np.ndarray:
+    """log |row|^2 of an (N, d) array, -inf for a zero row.  A row whose squared
+    sum is not a normal double is divided by its largest magnitude first."""
+    with np.errstate(over="ignore", divide="ignore"):
+        sq = np.sum(v * v, axis=1)
+        out = np.log(sq)
+    off = ~((sq >= _TINY) & np.isfinite(sq)) & (v != 0.0).any(axis=1)
+    if off.any():
+        m = np.max(np.abs(v[off]), axis=1)
+        out[off] = 2.0 * np.log(m) + np.log(np.sum((v[off] / m[:, None]) ** 2, axis=1))
+    return out
 
 
 def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -108,17 +92,17 @@ def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.nd
     solved in u = log(lambda): h(u) = logaddexp(La - 2t u, Lb - 2s u) is strictly
     decreasing, bracketed by closed-form axis roots, bisected and Newton-polished.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    t, s = idx.t, idx.s
-    a = np.sum(xs * xs, axis=1)
-    b = np.sum(xis * xis, axis=1)
-    if np.any((a == 0.0) & (b == 0.0)):
-        raise DomainError("lambda is undefined at the zero point")
+    return np.exp(_log_lambda(idx, np.atleast_2d(np.asarray(xs, dtype=float)),
+                              np.atleast_2d(np.asarray(xis, dtype=float))))
 
-    with np.errstate(divide="ignore"):
-        la = np.log(a)   # -inf where a == 0
-        lb = np.log(b)
+
+def _log_lambda(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """u = log(lambda) for (N, d) float arrays, as lambda_solve_many solves it."""
+    t, s = idx.t, idx.s
+    la = _log_sq_norms(xs)   # -inf where x == 0
+    lb = _log_sq_norms(xis)
+    if np.any(np.isneginf(la) & np.isneginf(lb)):
+        raise DomainError("lambda is undefined at the zero point")
 
     # u0: log of max(|x|^(1/t), |xi|^(1/s)); dominant term contributes exactly 1 there.
     u0 = np.maximum(la / (2.0 * t), lb / (2.0 * s))
@@ -142,25 +126,25 @@ def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.nd
         dg = -(2.0 * t * ea + 2.0 * s * eb)
         u = u - g / dg
 
-    return np.exp(u)
-
-
-def lambda_solve(idx: AnisoIndex, p: PhasePoint) -> float:
-    """Unique positive root of lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1."""
-    return float(lambda_solve_many(idx, p.x, p.xi)[0])
-
-
-def project(idx: AnisoIndex, p: PhasePoint) -> SphereDirection:
-    """Retract p onto S^(2d-1) along its anisotropic curve."""
-    return SphereDirection(project_many(idx, p.x, p.xi)[0])
+    return u
 
 
 def project_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Projection of points given as (N, d) coordinate arrays -> directions (N, 2d)."""
+    """Projection of points given as (N, d) coordinate arrays -> directions (N, 2d): each
+    block over its power of lambda, or scaled in logs where a power is not a normal double."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    lam = lambda_solve_many(idx, xs, xis)[:, None]
-    return np.concatenate([xs / lam ** idx.t, xis / lam ** idx.s], axis=1)
+    u = _log_lambda(idx, xs, xis)[:, None]
+    with np.errstate(all="ignore"):   # the rows this spoils are `far`
+        lam = np.exp(u)
+        out = np.concatenate([xs / lam ** idx.t, xis / lam ** idx.s], axis=1)
+    far = np.abs(u[:, 0]) * max(1.0, idx.t, idx.s) >= _LOG_TINY
+    if far.any():
+        v = np.concatenate([xs, xis], axis=1)[far]
+        rate = np.repeat([idx.t, idx.s], xs.shape[1])
+        with np.errstate(divide="ignore"):
+            out[far] = np.sign(v) * np.exp(np.log(np.abs(v)) - rate * u[far])
+    return out
 
 
 def scale_point(idx: AnisoIndex, p: PhasePoint, mu: float) -> PhasePoint:
@@ -168,82 +152,6 @@ def scale_point(idx: AnisoIndex, p: PhasePoint, mu: float) -> PhasePoint:
     if not mu > 0.0:
         raise DomainError(f"scale factor must be positive, got {mu}")
     return PhasePoint(p.x * mu ** idx.t, p.xi * mu ** idx.s)
-
-
-def in_gamma_nbhd(sigma: float, z0: SphereDirection, eps: float, p: PhasePoint) -> bool:
-    """Membership in the projection-based conic neighborhood of z0.
-
-    True iff |z0 - p_{1,sigma}(p)| < eps.  For eps > 2 this is all of
-    phase space minus the origin.
-    """
-    if not (sigma > 0.0 and eps > 0.0):
-        raise DomainError("sigma and eps must be positive")
-    if p.is_zero():
-        raise DomainError("neighborhood membership undefined at the zero point")
-    proj = project(AnisoIndex(1.0, sigma), p)
-    return bool(np.linalg.norm(z0.z - proj.z) < eps)
-
-
-def gamma_tilde_distance(sigma: float, z0: SphereDirection, p: PhasePoint) -> float:
-    """min over lambda in [1e-4, 1e4] of |(lambda y, lambda^sigma eta) - z0|.
-
-    Coarse scan to bracket, then golden-section on log(lambda).  The distance
-    is unimodal near its minimizer for the small eps this backs.
-    """
-    if p.is_zero():
-        raise DomainError("distance undefined at the zero point")
-    y, eta = p.x, p.xi
-    zx, zxi = z0.x, z0.xi
-
-    def dist(u):
-        lam = math.exp(u)
-        dv = np.concatenate([lam * y - zx, lam ** sigma * eta - zxi])
-        return float(np.linalg.norm(dv))
-
-    grid = np.linspace(-_LOG_LAMBDA_BOUND, _LOG_LAMBDA_BOUND, 65)
-    vals = [dist(u) for u in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = dist(c), dist(d)
-    for _ in range(_GOLDEN_STEPS):
-        if hi - lo < 1e-13:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = dist(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = dist(d)
-    return min(vals[k], fc, fd)
-
-
-def in_gamma_tilde_nbhd(sigma: float, z0: SphereDirection, eps: float, p: PhasePoint) -> bool:
-    """True iff some rescaling (lambda y, lambda^sigma eta) lands in the eps-ball at z0."""
-    if not (sigma > 0.0 and eps > 0.0):
-        raise DomainError("sigma and eps must be positive")
-    return gamma_tilde_distance(sigma, z0, p) < eps
-
-
-def dist_to_conic_set(sigma: float, directions: np.ndarray, p: PhasePoint) -> float:
-    """inf over the unit rows w of an (N, 2d) direction set of |p_{1,sigma}(p) - w|.
-
-    A chord length, not an angle: near 0 it cannot be recovered from a dot
-    product to better than about 1e-8.
-    """
-    w = np.asarray(directions, dtype=float)
-    if w.shape[0] == 0:
-        raise DomainError("direction set must be nonempty")
-    if p.is_zero():
-        raise DomainError("distance undefined at the zero point")
-    proj = project_many(AnisoIndex(1.0, sigma), p.x, p.xi)
-    return float(np.min(np.linalg.norm(w - proj, axis=1)))
 
 
 def nearest_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,7 +164,10 @@ def nearest_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] == 0:
         raise DomainError("the set to measure against must be nonempty")
-    a = np.asarray(a, dtype=float).reshape(-1, b.shape[1])
+    a = np.asarray(a, dtype=float)
+    if a.size and a.shape[-1] != b.shape[1]:
+        raise DomainError(f"rows of width {a.shape[-1]} measured against width {b.shape[1]}")
+    a = a.reshape(-1, b.shape[1])
     return np.arccos(np.clip(np.max(a @ b.T, axis=1), -1.0, 1.0))
 
 

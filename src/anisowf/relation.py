@@ -47,18 +47,6 @@ def _nonzero_rows(points: np.ndarray) -> np.ndarray:
     return points[(points != 0.0).any(axis=1)]
 
 
-def proj_13(a: PointSet) -> PointSet:
-    """p_{1,3}(x, y, xi, eta) = (x, xi); zero projections are dropped."""
-    x, _, xi, _ = blocks4(a.points)
-    return PointSet(_nonzero_rows(np.concatenate([x, xi], axis=1)), a.tolerance)
-
-
-def proj_2neg4(a: PointSet) -> PointSet:
-    """p_{2,-4}(x, y, xi, eta) = (y, -eta); zero projections are dropped."""
-    _, y, _, eta = blocks4(a.points)
-    return PointSet(_nonzero_rows(np.concatenate([y, -eta], axis=1)), a.tolerance)
-
-
 def compose(a: PointSet, b: PointSet) -> PointSet:
     """A' o B = {(x, xi): exists (y, eta) in B with (x, y, xi, -eta) in A}.
 

@@ -6,7 +6,7 @@ import pytest
 from anisowf.chirp import compare_wf, is_elliptic, predict_chirp_wf
 from anisowf.errors import DomainError, UnsupportedRegimeError
 from anisowf.estimator import STATUSES, WFEstimate
-from anisowf.geometry import AnisoIndex, PhasePoint, dist_to_conic_set, project
+from anisowf.geometry import AnisoIndex, project_many
 from anisowf.poly import PolynomialData, eval_grad, poly_1d, principal_part
 
 
@@ -53,7 +53,7 @@ class TestRegimes:
         pred = predict_chirp_wf(poly_1d(0.0, 0.0, 0.0, 1.0), idx)
         assert pred.kind == "gradient-graph"
         assert pred.equality  # odd 1-d phase
-        want = project(idx, PhasePoint(1.0, 3.0)).z
+        want = project_many(idx, [[1.0]], [[3.0]])[0]
         assert min(np.linalg.norm(d - want) for d in pred.directions) < 1e-9
 
     def test_graph_generator_consistency(self):
@@ -61,11 +61,11 @@ class TestRegimes:
         idx = AnisoIndex(0.6, 1.2)
         pm = principal_part(poly_1d(0.0, 1.0, 0.0, 1.0))
         pred = predict_chirp_wf(poly_1d(0.0, 1.0, 0.0, 1.0), idx)
-        for d in pred.directions[:16]:
-            # reconstruct a graph point from the direction's x component sign
-            x = 1.0 if d[0] > 0 else -1.0
-            g = PhasePoint(x, eval_grad(pm, np.array([x]))[0])
-            assert dist_to_conic_set(idx.sigma, d[None, :], g) < 1e-9
+        dirs = pred.directions[:16]
+        # reconstruct a graph point from each direction's x component sign
+        xs = np.where(dirs[:, :1] > 0, 1.0, -1.0)
+        graph = project_many(idx, xs, eval_grad(pm, xs))
+        assert np.all(np.linalg.norm(graph - dirs, axis=1) < 1e-9)
 
     def test_x_axis_regime(self):
         pred = predict_chirp_wf(poly_1d(0.0, 0.0, 1.0), AnisoIndex(1.0, 2.5))

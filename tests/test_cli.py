@@ -101,6 +101,10 @@ class TestStftCommand:
             ("kernel-check", dict(kernel, sweep=[1, 2]), "sweep"),
             ("relation", {"A": "xx", "B": [[2.0, 4.0]]}, "A"),
             ("relation", {"A": [[1.0, 2.0, 3.0, -4.0], [1.0, 2.0]], "B": [[2.0, 4.0]]}, "A"),
+            # A's rows are (x, y, xi, eta): twice as wide as B's, also when B is empty
+            ("relation", {"A": [[1.0, 2.0, 3.0, 4.0]], "B": [[1.0, 2.0, 3.0, 4.0]]}, "A"),
+            ("relation", {"A": [[1.0, 2.0]], "B": []}, "A"),
+            ("relation", {"A": [[1.0] * 6], "B": []}, "A"),
             ("wf", {"signal": {"kind": "file", "path": str(tmp_path / "missing.csv")}},
              "signal.path"),
             ("wf", {"signal": {"kind": "file", "path": str(empty)}}, "signal.path"),
@@ -195,7 +199,7 @@ class TestStftCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: a grid of 16^") and "Traceback" not in err, err
-        assert not outdir.exists() or not any(outdir.iterdir())
+        assert not (outdir / "composition.json").exists() or not any(outdir.iterdir())
 
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}
@@ -301,6 +305,28 @@ class TestRelationCommand:
         assert code == 0
         report = json.loads((outdir / "composition.json").read_text())
         assert report["composition"] == [[1.0, 3.0]]
+
+    @pytest.mark.parametrize("a, b", [([], [[1.0, 2.0]]), ([[1.0, 2.0, 3.0, -4.0]], []),
+                                      ([], [])])
+    def test_an_empty_set_takes_the_width_of_the_other(self, tmp_path, a, b):
+        cfg = {"A": a, "B": b, "scales": [2.0], "index": {"t": 1.2, "s": 1.2}}
+        code, outdir = run_cli(tmp_path, "relation", cfg)
+        assert code == 0
+        report = json.loads((outdir / "composition.json").read_text())
+        assert report["composition"] == [] and report["sconic_closed"] is True
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_extreme_coordinates(self, tmp_path, scale):
+        # |x|^2 underflows to 0 or overflows to inf; the point is neither the origin
+        # nor a source of NaN gaps in the closure check
+        cfg = {"A": [[scale, 1.0, 0.0, -1.0]], "B": [[1.0, 1.0]], "scales": [2.0],
+               "index": {"t": 1.2, "s": 1.2}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, outdir = run_cli(tmp_path, "relation", cfg)
+        assert code == 0
+        report = json.loads((outdir / "composition.json").read_text())
+        assert report["composition"] == [[scale, 0.0]] and report["sconic_closed"] is True
 
 
 class TestSeminormCommand:

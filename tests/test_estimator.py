@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError, GraphConditionError
-from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection, nearest_angles, project,
-                              scale_point)
+from anisowf.geometry import AnisoIndex, PhasePoint, nearest_angles, project_many, scale_point
 from anisowf.poly import poly_1d
 from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
 from anisowf.signals import (AnalyticSignal, chirp_signal, delta_signal, make_gaussian,
@@ -29,7 +28,7 @@ def fit_one(fn, floor=1e-14, lo=2.0, hi=20.0, n=24) -> RateFit:
 def profile(u, idx, z, lambda_range, w=WindowSpec(1.0), n=24):
     """lambdas and the curve_table row of one direction, NaN beyond reach."""
     lambdas = geometric_lambdas(lambda_range[0], lambda_range[1], n)
-    return lambdas, curve_table(u, w, idx, z.z[None, :], lambdas)[0]
+    return lambdas, curve_table(u, w, idx, np.reshape(z, (1, -1)), lambdas)[0]
 
 
 def polyfit_oracle(lambdas, row, floor):
@@ -91,7 +90,7 @@ class TestDecayProfile:
         # e^{r lambda} |V| collapses along the curve for every tested r <= 4
         from anisowf.signals import gaussian_signal
         idx = AnisoIndex(1.0, 1.0)
-        z = project(idx, PhasePoint(1.0, 1.0))
+        z = project_many(idx, [[1.0]], [[1.0]])
         lambdas, mags = profile(gaussian_signal(1.0), idx, z, (2.0, 25.0))
         logs = np.log(np.maximum(mags, 1e-300))
         for r in (1.0, 2.0, 4.0):
@@ -102,7 +101,7 @@ class TestDecayProfile:
         # sampled variant: quadrature resolves the decay down to its edge plateau
         u = make_gaussian(1, 512, 0.1)
         idx = AnisoIndex(1.0, 1.0)
-        z = project(idx, PhasePoint(1.0, 1.0))
+        z = project_many(idx, [[1.0]], [[1.0]])
         lambdas, mags = profile(u, idx, z, (2.0, 12.0))
         assert np.all(np.isfinite(mags))
         logs = np.log(np.maximum(mags, 1e-300))
@@ -114,21 +113,21 @@ class TestDecayProfile:
         # stationary-phase oracle: |V| along the ridge of exp(i x^2) stays level
         u = chirp_signal(poly_1d(0.0, 0.0, 1.0))
         idx = AnisoIndex(1.2, 1.2)
-        z = project(idx, PhasePoint(1.0, 2.0))
+        z = project_many(idx, [[1.0]], [[2.0]])
         _, mags = profile(u, idx, z, (2.0, 40.0))
         assert np.min(mags) > 0.5 * mags[0]
 
     def test_profile_starts_at_lambda_two(self):
         u = make_gaussian(1, 512, 0.05)
         idx = AnisoIndex(1.0, 1.0)
-        z = project(idx, PhasePoint(0.5, 0.5))
+        z = project_many(idx, [[0.5]], [[0.5]])
         lambdas, mags = profile(u, idx, z, (2.0, 8.0))
         assert lambdas[0] == pytest.approx(2.0)
         assert np.isfinite(mags[0])
 
     def test_clipped_curve_nan_tail_and_short_reach_nan_row(self):
         idx = AnisoIndex(1.0, 1.0)
-        z = SphereDirection(np.array([1.0, 0.0]))
+        z = np.array([1.0, 0.0])
         u = make_gaussian(1, 64, 0.1, width=0.5)  # extent 3.2: under 8 samples reach
         _, mags = profile(u, idx, z, (2.0, 50.0))
         assert np.all(np.isnan(mags))
@@ -141,8 +140,9 @@ class TestDecayProfile:
     def test_scaling_invariance_of_curve_profile(self):
         u = make_gaussian(1, 512, 0.1)
         idx = AnisoIndex(1.2, 1.8)
-        z = project(idx, PhasePoint(0.7, -0.4))
-        z_alt = project(idx, scale_point(idx, PhasePoint(z.x, z.xi), 5.0))
+        z = project_many(idx, [[0.7]], [[-0.4]])[0]
+        p = scale_point(idx, PhasePoint(z[:1], z[1:]), 5.0)
+        z_alt = project_many(idx, p.x, p.xi)[0]
         _, p1 = profile(u, idx, z, (2.0, 8.0))
         _, p2 = profile(u, idx, z_alt, (2.0, 8.0))
         # agreement is meaningful above the numeric floor; below it the
@@ -325,7 +325,7 @@ class TestEstimateWF:
                           cone_steps=0)
         sizes = set()
         for i in (0, 7, 22, 40, 67):
-            lambdas, mags = profile(u, idx, est.entries[i].direction, (2.0, 50.0), w=w)
+            lambdas, mags = profile(u, idx, est.dirs[i], (2.0, 50.0), w=w)
             assert np.array_equal(lambdas, est.lambdas)
             np.testing.assert_array_equal(mags, est.magnitudes[i])
             sizes.add(int(np.count_nonzero(np.isfinite(mags))))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from anisowf.errors import AliasingError, DomainError, TruncationError, UnsupportedRegimeError
-from anisowf.evolution import (EvolutionSpec, hamiltonian_flow, kernel_signal,
+from anisowf.evolution import (EvolutionSpec, _flow_positions, kernel_signal,
                                predict_transport, propagate, propagator_kernel)
-from anisowf.geometry import AnisoIndex, PhasePoint, project
+from anisowf.geometry import AnisoIndex, PhasePoint, project_many, scale_point
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import (ConvolutionKernel, SampledSignal, fourier_chirp_signal,
                              make_gaussian)
@@ -279,54 +279,54 @@ class TestRegularDataStayRegular:
 
 
 class TestHamiltonianFlow:
+    """chi_t(x, xi) = (x + t grad p_m(xi), xi): _flow_positions is its x block."""
+
     def test_quadratic_example(self):
-        out = hamiltonian_flow(EvolutionSpec(XSQ, 0.5), PhasePoint(0.0, 1.0))
-        np.testing.assert_allclose(out.x, [1.0])
-        np.testing.assert_allclose(out.xi, [1.0])
+        out = _flow_positions(EvolutionSpec(XSQ, 0.5), np.array([[0.0]]), np.array([[1.0]]))
+        np.testing.assert_allclose(out, [[1.0]])
 
     def test_time_zero_identity(self):
-        p = PhasePoint([0.3, -1.0], [2.0, 0.5])
+        xs, xis = np.array([[0.3, -1.0]]), np.array([[2.0, 0.5]])
         sym = PolynomialData(2, {(2, 0): 1.0, (0, 2): 1.0})
-        out = hamiltonian_flow(EvolutionSpec(sym, 0.0), p)
-        np.testing.assert_allclose(out.as_vector(), p.as_vector())
+        np.testing.assert_allclose(_flow_positions(EvolutionSpec(sym, 0.0), xs, xis), xs)
 
     def test_group_law(self):
-        p = PhasePoint(0.4, -1.3)
+        xs, xis = np.array([[0.4]]), np.array([[-1.3]])
         s1 = EvolutionSpec(XSQ, 0.3)
         s2 = EvolutionSpec(XSQ, 0.45)
         s3 = EvolutionSpec(XSQ, 0.75)
-        via = hamiltonian_flow(s2, hamiltonian_flow(s1, p))
-        direct = hamiltonian_flow(s3, p)
-        np.testing.assert_allclose(via.as_vector(), direct.as_vector(), atol=1e-14)
+        # the flow keeps xi, so the second step starts from the first one's positions
+        via = _flow_positions(s2, _flow_positions(s1, xs, xis), xis)
+        np.testing.assert_allclose(via, _flow_positions(s3, xs, xis), atol=1e-14)
 
     def test_only_principal_part_drives_the_flow(self):
         full = poly_1d(5.0, 3.0, 1.0)  # lower-order terms ignored
-        out = hamiltonian_flow(EvolutionSpec(full, 0.5), PhasePoint(0.0, 1.0))
-        np.testing.assert_allclose(out.x, [1.0])
+        out = _flow_positions(EvolutionSpec(full, 0.5), np.array([[0.0]]), np.array([[1.0]]))
+        np.testing.assert_allclose(out, [[1.0]])
 
 
 class TestPredictTransport:
     def test_quadratic_flow_regime(self):
         idx = AnisoIndex(1.2, 1.2)
         spec = EvolutionSpec(XSQ, 0.25)
-        z = project(idx, PhasePoint(1.0, 2.0))
-        out = predict_transport(z.z[None, :], spec, idx)[0]
-        want = project(idx, PhasePoint(1.0 + 4.0 * 0.25, 2.0)).z
+        z = project_many(idx, [[1.0]], [[2.0]])
+        out = predict_transport(z, spec, idx)[0]
+        want = project_many(idx, [[1.0 + 4.0 * 0.25]], [[2.0]])[0]
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_time_zero_identity(self):
         idx = AnisoIndex(1.2, 1.2)
-        z = project(idx, PhasePoint(0.3, 1.1))
-        out = predict_transport(z.z[None, :], EvolutionSpec(XSQ, 0.0), idx)[0]
-        np.testing.assert_allclose(out, z.z, atol=1e-14)
+        z = project_many(idx, [[0.3]], [[1.1]])
+        out = predict_transport(z, EvolutionSpec(XSQ, 0.0), idx)
+        np.testing.assert_allclose(out, z, atol=1e-14)
 
     def test_representative_independent(self):
         idx = AnisoIndex(1.2, 1.2)
         spec = EvolutionSpec(XSQ, 0.4)
-        from anisowf.geometry import scale_point
-        z = project(idx, PhasePoint(0.8, -0.5))
-        lifted = project(idx, scale_point(idx, PhasePoint(z.x, z.xi), 7.0))
-        a, b = predict_transport(np.stack([z.z, lifted.z]), spec, idx)
+        z = project_many(idx, [[0.8]], [[-0.5]])[0]
+        p = scale_point(idx, PhasePoint(z[:1], z[1:]), 7.0)
+        lifted = project_many(idx, p.x, p.xi)[0]
+        a, b = predict_transport(np.stack([z, lifted]), spec, idx)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_invariant_regime(self):
@@ -345,7 +345,8 @@ class TestPredictTransport:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         spec = EvolutionSpec(symbol, 0.3)
         flow_idx = AnisoIndex(1.2 * (m - 1), 1.2)
-        want = [project(flow_idx, hamiltonian_flow(spec, PhasePoint(r[:d], r[d:]))).z for r in z]
+        want = [project_many(flow_idx, _flow_positions(spec, r[None, :d], r[None, d:]),
+                             r[None, d:])[0] for r in z]
         np.testing.assert_allclose(predict_transport(z, spec, flow_idx), want,
                                    rtol=0, atol=1e-14)
         still = predict_transport(z, spec, AnisoIndex(1.2 * (m - 1) + 1.0, 1.2))

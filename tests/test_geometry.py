@@ -4,27 +4,24 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError
-from anisowf.geometry import (AnisoIndex, PhasePoint, SphereDirection,
-                              dist_to_conic_set, gamma_tilde_distance,
-                              in_gamma_nbhd, in_gamma_tilde_nbhd, lambda_solve,
-                              lambda_solve_many, nearest_angles, project,
+from anisowf.geometry import (AnisoIndex, PhasePoint, lambda_solve_many, nearest_angles,
                               project_many, scale_point, unique_rows)
 
 
 def random_points(rng, count, d=1, log_scale=3.0):
-    pts = []
-    for _ in range(count):
-        z = rng.standard_normal(2 * d)
-        z *= math.exp(rng.uniform(-log_scale, log_scale)) / np.linalg.norm(z)
-        pts.append(PhasePoint(z[:d], z[d:]))
-    return pts
+    """(count, d) coordinate arrays xs, xis of random points with |(x, xi)| log-uniform
+    in [e^-log_scale, e^log_scale]."""
+    z = np.empty((count, 2 * d))
+    for k in range(count):
+        v = rng.standard_normal(2 * d)
+        z[k] = v * math.exp(rng.uniform(-log_scale, log_scale)) / np.linalg.norm(v)
+    return z[:, :d], z[:, d:]
 
 
-def lambda_residual(idx, p, lam):
-    """Defect of lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1 at lam (target 0, scale 1)."""
-    a = float(np.dot(p.x, p.x))
-    b = float(np.dot(p.xi, p.xi))
-    return abs(lam ** (-2.0 * idx.t) * a + lam ** (-2.0 * idx.s) * b - 1.0)
+def lambda_residual(idx, xs, xis, lam):
+    """Defect of lambda^(-2t)|x|^2 + lambda^(-2s)|xi|^2 = 1 at lam, per row (target 0, scale 1)."""
+    return np.abs(lam ** (-2.0 * idx.t) * np.sum(xs * xs, axis=1)
+                  + lam ** (-2.0 * idx.s) * np.sum(xis * xis, axis=1) - 1.0)
 
 
 def random_indices(rng, count):
@@ -37,10 +34,21 @@ def random_indices(rng, count):
     return out
 
 
+# Coordinate scales at which |x|^2 or |xi|^2 underflows to 0 or overflows to inf.
+EXTREME_SCALES = [1e-300, 1e-170, 1e200, 1e300]
+
+
+def extreme_points(c):
+    """Points (c, 0), (0, c) and (0.6 sqrt(c), -0.8 c) with their scaling roots c,
+    sqrt(c), sqrt(c) and projections (1, 0), (0, 1), (0.6, -0.8) at (t, s) = (1, 2)."""
+    r = math.sqrt(c)
+    xs, xis = np.array([[c], [0.0], [0.6 * r]]), np.array([[0.0], [c], [-0.8 * c]])
+    return xs, xis, np.array([c, r, r]), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]])
+
+
 class TestAnisoIndex:
     def test_invariants(self):
-        idx = AnisoIndex(1.2, 2.4)
-        assert idx.sigma == pytest.approx(2.0)
+        AnisoIndex(1.2, 2.4)
         with pytest.raises(DomainError):
             AnisoIndex(-1.0, 2.0)
         with pytest.raises(DomainError):
@@ -50,97 +58,106 @@ class TestAnisoIndex:
 class TestLambdaSolve:
     def test_axis_closed_forms(self):
         idx = AnisoIndex(1.0, 2.0)
-        assert lambda_solve(idx, PhasePoint(0.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
-        assert lambda_solve(idx, PhasePoint(3.0, 0.0)) == pytest.approx(3.0, abs=1e-12)
+        lam = lambda_solve_many(idx, [[0.0], [3.0]], [[4.0], [0.0]])
+        np.testing.assert_allclose(lam, [2.0, 3.0], rtol=0, atol=1e-12)
 
     def test_unit_sphere_is_lambda_one(self):
         rng = np.random.default_rng(7)
         for idx in random_indices(rng, 10):
             z = rng.standard_normal(4)
             z /= np.linalg.norm(z)
-            p = PhasePoint(z[:2], z[2:])
-            assert lambda_solve(idx, p) == pytest.approx(1.0, abs=1e-12)
+            assert lambda_solve_many(idx, z[:2], z[2:])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)
         for idx in random_indices(rng, 5):
-            for p in random_points(rng, 50, d=2):
-                lam = lambda_solve(idx, p)
-                assert lambda_residual(idx, p, lam) <= 1e-12
+            xs, xis = random_points(rng, 50, d=2)
+            lam = lambda_solve_many(idx, xs, xis)
+            assert np.all(lambda_residual(idx, xs, xis, lam) <= 1e-12)
 
     def test_zero_point_rejected(self):
         with pytest.raises(DomainError):
-            lambda_solve(AnisoIndex(1.0, 1.0), PhasePoint(0.0, 0.0))
+            lambda_solve_many(AnisoIndex(1.0, 1.0), [[0.0]], [[0.0]])
+        with pytest.raises(DomainError):
+            lambda_solve_many(AnisoIndex(1.0, 1.0), [[1.0], [-0.0]], [[0.0], [0.0]])
 
     def test_quasi_homogeneity(self):
         # lambda(mu^t x, mu^s xi) = mu * lambda(x, xi)
         rng = np.random.default_rng(3)
         for idx in random_indices(rng, 4):
-            for p in random_points(rng, 25):
-                mu = math.exp(rng.uniform(-2, 2))
-                lhs = lambda_solve(idx, scale_point(idx, p, mu))
-                rhs = mu * lambda_solve(idx, p)
-                assert abs(lhs - rhs) <= 1e-10 * rhs
+            xs, xis = random_points(rng, 25)
+            mu = np.exp(rng.uniform(-2, 2, size=25))[:, None]
+            lhs = lambda_solve_many(idx, xs * mu ** idx.t, xis * mu ** idx.s)
+            rhs = mu[:, 0] * lambda_solve_many(idx, xs, xis)
+            assert np.all(np.abs(lhs - rhs) <= 1e-10 * rhs)
 
     def test_monotone_along_rays(self):
         idx = AnisoIndex(0.8, 1.7)
-        p = PhasePoint(0.3, -1.1)
-        mus = np.linspace(0.2, 5.0, 40)
-        lams = [lambda_solve(idx, scale_point(idx, p, m)) for m in mus]
+        mus = np.linspace(0.2, 5.0, 40)[:, None]
+        lams = lambda_solve_many(idx, 0.3 * mus ** idx.t, -1.1 * mus ** idx.s)
         assert np.all(np.diff(lams) > 0)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_extreme_coordinates(self, c):
+        # exp(log(lambda)) at |log(lambda)| ~ 700 carries a relative error of ~1e-13
+        xs, xis, lam, _ = extreme_points(c)
+        np.testing.assert_allclose(lambda_solve_many(AnisoIndex(1.0, 2.0), xs, xis), lam,
+                                   rtol=1e-12)
 
 
 class TestProject:
     def test_axis_example(self):
         # lambda = 2 for (0, 4) at (t, s) = (1, 2), so the projection is (0, 1)
-        d = project(AnisoIndex(1.0, 2.0), PhasePoint(0.0, 4.0))
-        np.testing.assert_allclose(d.z, [0.0, 1.0], atol=1e-14)
+        d = project_many(AnisoIndex(1.0, 2.0), [[0.0]], [[4.0]])
+        np.testing.assert_allclose(d, [[0.0, 1.0]], atol=1e-14)
 
     def test_sphere_fixed_point(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(4)
         z /= np.linalg.norm(z)
-        p = PhasePoint(z[:2], z[2:])
-        d = project(AnisoIndex(1.3, 0.7), p)
-        np.testing.assert_allclose(d.z, z, atol=1e-13)
+        d = project_many(AnisoIndex(1.3, 0.7), z[:2], z[2:])
+        np.testing.assert_allclose(d[0], z, atol=1e-13)
 
     def test_scale_invariance(self):
         # (0, 4) and (0, 4 mu^2) project identically at (t, s) = (1, 2)
-        idx = AnisoIndex(1.0, 2.0)
-        d1 = project(idx, PhasePoint(0.0, 4.0))
-        d2 = project(idx, PhasePoint(0.0, 4.0 * 9.0))
-        np.testing.assert_allclose(d1.z, d2.z, atol=1e-13)
+        d = project_many(AnisoIndex(1.0, 2.0), [[0.0], [0.0]], [[4.0], [4.0 * 9.0]])
+        np.testing.assert_allclose(d[0], d[1], atol=1e-13)
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
         for idx in random_indices(rng, 4):
-            for p in random_points(rng, 10, d=2):
-                d1 = project(idx, p)
-                d2 = project(idx, PhasePoint(d1.x, d1.xi))
-                np.testing.assert_allclose(d1.z, d2.z, atol=1e-10)
+            xs, xis = random_points(rng, 10, d=2)
+            d1 = project_many(idx, xs, xis)
+            d2 = project_many(idx, d1[:, :2], d1[:, 2:])
+            np.testing.assert_allclose(d1, d2, atol=1e-10)
 
-    def test_project_many_matches_scalar(self):
+    def test_image_lies_on_the_curve(self):
+        # independent of the solver: the image is (x lam^-t, xi lam^-s) on the
+        # unit circle, with lam read off the x block
         rng = np.random.default_rng(17)
         idx = AnisoIndex(0.6, 1.2)
-        pts = random_points(rng, 20, d=1)
-        xs = np.stack([p.x for p in pts])
-        xis = np.stack([p.xi for p in pts])
+        xs, xis = random_points(rng, 20, d=1)
         batch = project_many(idx, xs, xis)
-        for k, p in enumerate(pts):
-            np.testing.assert_allclose(batch[k], project(idx, p).z, atol=1e-12)
-            # independent of the solver: the image is (x lam^-t, xi lam^-s) on
-            # the unit circle, with lam read off the x block
-            lam = (abs(p.x[0]) / abs(batch[k][0])) ** (1.0 / idx.t)
-            assert lambda_residual(idx, p, lam) <= 1e-12
-            np.testing.assert_allclose(batch[k], [p.x[0] / lam ** idx.t, p.xi[0] / lam ** idx.s],
-                                       atol=1e-12)
+        lam = (np.abs(xs[:, 0]) / np.abs(batch[:, 0])) ** (1.0 / idx.t)
+        assert np.all(lambda_residual(idx, xs, xis, lam) <= 1e-12)
+        np.testing.assert_allclose(batch, np.column_stack([xs[:, 0] / lam ** idx.t,
+                                                           xis[:, 0] / lam ** idx.s]),
+                                   atol=1e-12)
 
     def test_depends_only_on_ratio(self):
         rng = np.random.default_rng(19)
-        for p in random_points(rng, 10):
-            d1 = project(AnisoIndex(1.0, 2.0), p)
-            d2 = project(AnisoIndex(1.5, 3.0), p)
-            np.testing.assert_allclose(d1.z, d2.z, atol=1e-12)
+        xs, xis = random_points(rng, 10)
+        d1 = project_many(AnisoIndex(1.0, 2.0), xs, xis)
+        d2 = project_many(AnisoIndex(1.5, 3.0), xs, xis)
+        np.testing.assert_allclose(d1, d2, atol=1e-12)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_extreme_coordinates(self, c, t):
+        # at t = 0.6 lambda itself overflows near 1e200 and underflows near 1e-170
+        xs, xis, _, dirs = extreme_points(c)
+        np.testing.assert_allclose(project_many(AnisoIndex(t, 2.0 * t), xs, xis), dirs,
+                                   rtol=0, atol=1e-13)
 
 
 class TestScalePoint:
@@ -152,85 +169,133 @@ class TestScalePoint:
     def test_identity(self):
         p = PhasePoint([1.0, -2.0], [0.5, 3.0])
         q = scale_point(AnisoIndex(0.9, 1.1), p, 1.0)
-        np.testing.assert_allclose(q.as_vector(), p.as_vector())
+        np.testing.assert_allclose(q.x, p.x)
+        np.testing.assert_allclose(q.xi, p.xi)
 
     def test_bad_mu(self):
         with pytest.raises(DomainError):
             scale_point(AnisoIndex(1.0, 1.0), PhasePoint(1.0, 0.0), 0.0)
 
 
+# The paper's two families of anisotropically conic neighbourhoods of a unit
+# direction z0, for the anisotropy ratio sigma = s/t.  Gamma_eps(z0) holds the
+# points whose projection lies within eps of z0; Gamma-tilde_eps(z0) holds the
+# points (y, eta) of which some rescaling (lambda y, lambda^sigma eta) does.
+
+def in_gamma_nbhd(sigma, z0, eps, xs, xis):
+    """Membership of each point (xs[k], xis[k]) in Gamma_eps(z0): |z0 - p_{1,sigma}| < eps."""
+    return np.linalg.norm(project_many(AnisoIndex(1.0, sigma), xs, xis) - z0, axis=1) < eps
+
+
+def gamma_tilde_distance(sigma, z0, y, eta):
+    """min over lambda in [1e-4, 1e4] of |(lambda y, lambda^sigma eta) - z0|.
+
+    A scan of log(lambda) brackets the minimum, golden-section steps refine it.
+    The distance is unimodal near its minimizer for the small eps this backs.
+    """
+    def dist(u):
+        lam = math.exp(u)
+        return float(np.linalg.norm(np.concatenate([lam * y, lam ** sigma * eta]) - z0))
+
+    grid = np.linspace(-4.0 * math.log(10.0), 4.0 * math.log(10.0), 65)
+    vals = [dist(u) for u in grid]
+    k = int(np.argmin(vals))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = dist(c), dist(d)
+    for _ in range(200):
+        if hi - lo < 1e-13:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = dist(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = dist(d)
+    return min(vals[k], fc, fd)
+
+
+def in_gamma_tilde_nbhd(sigma, z0, eps, y, eta):
+    """Membership of one point (y, eta) in Gamma-tilde_eps(z0)."""
+    return gamma_tilde_distance(sigma, z0, y, eta) < eps
+
+
 class TestGammaNeighborhoods:
     def test_projection_center_always_inside(self):
         rng = np.random.default_rng(23)
-        for p in random_points(rng, 10):
-            z0 = project(AnisoIndex(1.0, 2.0), p)
-            assert in_gamma_nbhd(2.0, z0, 1e-9, p)
+        xs, xis = random_points(rng, 10)
+        z0 = project_many(AnisoIndex(1.0, 2.0), xs, xis)
+        assert np.all(in_gamma_nbhd(2.0, z0, 1e-9, xs, xis))
 
     def test_eps_above_two_is_everything(self):
         rng = np.random.default_rng(29)
-        z0 = SphereDirection([0.0, 1.0])
-        for p in random_points(rng, 25):
-            assert in_gamma_nbhd(1.5, z0, 2.001, p)
+        assert np.all(in_gamma_nbhd(1.5, np.array([0.0, 1.0]), 2.001, *random_points(rng, 25)))
 
     def test_orthogonal_direction_outside(self):
         # |(0,1) - (1,0)| = sqrt(2) > 0.1
-        z0 = project(AnisoIndex(1.0, 2.0), PhasePoint(0.0, 1.0))
-        assert not in_gamma_nbhd(2.0, z0, 0.1, PhasePoint(1.0, 0.0))
+        z0 = project_many(AnisoIndex(1.0, 2.0), [[0.0]], [[1.0]])[0]
+        assert not in_gamma_nbhd(2.0, z0, 0.1, [[1.0]], [[0.0]])[0]
 
     def test_tilde_contains_curve_points(self):
         idx = AnisoIndex(1.0, 2.0)
-        z0 = project(idx, PhasePoint(0.6, 1.7))
+        z0 = project_many(idx, [[0.6]], [[1.7]])[0]
         for mu in (0.03, 0.7, 42.0):
-            p = scale_point(idx, PhasePoint(z0.x, z0.xi), mu)
-            assert in_gamma_tilde_nbhd(2.0, z0, 1e-6, p)
+            p = scale_point(idx, PhasePoint(z0[:1], z0[1:]), mu)
+            assert in_gamma_tilde_nbhd(2.0, z0, 1e-6, p.x, p.xi)
 
     def test_tilde_orthogonal_direction_outside(self):
         # min over lambda of |(lambda, 0) - (0, 1)| = 1 > 0.1
-        z0 = SphereDirection([0.0, 1.0])
-        p = PhasePoint(1.0, 0.0)
-        assert gamma_tilde_distance(2.0, z0, p) >= 1.0 - 1e-9
-        assert not in_gamma_tilde_nbhd(2.0, z0, 0.1, p)
+        z0 = np.array([0.0, 1.0])
+        y, eta = np.array([1.0]), np.array([0.0])
+        assert gamma_tilde_distance(2.0, z0, y, eta) >= 1.0 - 1e-9
+        assert not in_gamma_tilde_nbhd(2.0, z0, 0.1, y, eta)
 
     def test_neighborhood_families_equivalent_on_samples(self):
         # for each eps there is delta with Gamma_delta inside Gamma-tilde_eps
         rng = np.random.default_rng(31)
         sigma = 2.0
-        z0 = project(AnisoIndex(1.0, sigma), PhasePoint(0.8, -0.4))
+        z0 = project_many(AnisoIndex(1.0, sigma), [[0.8]], [[-0.4]])[0]
         eps = 0.2
         delta = 0.05
-        hits = 0
-        for p in random_points(rng, 400):
-            if in_gamma_nbhd(sigma, z0, delta, p):
-                hits += 1
-                assert in_gamma_tilde_nbhd(sigma, z0, eps, p)
-        assert hits > 0
+        xs, xis = random_points(rng, 400)
+        hits = np.flatnonzero(in_gamma_nbhd(sigma, z0, delta, xs, xis))
+        assert hits.size > 0
+        for k in hits:
+            assert in_gamma_tilde_nbhd(sigma, z0, eps, xs[k], xis[k])
 
 
 class TestConicSetDistance:
+    """The distance from a point to a conic set of directions is the angle from
+    its projection to the nearest member (nearest_angles)."""
+
     def test_member_distance_zero(self):
-        idx = AnisoIndex(1.0, 2.0)
-        p = PhasePoint(0.9, 2.2)
-        w = project(idx, p)
-        assert dist_to_conic_set(2.0, w.z[None, :], p) == pytest.approx(0.0, abs=1e-12)
+        w = project_many(AnisoIndex(1.0, 2.0), [[0.9]], [[2.2]])
+        z = project_many(AnisoIndex(1.0, 2.0), [[0.9 * 4.0]], [[2.2 * 16.0]])
+        assert nearest_angles(z, w)[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_orthogonal_pair(self):
-        g = np.array([[0.0, 1.0]])
-        p = PhasePoint(1.0, 0.0)
-        assert dist_to_conic_set(2.0, g, p) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        z = project_many(AnisoIndex(1.0, 2.0), [[1.0]], [[0.0]])
+        assert nearest_angles(z, [[0.0, 1.0]])[0] == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
-            dist_to_conic_set(1.0, np.zeros((0, 2)), PhasePoint(1.0, 0.0))
+            nearest_angles(project_many(AnisoIndex(1.0, 1.0), [[1.0]], [[0.0]]), np.zeros((0, 2)))
 
     def test_membership_equals_threshold(self):
+        # a point lies in the union of the Gamma_eps(w) exactly when its nearest
+        # angle is under the angle 2 arcsin(eps / 2) of an eps chord
         rng = np.random.default_rng(37)
         sigma = 1.5
-        g = [project(AnisoIndex(1.0, sigma), p) for p in random_points(rng, 5)]
+        g = project_many(AnisoIndex(1.0, sigma), *random_points(rng, 5))
         eps = 0.3
-        for p in random_points(rng, 50):
-            dist = dist_to_conic_set(sigma, np.stack([w.z for w in g]), p)
-            inside = any(in_gamma_nbhd(sigma, w, eps, p) for w in g)
-            assert inside == (dist < eps)
+        xs, xis = random_points(rng, 50)
+        inside = np.any([in_gamma_nbhd(sigma, w, eps, xs, xis) for w in g], axis=0)
+        angles = nearest_angles(project_many(AnisoIndex(1.0, sigma), xs, xis), g)
+        np.testing.assert_array_equal(inside, angles < 2.0 * math.asin(eps / 2.0))
+        assert 0 < np.count_nonzero(inside) < len(inside)
 
 
 class TestGrowthBounds:
@@ -240,9 +305,7 @@ class TestGrowthBounds:
         # with c2 = 2^(1 / (2 min(t, s))).
         rng = np.random.default_rng(41)
         for idx in random_indices(rng, 3):
-            pts = random_points(rng, 200, d=2)
-            xs = np.array([p.x for p in pts])
-            xis = np.array([p.xi for p in pts])
+            xs, xis = random_points(rng, 200, d=2)
             rho = (np.linalg.norm(xs, axis=1) ** (1 / idx.t)
                    + np.linalg.norm(xis, axis=1) ** (1 / idx.s))
             lam = lambda_solve_many(idx, xs, xis)
@@ -264,6 +327,12 @@ def test_nearest_angles():
     assert nearest_angles(z, -z).tolist() == [math.pi]
     with pytest.raises(DomainError):
         nearest_angles(a, np.zeros((0, 2)))
+    # a nonempty a is never reshaped to b's width; an empty a may have any width
+    for wrong in (np.full((1, 4), 0.5), np.full(4, 0.5), np.zeros((3, 1))):
+        with pytest.raises(DomainError, match="width"):
+            nearest_angles(wrong, b)
+    assert nearest_angles(np.zeros((0, 4)), b).shape == (0,)
+    assert nearest_angles(np.array([0.0, 1.0]), b).tolist() == [0.0]
 
 
 def test_nearest_angles_matches_per_pair_acos():

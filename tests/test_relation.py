@@ -2,21 +2,10 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError
-from anisowf.evolution import EvolutionSpec, hamiltonian_flow
-from anisowf.geometry import AnisoIndex, PhasePoint, project
+from anisowf.evolution import EvolutionSpec, _flow_positions
+from anisowf.geometry import AnisoIndex, PhasePoint, project_many
 from anisowf.poly import poly_1d
-from anisowf.relation import (PointSet, compose, compose_via_projection,
-                              proj_13, proj_2neg4, sconic_closure_check)
-
-
-class TestProjections:
-    def test_proj_13(self):
-        a = PointSet([[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_allclose(proj_13(a).points, [[1.0, 3.0]])
-
-    def test_proj_2neg4(self):
-        a = PointSet([[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_allclose(proj_2neg4(a).points, [[2.0, -4.0]])
+from anisowf.relation import PointSet, compose, compose_via_projection, sconic_closure_check
 
 
 def test_tiny_coordinates_are_not_the_origin():
@@ -25,12 +14,19 @@ def test_tiny_coordinates_are_not_the_origin():
     assert PointSet([[tiny, 0.0]]).points.tolist() == [[tiny, 0.0]]
     a = PointSet([[tiny, tiny, 0.0, 0.0]])
     b = PointSet([[tiny, 0.0]])
-    assert proj_2neg4(a).points.tolist() == [[tiny, 0.0]]
-    assert proj_13(PointSet([[0.0, 1.0, tiny, 1.0]])).points.tolist() == [[0.0, tiny]]
     for fn in (compose, compose_via_projection):
         assert fn(a, b).points.tolist() == [[tiny, 0.0]], fn.__name__
+    # (y, -eta) = (tiny, 0) matches B, and the output (x, xi) = (0, tiny) is kept
+    a = PointSet([[0.0, tiny, tiny, 0.0]])
+    for fn in (compose, compose_via_projection):
+        assert fn(a, b).points.tolist() == [[0.0, tiny]], fn.__name__
     with pytest.raises(DomainError, match="origin"):
         PointSet([[tiny, 0.0], [0.0, -0.0]])
+    # the composed set's directions: |x|^2 underflows, but lambda and the closure check do not
+    for scale in (tiny, 1e200):
+        out = compose(PointSet([[scale, 1.0, 0.0, -1.0]]), PointSet([[1.0, 1.0]]))
+        assert out.points.tolist() == [[scale, 0.0]]
+        assert sconic_closure_check(out, AnisoIndex(1.2, 1.2), [2.0])
 
 
 class TestCompose:
@@ -109,8 +105,8 @@ class TestCompose:
         for row in out.points:
             x, xi = row[0], row[1]
             # the output is the Hamiltonian image of some b-point
-            src = hamiltonian_flow(spec, PhasePoint(x - 2.0 * spec.time * xi, xi))
-            d = project(idx, src).z - project(idx, PhasePoint(x, xi)).z
+            src = _flow_positions(spec, [[x - 2.0 * spec.time * xi]], [[xi]])
+            d = project_many(idx, src, [[xi]]) - project_many(idx, [[x]], [[xi]])
             assert np.linalg.norm(d) < 1e-9
 
 
@@ -141,10 +137,10 @@ class TestSconicClosure:
         b2 = PointSet(b_pts * mu, 1e-6)
         out2 = compose(a2, b2)
         assert len(out) == len(out2)
-        dirs1 = sorted(tuple(np.round(project(idx, PhasePoint(r[:1], r[1:])).z, 9))
-                       for r in out.points)
-        dirs2 = sorted(tuple(np.round(project(idx, PhasePoint(r[:1], r[1:])).z, 9))
-                       for r in out2.points)
+        dirs1 = sorted(map(tuple, np.round(project_many(idx, out.points[:, :1],
+                                                        out.points[:, 1:]), 9)))
+        dirs2 = sorted(map(tuple, np.round(project_many(idx, out2.points[:, :1],
+                                                        out2.points[:, 1:]), 9)))
         assert dirs1 == dirs2
 
     def test_origin_rejected(self):
