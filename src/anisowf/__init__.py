@@ -11,7 +11,7 @@ from .estimator import (RateFit, WFEntry, WFEstimate, check_graph_condition,
                         estimate_wf, fit_rate_arrays)
 from .evolution import (EvolutionSpec, kernel_signal, predict_transport, propagate,
                         propagator_kernel)
-from .geometry import (AnisoIndex, PhasePoint, SphereDirection, lambda_solve_many,
+from .geometry import (AnisoIndex, PhasePoint, SphereDirection, log_lambda_many,
                        nearest_angles, project_many, scale_point)
 from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 from .relation import PointSet, compose, compose_via_projection, sconic_closure_check

@@ -237,15 +237,18 @@ def cmd_kernel_check(config, out, seed):
 def cmd_relation(config, out, seed):
     tol = cfg_get(config, "tolerance", positive, default=1e-9)
     points = list_of(list_of(number))
-    a = cfg_get(config, "A", lambda v: PointSet(points(v), tol))
     b = cfg_get(config, "B", lambda v: PointSet(points(v), tol))
-    if len(a) == 0:   # an empty set takes the width the other set implies
-        a = PointSet(np.zeros((0, 2 * b.ambient)), tol)
-    elif len(b) == 0 and a.ambient % 4 == 0:
+
+    def kernel_set(v):   # an empty A takes twice B's width
+        a = PointSet(points(v) or np.zeros((0, 2 * b.ambient)), tol)
+        if a.ambient % 4 or (len(b) and a.ambient != 2 * b.ambient):
+            need = f"{2 * b.ambient}, twice B's (y, eta) rows" if len(b) else "a multiple of 4"
+            raise ConfigError(f"rows of {a.ambient} coordinates; (x, y, xi, eta) rows need {need}")
+        return a
+
+    a = cfg_get(config, "A", kernel_set)
+    if len(b) == 0:   # an empty B takes half of A's width
         b = PointSet(np.zeros((0, a.ambient // 2)), tol)
-    if a.ambient != 2 * b.ambient:
-        raise ConfigError(f"A: rows of {a.ambient} coordinates; (x, y, xi, eta) rows "
-                          f"need twice the {b.ambient} of B's (y, eta) rows")
     composed = compose(a, b)
     body = {"composition": point_set_to_list(composed)}
     scales = cfg_get(config, "scales", list_of(positive), default=None)

@@ -85,19 +85,16 @@ def _log_sq_norms(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def lambda_solve_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Scaling roots for points given as (N, d) coordinate arrays.
+def log_lambda_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """log(lambda) of the scaling roots for points given as (N, d) coordinate arrays.
 
     Root of lambda^(-2t) a + lambda^(-2s) b = 1 for a = |x|^2, b = |xi|^2,
     solved in u = log(lambda): h(u) = logaddexp(La - 2t u, Lb - 2s u) is strictly
     decreasing, bracketed by closed-form axis roots, bisected and Newton-polished.
+    The log stays finite where lambda itself would leave the double range.
     """
-    return np.exp(_log_lambda(idx, np.atleast_2d(np.asarray(xs, dtype=float)),
-                              np.atleast_2d(np.asarray(xis, dtype=float))))
-
-
-def _log_lambda(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """u = log(lambda) for (N, d) float arrays, as lambda_solve_many solves it."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
     t, s = idx.t, idx.s
     la = _log_sq_norms(xs)   # -inf where x == 0
     lb = _log_sq_norms(xis)
@@ -134,7 +131,7 @@ def project_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray
     block over its power of lambda, or scaled in logs where a power is not a normal double."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    u = _log_lambda(idx, xs, xis)[:, None]
+    u = log_lambda_many(idx, xs, xis)[:, None]
     with np.errstate(all="ignore"):   # the rows this spoils are `far`
         lam = np.exp(u)
         out = np.concatenate([xs / lam ** idx.t, xis / lam ** idx.s], axis=1)

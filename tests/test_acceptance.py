@@ -17,7 +17,7 @@ from anisowf.chirp import compare_wf, predict_chirp_wf
 from anisowf.estimator import (check_graph_condition, cone_constant,
                                estimate_kernel_wf, estimate_wf)
 from anisowf.evolution import EvolutionSpec, kernel_signal, predict_transport, propagate
-from anisowf.geometry import AnisoIndex, PhasePoint, lambda_solve_many, nearest_angles
+from anisowf.geometry import AnisoIndex, PhasePoint, log_lambda_many, nearest_angles
 from anisowf.poly import poly_1d
 from anisowf.relation import PointSet, compose, compose_via_projection
 from anisowf.signals import (chirp_signal, delta_signal, make_chirp, make_gaussian,
@@ -57,11 +57,11 @@ def test_criterion_1_geometry():
             / np.linalg.norm(z, axis=1)[:, None]
         mu = np.exp(rng.uniform(-2, 2, size=1000))
         xs, xis = z[:, :2], z[:, 2:]
-        lam = lambda_solve_many(idx, xs, xis)
+        lam = np.exp(log_lambda_many(idx, xs, xis))
         res = np.abs(lam ** (-2 * t) * np.sum(xs * xs, axis=1)
                      + lam ** (-2 * s) * np.sum(xis * xis, axis=1) - 1.0)
         worst_res = max(worst_res, float(np.max(res)))
-        lhs = lambda_solve_many(idx, xs * mu[:, None] ** t, xis * mu[:, None] ** s)
+        lhs = np.exp(log_lambda_many(idx, xs * mu[:, None] ** t, xis * mu[:, None] ** s))
         worst_rel = max(worst_rel, float(np.max(np.abs(lhs - mu * lam) / (mu * lam))))
     ok = worst_rel <= 1e-10 and worst_res <= 1e-12
     report(1, ok, 5.0, t0,

@@ -199,7 +199,7 @@ class TestStftCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: a grid of 16^") and "Traceback" not in err, err
-        assert not (outdir / "composition.json").exists() or not any(outdir.iterdir())
+        assert not outdir.exists() or not any(outdir.iterdir())
 
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anisowf.errors import DomainError
-from anisowf.geometry import (AnisoIndex, PhasePoint, lambda_solve_many, nearest_angles,
+from anisowf.geometry import (AnisoIndex, PhasePoint, log_lambda_many, nearest_angles,
                               project_many, scale_point, unique_rows)
 
 
@@ -58,7 +58,7 @@ class TestAnisoIndex:
 class TestLambdaSolve:
     def test_axis_closed_forms(self):
         idx = AnisoIndex(1.0, 2.0)
-        lam = lambda_solve_many(idx, [[0.0], [3.0]], [[4.0], [0.0]])
+        lam = np.exp(log_lambda_many(idx, [[0.0], [3.0]], [[4.0], [0.0]]))
         np.testing.assert_allclose(lam, [2.0, 3.0], rtol=0, atol=1e-12)
 
     def test_unit_sphere_is_lambda_one(self):
@@ -66,20 +66,20 @@ class TestLambdaSolve:
         for idx in random_indices(rng, 10):
             z = rng.standard_normal(4)
             z /= np.linalg.norm(z)
-            assert lambda_solve_many(idx, z[:2], z[2:])[0] == pytest.approx(1.0, abs=1e-12)
+            assert np.exp(log_lambda_many(idx, z[:2], z[2:])[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)
         for idx in random_indices(rng, 5):
             xs, xis = random_points(rng, 50, d=2)
-            lam = lambda_solve_many(idx, xs, xis)
+            lam = np.exp(log_lambda_many(idx, xs, xis))
             assert np.all(lambda_residual(idx, xs, xis, lam) <= 1e-12)
 
     def test_zero_point_rejected(self):
         with pytest.raises(DomainError):
-            lambda_solve_many(AnisoIndex(1.0, 1.0), [[0.0]], [[0.0]])
+            log_lambda_many(AnisoIndex(1.0, 1.0), [[0.0]], [[0.0]])
         with pytest.raises(DomainError):
-            lambda_solve_many(AnisoIndex(1.0, 1.0), [[1.0], [-0.0]], [[0.0], [0.0]])
+            log_lambda_many(AnisoIndex(1.0, 1.0), [[1.0], [-0.0]], [[0.0], [0.0]])
 
     def test_quasi_homogeneity(self):
         # lambda(mu^t x, mu^s xi) = mu * lambda(x, xi)
@@ -87,22 +87,24 @@ class TestLambdaSolve:
         for idx in random_indices(rng, 4):
             xs, xis = random_points(rng, 25)
             mu = np.exp(rng.uniform(-2, 2, size=25))[:, None]
-            lhs = lambda_solve_many(idx, xs * mu ** idx.t, xis * mu ** idx.s)
-            rhs = mu[:, 0] * lambda_solve_many(idx, xs, xis)
+            lhs = np.exp(log_lambda_many(idx, xs * mu ** idx.t, xis * mu ** idx.s))
+            rhs = mu[:, 0] * np.exp(log_lambda_many(idx, xs, xis))
             assert np.all(np.abs(lhs - rhs) <= 1e-10 * rhs)
 
     def test_monotone_along_rays(self):
         idx = AnisoIndex(0.8, 1.7)
         mus = np.linspace(0.2, 5.0, 40)[:, None]
-        lams = lambda_solve_many(idx, 0.3 * mus ** idx.t, -1.1 * mus ** idx.s)
-        assert np.all(np.diff(lams) > 0)
+        logs = log_lambda_many(idx, 0.3 * mus ** idx.t, -1.1 * mus ** idx.s)
+        assert np.all(np.diff(logs) > 0)
 
     @pytest.mark.parametrize("c", EXTREME_SCALES)
-    def test_extreme_coordinates(self, c):
-        # exp(log(lambda)) at |log(lambda)| ~ 700 carries a relative error of ~1e-13
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_extreme_coordinates(self, c, t):
+        # lambda at (t, 2t) is lambda at (1, 2) to the power 1/t; at t = 0.6 it leaves
+        # the double range near 1e200 and 1e-170, its log does not
         xs, xis, lam, _ = extreme_points(c)
-        np.testing.assert_allclose(lambda_solve_many(AnisoIndex(1.0, 2.0), xs, xis), lam,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(t * log_lambda_many(AnisoIndex(t, 2.0 * t), xs, xis),
+                                   np.log(lam), rtol=0, atol=1e-12)
 
 
 class TestProject:
@@ -272,8 +274,11 @@ class TestConicSetDistance:
     its projection to the nearest member (nearest_angles)."""
 
     def test_member_distance_zero(self):
+        # (0.9, 2.2) rescaled by mu = 4 projects onto the member: chord 0 to 1e-12
+        # (arccos cannot resolve an angle that small, so the angle bound is looser)
         w = project_many(AnisoIndex(1.0, 2.0), [[0.9]], [[2.2]])
         z = project_many(AnisoIndex(1.0, 2.0), [[0.9 * 4.0]], [[2.2 * 16.0]])
+        assert np.linalg.norm(z - w, axis=1)[0] <= 1e-12
         assert nearest_angles(z, w)[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_orthogonal_pair(self):
@@ -308,7 +313,7 @@ class TestGrowthBounds:
             xs, xis = random_points(rng, 200, d=2)
             rho = (np.linalg.norm(xs, axis=1) ** (1 / idx.t)
                    + np.linalg.norm(xis, axis=1) ** (1 / idx.s))
-            lam = lambda_solve_many(idx, xs, xis)
+            lam = np.exp(log_lambda_many(idx, xs, xis))
             c2 = 2.0 ** (1.0 / (2.0 * min(idx.t, idx.s)))
             assert np.all(0.5 * rho <= lam * (1 + 1e-12))
             assert np.all(lam <= c2 * rho * (1 + 1e-12))
