@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, UnsupportedRegimeError
 from .geometry import AnisoIndex, nearest_angles, project_many, unique_rows
-from .poly import PolynomialData, eval_grad, eval_poly, principal_part
+from .poly import PolynomialData, coeff_array, eval_grad, eval_poly, principal_part
 
 _REGIME_TOL = 1e-12
-# is_elliptic: points sampled on the unit sphere for d >= 2
-_SPHERE_SAMPLES = 360
 # _graph_directions: |x| log-spaced in [1e-2, 1e2], and unit x directions for d >= 2
 _N_RADIAL = 400
 _N_ANGULAR = 64
@@ -36,21 +35,25 @@ class WFPrediction:
 
 
 def is_elliptic(phase_principal: PolynomialData) -> bool:
-    """No zero of a homogeneous polynomial on the unit sphere (within 1e-9)."""
+    """No zero of a homogeneous polynomial p on the unit sphere (within 1e-9), for d <= 2.
+
+    In d = 2, p of degree m has a zero on the x2 axis iff its x2^m coefficient
+    is 0, and one elsewhere iff q(u) = p(1, u) has a real root: iff |q| at some
+    root's real part is at most 1e-9 times the sum of its terms' sizes.  In
+    d >= 3, which sampling cannot decide, it raises UnsupportedRegimeError.
+    """
     if not phase_principal.is_homogeneous():
         raise DomainError("ellipticity is defined for homogeneous polynomials")
     d = phase_principal.dim
     if d == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        th = 2.0 * math.pi * np.arange(_SPHERE_SAMPLES) / _SPHERE_SAMPLES
-        pts = np.stack([np.cos(th), np.sin(th)], axis=1)
-    else:
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((_SPHERE_SAMPLES, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    vals = eval_poly(phase_principal, pts)
-    return bool(np.min(np.abs(vals)) > 1e-9)
+        return bool(np.min(np.abs(eval_poly(phase_principal, [[1.0], [-1.0]]))) > 1e-9)
+    if d > 2:
+        raise UnsupportedRegimeError(f"ellipticity is decided for d <= 2, got d = {d}")
+    q = np.flipud(coeff_array(phase_principal)).diagonal()   # q[k] multiplies u^k
+    if q[-1] == 0.0:
+        return False
+    r = np.roots(q[::-1]).real
+    return bool(np.all(np.abs(npoly.polyval(r, q)) > 1e-9 * npoly.polyval(np.abs(r), np.abs(q))))
 
 
 def _graph_directions(phase_m: PolynomialData, idx: AnisoIndex) -> np.ndarray:

@@ -137,18 +137,18 @@ def curve_reach(u, idx: AnisoIndex, z0: np.ndarray) -> float:
 
 def _curve_reaches(u, idx: AnisoIndex, dirs: np.ndarray) -> np.ndarray:
     """Largest lambda keeping the curve of each unit (x, xi) row of dirs
-    inside the usable grid region.
+    inside the usable region.
 
-    Analytic signals and kernels with an analytic line have unbounded reach.
-    Curves stay within REACH_FRAC of the position extent and of the Nyquist
-    frequency, and a sampled kernel's curves also within its passband.
+    Analytic signals have unbounded reach, and a kernel's curves stop only at
+    its passband in frequency.  A sampled signal's curves stay within
+    REACH_FRAC of the position extent and of the Nyquist frequency.
     """
-    if isinstance(u.line if isinstance(u, ConvolutionKernel) else u, AnalyticSignal):
+    if isinstance(u, AnalyticSignal):
         return np.full(len(dirs), math.inf)
-    x_lim = REACH_FRAC * u.extent
-    xi_lim = REACH_FRAC * math.pi / u.dx
     if isinstance(u, ConvolutionKernel):
-        xi_lim = min(xi_lim, u.passband)
+        x_lim, xi_lim = math.inf, u.passband
+    else:
+        x_lim, xi_lim = REACH_FRAC * u.extent, REACH_FRAC * math.pi / u.dx
     d = dirs.shape[1] // 2
     with np.errstate(divide="ignore"):   # a zero block leaves its bound at inf
         return np.minimum((x_lim / np.max(np.abs(dirs[:, :d]), axis=1)) ** (1.0 / idx.t),
@@ -304,7 +304,7 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     the sweep is too coarse for neighbor aggregation to mean anything).
     """
     if K.dim != 2:
-        raise DomainError("estimate_kernel_wf expects a kernel sampled in dimension 2")
+        raise DomainError(f"estimate_kernel_wf expects a signal of dimension 2, got {K.dim}")
     n_psi, n_a, n_b, n_circle = sweep
     size = 2 * n_circle + n_psi * n_a * n_b   # product_sphere4 builds this many
     if size == 0:

@@ -4,12 +4,9 @@ The solution is the Fourier multiplier exp(-i t p(xi)); the kernel is the
 convolution kernel k_t = (2 pi)^(-d/2) F^(-1)(exp(-i t p)) arranged as
 K_t(x, y) = k_t(x - y).  The kernel is kept as its line k_t (a
 ConvolutionKernel), never as a matrix: its 4-d STFT is one 1-d STFT of the
-line (stft._convolution).  propagator_kernel keeps the line analytic and
-unmollified: on the Fourier side it is the chirp exp(-i t p), whose STFT
-reduces to a chirp STFT, so the kernel has no grid.  k_t itself is only a
-tempered distribution; kernel_signal samples it by FFT on an n x n grid
-under a Gaussian frequency mollifier instead.  That line is the test
-oracle, and ConvolutionKernel.dense() builds its matrix where a test needs it.
+line (stft._convolution).  The line is analytic: on the Fourier side it is
+the chirp exp(-i t p), windowed by a Gaussian mollifier (kernel_signal) or
+not (propagator_kernel), so the kernel has no grid.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .geometry import AnisoIndex, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
 from .signals import ConvolutionKernel, SampledSignal, fourier, fourier_chirp_signal
 
-_TWO_PI = 2.0 * math.pi
 _REGIME_TOL = 1e-12
 
 
@@ -78,42 +74,23 @@ def propagate(u0: SampledSignal, spec: EvolutionSpec) -> SampledSignal:
     return fourier(evolved, inverse=True)
 
 
-def kernel_signal(spec: EvolutionSpec, n: int, dx: float,
-                  moll_width: float | None = None) -> ConvolutionKernel:
-    """Mollified Schwartz kernel K_t(x, y) = k_t(x - y) on the n x n grid, with k_t sampled.
+def kernel_signal(spec: EvolutionSpec, moll_width: float) -> ConvolutionKernel:
+    """Schwartz kernel K_t(x, y) = k_t(x - y) under a Gaussian frequency mollifier.
 
-    k_t is computed by FFT on a doubled 1-d grid so every difference
-    x_i - y_j is covered, and kept as that line: the oracle of
-    propagator_kernel inside the passband moll_width, which defaults to a
-    quarter of Nyquist.  The grid is checked before any division.
-    """
-    if spec.symbol.dim != 1:
-        raise DomainError("kernel synthesis is implemented for d = 1 symbols")
-    SampledSignal(dx, np.zeros(n))   # rejects a bad n or dx
-    if moll_width is None:
-        moll_width = 0.25 * math.pi / dx
-    if not moll_width > 0.0:
-        raise DomainError("mollifier width must be positive")
-    line = SampledSignal(dx, np.zeros(2 * n))
-    xi = line.freq_coords()
-    pvals = eval_poly(spec.symbol, xi[:, None])
-    _phase_guard(spec, pvals, line.n)
-    mult = np.exp(-1j * spec.time * pvals) * np.exp(-xi * xi / (2.0 * moll_width ** 2))
-    spectral = SampledSignal(line.dxi, mult.astype(complex))
-    k_line = fourier(spectral, inverse=True).values * _TWO_PI ** -0.5
-    return ConvolutionKernel(SampledSignal(dx, k_line), moll_width)
-
-
-def propagator_kernel(spec: EvolutionSpec) -> ConvolutionKernel:
-    """The Schwartz kernel of exp(-i t p(D)) itself: unmollified, with no grid.
-
-    Its line k_t = (2 pi)^(-1/2) F^(-1)[exp(-i t p)] is the fourier-chirp of
-    phase -t p and infinite width, whose STFT is a chirp STFT in frequency
-    (stft._fourier_chirp): nothing is sampled, so no aliasing guard applies.
+    Its line (2 pi)^(-1/2) F^(-1)[exp(-i t p) exp(-xi^2 / (2 moll_width^2))] is the
+    fourier-chirp of phase -t p and width moll_width, whose STFT is a chirp STFT
+    in frequency (stft._fourier_chirp): nothing is sampled.  The kernel stands
+    for the unmollified one only inside its passband moll_width, where a sweep's
+    curves stop.
     """
     symbol = spec.symbol
     phase = PolynomialData(symbol.dim, {a: -spec.time * c for a, c in symbol.coeffs.items()})
-    return ConvolutionKernel(fourier_chirp_signal(phase, math.inf))
+    return ConvolutionKernel(fourier_chirp_signal(phase, moll_width), passband=moll_width)
+
+
+def propagator_kernel(spec: EvolutionSpec) -> ConvolutionKernel:
+    """The Schwartz kernel of exp(-i t p(D)) itself: kernel_signal with no mollifier."""
+    return kernel_signal(spec, math.inf)
 
 
 def _flow_positions(spec: EvolutionSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 A kernel wave front set A lives in R^(4d) with points (x, y, xi, eta); a
 signal set B lives in R^(2d).  The composition A' o B collects the (x, xi)
 for which some (y, eta) in B puts (x, y, xi, -eta) inside A, matched with a
-tolerance since the sets are finite samples.
+tolerance since the sets are finite samples.  Distances are np.hypot
+reductions, which neither overflow nor underflow where |p|^2 would.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def compose(a: PointSet, b: PointSet) -> PointSet:
             brow = b.points[j]
             candidate = np.concatenate([
                 arow[:d], brow[:d], arow[2 * d:3 * d], -brow[d:]])
-            if np.linalg.norm(candidate - arow) <= a.tolerance:
+            if np.hypot.reduce(candidate - arow) <= a.tolerance:
                 out.append(np.concatenate([arow[:d], arow[2 * d:3 * d]]))
                 break
     kept = _nonzero_rows(np.array(out).reshape(-1, b.ambient))
@@ -76,7 +77,7 @@ def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
         raise DomainError("A must live in twice the ambient dimension of B")
     x, y, xi, eta = blocks4(a.points)
     pa = np.concatenate([y, -eta], axis=1)
-    dists = np.linalg.norm(pa[:, None, :] - b.points[None, :, :], axis=2)
+    dists = np.hypot.reduce(pa[:, None, :] - b.points[None, :, :], axis=2)
     hit = np.any(dists <= a.tolerance, axis=1)
     sel = _nonzero_rows(np.concatenate([x, xi], axis=1)[hit])
     return PointSet(unique_rows(sel), b.tolerance)

@@ -73,50 +73,6 @@ class SampledSignal:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx ** self.dim))
 
 
-class ConvolutionKernel:
-    """Convolution kernel K(x, y) = k(x - y), kept as its line k.
-
-    An analytic line (a 1-d AnalyticSignal) gives a kernel with no grid.  A
-    line sampled at 2n offsets (m - n) dx covers every difference x_i - y_j
-    of an n x n grid, which the kernel then stands for: n, dx and extent are
-    that grid's.  passband is the frequency width of a sampled line's
-    mollifier: the kernel stands for the unmollified one only inside it.
-    """
-
-    __slots__ = ("line", "passband")
-
-    def __init__(self, line, passband: float = math.inf):
-        if line.dim != 1:
-            raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
-        if not passband > 0.0:
-            raise DomainError(f"passband must be positive, got {passband}")
-        self.line = line
-        self.passband = float(passband)
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def n(self) -> int:
-        return self.line.n // 2
-
-    @property
-    def dx(self) -> float:
-        return self.line.dx
-
-    @property
-    def extent(self) -> float:
-        return self.line.extent / 2.0
-
-    def dense(self) -> SampledSignal:
-        """The n x n matrix K[i, j] = k(x_i - y_j) as a d = 2 sampled signal (sampled lines)."""
-        if not isinstance(self.line, SampledSignal):
-            raise DomainError("dense() needs a sampled kernel line")
-        i = np.arange(self.n)
-        return SampledSignal(self.dx, self.line.values[i[:, None] - i[None, :] + self.n])
-
-
 @dataclass(frozen=True)
 class AnalyticSignal:
     """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, fourier-chirp or tensor.
@@ -145,6 +101,30 @@ class AnalyticSignal:
             raise DomainError("fourier-chirp is a 1-d line")
         if self.kind == "tensor" and sum(f.dim for f in self.factors) != self.dim:
             raise DomainError("tensor factor dimensions must sum to the signal dimension")
+
+
+class ConvolutionKernel:
+    """Convolution kernel K(x, y) = k(x - y), kept as its analytic 1-d line k.
+
+    passband is the width of the line's frequency mollifier: the kernel
+    stands for the unmollified one only inside it (inf: everywhere).
+    """
+
+    __slots__ = ("line", "passband")
+
+    def __init__(self, line: AnalyticSignal, passband: float = math.inf):
+        if not isinstance(line, AnalyticSignal):
+            raise DomainError(f"a kernel line is analytic, got {type(line).__name__}")
+        if line.dim != 1:
+            raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
+        if not passband > 0.0:
+            raise DomainError(f"passband must be positive, got {passband}")
+        self.line = line
+        self.passband = float(passband)
+
+    @property
+    def dim(self) -> int:
+        return 2
 
 
 def delta_signal(dim: int = 1) -> AnalyticSignal:

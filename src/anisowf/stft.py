@@ -6,7 +6,7 @@ Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (x and xi need not lie on any lattice: each
 point's stencil weighs its nodes by one Gaussian row shared by all points
 times two short per-point exponentials, _sampled), for
-convolution kernels from one 1-d STFT of their line, sampled or analytic,
+convolution kernels from one 1-d STFT of their analytic line,
 and for analytic signals from closed forms: analytic Gaussians, the
 constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
 whose STFT is one complex Gaussian integral (_gaussian_integral); the
@@ -226,24 +226,10 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
 
     with sigma = xi0 + xi1, f = (xi0 - xi1)/2, V_k taken with an amplitude-1
     Gaussian window of width sqrt(2) w, and c_w = w.amplitude(2) sqrt(pi) w
-    (1 for a unit-norm window).  An analytic line takes the formula as it
-    is.  A sampled line is a sum over its grid, where the y1 integral is a
-    Poisson sum (the aliases weigh exp(-(pi w/dx)^2 / 4)) and xi0 is seen
-    only modulo the period 2 pi/dx: with k = round(sigma dx / 2 pi), sigma
-    becomes sigma - 2 pi k/dx, f becomes f - pi k/dx wrapped into
-    [-pi/dx, pi/dx], and points past the grid's reach are rejected.  Unlike
-    the n x n sum, the y1 sum runs past the grid edge, which differs only
-    where a window reaches it.
+    (1 for a unit-norm window).
     """
     sigma = xis[:, 0] + xis[:, 1]
     f = (xis[:, 0] - xis[:, 1]) / 2.0
-    if isinstance(u.line, SampledSignal):
-        _check_reach(u, xs, xis)
-        period = _TWO_PI / u.dx
-        k = np.round(sigma / period)
-        sigma -= k * period
-        f -= k * period / 2.0
-        f -= period * np.round(f / period)
     line_w = WindowSpec(math.sqrt(2.0) * w.width, unit_norm=False)
     v = stft_points(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
     c_w = w.amplitude(2) * math.sqrt(math.pi) * w.width

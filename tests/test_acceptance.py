@@ -202,7 +202,7 @@ def test_criterion_7_invariant_regime():
 
 def test_criterion_8_kernel_graph_condition():
     t0 = time.time()
-    n, dx = 512, 0.1108
+    dx = 0.1108
     idx = AnisoIndex(1.2, 1.2)
     spec = EvolutionSpec(XSQ, 0.3)
     xmax = math.pi / dx
@@ -216,7 +216,7 @@ def test_criterion_8_kernel_graph_condition():
 
     def run(moll_frac):
         wm = moll_frac * xmax
-        kernel = kernel_signal(spec, n, dx, moll_width=wm)
+        kernel = kernel_signal(spec, wm)
         est = estimate_kernel_wf(kernel, WINDOW, idx, sweep=(8, 24, 24, 64),
                                  lambda_range=(2.0, 13.0), r_threshold=0.13,
                                  floor=1e-11, refine=24, seed=0)

@@ -34,6 +34,23 @@ class TestIsElliptic:
         with pytest.raises(DomainError):
             is_elliptic(poly_1d(1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("coeffs, elliptic", [
+        ({(2, 0): 1.0, (0, 2): 1.0}, True),
+        ({(2, 0): 1.0, (0, 2): -2.0}, False),   # zeros at tan(theta) = +-1/sqrt(2)
+        ({(2, 0): 1.0, (1, 1): -2.0 * math.sqrt(2.0), (0, 2): 2.0}, False),   # a double zero
+        ({(2, 0): 1.0}, False),   # zero on the x2 axis
+        ({(0, 2): 1.0}, False),
+        ({(3, 0): 1.0, (0, 3): 1.0}, False),
+        ({(4, 0): 1.0, (0, 4): 1.0}, True),
+        ({(4, 0): 1.0, (2, 2): 1.0, (0, 4): 1.0}, True)])
+    def test_zeros_at_any_angle_in_2d(self, coeffs, elliptic):
+        assert is_elliptic(PolynomialData(2, coeffs)) is elliptic
+
+    def test_3d_is_not_decided(self):
+        # x1 x2 + x3^2 vanishes at (1, 0, 0)
+        with pytest.raises(UnsupportedRegimeError):
+            is_elliptic(PolynomialData(3, {(1, 1, 0): 1.0, (0, 0, 2): 1.0}))
+
 
 class TestRegimes:
     def test_quadratic_graph_regime(self):
@@ -55,6 +72,15 @@ class TestRegimes:
         assert pred.equality  # odd 1-d phase
         want = project_many(idx, [[1.0]], [[3.0]])[0]
         assert min(np.linalg.norm(d - want) for d in pred.directions) < 1e-9
+
+    def test_circular_graph_in_2d(self):
+        # x1^2 + x2^2 at s = t: the graph {(x, 2x)} over 64 unit x directions
+        pred = predict_chirp_wf(PolynomialData(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                                AnisoIndex(1.2, 1.2))
+        assert pred.kind == "gradient-graph" and pred.directions.shape == (64, 4)
+        np.testing.assert_allclose(np.linalg.norm(pred.directions, axis=1), 1.0, atol=1e-11)
+        np.testing.assert_allclose(pred.directions[:, 2:], 2.0 * pred.directions[:, :2],
+                                   rtol=0.0, atol=1e-11)
 
     def test_graph_generator_consistency(self):
         # every emitted direction lies on the projected graph orbit
@@ -81,9 +107,10 @@ class TestRegimes:
         np.testing.assert_allclose(pred.directions[:, 0], 0.0)
 
     def test_xi_axis_requires_elliptic(self):
-        phase = PolynomialData(2, {(1, 1): 1.0})  # saddle principal part
-        with pytest.raises(DomainError):
-            predict_chirp_wf(phase, AnisoIndex(2.5, 1.2))
+        # saddle and hyperbolic principal parts, the latter vanishing at tan = +-1/sqrt(2)
+        for coeffs in ({(1, 1): 1.0}, {(2, 0): 1.0, (0, 2): -2.0}):
+            with pytest.raises(DomainError, match="elliptic"):
+                predict_chirp_wf(PolynomialData(2, coeffs), AnisoIndex(2.5, 1.2))
 
     def test_unsupported_regimes(self):
         with pytest.raises(UnsupportedRegimeError):

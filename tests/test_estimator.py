@@ -7,8 +7,8 @@ from anisowf.errors import DomainError, GraphConditionError
 from anisowf.geometry import AnisoIndex, PhasePoint, nearest_angles, project_many, scale_point
 from anisowf.poly import poly_1d
 from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
-from anisowf.signals import (AnalyticSignal, chirp_signal, delta_signal, make_gaussian,
-                             one_signal, tensor_signal)
+from anisowf.signals import (AnalyticSignal, ConvolutionKernel, chirp_signal, delta_signal,
+                             make_gaussian, one_signal, tensor_signal)
 from anisowf.stft import REACH_FRAC, WindowSpec, stft_points
 from anisowf.estimator import (MAX_DIRECTIONS, STATUSES, RateFit, WFEstimate, _MIN_REACHABLE,
                                _refinement_seeds, check_graph_condition, circle_directions,
@@ -157,8 +157,7 @@ class TestCurveTable:
         lambda: make_gaussian(1, 256, 0.1),
         lambda: tensor_signal(one_signal(1), delta_signal(1)),
         lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)),
-        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
-                              moll_width=0.6 * math.pi / 0.2)])
+        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 0.6 * math.pi / 0.2)])
     def test_equals_row_by_row_evaluation(self, make):
         # the reference loop: one stft_points call per reachable row
         u = make()
@@ -179,19 +178,18 @@ class TestCurveTable:
         got = curve_table(u, w, idx, dirs, lambdas)
         np.testing.assert_array_equal(got, want)
         reached = np.count_nonzero(np.isfinite(got), axis=1)
-        if isinstance(getattr(u, "line", u), AnalyticSignal):   # unbounded reach
-            assert reached.min() == lambdas.size
+        if isinstance(u, AnalyticSignal) or getattr(u, "passband", 0.0) == math.inf:
+            assert reached.min() == lambdas.size   # unbounded reach
         else:   # clipped rows and all-NaN rows are mixed in
             assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
 
     @pytest.mark.parametrize("build", [kernel_signal, propagator_kernel])
     def test_kernel_curves_stay_inside_the_passband(self, build):
-        # a sampled line's passband of a quarter of Nyquist, well inside the
-        # 80% Nyquist reach; the unmollified analytic line has none
+        # a mollified line's passband; the unmollified line has none
         passband = 0.25 * math.pi / 0.2
         spec = EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3)
         if build is kernel_signal:
-            K = kernel_signal(spec, 128, 0.2, moll_width=passband)
+            K = kernel_signal(spec, passband)
         else:
             K, passband = propagator_kernel(spec), math.inf
         assert K.passband == passband
@@ -211,25 +209,27 @@ class TestCurveTable:
 
     @pytest.mark.parametrize("make", [
         lambda: make_gaussian(1, 256, 0.1),
-        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 128, 0.2,
-                              moll_width=0.6 * math.pi / 0.2),
+        # a passband narrow enough that some curves are all-NaN
+        lambda: kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), 0.3 * math.pi / 0.2),
         lambda: propagator_kernel(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3))])
     def test_reach_from_the_grid_bounds(self, make):
         # an oracle that shares no code with curve_reach: each curve point is
         # checked against the extent, Nyquist and passband bounds themselves;
-        # a kernel with an analytic line has no grid, so no bound
+        # a kernel has no grid, so only its passband bounds it
         u = make()
         d = u.dim
         rng = np.random.default_rng(8)
         dirs = rng.standard_normal((200, 2 * d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         idx, lambdas = AnisoIndex(1.2, 0.9), geometric_lambdas(2.0, 40.0, 16)
-        if isinstance(getattr(u, "line", u), AnalyticSignal):
+        if isinstance(u, AnalyticSignal) or getattr(u, "passband", 0.0) == math.inf:
             finite = np.isfinite(curve_table(u, WindowSpec(1.0), idx, dirs, lambdas))
             assert finite.all()
             return
-        x_lim = REACH_FRAC * u.extent
-        xi_lim = min(REACH_FRAC * math.pi / u.dx, getattr(u, "passband", math.inf))
+        if isinstance(u, ConvolutionKernel):
+            x_lim, xi_lim = math.inf, u.passband
+        else:
+            x_lim, xi_lim = REACH_FRAC * u.extent, REACH_FRAC * math.pi / u.dx
 
         def inside(z, lam):
             return (np.all(np.abs(float(lam) ** idx.t * z[:d]) <= x_lim)

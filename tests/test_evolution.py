@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from anisowf.errors import AliasingError, DomainError, TruncationError, UnsupportedRegimeError
+from anisowf.errors import AliasingError, DomainError, UnsupportedRegimeError
 from anisowf.evolution import (EvolutionSpec, _flow_positions, kernel_signal,
                                predict_transport, propagate, propagator_kernel)
 from anisowf.geometry import AnisoIndex, PhasePoint, project_many, scale_point
-from anisowf.poly import PolynomialData, poly_1d
-from anisowf.signals import (ConvolutionKernel, SampledSignal, fourier_chirp_signal,
+from anisowf.poly import PolynomialData, eval_poly, poly_1d
+from anisowf.signals import (ConvolutionKernel, SampledSignal, fourier, gaussian_signal,
                              make_gaussian)
 from anisowf.stft import WindowSpec, stft_points
 
 XSQ = poly_1d(0.0, 0.0, 1.0)
-
-
-def kernel_phase(spec):
-    """-t p, the phase of the evolution kernel's line on the Fourier side."""
-    return PolynomialData(1, {a: -spec.time * c for a, c in spec.symbol.coeffs.items()})
 
 
 def windowed_chirp(n, dx, chirp_rate=1.0, env_width=7.0):
@@ -92,143 +87,151 @@ class TestPropagate:
         with pytest.raises(DomainError, match="finite"):
             propagate(make_gaussian(1, 256, 0.1), EvolutionSpec(XSQ, time))
         with pytest.raises(DomainError, match="finite"):
-            kernel_signal(EvolutionSpec(XSQ, time), 64, 0.2)
+            kernel_signal(EvolutionSpec(XSQ, time), 1.0)
 
 
 class TestKernelSignal:
+    """The mollified kernel: the analytic line under a Gaussian passband."""
+
     def test_time_zero_concentrates_on_diagonal(self):
-        K = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2).dense()
-        mags = np.abs(K.values)
+        K = kernel_signal(EvolutionSpec(XSQ, 0.0), 8.0)
+        x = np.linspace(-3.0, 3.0, 25)
+        xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        mags = np.abs(stft_points(K, WindowSpec(0.2), xs, np.zeros_like(xs))).reshape(25, 25)
         # row maxima sit on the diagonal
-        assert np.all(np.argmax(mags, axis=1) == np.arange(64))
+        assert np.all(np.argmax(mags, axis=1) == np.arange(25))
 
     def test_translation_structure(self):
-        K = kernel_signal(EvolutionSpec(XSQ, 0.3), 64, 0.2).dense()
-        v = K.values
-        np.testing.assert_allclose(v[1:, 1:], v[:-1, :-1], atol=1e-14)
+        # K(x + a, y + a) = K(x, y): a shift of both centres by a only turns
+        # the phase, by -a (xi0 + xi1)
+        K = kernel_signal(EvolutionSpec(XSQ, 0.3), 6.0)
+        rng = np.random.default_rng(1)
+        xs, xis = rng.uniform(-5.0, 5.0, (300, 2)), rng.uniform(-5.0, 5.0, (300, 2))
+        w = WindowSpec(1.0)
+        want = np.exp(-1.7j * xis.sum(axis=1)) * stft_points(K, w, xs, xis)
+        assert np.max(np.abs(want)) > 0.05
+        np.testing.assert_allclose(stft_points(K, w, xs + 1.7, xis), want, rtol=0.0, atol=1e-14)
 
     def test_mollifier_width_controls_diagonal_spread(self):
-        # both mollifiers well inside the spectral grid (no edge ringing)
-        wide = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=4.0).dense()
-        narrow = kernel_signal(EvolutionSpec(XSQ, 0.0), 64, 0.2, moll_width=2.0).dense()
-        row_w = np.abs(wide.values[32])
-        row_n = np.abs(narrow.values[32])
-        spread = lambda r: np.sum(r > np.max(r) * 1e-3)
-        assert spread(row_w) < spread(row_n)
+        # at t = 0 the line is sigma (2 pi)^(-1/2) exp(-sigma^2 r^2 / 2), a Gaussian
+        # of width 1/sigma: a wider mollifier gives a narrower diagonal
+        rng = np.random.default_rng(2)
+        r, f = rng.uniform(-3.0, 3.0, (200, 1)), rng.uniform(-6.0, 6.0, (200, 1))
+        on_diagonal = np.linspace(-3.0, 3.0, 121)[:, None]
+        w = WindowSpec(0.1)
+        spread = {}
+        for sigma in (4.0, 2.0):
+            line = kernel_signal(EvolutionSpec(XSQ, 0.0), sigma).line
+            want = (sigma / (2.0 * math.pi)) ** 0.5 * math.pi ** 0.25 * stft_points(
+                gaussian_signal(1.0 / sigma), w, r, f)
+            np.testing.assert_allclose(stft_points(line, w, r, f), want, rtol=0.0, atol=1e-15)
+            row = np.abs(stft_points(line, w, on_diagonal, np.zeros_like(on_diagonal)))
+            spread[sigma] = np.count_nonzero(row > 1e-3 * row.max())
+        assert spread[4.0] < spread[2.0]
 
-    @pytest.mark.parametrize("n, dx", [(0, 0.2), (8, 0.2), (1000, 0.2), (64, 0.0), (64, -0.2)])
-    def test_rejects_bad_grids(self, n, dx):
-        # n must be a power of two >= 16 and dx positive, checked before any division
-        with pytest.raises(DomainError):
-            kernel_signal(EvolutionSpec(XSQ, 0.3), n, dx)
+    @pytest.mark.parametrize("moll_width", [0.0, -1.0, math.nan])
+    def test_rejects_bad_mollifiers(self, moll_width):
+        with pytest.raises(DomainError, match="positive"):
+            kernel_signal(EvolutionSpec(XSQ, 0.3), moll_width)
+
+
+def sampled_kernel_line(spec, n, dx, moll_width):
+    """The oracle line: k_t under the mollifier, sampled by FFT at the 2n offsets
+    (m - n) dx that cover every difference x_i - y_j of an n x n grid."""
+    line = SampledSignal(dx, np.zeros(2 * n))
+    xi = line.freq_coords()
+    tp = spec.time * eval_poly(spec.symbol, xi[:, None])
+    assert np.max(np.abs(np.diff(tp))) < 0.9 * math.pi   # the phase is resolved
+    mult = np.exp(-1j * tp - xi * xi / (2.0 * moll_width ** 2))
+    k = fourier(SampledSignal(line.dxi, mult), inverse=True).values * (2.0 * math.pi) ** -0.5
+    return SampledSignal(dx, k)
+
+
+def dense_kernel(line):
+    """The n x n matrix K[i, j] = k(x_i - y_j) of a 2n-sample line, as a d = 2 signal."""
+    n = line.n // 2
+    i = np.arange(n)
+    return SampledSignal(line.dx, line.values[i[:, None] - i[None, :] + n])
+
+
+N_ORACLE, DX_ORACLE = 512, 0.1108
+NYQ_ORACLE = math.pi / DX_ORACLE
+# criterion 8's mollifiers, and symbols of degree 2 to 4 at times their lines resolve
+MOLLIFIERS = (0.6 * NYQ_ORACLE, 0.3 * NYQ_ORACLE)
+KERNEL_CASES = [(XSQ, 0.3), (poly_1d(0.0, 0.0, 0.0, 1.0), 0.004),
+                (poly_1d(0.0, 0.0, 0.0, 0.0, 1.0), 0.0003)]
 
 
 class TestKernelStftOracle:
-    """The line-based kernel STFT against the sampled d = 2 path on dense()."""
-
-    N, DX = 512, 0.1108
-    NYQ = math.pi / DX
+    """The analytic kernel against the sampled d = 2 path on a dense matrix of the
+    line sampled by FFT: two representations that share no STFT code."""
 
     @pytest.fixture(scope="class")
-    def kernel(self):
-        return kernel_signal(EvolutionSpec(XSQ, 0.3), self.N, self.DX,
-                             moll_width=0.6 * self.NYQ)
-
-    @pytest.fixture(scope="class")
-    def dense(self, kernel):
-        return kernel.dense()
-
-    def test_grid_description_matches_dense(self, kernel, dense):
-        assert (kernel.dim, kernel.n, kernel.dx, kernel.extent) == \
-            (dense.dim, dense.n, dense.dx, dense.extent)
+    def pairs(self):
+        out = []
+        for symbol, time in KERNEL_CASES:
+            spec = EvolutionSpec(symbol, time)
+            for moll in MOLLIFIERS:
+                line = sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, moll)
+                out.append((kernel_signal(spec, moll), dense_kernel(line)))
+        return out
 
     @pytest.mark.parametrize("w", [WindowSpec(1.0), WindowSpec(0.7, unit_norm=False)])
-    def test_interior_points_match_to_round_off(self, kernel, dense, w):
-        # every window support (10 widths) inside the grid, where both sums agree
+    def test_interior_points_match_to_round_off(self, pairs, w):
+        # every window support (10 widths) inside the grid, where both sums
+        # agree, and frequencies inside the passband
         rng = np.random.default_rng(3)
-        lim = kernel.extent - 10.0 * w.width - self.DX
-        xs = rng.uniform(-lim, lim, (400, 2))
-        xis = rng.uniform(-self.NYQ, self.NYQ, (400, 2))
-        assert np.count_nonzero(np.abs(xis.sum(axis=1)) > self.NYQ) >= 50
-        got = stft_points(kernel, w, xs, xis)
-        want = stft_points(dense, w, xs, xis)
-        assert np.max(np.abs(want)) > 0.05
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        lim = N_ORACLE * DX_ORACLE / 2.0 - 10.0 * w.width - DX_ORACLE
+        for kernel, dense in pairs:
+            xs = rng.uniform(-lim, lim, (150, 2))
+            xis = rng.uniform(-kernel.passband, kernel.passband, (150, 2))
+            xis[:20] *= 1e-3   # |xi| near 0
+            xis[20:40, 1] = -xis[20:40, 0]   # xi0 + xi1 = 0: the mollifier's centre
+            got = stft_points(kernel, w, xs, xis)
+            want = stft_points(dense, w, xs, xis)
+            assert np.max(np.abs(want)) > 0.05
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
-    def test_edge_points_within_documented_bound(self, kernel, dense):
+    def test_edge_points_within_documented_bound(self, pairs):
         # At 0.8 of the extent the n x n sum cuts the window off at the grid
-        # edge and the line's closed-form sum does not; a probe measured 5.7e-10.
+        # edge and the analytic line does not; a probe measured 5.3e-10.
+        kernel, dense = pairs[0]
         rng = np.random.default_rng(4)
-        edge = 0.8 * kernel.extent
+        edge = 0.8 * dense.extent
         xs = rng.uniform(-edge, edge, (300, 2))
         xs[:, 0] = edge * np.sign(xs[:, 0])
         xs[::2] = xs[::2, ::-1]
-        xis = rng.uniform(-self.NYQ, self.NYQ, (300, 2))
+        xis = rng.uniform(-kernel.passband, kernel.passband, (300, 2))
         got = stft_points(kernel, WindowSpec(1.0), xs, xis)
         want = stft_points(dense, WindowSpec(1.0), xs, xis)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
-
-    def test_same_truncation_errors(self, kernel, dense):
-        edge, nyq = 0.8 * kernel.extent, self.NYQ
-        points = [([edge, -edge], [nyq, -nyq]),
-                  ([edge * 1.001, 0.0], [0.0, 0.0]),
-                  ([0.0, -edge * 1.001], [1.0, 0.0]),
-                  ([1.0, 2.0], [nyq * 1.001, 0.0]),
-                  ([1.0, 2.0], [0.0, -nyq * 1.001])]
-        raised = 0
-        for x, xi in points:
-            outcomes = []
-            for u in (kernel, dense):
-                try:
-                    stft_points(u, WindowSpec(1.0), [x], [xi])
-                    outcomes.append(None)
-                except TruncationError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1]
-            raised += outcomes[0] is not None
-        assert raised == 4
 
 
 class TestPropagatorKernel:
     """The kernel of exp(-i t p(D)) itself: an analytic line, unmollified, with no grid."""
 
-    N, DX = 512, 0.1108
-    MOLL = 0.6 * math.pi / DX
-
-    @pytest.mark.parametrize("symbol, time", [(XSQ, 0.3), (poly_1d(0.0, 0.0, 0.0, 1.0), 0.004),
-                                              (poly_1d(0.0, 0.0, 0.0, 0.0, 1.0), 0.0003)])
+    @pytest.mark.parametrize("symbol, time", KERNEL_CASES)
     def test_matches_sampled_line_in_reach(self, symbol, time):
-        # the analytic line under the sampled line's mollifier; the sampled
-        # kernel's period wrap of xi0 + xi1 does not matter here: wherever
-        # |xi0 + xi1| > pi/dx, both sides' Gaussian factor is below e^-120
+        # under each mollifier the analytic line matches the line sampled by
+        # FFT, at offsets within 80% of the sampled line's extent
         spec = EvolutionSpec(symbol, time)
-        sampled = kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
-        analytic = ConvolutionKernel(fourier_chirp_signal(kernel_phase(spec), self.MOLL))
-        # criterion 8's reach: 80% of the extent, frequencies inside the mollifier width
         rng = np.random.default_rng(8)
-        xs = rng.uniform(-0.8, 0.8, (2000, 2)) * sampled.extent
-        xis = rng.uniform(-self.MOLL, self.MOLL, (2000, 2))
-        xis[:200] *= 1e-3   # |xi| near 0
-        xis[200:300, 1] = -xis[200:300, 0]   # xi0 + xi1 = 0: the mollifier's centre
-        w = WindowSpec(1.0)
-        got = stft_points(analytic, w, xs, xis)
-        want = stft_points(sampled, w, xs, xis)
-        assert np.max(np.abs(want)) > 0.1
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        # the lines themselves, against a unit-norm window
-        x, f = xs[:, :1] - xs[:, 1:], xis[:, :1]
+        x = rng.uniform(-0.8, 0.8, (2000, 1)) * N_ORACLE * DX_ORACLE
         w = WindowSpec(0.8)
-        want = stft_points(sampled.line, w, x, f)
-        assert np.max(np.abs(want)) > 0.1
-        np.testing.assert_allclose(stft_points(analytic.line, w, x, f), want,
-                                   rtol=0.0, atol=1e-12)
+        for moll in MOLLIFIERS:
+            f = rng.uniform(-moll, moll, (2000, 1))
+            f[:200] *= 1e-3   # |f| near 0
+            want = stft_points(sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, moll), w, x, f)
+            assert np.max(np.abs(want)) > 0.1
+            np.testing.assert_allclose(stft_points(kernel_signal(spec, moll).line, w, x, f),
+                                       want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("symbol", [XSQ, poly_1d(0.0, 0.0, 0.0, 1.0)])
     def test_is_the_limit_of_wide_mollifiers(self, symbol):
         # a mollifier of width 1e8 changes the exponent by about f^2 / 2e16
         spec = EvolutionSpec(symbol, 0.3)
         kernel = propagator_kernel(spec)
-        wide = ConvolutionKernel(fourier_chirp_signal(kernel_phase(spec), 1e8))
+        wide = kernel_signal(spec, 1e8)
         rng = np.random.default_rng(5)
         xs = rng.uniform(-20.0, 20.0, (2000, 2))
         xis = rng.uniform(-20.0, 20.0, (2000, 2))
@@ -253,14 +256,16 @@ class TestPropagatorKernel:
         assert off[0] > 0.1 and off[-1] < 1e-200
 
     def test_no_aliasing_guard_and_no_dense_matrix(self):
-        # the sampled line aliases here (suggests n = 4096); the analytic one has no samples
+        # x^3 at t = 0.05 aliases on the oracle's 1024-sample line; the analytic
+        # line has no samples, and a kernel takes no sampled line
         spec = EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)
-        with pytest.raises(AliasingError, match="suggest n = 4096"):
-            kernel_signal(spec, self.N, self.DX, moll_width=self.MOLL)
+        with pytest.raises(AssertionError):
+            sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, MOLLIFIERS[0])
         kernel = propagator_kernel(spec)
-        assert kernel.passband == math.inf
-        with pytest.raises(DomainError, match="sampled kernel line"):
-            kernel.dense()
+        assert kernel.passband == math.inf and not hasattr(kernel, "dense")
+        assert np.all(np.isfinite(stft_points(kernel, WindowSpec(1.0), [[1.0, -2.0]], [[3.0, 4.0]])))
+        with pytest.raises(DomainError, match="analytic"):
+            ConvolutionKernel(SampledSignal(DX_ORACLE, np.zeros(2 * N_ORACLE)))
 
 
 class TestRegularDataStayRegular:

@@ -29,6 +29,15 @@ def test_tiny_coordinates_are_not_the_origin():
         assert sconic_closure_check(out, AnisoIndex(1.2, 1.2), [2.0])
 
 
+def test_huge_coordinates_do_not_overflow_the_distance():
+    # |p|^2 overflows for coordinates near 1e200; the RuntimeWarning filter
+    # turns an overflowing norm into an error
+    b = PointSet([[3e200, 1.0]])
+    for fn in (compose, compose_via_projection):
+        assert fn(PointSet([[1e200, 1.0, 0.0, -1.0]]), b).points.tolist() == [], fn.__name__
+        assert fn(PointSet([[1e200, 3e200, 0.0, -1.0]]), b).points.tolist() == [[1e200, 0.0]]
+
+
 class TestCompose:
     def test_single_match(self):
         a = PointSet([[1.0, 2.0, 3.0, -4.0]])
