@@ -16,8 +16,7 @@ from .geometry import (AnisoIndex, PhasePoint, SphereDirection, log_lambda_many,
 from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 from .relation import PointSet, compose, compose_via_projection, sconic_closure_check
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal,
-                      chirp_signal, delta_signal, fourier, fourier_chirp_signal,
-                      gaussian_signal, make_chirp, make_gaussian, one_signal, tensor,
-                      tensor_signal)
+                      chirp_signal, delta_signal, fourier, gaussian_signal, make_chirp,
+                      make_gaussian, one_signal, tensor, tensor_signal)
 from .stft import (StftGrid, WindowSpec, classical_seminorm, istft,
                    moyal_error, stft_grid, stft_point, stft_seminorm)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, estimator
 from .chirp import compare_wf, predict_chirp_wf
-from .errors import ConfigError, ResolutionError, ToolkitError, TruncationError
+from .errors import ConfigError, DomainError, ResolutionError, ToolkitError, TruncationError
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, predict_transport, propagate, propagator_kernel
@@ -253,7 +253,11 @@ def cmd_relation(config, out, seed):
     body = {"composition": point_set_to_list(composed)}
     scales = cfg_get(config, "scales", list_of(positive), default=None)
     if scales:
-        body["sconic_closed"] = sconic_closure_check(composed, parse_index(config), scales)
+        idx = parse_index(config)
+        try:
+            body["sconic_closed"] = sconic_closure_check(composed, idx, scales)
+        except DomainError as exc:
+            raise ConfigError(f"scales: {exc}") from None
     out.write_json("composition.json", report_envelope(config, seed, body))
 
 
@@ -261,21 +265,18 @@ def cmd_seminorm(config, out, seed):
     sig = parse_sampled_signal(config)
     idx = parse_index(config)
     kind = cfg_get(config, "kind", text, default="stft")
-    rows = []
     if kind == "stft":
         w = parse_window(config)
-        for r in cfg_get(config, "r_values", list_of(positive)):
-            val = stft_seminorm(sig, w, idx, r)
-            rows.append({"r": r,
-                         "value": None if math.isinf(val) else val,
-                         "divergent": math.isinf(val)})
+        key, params = "r", cfg_get(config, "r_values", list_of(positive))
+        values = [stft_seminorm(sig, w, idx, r) for r in params]
     elif kind == "classical":
         order = cfg_get(config, "max_order", count, default=4)
-        for h in cfg_get(config, "h_values", list_of(positive)):
-            val = classical_seminorm(sig, idx, h, order)
-            rows.append({"h": h, "value": val, "divergent": False})
+        key, params = "h", cfg_get(config, "h_values", list_of(positive))
+        values = [classical_seminorm(sig, idx, h, order) for h in params]
     else:
         raise ConfigError(f"kind: unknown seminorm kind {kind!r}")
+    rows = [{key: p, "value": None if math.isinf(v) else v, "divergent": math.isinf(v)}
+            for p, v in zip(params, values)]
     out.write_json("seminorm.json", report_envelope(config, seed, {"values": rows}))
 
 

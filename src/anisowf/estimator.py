@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GraphConditionError
-from .geometry import AnisoIndex, SphereDirection, blocks4, unique_rows
+from .geometry import AnisoIndex, SphereDirection, blocks4, curve_scales, unique_rows
 from .signals import AnalyticSignal, ConvolutionKernel, SampledSignal
 from .stft import REACH_FRAC, WindowSpec, stft_points
 
@@ -160,15 +160,18 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
     """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
-    reach; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
-    The scale factors are Python float powers: numpy's vectorized power can
-    differ in the last bit, which would change the written profiles.
-    Reachable points go to stft_points _TABLE_CHUNK at a time, for every signal.
+    reach, and at every lambda whose lambda^t or lambda^s leaves the double
+    range; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
+    The scale factors are curve_scales' Python float powers, so the written
+    profiles do not move in the last bit.  Reachable points go to stft_points
+    _TABLE_CHUNK at a time, for every signal.
     """
-    scales = np.array([(float(lam) ** idx.t, float(lam) ** idx.s) for lam in lambdas])
+    scales = curve_scales(idx, lambdas)
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
-    reach = np.count_nonzero(lambdas <= _curve_reaches(u, idx, dirs)[:, None], axis=1)
+    # lambdas ascend, so the finite scales are a prefix of them
+    finite = np.all(np.isfinite(scales), axis=1)
+    reach = np.count_nonzero((lambdas <= _curve_reaches(u, idx, dirs)[:, None]) & finite, axis=1)
     reach[reach < _MIN_REACHABLE] = 0
     points = np.flatnonzero(np.arange(lambdas.size) < reach[:, None])
     for start in range(0, points.size, _TABLE_CHUNK):

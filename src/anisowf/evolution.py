@@ -2,11 +2,10 @@
 
 The solution is the Fourier multiplier exp(-i t p(xi)); the kernel is the
 convolution kernel k_t = (2 pi)^(-d/2) F^(-1)(exp(-i t p)) arranged as
-K_t(x, y) = k_t(x - y).  The kernel is kept as its line k_t (a
-ConvolutionKernel), never as a matrix: its 4-d STFT is one 1-d STFT of the
-line (stft._convolution).  The line is analytic: on the Fourier side it is
-the chirp exp(-i t p), windowed by a Gaussian mollifier (kernel_signal) or
-not (propagator_kernel), so the kernel has no grid.
+K_t(x, y) = k_t(x - y).  The kernel is kept as the phase -t p of its line on
+the Fourier side and the width of a Gaussian mollifier there (a
+ConvolutionKernel: kernel_signal, or propagator_kernel with none), never as
+a matrix or a grid: its 4-d STFT is one chirp STFT (stft._convolution).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import AliasingError, DomainError, UnsupportedRegimeError
 from .geometry import AnisoIndex, project_many
 from .poly import PolynomialData, eval_grad, eval_poly, principal_part
-from .signals import ConvolutionKernel, SampledSignal, fourier, fourier_chirp_signal
+from .signals import ConvolutionKernel, SampledSignal, fourier
 
 _REGIME_TOL = 1e-12
 
@@ -77,15 +76,14 @@ def propagate(u0: SampledSignal, spec: EvolutionSpec) -> SampledSignal:
 def kernel_signal(spec: EvolutionSpec, moll_width: float) -> ConvolutionKernel:
     """Schwartz kernel K_t(x, y) = k_t(x - y) under a Gaussian frequency mollifier.
 
-    Its line (2 pi)^(-1/2) F^(-1)[exp(-i t p) exp(-xi^2 / (2 moll_width^2))] is the
-    fourier-chirp of phase -t p and width moll_width, whose STFT is a chirp STFT
-    in frequency (stft._fourier_chirp): nothing is sampled.  The kernel stands
-    for the unmollified one only inside its passband moll_width, where a sweep's
-    curves stop.
+    Its line is (2 pi)^(-1/2) F^(-1)[exp(-i t p) exp(-xi^2 / (2 moll_width^2))],
+    kept as the phase -t p and the passband moll_width: nothing is sampled.
+    The kernel stands for the unmollified one only inside its passband, where a
+    sweep's curves stop.
     """
     symbol = spec.symbol
     phase = PolynomialData(symbol.dim, {a: -spec.time * c for a, c in symbol.coeffs.items()})
-    return ConvolutionKernel(fourier_chirp_signal(phase, moll_width), passband=moll_width)
+    return ConvolutionKernel(phase, passband=moll_width)
 
 
 def propagator_kernel(spec: EvolutionSpec) -> ConvolutionKernel:

@@ -144,6 +144,20 @@ def project_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray
     return out
 
 
+def curve_scales(idx: AnisoIndex, mus) -> np.ndarray:
+    """(mu^t, mu^s) for each factor mu, as an (N, 2) array, inf where a power
+    leaves the double range.  These are Python float powers: numpy's vectorized
+    power can differ in the last bit, which would change the written profiles."""
+    def power(mu, e):
+        try:
+            return mu ** e
+        except OverflowError:
+            return math.inf
+
+    mus = np.asarray(mus, dtype=float).tolist()
+    return np.array([(power(mu, idx.t), power(mu, idx.s)) for mu in mus]).reshape(-1, 2)
+
+
 def scale_point(idx: AnisoIndex, p: PhasePoint, mu: float) -> PhasePoint:
     """Move p along its curve: (mu^t x, mu^s xi)."""
     if not mu > 0.0:

@@ -3,7 +3,8 @@
 Sampled signals live on a uniform centered grid x_j = (j - n/2) dx per axis;
 the matching frequency grid is xi_k = (k - n/2) dxi with dxi = 2 pi / (n dx).
 Distribution-like signals (Dirac delta, the constant function) are kept
-analytic and never sampled.
+analytic and never sampled; so is a convolution kernel, kept as the phase of
+its line on the Fourier side and the width of a mollifier there.
 """
 
 from __future__ import annotations
@@ -75,12 +76,7 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp, fourier-chirp or tensor.
-
-    A fourier-chirp is the 1-d line (2 pi)^(-1/2) F^(-1)[exp(i q) exp(-xi^2 / (2 width^2))]
-    for the polynomial q = phase, a chirp windowed by a Gaussian on the Fourier side;
-    width = inf leaves it unwindowed.
-    """
+    """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp or tensor."""
 
     kind: str
     dim: int
@@ -89,37 +85,33 @@ class AnalyticSignal:
     factors: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("dirac-delta", "constant-one", "gaussian", "poly-chirp",
-                             "fourier-chirp", "tensor"):
+        if self.kind not in ("dirac-delta", "constant-one", "gaussian", "poly-chirp", "tensor"):
             raise DomainError(f"unknown analytic signal kind {self.kind!r}")
-        if self.kind in ("gaussian", "fourier-chirp") and not (self.width and self.width > 0):
-            raise DomainError(f"{self.kind} width must be positive")
-        if self.kind in ("poly-chirp", "fourier-chirp"):
+        if self.kind == "gaussian" and not (self.width and self.width > 0):
+            raise DomainError("gaussian width must be positive")
+        if self.kind == "poly-chirp":
             if self.phase is None or self.phase.dim != self.dim:
-                raise DomainError(f"{self.kind} needs a phase polynomial of matching dimension")
-        if self.kind == "fourier-chirp" and self.dim != 1:
-            raise DomainError("fourier-chirp is a 1-d line")
+                raise DomainError("poly-chirp needs a phase polynomial of matching dimension")
         if self.kind == "tensor" and sum(f.dim for f in self.factors) != self.dim:
             raise DomainError("tensor factor dimensions must sum to the signal dimension")
 
 
 class ConvolutionKernel:
-    """Convolution kernel K(x, y) = k(x - y), kept as its analytic 1-d line k.
+    """Convolution kernel K(x, y) = k(x - y) with the analytic line
+    k = (2 pi)^(-1/2) F^(-1)[exp(i phase) exp(-xi^2 / (2 passband^2))].
 
-    passband is the width of the line's frequency mollifier: the kernel
-    stands for the unmollified one only inside it (inf: everywhere).
+    phase is a 1-d polynomial; the kernel stands for the unmollified one
+    (passband inf) only inside its passband.
     """
 
-    __slots__ = ("line", "passband")
+    __slots__ = ("phase", "passband")
 
-    def __init__(self, line: AnalyticSignal, passband: float = math.inf):
-        if not isinstance(line, AnalyticSignal):
-            raise DomainError(f"a kernel line is analytic, got {type(line).__name__}")
-        if line.dim != 1:
-            raise DomainError(f"a kernel line is 1-d, got dimension {line.dim}")
+    def __init__(self, phase: PolynomialData, passband: float = math.inf):
+        if phase.dim != 1:
+            raise DomainError(f"a kernel phase is 1-d, got dimension {phase.dim}")
         if not passband > 0.0:
             raise DomainError(f"passband must be positive, got {passband}")
-        self.line = line
+        self.phase = phase
         self.passband = float(passband)
 
     @property
@@ -141,10 +133,6 @@ def gaussian_signal(width: float = 1.0, dim: int = 1) -> AnalyticSignal:
 
 def chirp_signal(phase: PolynomialData) -> AnalyticSignal:
     return AnalyticSignal("poly-chirp", phase.dim, phase=phase)
-
-
-def fourier_chirp_signal(phase: PolynomialData, width: float) -> AnalyticSignal:
-    return AnalyticSignal("fourier-chirp", phase.dim, width=width, phase=phase)
 
 
 def tensor_signal(u: AnalyticSignal, v: AnalyticSignal) -> AnalyticSignal:

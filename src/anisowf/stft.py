@@ -6,7 +6,7 @@ Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (x and xi need not lie on any lattice: each
 point's stencil weighs its nodes by one Gaussian row shared by all points
 times two short per-point exponentials, _sampled), for
-convolution kernels from one 1-d STFT of their analytic line,
+convolution kernels from one chirp STFT at a swapped point (_convolution),
 and for analytic signals from closed forms: analytic Gaussians, the
 constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
 whose STFT is one complex Gaussian integral (_gaussian_integral); the
@@ -14,10 +14,8 @@ Dirac delta gives the reflected window.  Chirps of degree >= 3 are
 integrated along steepest-descent paths from the saddles of the windowed
 phase, and from discs around saddles too near each other for that, at a
 fixed number of nodes per path and segment whatever the point
-(_steepest_descent).  A fourier-chirp (a chirp on the Fourier side, windowed
-by a Gaussian or not, the analytic line of an evolution kernel) reduces by
-Parseval to the chirp STFT at a swapped point (_fourier_chirp).  Full grids
-are swept with an FFT per translate.
+(_steepest_descent).  Full grids are swept with an FFT per translate.
+Every window has unit L2 norm.
 """
 
 from __future__ import annotations
@@ -64,14 +62,15 @@ _DISC_MARGIN = 1.5
 _SEGMENT_ORDER = 64
 # exp(g(s)) below the smallest normal double: the saddle adds nothing.
 _UNDERFLOW = math.log(np.finfo(float).tiny)
+# exp of more than this leaves the double range.
+_OVERFLOW = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Gaussian window of the given width; unit L2 norm unless disabled."""
+    """Gaussian window of the given width and unit L2 norm."""
 
     width: float = 1.0
-    unit_norm: bool = True
 
     def __post_init__(self):
         # 1 / width^2 scales every window exponent: below 2^-511 it overflows
@@ -79,9 +78,7 @@ class WindowSpec:
             raise DomainError(f"window width must be at least 2^-511, got {self.width}")
 
     def amplitude(self, d: int) -> float:
-        if self.unit_norm:
-            return math.pi ** (-d / 4.0) * self.width ** (-d / 2.0)
-        return 1.0
+        return math.pi ** (-d / 4.0) * self.width ** (-d / 2.0)
 
     def values_1d(self, offsets: np.ndarray, d: int = 1) -> np.ndarray:
         """Per-axis window factor for separable products (amplitude split evenly)."""
@@ -216,50 +213,30 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
 
 def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
                  xis: np.ndarray) -> np.ndarray:
-    """4-d STFT of K(x, y) = k(x - y) as one 1-d STFT of the line k.
+    """4-d STFT of K(x, y) = k(x - y), k the line of phase q and passband s.
 
-    Substituting r = y0 - y1 and integrating the Gaussian in y1 in closed
-    form gives
+    The window integral in y0 + y1 is a Gaussian in closed form; by Parseval
+    the one in y0 - y1 moves to the Fourier side, where the mollifier and the
+    window's transform combine into one Gaussian.  With W the window width,
+    sigma = xi0 + xi1, f = (xi0 - xi1)/2 and alpha = 1/s^2 + 2 W^2,
 
-        V_K(x0, x1, xi0, xi1) = c_w (2 pi)^(-1/2)
-            exp(-sigma^2 w^2 / 4 - i (x0 + x1) sigma / 2) V_k(x0 - x1, f)
+        V_K(x0, x1, xi0, xi1) = W / (sqrt(2) pi) V_chirp(2 W^2 f / alpha, x1 - x0) / A
+            exp(-sigma^2 W^2 / 4 - W^2 f^2 / (s^2 alpha) - i (x0 xi0 + x1 xi1))
 
-    with sigma = xi0 + xi1, f = (xi0 - xi1)/2, V_k taken with an amplitude-1
-    Gaussian window of width sqrt(2) w, and c_w = w.amplitude(2) sqrt(pi) w
-    (1 for a unit-norm window).
+    where V_chirp is the STFT of exp(i q) against the unit-norm window of
+    width alpha^(-1/2), whose amplitude(1) is A: a closed form for degree
+    <= 2, steepest descent above.  With no mollifier (s = inf) alpha = 2 W^2.
     """
+    width, s = w.width, u.passband
+    alpha = (1.0 / s) ** 2 + 2.0 * width ** 2
+    chirp_w = WindowSpec(alpha ** -0.5)
     sigma = xis[:, 0] + xis[:, 1]
     f = (xis[:, 0] - xis[:, 1]) / 2.0
-    line_w = WindowSpec(math.sqrt(2.0) * w.width, unit_norm=False)
-    v = stft_points(u.line, line_w, xs[:, :1] - xs[:, 1:], f[:, None])
-    c_w = w.amplitude(2) * math.sqrt(math.pi) * w.width
-    return c_w * _TWO_PI ** -0.5 * v * np.exp(
-        -(sigma * w.width) ** 2 / 4.0 - 0.5j * (xs[:, 0] + xs[:, 1]) * sigma)
-
-
-def _fourier_chirp(u: AnalyticSignal, w: WindowSpec, xs: np.ndarray,
-                   xis: np.ndarray) -> np.ndarray:
-    """STFT of the fourier-chirp k = (2 pi)^(-1/2) F^(-1)[exp(i q) exp(-xi^2 / (2 s^2))].
-
-    By Parseval the window integral moves to the Fourier side, where the
-    mollifier and the window's transform W exp(-W^2 (xi - f)^2 / 2) combine
-    into one Gaussian centred at c:
-
-        V_k(x, f) = (2 pi)^(-1/2) W exp(-i x f + C) V_chirp(c, -x)
-
-    with alpha = 1/s^2 + W^2, c = W^2 f / alpha, C = -W^2 f^2 / (2 s^2 alpha)
-    (that is -W^2 f^2/2 + (W^2 f)^2/(2 alpha)), W the window width, and
-    V_chirp the STFT of exp(i q) against the amplitude-1 window of width
-    alpha^(-1/2): closed form for degree <= 2, steepest descent above.  With
-    no mollifier (s = inf), alpha = W^2, c = f and C = 0.
-    """
-    width = w.width
-    alpha = 1.0 / u.width ** 2 + width ** 2
-    v = stft_points(chirp_signal(u.phase), WindowSpec(alpha ** -0.5, unit_norm=False),
-                    (width ** 2 / alpha) * xis, -xs)
-    x, f = xs[:, 0], xis[:, 0]
-    return (w.amplitude(1) * width * _TWO_PI ** -0.5 * v
-            * np.exp(-1j * x * f - (width * f) ** 2 / (2.0 * u.width ** 2 * alpha)))
+    v = stft_points(chirp_signal(u.phase), chirp_w, (2.0 * width ** 2 / alpha) * f[:, None],
+                    xs[:, 1:] - xs[:, :1])
+    return (width / (math.sqrt(2.0) * math.pi * chirp_w.amplitude(1)) * v
+            * np.exp(-(sigma * width) ** 2 / 4.0 - (width * f / s) ** 2 / alpha
+                     - 1j * (xs[:, 0] * xis[:, 0] + xs[:, 1] * xis[:, 1])))
 
 
 def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: complex,
@@ -624,8 +601,6 @@ def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
         return _gaussian_integral(w, xs, xis, 0.0)
     if u.kind == "dirac-delta":
         return _TWO_PI ** (-d / 2.0) * np.prod(w.values_1d(-xs, d), axis=1)
-    if u.kind == "fourier-chirp":
-        return _fourier_chirp(u, w, xs, xis)
     if u.kind == "poly-chirp":
         if d != 1:
             raise DomainError("analytic chirp STFT implemented for d = 1 only")
@@ -668,12 +643,8 @@ def stft_grid(u: SampledSignal, w: WindowSpec) -> StftGrid:
 
 
 def istft(grid: StftGrid, w: WindowSpec) -> SampledSignal:
-    """Inverse transform (2 pi)^(-1/2) iint V(x, xi) M_xi T_x phi dx dxi (d = 1).
-
-    Requires the unit-norm window used for analysis.
-    """
-    if not w.unit_norm:
-        raise DomainError("inversion requires a unit L2 norm window")
+    """Inverse transform (2 pi)^(-1/2) iint V(x, xi) M_xi T_x phi dx dxi (d = 1),
+    with the window used for analysis."""
     n = grid.n_x
     coords = grid.positions()
     # inner integral over xi: centered inverse DFT of each row, times n dxi
@@ -736,7 +707,8 @@ def classical_seminorm(u: SampledSignal, idx: AnisoIndex, h: float, max_order: i
     """Truncated sup of |x^alpha D^beta u| / (h^(|a|+|b|) a!^t b!^s), orders <= max_order.
 
     Derivatives are spectral; energy within two bins of the Nyquist edge above
-    1e-8 of the peak trips a resolution error.
+    1e-8 of the peak trips a resolution error.  The denominators are formed in
+    logs, so a ratio past the double range is inf (and one below it 0).
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
@@ -748,6 +720,7 @@ def classical_seminorm(u: SampledSignal, idx: AnisoIndex, h: float, max_order: i
     mesh = np.meshgrid(*freqs, indexing="ij")
     coords_mesh = np.meshgrid(*([u.axis_coords()] * d), indexing="ij")
 
+    log_h = math.log(h)
     best = 0.0
     for beta in iter_multi_indices(d, max_order):
         g = uhat.values
@@ -776,6 +749,9 @@ def classical_seminorm(u: SampledSignal, idx: AnisoIndex, h: float, max_order: i
                 if aj:
                     weighted = weighted * np.abs(coords_mesh[j]) ** aj
             a_fact = math.prod(math.factorial(aj) for aj in alpha)
-            denom = h ** (sum(alpha) + sum(beta)) * a_fact ** idx.t * b_fact ** idx.s
-            best = max(best, float(np.max(weighted)) / denom)
+            sup = float(np.max(weighted))
+            if sup > 0.0:
+                log_ratio = math.log(sup) - ((sum(alpha) + sum(beta)) * log_h
+                                              + idx.t * math.log(a_fact) + idx.s * math.log(b_fact))
+                best = max(best, math.inf if log_ratio >= _OVERFLOW else math.exp(log_ratio))
     return best

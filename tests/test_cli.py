@@ -256,6 +256,16 @@ class TestWfCommand:
             entries[steps] = json.loads((outdir / "wf_estimate.json").read_text())["entries"]
         assert entries[500] == entries[1e300] == entries[45] != entries[44]
 
+    def test_scales_past_the_double_range_are_unreachable(self, tmp_path, capsys):
+        # 2^1000 is a double, 2.1^1000 is not: each curve keeps at most two of
+        # its 24 samples, too few to fit, so every direction is unreachable
+        cfg = {"signal": {"kind": "analytic-gaussian"}, "index": {"t": 1000.0, "s": 1.0},
+               "sphere_samples": 90, "lambda": {"min": 2.0, "max": 8.0, "n": 24}}
+        code, outdir = run_cli(tmp_path, "wf", cfg)
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        entries = json.loads((outdir / "wf_estimate.json").read_text())["entries"]
+        assert len(entries) == 90 and {e["status"] for e in entries} == {"unreachable"}
+
 
 class TestFileSignal:
     def test_wf_from_signal_file(self, tmp_path):
@@ -328,6 +338,15 @@ class TestRelationCommand:
         report = json.loads((outdir / "composition.json").read_text())
         assert report["composition"] == [[scale, 0.0]] and report["sconic_closed"] is True
 
+    def test_scale_past_the_double_range_exit_2(self, tmp_path, capsys):
+        # (1e300)^1.2 is no double: the scaled points cannot be formed
+        cfg = {"A": [[1, 2, 3, -4]], "B": [[2, 4]], "tolerance": 0.5, "scales": [1e300],
+               "index": {"t": 1.2, "s": 1.2}}
+        code, _ = run_cli(tmp_path, "relation", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scales: ") and "Traceback" not in err
+
 
 class TestSeminormCommand:
     def test_stft_table(self, tmp_path):
@@ -352,6 +371,20 @@ class TestSeminormCommand:
         assert code == 0
         rows = json.loads((outdir / "seminorm.json").read_text())["values"]
         assert rows[0]["value"] >= rows[1]["value"]
+        assert not any(r["divergent"] for r in rows)
+
+    def test_classical_h_past_the_double_range(self, tmp_path):
+        # h^(|a|+|b|) underflows at 1e-100 (the ratio is inf: divergent) and
+        # overflows at 1e100 (every ratio past order 0 vanishes)
+        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1},
+               "index": {"t": 1.0, "s": 1.0}, "kind": "classical",
+               "h_values": [1e-100, 1e100]}
+        code, outdir = run_cli(tmp_path, "seminorm", cfg)
+        assert code == 0
+        rows = json.loads((outdir / "seminorm.json").read_text())["values"]
+        assert rows[0] == {"h": 1e-100, "value": None, "divergent": True}
+        assert rows[1]["value"] == pytest.approx(math.pi ** -0.25, abs=1e-10)
+        assert rows[1]["divergent"] is False
 
 
 def kernel_graph_circle():

@@ -8,8 +8,7 @@ from anisowf.evolution import (EvolutionSpec, _flow_positions, kernel_signal,
                                predict_transport, propagate, propagator_kernel)
 from anisowf.geometry import AnisoIndex, PhasePoint, project_many, scale_point
 from anisowf.poly import PolynomialData, eval_poly, poly_1d
-from anisowf.signals import (ConvolutionKernel, SampledSignal, fourier, gaussian_signal,
-                             make_gaussian)
+from anisowf.signals import ConvolutionKernel, SampledSignal, fourier, make_gaussian
 from anisowf.stft import WindowSpec, stft_points
 
 XSQ = poly_1d(0.0, 0.0, 1.0)
@@ -113,19 +112,37 @@ class TestKernelSignal:
         np.testing.assert_allclose(stft_points(K, w, xs + 1.7, xis), want, rtol=0.0, atol=1e-14)
 
     def test_mollifier_width_controls_diagonal_spread(self):
-        # at t = 0 the line is sigma (2 pi)^(-1/2) exp(-sigma^2 r^2 / 2), a Gaussian
-        # of width 1/sigma: a wider mollifier gives a narrower diagonal
+        # at t = 0 the line is sigma (2 pi)^(-1/2) exp(-sigma^2 r^2 / 2): in the
+        # coordinates u = (y0 - y1)/sqrt(2), v = (y0 + y1)/sqrt(2) the kernel is
+        # a Gaussian of width a = 1/(sqrt(2) sigma) in u times 1 in v, and the
+        # window, rotation invariant, factors the same way.  Per axis the window
+        # integral of exp(-y^2 / (2 a^2)) is sqrt(2 pi / p) exp(-x^2 / (2 (a^2 + W^2))
+        # - xi^2 / (2 p) - i x xi a^2 / (a^2 + W^2)), p = 1/a^2 + 1/W^2 (a = inf
+        # in v); the phases add up to -i (x . xi - u xi_u W^2 / (a^2 + W^2)).  A
+        # wider mollifier gives a narrower diagonal
         rng = np.random.default_rng(2)
-        r, f = rng.uniform(-3.0, 3.0, (200, 1)), rng.uniform(-6.0, 6.0, (200, 1))
-        on_diagonal = np.linspace(-3.0, 3.0, 121)[:, None]
+        xs, xis = rng.uniform(-3.0, 3.0, (200, 2)), rng.uniform(-6.0, 6.0, (200, 2))
+        xis[:100, 1] = -xis[:100, 0]   # xi0 + xi1 = 0, where |V| is largest
+        u2, xi_u2 = (xs[:, 0] - xs[:, 1]) ** 2 / 2.0, (xis[:, 0] - xis[:, 1]) ** 2 / 2.0
+        u_xi_u = (xs[:, 0] - xs[:, 1]) * (xis[:, 0] - xis[:, 1]) / 2.0
+        xi_v2 = (xis[:, 0] + xis[:, 1]) ** 2 / 2.0
+        on_diagonal = np.column_stack([np.linspace(-3.0, 3.0, 121), np.zeros(121)])
         w = WindowSpec(0.1)
+        width = w.width
         spread = {}
         for sigma in (4.0, 2.0):
-            line = kernel_signal(EvolutionSpec(XSQ, 0.0), sigma).line
-            want = (sigma / (2.0 * math.pi)) ** 0.5 * math.pi ** 0.25 * stft_points(
-                gaussian_signal(1.0 / sigma), w, r, f)
-            np.testing.assert_allclose(stft_points(line, w, r, f), want, rtol=0.0, atol=1e-15)
-            row = np.abs(stft_points(line, w, on_diagonal, np.zeros_like(on_diagonal)))
+            K = kernel_signal(EvolutionSpec(XSQ, 0.0), sigma)
+            a2 = 1.0 / (2.0 * sigma ** 2)
+            p = 1.0 / a2 + 1.0 / width ** 2
+            const = (w.amplitude(2) * sigma * (2.0 * math.pi) ** -1.5
+                     * math.sqrt(2.0 * math.pi / p) * math.sqrt(2.0 * math.pi) * width)
+            want = const * np.exp(-u2 / (2.0 * (a2 + width ** 2)) - xi_u2 / (2.0 * p)
+                                  - width ** 2 * xi_v2 / 2.0
+                                  - 1j * (np.sum(xs * xis, axis=1)
+                                          - u_xi_u * width ** 2 / (a2 + width ** 2)))
+            assert np.max(np.abs(want)) > 0.03
+            np.testing.assert_allclose(stft_points(K, w, xs, xis), want, rtol=0.0, atol=1e-15)
+            row = np.abs(stft_points(K, w, on_diagonal, np.zeros_like(on_diagonal)))
             spread[sigma] = np.count_nonzero(row > 1e-3 * row.max())
         assert spread[4.0] < spread[2.0]
 
@@ -176,7 +193,7 @@ class TestKernelStftOracle:
                 out.append((kernel_signal(spec, moll), dense_kernel(line)))
         return out
 
-    @pytest.mark.parametrize("w", [WindowSpec(1.0), WindowSpec(0.7, unit_norm=False)])
+    @pytest.mark.parametrize("w", [WindowSpec(1.0), WindowSpec(0.7)])
     def test_interior_points_match_to_round_off(self, pairs, w):
         # every window support (10 widths) inside the grid, where both sums
         # agree, and frequencies inside the passband
@@ -212,19 +229,26 @@ class TestPropagatorKernel:
 
     @pytest.mark.parametrize("symbol, time", KERNEL_CASES)
     def test_matches_sampled_line_in_reach(self, symbol, time):
-        # under each mollifier the analytic line matches the line sampled by
-        # FFT, at offsets within 80% of the sampled line's extent
+        # under each mollifier the kernel at (x, 0, f, -f) is the STFT of its line
+        # at (x, f) against a window sqrt(2) times as wide, taken with amplitude 1:
+        # it matches the line sampled by FFT, at offsets within 80% of the
+        # sampled line's extent.  The kernel's values are 0.475 times the line's,
+        # so 5e-13 here is 1e-12 on the line
         spec = EvolutionSpec(symbol, time)
         rng = np.random.default_rng(8)
         x = rng.uniform(-0.8, 0.8, (2000, 1)) * N_ORACLE * DX_ORACLE
-        w = WindowSpec(0.8)
+        line_w = WindowSpec(0.8)
+        w = WindowSpec(line_w.width / math.sqrt(2.0))
+        scale = (2.0 * math.pi) ** -0.5 / line_w.amplitude(1)
         for moll in MOLLIFIERS:
             f = rng.uniform(-moll, moll, (2000, 1))
             f[:200] *= 1e-3   # |f| near 0
-            want = stft_points(sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, moll), w, x, f)
-            assert np.max(np.abs(want)) > 0.1
-            np.testing.assert_allclose(stft_points(kernel_signal(spec, moll).line, w, x, f),
-                                       want, rtol=0.0, atol=1e-12)
+            line = sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, moll)
+            want = scale * stft_points(line, line_w, x, f)
+            assert np.max(np.abs(want)) > 0.05
+            got = stft_points(kernel_signal(spec, moll), w, np.column_stack([x, 0.0 * x]),
+                              np.column_stack([f, -f]))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-13)
 
     @pytest.mark.parametrize("symbol", [XSQ, poly_1d(0.0, 0.0, 0.0, 1.0)])
     def test_is_the_limit_of_wide_mollifiers(self, symbol):
@@ -257,15 +281,16 @@ class TestPropagatorKernel:
 
     def test_no_aliasing_guard_and_no_dense_matrix(self):
         # x^3 at t = 0.05 aliases on the oracle's 1024-sample line; the analytic
-        # line has no samples, and a kernel takes no sampled line
+        # line has no samples: a kernel is its 1-d phase and passband alone
         spec = EvolutionSpec(poly_1d(0.0, 0.0, 0.0, 1.0), 0.05)
         with pytest.raises(AssertionError):
             sampled_kernel_line(spec, N_ORACLE, DX_ORACLE, MOLLIFIERS[0])
         kernel = propagator_kernel(spec)
         assert kernel.passband == math.inf and not hasattr(kernel, "dense")
+        assert kernel.phase.coeffs == {(3,): -0.05}
         assert np.all(np.isfinite(stft_points(kernel, WindowSpec(1.0), [[1.0, -2.0]], [[3.0, 4.0]])))
-        with pytest.raises(DomainError, match="analytic"):
-            ConvolutionKernel(SampledSignal(DX_ORACLE, np.zeros(2 * N_ORACLE)))
+        with pytest.raises(DomainError, match="1-d"):
+            ConvolutionKernel(PolynomialData(2, {(2, 0): 1.0}))
 
 
 class TestRegularDataStayRegular:

@@ -132,6 +132,12 @@ class TestSconicClosure:
                                scale_point(idx, base, mu).xi]) for mu in (0.5, 1.0, 2.0)]
         assert sconic_closure_check(PointSet(pts), idx, [0.3, 3.0])
 
+    @pytest.mark.parametrize("point, scale", [([1.0, 2.0], 1e300), ([1e200, 0.0], 1e100)])
+    def test_scale_past_the_double_range(self, point, scale):
+        # the factor's power, or the scaled coordinate, leaves the double range
+        with pytest.raises(DomainError, match="double range"):
+            sconic_closure_check(PointSet([point]), AnisoIndex(1.2, 1.2), [scale])
+
     def test_composition_directions_scale_invariant(self):
         # compose(scaled A, scaled B) projects onto the directions of compose(A, B)
         idx = AnisoIndex(1.0, 1.0)

@@ -123,6 +123,16 @@ class TestPointSampled:
                           np.array([[1.0], [1.0]]))
         assert np.all(np.isfinite(got)) and got[1] == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
+    def test_window_has_unit_norm(self, d, width):
+        # the d per-axis factors multiply to the window, so its squared L2 norm
+        # is the d-th power of one factor's; a trapezoid over 12 widths each side
+        w = WindowSpec(width)
+        y = np.linspace(-12.0, 12.0, 4001) * width
+        factor = np.trapezoid(w.values_1d(y, d) ** 2, y)
+        assert factor ** d == pytest.approx(1.0, abs=1e-13)
+
     def test_sampled_2d_matches_tensor_closed_form(self):
         g = make_gaussian(2, 64, 0.25)
         w = WindowSpec(1.0)
@@ -553,11 +563,12 @@ class TestChirpQuadrature:
             return steepest_descent(taylor, width, gap_rule)
 
         monkeypatch.setattr(stft_module, "_steepest_descent", recording)
-        # (2 + 1/sigma^2)^(-1/2), sigma = 0.6 pi / 0.1108, as _fourier_chirp computes it
-        w = WindowSpec(0.7064967668949592, unit_norm=False)
+        # (2 + 1/sigma^2)^(-1/2), sigma = 0.6 pi / 0.1108: the width _convolution
+        # computes for a unit window
+        w = WindowSpec(0.7064967668949592)
         got = _chirp_quadrature(poly_1d(*coeffs), w, np.array([x]), np.array([xi]))
         assert math.inf in gap_rules
-        want = dense_chirp_oracle(coeffs, x, xi, w.width, unit_norm=False, npts=npts + 1)
+        want = dense_chirp_oracle(coeffs, x, xi, w.width, npts=npts + 1)
         assert abs(want) > 1e-8
         assert got[0] == pytest.approx(want, rel=1e-9, abs=0.0)
 
@@ -594,8 +605,10 @@ class TestChirpQuadrature:
             assert max(sizes) <= 4
             assert got[0] == pytest.approx(want[k], rel=1e-9)
 
-    # degree 4 and 5, negative leading coefficients, and the amplitude-1 window
-    # of width (1 + 1)^(-1/2) that _fourier_chirp passes for sigma_m = W = 1
+    # degree 4 and 5, negative leading coefficients, and the window of width
+    # (1 + 1)^(-1/2) that _convolution takes for a unit window and no mollifier,
+    # whose values it divides by the window's amplitude: there the oracle is
+    # taken with amplitude 1
     @pytest.mark.parametrize("coeffs, width, unit_norm", [
         ((0.0, 0.5, -2.0, 0.0, 1.0), 1.0, True),
         ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0, True),
@@ -607,8 +620,10 @@ class TestChirpQuadrature:
         dphase = np.polynomial.polynomial.polyder(coeffs)
         x = np.repeat([-2.0, -1.0, 0.0, 0.5, 1.5, 2.0], 4)
         xi = np.polynomial.polynomial.polyval(x, dphase) + np.tile([0.0, 3.0, -8.0, 20.0], 6)
-        got = stft_points(chirp_signal(poly_1d(*coeffs)), WindowSpec(width, unit_norm),
-                          x[:, None], xi[:, None])
+        w = WindowSpec(width)
+        got = stft_points(chirp_signal(poly_1d(*coeffs)), w, x[:, None], xi[:, None])
+        if not unit_norm:
+            got /= w.amplitude(1)
         # ten widths each side: there the oracle's nodes still resolve x^5
         want = np.array([dense_chirp_oracle(coeffs, a, b, width, unit_norm, half=10.0,
                                             npts=(1 << 18) + 1) for a, b in zip(x, xi)])
@@ -676,12 +691,6 @@ class TestGridAndInversion:
         s = istft(half1, w).values + istft(half2, w).values
         np.testing.assert_allclose(s, istft(g1, w).values, atol=1e-10)
 
-    def test_inversion_requires_unit_window(self):
-        u = make_gaussian(1, 256, 0.1)
-        grid = stft_grid(u, WindowSpec(1.0))
-        with pytest.raises(DomainError):
-            istft(grid, WindowSpec(1.0, unit_norm=False))
-
 
 class TestSymmetries:
     def test_reflection_identity(self):
@@ -743,6 +752,15 @@ class TestSeminorms:
         v_small = classical_seminorm(u, idx, h=0.5, max_order=4)
         v_large = classical_seminorm(u, idx, h=1.0, max_order=4)
         assert v_small >= v_large
+
+    def test_classical_extreme_h(self):
+        # h^(|a|+|b|) leaves the double range at both ends: the ratios past
+        # order 0 are inf at h = 1e-100 and vanish at h = 1e100, leaving sup |u|
+        u = make_gaussian(1, 256, 0.1)
+        idx = AnisoIndex(1.0, 1.0)
+        assert classical_seminorm(u, idx, h=1e-100, max_order=4) == math.inf
+        assert classical_seminorm(u, idx, h=1e100, max_order=4) == pytest.approx(
+            math.pi ** -0.25, abs=1e-10)
 
     def test_classical_max_order_cap(self):
         u = make_gaussian(1, 256, 0.1)
