@@ -2,15 +2,16 @@
 
 Sampled signals live on a uniform centered grid x_j = (j - n/2) dx per axis;
 the matching frequency grid is xi_k = (k - n/2) dxi with dxi = 2 pi / (n dx).
-Distribution-like signals (Dirac delta, the constant function) are kept
-analytic and never sampled; so is a convolution kernel, kept as the phase of
-its line on the Fourier side and the width of a mollifier there.
+WindowSpec, the unit Gaussian, is the STFT window and the sampled and analytic
+Gaussians.  Analytic signals, tensor products of 1-d closed forms, are never
+sampled; nor is a convolution kernel, kept as the phase of its line on the
+Fourier side and the width of a mollifier there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,25 +76,39 @@ class SampledSignal:
 
 
 @dataclass(frozen=True)
-class AnalyticSignal:
-    """Closed-form signal: dirac-delta, constant-one, gaussian, poly-chirp or tensor."""
+class WindowSpec:
+    """The unit Gaussian pi^(-1/4) W^(-1/2) exp(-y^2 / (2 W^2)) of width W: unit L2
+    norm in 1-d; in d dimensions the window is the product of d of them."""
 
-    kind: str
-    dim: int
-    width: float | None = None
-    phase: PolynomialData | None = None
-    factors: tuple = field(default=())
+    width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("dirac-delta", "constant-one", "gaussian", "poly-chirp", "tensor"):
-            raise DomainError(f"unknown analytic signal kind {self.kind!r}")
-        if self.kind == "gaussian" and not (self.width and self.width > 0):
-            raise DomainError("gaussian width must be positive")
-        if self.kind == "poly-chirp":
-            if self.phase is None or self.phase.dim != self.dim:
-                raise DomainError("poly-chirp needs a phase polynomial of matching dimension")
-        if self.kind == "tensor" and sum(f.dim for f in self.factors) != self.dim:
-            raise DomainError("tensor factor dimensions must sum to the signal dimension")
+        # 1 / width^2 scales every window exponent: below 2^-511 it overflows
+        if not self.width >= 2.0 ** -511:
+            raise DomainError(f"window width must be at least 2^-511, got {self.width}")
+
+    @property
+    def amplitude(self) -> float:
+        return math.pi ** -0.25 * self.width ** -0.5
+
+    def values_1d(self, offsets: np.ndarray) -> np.ndarray:
+        """The 1-d window at the offsets; 0 where its square overflows."""
+        offsets = np.asarray(offsets, dtype=float)
+        with np.errstate(over="ignore"):
+            return self.amplitude * np.exp(-offsets * offsets / (2.0 * self.width ** 2))
+
+
+@dataclass(frozen=True)
+class AnalyticSignal:
+    """Tensor product of 1-d factors, one per axis: ("delta",), ("gauss", amp,
+    alpha, c0, c1) for amp exp(i c0 + i c1 y - alpha y^2) with Re alpha >= 0, or
+    ("chirp", phase) for exp(i phase(y)), phase of degree >= 3."""
+
+    factors: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.factors)
 
 
 class ConvolutionKernel:
@@ -120,31 +135,29 @@ class ConvolutionKernel:
 
 
 def delta_signal(dim: int = 1) -> AnalyticSignal:
-    return AnalyticSignal("dirac-delta", dim)
+    return AnalyticSignal((("delta",),) * dim)
 
 
 def one_signal(dim: int = 1) -> AnalyticSignal:
-    return AnalyticSignal("constant-one", dim)
+    return AnalyticSignal((("gauss", 1.0, 0.0, 0.0, 0.0),) * dim)
 
 
 def gaussian_signal(width: float = 1.0, dim: int = 1) -> AnalyticSignal:
-    return AnalyticSignal("gaussian", dim, width=width)
+    w = WindowSpec(width)
+    return AnalyticSignal((("gauss", w.amplitude, 1.0 / (2.0 * w.width ** 2), 0.0, 0.0),) * dim)
 
 
 def chirp_signal(phase: PolynomialData) -> AnalyticSignal:
-    return AnalyticSignal("poly-chirp", phase.dim, phase=phase)
+    if phase.dim != 1:
+        raise DomainError(f"an analytic chirp phase is 1-d, got dimension {phase.dim}")
+    if phase.degree >= 3:
+        return AnalyticSignal((("chirp", phase),))
+    c0, c1, c2 = (phase.coeffs.get((k,), 0.0) for k in range(3))
+    return AnalyticSignal((("gauss", 1.0, -1j * c2, c0, c1),))
 
 
 def tensor_signal(u: AnalyticSignal, v: AnalyticSignal) -> AnalyticSignal:
-    return AnalyticSignal("tensor", u.dim + v.dim, factors=(u, v))
-
-
-def gaussian_values(x: np.ndarray, width: float) -> np.ndarray:
-    """pi^(-d/4) w^(-d/2) exp(-|x|^2 / (2 w^2)) evaluated on points (..., d)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    r2 = np.sum(x * x, axis=-1)
-    return math.pi ** (-d / 4.0) * width ** (-d / 2.0) * np.exp(-r2 / (2.0 * width ** 2))
+    return AnalyticSignal(u.factors + v.factors)
 
 
 def _grid(d: int, n: int, dx: float) -> np.ndarray:
@@ -159,9 +172,8 @@ def _grid(d: int, n: int, dx: float) -> np.ndarray:
 
 
 def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSignal:
-    """Unit-L2 Gaussian of the given width, sampled on the centered grid."""
-    if not width > 0.0:
-        raise DomainError(f"width must be positive, got {width}")
+    """The window of the given width sampled on the centered grid."""
+    w = WindowSpec(width)
     half = n * dx / 2.0
     # L2 mass outside the grid cube; erf(X/w) per axis for the squared modulus.
     inside = math.erf(half / width) ** d
@@ -169,8 +181,7 @@ def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSigna
         raise ResolutionError(
             f"grid half-width {half} truncates {1.0 - inside:.2e} of the Gaussian mass"
         )
-    grid = _grid(d, n, dx)
-    return SampledSignal(dx, gaussian_values(grid, width).astype(complex))
+    return SampledSignal(dx, np.prod(w.values_1d(_grid(d, n, dx)), axis=-1).astype(complex))
 
 
 def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float = math.inf,

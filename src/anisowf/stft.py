@@ -7,15 +7,14 @@ quadrature on the signal grid (x and xi need not lie on any lattice: each
 point's stencil weighs its nodes by one Gaussian row shared by all points
 times two short per-point exponentials, _sampled), for
 convolution kernels from one chirp STFT at a swapped point (_convolution),
-and for analytic signals from closed forms: analytic Gaussians, the
-constant 1 and chirps of degree <= 2 are all amp exp(i c0 + i c1 y - alpha y^2),
-whose STFT is one complex Gaussian integral (_gaussian_integral); the
-Dirac delta gives the reflected window.  Chirps of degree >= 3 are
-integrated along steepest-descent paths from the saddles of the windowed
-phase, and from discs around saddles too near each other for that, at a
-fixed number of nodes per path and segment whatever the point
-(_steepest_descent).  Full grids are swept with an FFT per translate.
-Every window has unit L2 norm.
+and for analytic signals, products of 1-d factors like the window, as
+products of 1-d closed forms: analytic Gaussians, the constant 1 and chirps
+of degree <= 2 are amp exp(i c0 + i c1 y - alpha y^2), a complex Gaussian
+integral (_gaussian_integral); the Dirac delta gives the reflected window.
+Chirps of degree >= 3 are integrated along steepest-descent paths from the
+saddles of the windowed phase, and from discs around saddles too near each
+other for that, at a fixed number of nodes per path and segment whatever
+the point (_steepest_descent).  Full grids are swept with an FFT per translate.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
 from .poly import PolynomialData, coeff_array, iter_multi_indices
-from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, chirp_signal,
-                      fourier)
+from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, WindowSpec,
+                      chirp_signal, fourier)
 
 _TWO_PI = 2.0 * math.pi
 # Window centres stay within this fraction of a grid's extent.  Estimator
@@ -64,27 +63,6 @@ _SEGMENT_ORDER = 64
 _UNDERFLOW = math.log(np.finfo(float).tiny)
 # exp of more than this leaves the double range.
 _OVERFLOW = math.log(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Gaussian window of the given width and unit L2 norm."""
-
-    width: float = 1.0
-
-    def __post_init__(self):
-        # 1 / width^2 scales every window exponent: below 2^-511 it overflows
-        if not self.width >= 2.0 ** -511:
-            raise DomainError(f"window width must be at least 2^-511, got {self.width}")
-
-    def amplitude(self, d: int) -> float:
-        return math.pi ** (-d / 4.0) * self.width ** (-d / 2.0)
-
-    def values_1d(self, offsets: np.ndarray, d: int = 1) -> np.ndarray:
-        """Per-axis window factor for separable products (amplitude split evenly)."""
-        offsets = np.asarray(offsets, dtype=float)
-        amp = self.amplitude(d) ** (1.0 / d)
-        return amp * np.exp(-offsets * offsets / (2.0 * self.width ** 2))
 
 
 @dataclass
@@ -166,7 +144,7 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     nq = -(-length // b)
     # Only the stencil's end nodes may lie outside the support.
     ends = np.array([-half, half]) * dx
-    row = w.values_1d((np.arange(nq * b) - half) * dx, d)
+    row = w.values_1d((np.arange(nq * b) - half) * dx)
     row[length:] = 0.0
     if d == 1:
         # the stencil of the point nearest node m is windows[m]
@@ -224,8 +202,9 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
             exp(-sigma^2 W^2 / 4 - W^2 f^2 / (s^2 alpha) - i (x0 xi0 + x1 xi1))
 
     where V_chirp is the STFT of exp(i q) against the unit-norm window of
-    width alpha^(-1/2), whose amplitude(1) is A: a closed form for degree
+    width alpha^(-1/2), whose amplitude is A: a closed form for degree
     <= 2, steepest descent above.  With no mollifier (s = inf) alpha = 2 W^2.
+    A value whose Gaussian factor underflows is 0.
     """
     width, s = w.width, u.passband
     alpha = (1.0 / s) ** 2 + 2.0 * width ** 2
@@ -234,27 +213,42 @@ def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
     f = (xis[:, 0] - xis[:, 1]) / 2.0
     v = stft_points(chirp_signal(u.phase), chirp_w, (2.0 * width ** 2 / alpha) * f[:, None],
                     xs[:, 1:] - xs[:, :1])
-    return (width / (math.sqrt(2.0) * math.pi * chirp_w.amplitude(1)) * v
-            * np.exp(-(sigma * width) ** 2 / 4.0 - (width * f / s) ** 2 / alpha
-                     - 1j * (xs[:, 0] * xis[:, 0] + xs[:, 1] * xis[:, 1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (-(sigma * width) ** 2 / 4.0 - (width * f / s) ** 2 / alpha
+                - 1j * (xs[:, 0] * xis[:, 0] + xs[:, 1] * xis[:, 1]))
+    return width / (math.sqrt(2.0) * math.pi * chirp_w.amplitude) * v * _exp_or_zero(expo)
 
 
-def _gaussian_integral(w: WindowSpec, xs: np.ndarray, xis: np.ndarray, alpha: complex,
-                       amp: float = 1.0, c0: float = 0.0, c1: float = 0.0) -> np.ndarray:
-    """Closed-form STFT of u(y) = amp exp(i c0 + sum_j (i c1 y_j - alpha y_j^2)), Re alpha >= 0.
+def _exp_or_zero(expo: np.ndarray) -> np.ndarray:
+    """exp(expo), exactly 0 wherever its modulus underflows, whatever the phase there."""
+    out = np.zeros(expo.shape, dtype=complex)
+    live = np.exp(expo.real) > 0.0
+    out[live] = np.exp(expo[live])
+    return out
 
-    Per axis the window integral is the complex Gaussian integral
+
+def _gaussian_integral(w: WindowSpec, x: np.ndarray, xi: np.ndarray, amp: float,
+                       alpha: complex, c0: float, c1: float) -> np.ndarray:
+    """Closed-form STFT of u(y) = amp exp(i c0 + i c1 y - alpha y^2), Re alpha >= 0, in 1-d.
+
+    The window integral is the complex Gaussian integral
     int exp(-a y^2 + q y) dy = sqrt(pi / a) exp(q^2 / (4 a)) with a = alpha + b,
-    b = 1/(2 W^2) for the window width W and q = 2 b x + i (c1 - xi).
+    b = 1/(2 W^2) for the window width W and q = 2 b x + i kappa, kappa = c1 - xi.
+    With the window's -b x^2 its exponent is
+
+        i c0 - (b alpha / a) x^2 + i (b / a) x kappa - kappa^2 / (4 a),
+
+    so q^2 / (4 a) and b x^2 never cancel (alpha = 0 drops the x^2 term), and a
+    term past the double range leaves a value whose modulus underflows: 0.
     """
-    d = xs.shape[1]
     b = 1.0 / (2.0 * w.width ** 2)
-    a = b + alpha
-    q = 2.0 * b * xs + 1j * (c1 - xis)
-    # single combined exponent; the separated factors would underflow/overflow
-    expo = 1j * c0 + np.sum(q * q / (4.0 * a) - b * xs * xs, axis=1)
-    integral = amp * w.amplitude(d) * np.sqrt(math.pi / a) ** d * np.exp(expo)
-    return _TWO_PI ** (-d / 2.0) * integral
+    a = alpha + b
+    kappa = c1 - xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (1j * c0 - (b * alpha / a) * x * x + (1j * b / a) * x * kappa
+                - (0.25 / a) * kappa * kappa)
+    # (2 pi)^(-1/2) sqrt(pi / a) = sqrt(1 / (2 a))
+    return amp * w.amplitude * np.sqrt(0.5 / a) * _exp_or_zero(expo)
 
 
 @functools.cache
@@ -557,14 +551,14 @@ def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
     out = np.empty(len(xs), dtype=complex)
     width = 2 * (m - 1) * (m + 1)
     for block in _blocks(len(xs), width):
-        out[block] = w.amplitude(1) * _steepest_descent(taylor[block], w.width, _SADDLE_GAP)
+        out[block] = w.amplitude * _steepest_descent(taylor[block], w.width, _SADDLE_GAP)
     # A point whose chain needs a lost path, as one that runs into a lower saddle
     # near a Stokes line, is integrated again with saddles clustered wherever
     # their discs meet, whatever their gap.
     again = np.flatnonzero(np.isnan(out))
     for block in _blocks(len(again), width):
         rows = again[block]
-        out[rows] = w.amplitude(1) * _steepest_descent(taylor[rows], w.width, math.inf)
+        out[rows] = w.amplitude * _steepest_descent(taylor[rows], w.width, math.inf)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"no chain of steepest-descent paths at window centre "
                           f"{xs[~np.isfinite(out)][0]}")
@@ -592,28 +586,15 @@ def stft_points(u, w: WindowSpec, xs, xis) -> np.ndarray:
         return _sampled(u, w, xs, xis)
     if isinstance(u, ConvolutionKernel):
         return _convolution(u, w, xs, xis)
-    d = u.dim
-    if u.kind == "gaussian":
-        # the unit-L2 signal Gaussian has the unit-norm window's amplitude
-        return _gaussian_integral(w, xs, xis, 1.0 / (2.0 * u.width ** 2),
-                                  amp=WindowSpec(u.width).amplitude(d))
-    if u.kind == "constant-one":
-        return _gaussian_integral(w, xs, xis, 0.0)
-    if u.kind == "dirac-delta":
-        return _TWO_PI ** (-d / 2.0) * np.prod(w.values_1d(-xs, d), axis=1)
-    if u.kind == "poly-chirp":
-        if d != 1:
-            raise DomainError("analytic chirp STFT implemented for d = 1 only")
-        if u.phase.degree >= 3:
-            return _chirp_quadrature(u.phase, w, xs[:, 0], xis[:, 0])
-        c0, c1, c2 = (u.phase.coeffs.get((k,), 0.0) for k in range(3))
-        return _gaussian_integral(w, xs, xis, -1j * c2, c0=c0, c1=c1)
-    # tensor: the product of its factors' values on their column slices
+    # the window is separable too: the product of the factors' 1-d values
     val = np.ones(len(xs), dtype=complex)
-    off = 0
-    for f in u.factors:
-        val *= stft_points(f, w, xs[:, off:off + f.dim], xis[:, off:off + f.dim])
-        off += f.dim
+    for (kind, *args), x, xi in zip(u.factors, xs.T, xis.T):
+        if kind == "delta":
+            val *= _TWO_PI ** -0.5 * w.values_1d(-x)
+        elif kind == "gauss":
+            val *= _gaussian_integral(w, x, xi, *args)
+        else:
+            val *= _chirp_quadrature(*args, w, x, xi)
     return val
 
 

@@ -134,7 +134,7 @@ class TestKernelSignal:
             K = kernel_signal(EvolutionSpec(XSQ, 0.0), sigma)
             a2 = 1.0 / (2.0 * sigma ** 2)
             p = 1.0 / a2 + 1.0 / width ** 2
-            const = (w.amplitude(2) * sigma * (2.0 * math.pi) ** -1.5
+            const = (w.amplitude ** 2 * sigma * (2.0 * math.pi) ** -1.5
                      * math.sqrt(2.0 * math.pi / p) * math.sqrt(2.0 * math.pi) * width)
             want = const * np.exp(-u2 / (2.0 * (a2 + width ** 2)) - xi_u2 / (2.0 * p)
                                   - width ** 2 * xi_v2 / 2.0
@@ -239,7 +239,7 @@ class TestPropagatorKernel:
         x = rng.uniform(-0.8, 0.8, (2000, 1)) * N_ORACLE * DX_ORACLE
         line_w = WindowSpec(0.8)
         w = WindowSpec(line_w.width / math.sqrt(2.0))
-        scale = (2.0 * math.pi) ** -0.5 / line_w.amplitude(1)
+        scale = (2.0 * math.pi) ** -0.5 / line_w.amplitude
         for moll in MOLLIFIERS:
             f = rng.uniform(-moll, moll, (2000, 1))
             f[:200] *= 1e-3   # |f| near 0

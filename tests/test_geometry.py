@@ -106,6 +106,21 @@ class TestLambdaSolve:
         np.testing.assert_allclose(t * log_lambda_many(AnisoIndex(t, 2.0 * t), xs, xis),
                                    np.log(lam), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    @pytest.mark.parametrize("t", [1.0, 0.6])
+    def test_extreme_coordinates_solve_the_log_equation(self, c, t):
+        # h(u) = logaddexp(La - 2t u, Lb - 2s u) vanishes at the root up to the
+        # rounding of its terms: a few eps of the larger of |La|, |Lb| and 1
+        xs, xis, _, _ = extreme_points(c)
+        s = 2.0 * t
+        u = log_lambda_many(AnisoIndex(t, s), xs, xis)
+        with np.errstate(divide="ignore"):
+            la, lb = 2.0 * np.log(np.abs(xs[:, 0])), 2.0 * np.log(np.abs(xis[:, 0]))
+        h = np.logaddexp(la - 2.0 * t * u, lb - 2.0 * s * u)
+        size = np.max(np.abs(np.nan_to_num(np.stack([la, lb, np.ones_like(la)]), neginf=0.0)),
+                      axis=0)
+        assert np.all(np.abs(h) <= 4.0 * np.finfo(float).eps * size)
+
 
 class TestProject:
     def test_axis_example(self):

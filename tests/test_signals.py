@@ -5,7 +5,7 @@ import pytest
 
 from anisowf.errors import AliasingError, DomainError, ResolutionError
 from anisowf.poly import eval_poly, poly_1d
-from anisowf.signals import (SampledSignal, fourier, gaussian_values, make_chirp,
+from anisowf.signals import (SampledSignal, WindowSpec, fourier, make_chirp,
                              make_gaussian, tensor)
 
 
@@ -104,7 +104,7 @@ class TestFourier:
     def test_gaussian_fixed_point(self):
         sig = make_gaussian(1, 512, 0.05)
         hat = fourier(sig)
-        expect = gaussian_values(hat.axis_coords()[:, None], 1.0)
+        expect = WindowSpec(1.0).values_1d(hat.axis_coords())
         np.testing.assert_allclose(hat.values.real, expect, atol=1e-8)
         np.testing.assert_allclose(hat.values.imag, 0.0, atol=1e-8)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from anisowf import stft as stft_module
 from anisowf.errors import DomainError, ResolutionError, TruncationError
 from anisowf.evolution import EvolutionSpec, kernel_signal
 from anisowf.geometry import AnisoIndex, PhasePoint
-from anisowf.poly import poly_1d
+from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
@@ -88,6 +89,73 @@ class TestPointClosedForms:
         v2 = stft_point(delta_signal(1), w, PhasePoint(0.4, -2.0))
         assert got == pytest.approx(v1 * v2, abs=1e-14)
 
+    def test_gaussian_is_the_tensor_of_its_axes(self):
+        w = WindowSpec(1.3)
+        rng = np.random.default_rng(9)
+        xs, xis = rng.uniform(-3.0, 3.0, (25, 2)), rng.uniform(-3.0, 3.0, (25, 2))
+        pair = tensor_signal(gaussian_signal(0.8), gaussian_signal(0.8))
+        np.testing.assert_array_equal(stft_points(gaussian_signal(0.8, 2), w, xs, xis),
+                                      stft_points(pair, w, xs, xis))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_matches_one_combined_exponent(self, d):
+        # the d-dimensional Gaussian integral in one exponent: with a = 1/(2 w^2) + b,
+        # b = 1/(2 W^2) and q = 2 b x - i xi, V = (pi w W)^(-d/2) (pi / a)^(d/2)
+        # (2 pi)^(-d/2) exp(sum_j q_j^2 / (4 a) - b x_j^2), in long double
+        width, big_w = 0.8, 1.3
+        rng = np.random.default_rng(4)
+        xs, xis = rng.uniform(-1.0, 1.0, (30, d)), rng.uniform(-1.0, 1.0, (30, d))
+        x = xs.astype(np.longdouble)
+        b = 1 / (2 * np.longdouble(big_w) ** 2)
+        a = 1 / (2 * np.longdouble(width) ** 2) + b
+        q = 2 * b * x - 1j * xis.astype(np.longdouble)
+        want = ((width * big_w) ** (-d / 2.0) * a ** (-d / 2.0) * TWO_PI ** (-d / 2.0)
+                * np.exp(np.sum(q * q / (4 * a) - b * x * x, axis=1)))
+        got = stft_points(gaussian_signal(width, d), WindowSpec(big_w), xs, xis)
+        # each axis's factor rounds by about 2 ulps (1.1e-15 seen in d = 3 over 3000 points)
+        np.testing.assert_allclose(got, want.astype(complex), rtol=d * 5e-16, atol=0.0)
+
+    def test_chirp_phase_is_one_dimensional(self):
+        with pytest.raises(DomainError):
+            chirp_signal(PolynomialData(2, {(2, 0): 1.0, (0, 2): 1.0}))
+
+
+class TestClosedFormRange:
+    """Closed forms far out in phase space: no cancellation, and a value whose
+    modulus underflows is exactly 0, with no floating-point warning."""
+
+    def test_constant_one_has_no_cancellation(self):
+        # b x^2 = 800 for the narrow window: an exponent in which q^2 / (4 a)
+        # cancels b x^2 loses about 1e-13 here
+        w = WindowSpec(0.1)
+        xi = np.array([0.0, 0.7, -3.0, 12.0])
+        x = np.full_like(xi, 4.0)
+        want = (math.pi ** -0.25 * w.width ** 0.5
+                * np.exp(-w.width ** 2 * xi * xi / 2.0 - 1j * x * xi))
+        np.testing.assert_allclose(stft_points(one_signal(), w, x[:, None], xi[:, None]), want,
+                                   rtol=1e-15, atol=0.0)
+
+    def test_far_points(self):
+        # pytest turns every RuntimeWarning into an error (pyproject.toml)
+        w = WindowSpec(1.0)
+        xs = np.array([[1e160], [0.5]])
+        xis = np.array([[0.5], [1e160]])
+        for u in (gaussian_signal(), chirp_signal(poly_1d(0.0, 0.0, 1.0))):
+            np.testing.assert_array_equal(stft_points(u, w, xs, xis), 0.0)
+        # V 1 does not decay in x, nor V delta in xi
+        one = stft_points(one_signal(), w, xs, xis)
+        assert abs(one[0]) == pytest.approx(math.pi ** -0.25 * math.exp(-0.125), rel=1e-15)
+        assert one[1] == 0.0
+        delta = stft_points(delta_signal(), w, xs, xis)
+        assert delta[0] == 0.0
+        assert delta[1] == pytest.approx(TWO_PI ** -0.5 * math.pi ** -0.25 * math.exp(-0.125),
+                                         rel=1e-15)
+        # the kernel's Gaussian factor in xi0 + xi1, and its chirp's in x1 - x0
+        K = kernel_signal(EvolutionSpec(poly_1d(0.0, 0.0, 1.0), 0.3), math.inf)
+        got = stft_points(K, w, np.array([[0.0, 0.0], [1e160, 0.0]]),
+                          np.array([[1e160, 1e160], [0.5, 0.5]]))
+        np.testing.assert_array_equal(got, 0.0)
+
 
 class TestPointSampled:
     def test_sampled_gaussian_matches_closed_form(self):
@@ -123,15 +191,18 @@ class TestPointSampled:
                           np.array([[1.0], [1.0]]))
         assert np.all(np.isfinite(got)) and got[1] == 0.0
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
     def test_window_has_unit_norm(self, d, width):
-        # the d per-axis factors multiply to the window, so its squared L2 norm
-        # is the d-th power of one factor's; a trapezoid over 12 widths each side
+        # the window in d dimensions is the product of d 1-d factors: the squared
+        # L2 norm of that product, a trapezoid over 12 widths each side on every
+        # axis (a Gaussian's trapezoid sum is exact to round-off at 1/4 width)
         w = WindowSpec(width)
-        y = np.linspace(-12.0, 12.0, 4001) * width
-        factor = np.trapezoid(w.values_1d(y, d) ** 2, y)
-        assert factor ** d == pytest.approx(1.0, abs=1e-13)
+        y = np.linspace(-12.0, 12.0, 97) * width
+        mass = functools.reduce(np.multiply.outer, [w.values_1d(y)] * d) ** 2
+        for _ in range(d):
+            mass = np.trapezoid(mass, y, axis=0)
+        assert mass == pytest.approx(1.0, abs=1e-13)
 
     def test_sampled_2d_matches_tensor_closed_form(self):
         g = make_gaussian(2, 64, 0.25)
@@ -623,7 +694,7 @@ class TestChirpQuadrature:
         w = WindowSpec(width)
         got = stft_points(chirp_signal(poly_1d(*coeffs)), w, x[:, None], xi[:, None])
         if not unit_norm:
-            got /= w.amplitude(1)
+            got /= w.amplitude
         # ten widths each side: there the oracle's nodes still resolve x^5
         want = np.array([dense_chirp_oracle(coeffs, a, b, width, unit_norm, half=10.0,
                                             npts=(1 << 18) + 1) for a, b in zip(x, xi)])
