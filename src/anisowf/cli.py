@@ -149,12 +149,13 @@ def cmd_stft(config, out, seed):
         raise ConfigError("signal: the stft command sweeps 1-d signals")
     w = parse_window(config)
     grid = stft_grid(sig, w)
-    write_stft_csv(out.path("stft_grid.csv"), grid)
-    out.write_json("moyal.json", report_envelope(config, seed, {
+    report = report_envelope(config, seed, {
         "moyal_error": moyal_error(sig, grid),
         "signal_norm": sig.norm(),
         "stft_norm": grid.l2_norm(),
-    }))
+    })
+    write_stft_csv(out.path("stft_grid.csv"), grid)
+    out.write_json("moyal.json", report)
 
 
 def cmd_wf(config, out, seed):

@@ -1,51 +1,51 @@
 """File formats and deterministic serialization.
 
 Signals travel as CSV with a leading header carrying n, dx, dim; polynomials
-as JSON multi-index coefficient lists; estimates and reports as JSON written
-with a fixed 17-significant-digit float format so identical runs produce
-byte-identical files.  Every CSV file (signals, STFT grids, decay profiles)
-goes through one writer, _write_table, which formats blocks of rows at 17
-significant digits with CRLF line ends.  A large table is split at block
-bounds into one contiguous range per usable CPU: forked children write the
-later ranges into temp parts beside the file, and the caller writes the
-first, reaps the children and appends the parts, so the bytes are those of
-one process writing every block in turn.  Config fields are read by cfg_get
-through one of the field kinds below, which reject what JSON would otherwise
-coerce.
+as JSON multi-index coefficient lists; estimates and reports as JSON.  Every
+float is written as the text '%.17g' gives it, so identical runs produce
+byte-identical files.  Blocks of floats are formatted by _format17, an exact
+fixed-precision decimal conversion in numpy: each value is scaled to its 17
+digits by a double-double power of ten, and the few values it cannot decide
+(within 1e-9 of a rounding tie, or not finite) are formatted by Python's %
+instead.  Every CSV file (signals, STFT grids, decay profiles) goes through
+one writer, _write_table, which writes blocks of rows with CRLF line ends in
+the calling process.  Config fields are read by cfg_get through one of the
+field kinds below, which reject what JSON would otherwise coerce.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import pickle
-import shutil
-import signal
 import sys
-import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ToolkitError
+from .errors import ConfigError, DomainError
 from .estimator import STATUSES
 from .poly import PolynomialData
 from .signals import SampledSignal
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: floats at 17 significant digits, no whitespace drift."""
-    return _encode(obj)
+    """Deterministic JSON: floats at 17 significant digits, no whitespace drift.
+
+    The document is encoded as a %-template with a %s for each float, and
+    its floats are formatted by one _floats call."""
+    floats = []
+    return _encode(obj, floats) % tuple(_floats(floats))
 
 
-def _encode(obj) -> str:
-    """JSON text of obj; each container is joined as soon as its members are
-    encoded, so a large report never holds one string per token.  The
-    common kinds are tested first, and a float vector is formatted in one
-    pass rather than one call per float."""
+def _encode(obj, floats) -> str:
+    """The template of obj's JSON text, its floats appended to floats; a %
+    of the text is written %%.  Each container is joined as soon as its
+    members are encoded, so a large report never holds one string per
+    token, and the common kinds are tested first."""
     if isinstance(obj, (float, np.floating)):
-        return _float(float(obj))
+        floats.append(float(obj))
+        return "%s"
     if isinstance(obj, str):
-        return obj if isinstance(obj, _Raw) else _string(obj)
+        return (obj if isinstance(obj, _Raw) else _string(obj)).replace("%", "%%")
     if obj is None:
         return "null"
     if obj is True:
@@ -55,13 +55,14 @@ def _encode(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
-        return "{" + ",".join(_string(str(k)) + ":" + _encode(v)
+        return "{" + ",".join(_string(str(k)).replace("%", "%%") + ":" + _encode(v, floats)
                               for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if all(isinstance(v, float) for v in seq):
-            return "[" + ",".join(map(_float, seq)) + "]"
-        return "[" + ",".join(map(_encode, seq)) + "]"
+            floats.extend(seq)
+            return "[" + ",".join(["%s"] * len(seq)) + "]"
+        return "[" + ",".join([_encode(v, floats) for v in seq]) + "]"
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -73,118 +74,236 @@ def _float(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
+def _floats(values) -> list:
+    """_float of each float in the sequence values, through _format17."""
+    x = np.asarray(values, dtype=float)
+    chars, keep, sure = _format17(x, [b","])
+    texts = np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split(",")
+    for i in np.flatnonzero(~sure).tolist():
+        texts[i] = _float(float(x[i]))
+    return texts[:-1]
+
+
 def _string(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_BLOCK_ROWS = 1024
-# Rows per writer process: a table of fewer than twice this many is written by
-# the calling process alone.  Formatting them takes about 0.1 s, against a few
-# ms for a fork; the profiles of a 720-direction wf sweep (17,280 rows) and
-# the signals of a 1-d sweep (8,192 rows) stay serial.
-_PARALLEL_ROWS = 32 * _BLOCK_ROWS
+# _format17 writes each float into a cell of _CELL bytes, six uint64 words,
+# and a keep mask selects the bytes of its text:
+#   0       the sign "-"
+#   1 - 5   "0.000", the lead of a value in [1e-4, 1) without its zeros
+#   6 - 39  the 17 digits, each followed by a "." slot
+#   40 - 44 "e", the exponent's sign and its 3 digits
+#   45 - 47 the end written after the value
+_CELL = 48
+# decimal exponents k of the tables: every double has -324 <= k <= 308,
+# and a first guess may be one off
+_K_LO, _K_HI = -330, 330
+# cell layouts, one per sign and row of _tables' keep table
+_LAYOUTS = 23 * 17
 
 
-def _cuts(n_rows) -> list:
-    """Bounds of the contiguous row ranges _write_table formats at once: one
-    per usable CPU, at most one per _PARALLEL_ROWS rows, cut at multiples of
-    _BLOCK_ROWS.  One range where os.fork or os.sched_getaffinity is missing."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    k = max(1, min(cpus, n_rows // _PARALLEL_ROWS))
-    blocks = -(-n_rows // _BLOCK_ROWS)
-    return [min(n_rows, blocks * i // k * _BLOCK_ROWS) for i in range(k + 1)]
+@functools.cache
+def _tables():
+    """The tables of _format17, built on first use from exact integers.
+
+    For each k, 10^(16 - k) = (h + l) 2^q with h the double nearest the
+    128-bit floor of its mantissa, l the remainder and (hh, hl) the Dekker
+    halves of h; the relative error is below 2^-126.  Also the cells' words:
+    "d.d.d.d." for each 4-digit group, the first word "-0.000d." for each
+    leading digit and "e+ddd" for each k, and the keep rows."""
+    ks = np.arange(_K_LO, _K_HI + 1)
+    h, l, q = [], [], []
+    for p in (16 - ks).tolist():
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        e = num.bit_length() - den.bit_length() + 1   # 2^(e - 2) <= num / den < 2^e
+        m = (num << max(0, 128 - e)) // (den << max(0, e - 128))
+        h.append(float(m))
+        l.append(float(m - int(float(m))))
+        q.append(e - 128)
+    h = np.array(h)
+    c = h * 134217729.0
+    hh = c - (c - h)
+    pow10 = np.stack([h, hh, h - hh, np.array(l)])
+
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    groups = np.full((10000, 8), ord("."), np.uint8)
+    groups[:, ::2] = digits + ord("0")
+    # the position after a group's last nonzero digit, or below 1 for "0000"
+    tail = np.where(g, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
+    first = np.frombuffer(b"-0.0000." * 10, np.uint8).reshape(10, 8).copy()
+    first[:, 6] += np.arange(10, dtype=np.uint8)
+    ak = np.abs(ks)
+    expo = np.zeros((ks.size, 8), np.uint8)
+    expo[:, 0] = ord("e")
+    expo[:, 1] = np.where(ks < 0, ord("-"), ord("+"))
+    expo[:, 2:5] = np.stack([ak // 100, ak // 10 % 10, ak % 10], axis=1) + ord("0")
+
+    # keep rows, indexed by 17 layout + significant digits - 1 (+ _LAYOUTS for
+    # a minus sign); layout 0 .. 16 is fixed notation for k = layout, 17 .. 20
+    # for k = -1 .. -4, 21 exponent notation with 2 exponent digits and 22 with 3
+    layout = np.where((ks >= 0) & (ks < 17), ks, np.where((ks < 0) & (ks >= -4), 16 - ks,
+                                                          21 + (ak >= 100)))
+    row = np.repeat(np.arange(23), 17)
+    sig = np.tile(np.arange(1, 18), 23)
+    k = np.where(row <= 16, row, 16 - row)
+    fixed = row <= 20
+    lead = fixed & (k < 0)
+    shown = np.where(fixed, np.maximum(sig, k + 1), sig)
+    point = np.where(fixed, np.where(sig > k + 1, k, -1), np.where(sig > 1, 0, -1))
+    slot = np.arange(17)
+    keep = np.zeros((2, _LAYOUTS, _CELL), bool)
+    keep[1, :, 0] = True
+    keep[:, :, 1] = keep[:, :, 2] = lead
+    keep[:, :, 3:6] = lead[:, None] & (slot[:3] < -1 - k[:, None])
+    keep[:, :, 6:40:2] = slot < shown[:, None]
+    keep[:, :, 7:40:2] = slot == point[:, None]
+    keep[:, :, 40:45] = ~fixed[:, None]
+    keep[:, :, 42] &= row == 22
+    return (pow10, np.array(q, np.int32), groups.view(np.uint64)[:, 0], tail,
+            first.view(np.uint64)[:, 0], expo.view(np.uint64)[:, 0], 17 * layout,
+            keep.reshape(2 * _LAYOUTS, _CELL))
 
 
-def _write_table(path, head, fmt, n_rows, rows, axes=()):
-    """The one CSV writer: the lines in head, then n_rows rows in CRLF lines.
-
-    rows(lo, hi) returns rows lo .. hi - 1 as a (rows, columns) array; fmt has
-    one %-format per column.  Each block of at most _BLOCK_ROWS rows is
-    formatted by a single %, so no whole-table string is built.  The first
-    len(axes) columns are the row-major lattice over the 1-d arrays in axes:
-    each axis value is formatted once and copied into the blocks' templates,
-    and rows returns only the columns after them.
-
-    A large table is split at block bounds into the ranges of _cuts.  The
-    calling process writes the head and range 0 into path; each further range
-    is written by a child made with os.fork into a temp part beside path.  The
-    children's blocks are the blocks a single process would write, so the
-    bytes do not depend on the number of ranges.  The parts are appended in
-    order; every child is reaped, and every part removed, also on failure.  A
-    child's exception is raised here, so a child fails as the loop would."""
-    labels = [[f % v + "," for v in a.tolist()] for f, a in zip(fmt, axes)]
-    tail = ",".join(fmt[len(axes):]) + "\r\n"
-    if labels:
-        labels[-1] = [lab + tail for lab in labels[-1]]
-
-    def write_rows(fh, lo, hi):
-        for start in range(lo, hi, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, hi)
-            if labels:
-                cells = np.unravel_index(np.arange(start, stop), [len(a) for a in axes])
-                line = "".join(map("".join, zip(*[[lab[i] for i in ix.tolist()]
-                                                  for lab, ix in zip(labels, cells)])))
-            else:
-                line = tail * (stop - start)
-            fh.write(line % tuple(rows(start, stop).ravel().tolist()))
-
-    cuts = _cuts(n_rows)
-    parts, pids = [], []
-    try:
-        with open(path, "w", newline="") as fh:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                fd, part = tempfile.mkstemp(".part", os.path.basename(path) + ".",
-                                            os.path.dirname(os.path.abspath(path)))
-                os.close(fd)
-                parts.append(part)
-                pid = os.fork()
-                if pid == 0:
-                    _write_part(part, write_rows, lo, hi)
-                pids.append(pid)
-            fh.write("".join(h + "\r\n" for h in head))
-            write_rows(fh, 0, cuts[1])
-        with open(path, "ab") as fh:
-            for part in parts:
-                _reap(pids, part)
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh, 1 << 20)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            os.remove(part)
+def _scaled(a, k, pow10, scale):
+    """Floor and fraction of D = a 10^(16 - k) for positive finite a, with an
+    absolute error below 2e-14 where D < 1e17: the frexp mantissa of a times
+    the double-double power of ten, its high part by Dekker's exact
+    two-product; the relative error is below 2^-102."""
+    i = k - _K_LO
+    h, hh, hl, l = pow10.take(i, axis=1)
+    m, e = np.frexp(a)
+    e += scale.take(i)
+    mh = m * 134217729.0
+    mh -= mh - m
+    ml = m - mh
+    hi = m * h
+    lo = ((mh * hh - hi) + mh * hl + ml * hh) + ml * hl
+    lo += m * l
+    hi = np.ldexp(hi, e)
+    lo = np.ldexp(lo, e)
+    whole = np.floor(hi)
+    hi -= whole
+    hi += lo
+    carry = np.floor(hi)
+    return whole.astype(np.int64) + carry.astype(np.int64), hi - carry
 
 
-def _write_part(part, write_rows, lo, hi):
-    """A writer child's whole life: rows lo .. hi - 1 into part, or in their
-    place the pickled exception that stopped it, with exit status 1 (2 if
-    that too failed).  It always leaves by os._exit, never returning into its
-    parent's stack, so it catches everything and re-raises nothing."""
-    code = 2
-    try:
-        with open(part, "w", newline="") as fh:
-            write_rows(fh, lo, hi)
-        code = 0
-    except BaseException as exc:
-        with open(part, "wb") as fh:
-            pickle.dump(exc, fh)
-        code = 1
-    finally:
-        os._exit(code)
+def _format17(values, ends):
+    """Cells holding '%.17g' % v for each float v of the array values.
+
+    Returns chars and keep, of shape values.shape + (_CELL,), and sure, of
+    the shape of values.  The chars a cell keeps are the text of its value
+    followed by ends[j] (at most 3 bytes) for a value in column j of the last
+    axis; a single end serves every column.  A value that is not sure (not
+    finite, or within 1e-9 of a tie between two 17-digit decimals) keeps the
+    text 0: the caller formats it by %."""
+    v = np.asarray(values, dtype=float)
+    shape = v.shape + (_CELL,)
+    v = v.reshape(-1)
+    n, k, sure = _decimal(v)
+    _, _, groups, tail, first, expo, layout, keep_rows = _tables()
+    # the digits: the leading one, then four groups of 4 from two 9-digit int32 halves
+    top = n // 10 ** 8
+    low = (n - top * 10 ** 8).astype(np.int32)
+    top = top.astype(np.int32)
+    d0 = top // 10 ** 8
+    top -= d0 * 10 ** 8
+    g = [top // 10000, top % 10000, low // 10000, low % 10000]
+    words = np.empty((n.size, 6), np.uint64)
+    words[:, 0] = first.take(d0)
+    for j in range(4):
+        words[:, j + 1] = groups.take(g[j])
+    words[:, 5] = expo.take(k - _K_LO)
+    # significant digits: up to the last nonzero one, at least one
+    sig = np.maximum(np.maximum(tail.take(g[0]) + 1, tail.take(g[1]) + 5),
+                     np.maximum(tail.take(g[2]) + 9, tail.take(g[3]) + 13))
+    np.maximum(sig, 1, out=sig)
+    sig += layout.take(k - _K_LO) - 1 + _LAYOUTS * np.signbit(v)
+    keep = keep_rows.take(sig, axis=0).reshape(shape)
+    chars = words.view(np.uint8).reshape(shape)
+    end = np.zeros((len(ends), 3), np.uint8)
+    for j, e in enumerate(ends):
+        end[j, :len(e)] = np.frombuffer(e, np.uint8)
+    chars[..., 45:] = end
+    keep[..., 45:] = end != 0
+    return chars, keep, sure.reshape(shape[:-1])
 
 
-def _reap(pids, part):
-    """Wait for the writer child pids[0] and drop it from pids; raise the
-    exception it pickled into part, if it failed."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-    del pids[0]
-    if code == 1:
-        with open(part, "rb") as fh:
-            raise pickle.load(fh)
-    if code:
-        raise ToolkitError(f"{part}: writer process ended with status {code}")
+def _decimal(v):
+    """The 17-digit decimal n 10^(k - 16) nearest |v| for each float of the
+    1-d array v, and the mask of the sure values: n and k are 0 for a zero
+    and for a value that is not sure."""
+    pow10, scale = _tables()[:2]
+    a = np.abs(v)
+    sure = np.isfinite(a)
+    zero = a == 0.0
+    a[zero | ~sure] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled(a, k, pow10, scale)
+    # the guess is one off near a power of ten: n has 16 or 18 digits there
+    off = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        k[fix] += off[fix]
+        n[fix], frac[fix] = _scaled(a[fix], k[fix], pow10, scale)
+    sure &= (n >= 10 ** 16) & (n < 10 ** 17) & (np.abs(frac - 0.5) > 1e-9)
+    n += frac > 0.5
+    decade = n == 10 ** 17
+    n[decade] = 10 ** 16
+    k += decade
+    blank = zero | ~sure
+    n[blank] = 0
+    k[blank] = 0
+    return n, k, sure
+
+
+# Rows per block.  A block of 512 rows of 4 values peaks at 0.55 MB (its
+# cells, np.compress's index array and the formatter's temporaries), against
+# 0.23 MB for 1,024 rows through a % template; 1,024 rows took 1.1 MB and
+# raised the peak RSS of an 8,192-sample signal run by 5%.
+_BLOCK_ROWS = 512
+
+
+def _write_table(path, head, n_rows, rows, axes=()):
+    """The one CSV writer: the lines in head, then n_rows rows in CRLF lines,
+    each value written as '%.17g' writes it.
+
+    rows(lo, hi) returns rows lo .. hi - 1 as a (rows, columns) float array;
+    an integer column below 2^31 prints as '%d' would.  Each block of at
+    most _BLOCK_ROWS rows is formatted by one _format17 call and its kept
+    bytes are written at once.  The first len(axes) columns are the row-major lattice
+    over the 1-d arrays in axes: each axis value is formatted once and its
+    cell copied into the blocks, and rows returns only the columns after
+    them.  A row holding a value _format17 is not sure of is formatted by
+    the % template in its place."""
+    labels = [_format17(a[:, None], [b","]) for a in axes]
+    with open(path, "wb") as fh:
+        fh.write("".join(h + "\r\n" for h in head).encode())
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_rows)
+            block = rows(lo, hi)
+            cells = _format17(block, [b","] * (block.shape[1] - 1) + [b"\r\n"])
+            values = [block]
+            if axes:
+                lattice = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
+                parts = [[t.take(ix, axis=0) for t in lab] for lab, ix in zip(labels, lattice)]
+                cells = [np.concatenate(p, axis=1) for p in zip(*parts, cells)]
+                values = [a.take(ix)[:, None] for a, ix in zip(axes, lattice)] + values
+            chars, keep, sure = cells
+            bad = np.flatnonzero(~sure.all(axis=1))
+            keep[bad] = False
+            text, at = np.compress(keep.ravel(), chars.ravel()), 0
+            if bad.size:
+                template = ",".join(["%.17g"] * keep.shape[1]) + "\r\n"
+                ends = np.cumsum(keep.sum(axis=(1, 2)))[bad].tolist()
+                lines = np.concatenate([x[bad] for x in values], axis=1).tolist()
+                for end, line in zip(ends, lines):
+                    fh.write(text[at:end])
+                    fh.write((template % tuple(line)).encode())
+                    at = end
+            fh.write(text[at:])
 
 
 def write_signal_csv(path, sig: SampledSignal):
@@ -197,8 +316,7 @@ def write_signal_csv(path, sig: SampledSignal):
         return np.column_stack([k, *coords, flat[lo:hi].real, flat[lo:hi].imag])
 
     names = ",".join(["index"] + [f"x{j}" for j in range(sig.dim)] + ["re", "im"])
-    _write_table(path, ["n,dx,dim", f"{sig.n},{sig.dx:.17g},{sig.dim}", names],
-                 ["%d"] + ["%.17g"] * (sig.dim + 2), flat.size, rows)
+    _write_table(path, ["n,dx,dim", f"{sig.n},{sig.dx:.17g},{sig.dim}", names], flat.size, rows)
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -345,7 +463,7 @@ def write_stft_csv(path, grid):
         # np.hypot rounds as Python's abs(complex) does; np.abs can differ in the last bit
         return np.column_stack([v.real, v.imag, np.hypot(v.real, v.imag)])
 
-    _write_table(path, ["x,xi,re,im,abs"], ["%.17g"] * 5, flat.size, rows,
+    _write_table(path, ["x,xi,re,im,abs"], flat.size, rows,
                  axes=(grid.positions(), grid.frequencies()))
 
 
@@ -362,8 +480,7 @@ def write_profile_csv(path, est):
         logs = [math.log(m) if m > 0 else -math.inf for m in mags.tolist()]
         return np.column_stack([entry[lo:hi], np.asarray(est.lambdas)[sample[lo:hi]], mags, logs])
 
-    _write_table(path, ["direction,lambda,magnitude,log_magnitude"],
-                 ["%d"] + ["%.17g"] * 3, entry.size, rows)
+    _write_table(path, ["direction,lambda,magnitude,log_magnitude"], entry.size, rows)
 
 
 def wf_estimate_to_dict(est) -> dict:
@@ -373,15 +490,20 @@ def wf_estimate_to_dict(est) -> dict:
     width = est.dirs.shape[1]
     row = ('{"dir":[' + ",".join(["%s"] * width) + '],"rhat":%s,"residual":%s,'
            '"n_valid":%d,"singular":%s,"status":"%s"}')
+    floats = np.column_stack([est.dirs, est.rhat, est.residual])
     status = [STATUSES[k] for k in est.status.tolist()]
-    cells = zip(*[map(_float, col) for col in est.dirs.T.tolist()],
-                map(_float, est.rhat.tolist()), map(_float, est.residual.tolist()),
-                est.n_valid.tolist(), ["true" if s == "singular" else "false" for s in status],
-                status)
+    singular = ["true" if s == "singular" else "false" for s in status]
+    n_valid = est.n_valid.tolist()
+    chunks = []
+    for lo in range(0, len(status), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        texts = iter(_floats(floats[lo:hi].ravel()))
+        cells = zip(*[texts] * (width + 2), n_valid[lo:hi], singular[lo:hi], status[lo:hi])
+        chunks.append(",".join(row % c for c in cells))
     return {
         "idx": {"t": est.idx.t, "s": est.idx.s},
         "threshold": est.r_threshold,
-        "entries": _Raw("[" + ",".join(row % c for c in cells) + "]"),
+        "entries": _Raw("[" + ",".join(chunks) + "]"),
     }
 
 

@@ -72,7 +72,22 @@ class SampledSignal:
 
     def norm(self) -> float:
         """Discrete L2 norm with the dx^d quadrature weight."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx ** self.dim))
+        return l2_norm(self.values, self.dx ** self.dim)
+
+
+def l2_norm(values, weight: float) -> float:
+    """sqrt(weight * sum |values|^2).  Where that sum is not a positive, normal,
+    finite number (it over- or underflowed, or every value is 0), the moduli
+    are divided by the largest before squaring, so a norm in the double range
+    is found and one whose sum is in range keeps the plain formula's bytes."""
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(values) ** 2)
+    if not 2.0 ** -1022 <= total < math.inf:   # the smallest normal double
+        mod = np.abs(values)
+        top = mod.max(initial=0.0)
+        if 0.0 < top < math.inf:
+            return float(top * np.sqrt(np.sum((mod / top) ** 2) * weight))
+    return float(np.sqrt(total * weight))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import DomainError, ResolutionError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
 from .poly import PolynomialData, coeff_array, iter_multi_indices
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, WindowSpec,
-                      chirp_signal, fourier)
+                      chirp_signal, fourier, l2_norm)
 
 _TWO_PI = 2.0 * math.pi
 # Window centres stay within this fraction of a grid's extent.  Estimator
@@ -88,7 +88,7 @@ class StftGrid:
         return (np.arange(self.n_xi) - self.n_xi // 2) * self.dxi
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx * self.dxi))
+        return l2_norm(self.values, self.dx * self.dxi)
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +637,17 @@ def istft(grid: StftGrid, w: WindowSpec) -> SampledSignal:
 
 
 def moyal_error(u: SampledSignal, grid: StftGrid) -> float:
-    """Relative defect of ||V||_{L2}^2 = ||u||^2 for a unit window."""
-    nu = u.norm() ** 2
-    nv = grid.l2_norm() ** 2
-    return abs(nv - nu) / nu
+    """Relative defect of ||V||_{L2}^2 = ||u||^2 for a unit window; a zero
+    signal has none and is a DomainError.  Norms whose squares leave the
+    double range are compared by their ratio."""
+    a, b = u.norm(), grid.l2_norm()
+    if a == 0.0:
+        raise DomainError("the Moyal identity has no relative defect for a zero signal")
+    if 1e-150 < a < 1e150 and b < 1e150:
+        nu = a ** 2
+        return abs(b ** 2 - nu) / nu
+    r = b / a
+    return abs(r * r - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from anisowf.cli import COMMANDS, main
 from anisowf.estimator import product_sphere4
 from anisowf.io import poly_to_dict, write_signal_csv
 from anisowf.poly import poly_1d
-from anisowf.signals import make_gaussian
+from anisowf.signals import SampledSignal, make_gaussian
 
 XSQ = poly_to_dict(poly_1d(0.0, 0.0, 1.0))
 
@@ -41,6 +41,34 @@ class TestStftCommand:
         assert report["moyal_error"] <= 1e-6
         assert report["toolkit_version"]
         assert (outdir / "stft_grid.csv").exists()
+
+    @pytest.mark.parametrize("value", [1e-170, 1e160])
+    def test_norms_whose_squares_leave_the_double_range(self, tmp_path, value):
+        # sum |u|^2 underflows to 0 for samples of 1e-170 and overflows for
+        # 1e160: the norms scale with the samples and the Moyal error does not
+        reports = {}
+        for v in (1.0, value):
+            path = tmp_path / f"{v}.csv"
+            write_signal_csv(path, SampledSignal(0.1, np.full(16, v, dtype=complex)))
+            cfg = {"signal": {"kind": "file", "path": str(path)}}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, outdir = run_cli(tmp_path, "stft", cfg, outname=f"out{v}")
+            assert code == 0
+            reports[v] = json.loads((outdir / "moyal.json").read_text())
+        one, far = reports[1.0], reports[value]
+        assert far["moyal_error"] == pytest.approx(one["moyal_error"], rel=1e-12)
+        for key in ("signal_norm", "stft_norm"):
+            assert far[key] == pytest.approx(value * one[key], rel=1e-12)
+
+    def test_zero_signal_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        write_signal_csv(path, SampledSignal(0.1, np.zeros(16, dtype=complex)))
+        code, outdir = run_cli(tmp_path, "stft", {"signal": {"kind": "file", "path": str(path)}})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "zero signal" in err and "Traceback" not in err, err
+        assert os.listdir(outdir) == []
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         gauss = {"kind": "gaussian", "n": 256, "dx": 0.1}
