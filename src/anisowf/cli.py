@@ -30,7 +30,7 @@ from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
                  read_signal_csv, text, wf_estimate_to_dict, whole, write_profile_csv,
                  write_signal_csv, write_stft_csv)
 from .relation import PointSet, compose, sconic_closure_check
-from .signals import (SampledSignal, chirp_signal, delta_signal, gaussian_signal,
+from .signals import (MIN_WIDTH, SampledSignal, chirp_signal, delta_signal, gaussian_signal,
                       make_chirp, make_gaussian, one_signal)
 from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
 
@@ -41,6 +41,19 @@ def parse_index(cfg, path="index") -> AnisoIndex:
     if not (t > 0.5 and s > 0.5):
         raise ConfigError(f"{path}: need t, s > 1/2 for a Gaussian window, got ({t}, {s})")
     return AnisoIndex(t, s)
+
+
+def width(v) -> float:
+    """A Gaussian width, in [2^-511, 2^511] as a window's."""
+    return WindowSpec(positive(v)).width
+
+
+def envelope_width(v) -> float:
+    """An envelope width: at least 2^-511; a larger one of any size runs."""
+    x = positive(v)
+    if not x >= MIN_WIDTH:
+        raise ConfigError("expected a width of at least 2^-511")
+    return x
 
 
 def parse_window(cfg) -> WindowSpec:
@@ -54,18 +67,18 @@ def parse_signal(cfg, path="signal"):
     kind = field("kind", text)
     if kind == "gaussian":
         return make_gaussian(field("d", count, default=1), field("n", positive_count),
-                             field("dx", positive), field("width", positive, default=1.0))
+                             field("dx", positive), field("width", width, default=1.0))
     if kind == "chirp":
         args = [field("phase", poly_from_dict), field("n", positive_count),
                 field("dx", positive)]
-        env = field("envelope_width", positive, default=None)
+        env = field("envelope_width", envelope_width, default=None)
         if env is not None:  # the guard level is read only with an envelope
             args += [env, field("alias_guard_level", positive, default=1e-14)]
         return make_chirp(*args)
     if kind == "file":
         return field("path", lambda v: read_signal_csv(text(v)))
     if kind == "analytic-gaussian":
-        return gaussian_signal(field("width", positive, default=1.0), field("d", count, default=1))
+        return gaussian_signal(field("width", width, default=1.0), field("d", count, default=1))
     if kind == "analytic-one":
         return one_signal(field("d", count, default=1))
     if kind == "analytic-delta":

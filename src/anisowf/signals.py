@@ -19,6 +19,8 @@ from .errors import AliasingError, DomainError, ResolutionError
 from .poly import PolynomialData, eval_grad, eval_poly
 
 _TWO_PI = 2.0 * math.pi
+# Gaussian widths W whose W^2 and 1 / W^2 are both normal doubles.
+MIN_WIDTH, MAX_WIDTH = 2.0 ** -511, 2.0 ** 511
 
 
 class SampledSignal:
@@ -98,9 +100,10 @@ class WindowSpec:
     width: float = 1.0
 
     def __post_init__(self):
-        # 1 / width^2 scales every window exponent: below 2^-511 it overflows
-        if not self.width >= 2.0 ** -511:
-            raise DomainError(f"window width must be at least 2^-511, got {self.width}")
+        # 1 / width^2 scales every window exponent: below 2^-511 it overflows,
+        # and above 2^511 width^2 does
+        if not MIN_WIDTH <= self.width <= MAX_WIDTH:
+            raise DomainError(f"Gaussian width must lie in [2^-511, 2^511], got {self.width}")
 
     @property
     def amplitude(self) -> float:
@@ -206,22 +209,27 @@ def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float =
     The aliasing guard applies where the envelope exceeds guard_level, which
     is every sample of the unimodular chirp (W = inf); samples outside carry
     at most that amplitude, so any unresolved phase there stays below a
-    classification floor set above guard_level.
+    classification floor set above guard_level.  W must be at least 2^-511,
+    as a window's width; past 2^511 its square overflows to inf and the
+    chirp is the unimodular one, which it equals to double precision.
     """
-    if not envelope_width > 0.0:
-        raise DomainError("envelope width must be positive")
+    if not envelope_width >= MIN_WIDTH:
+        raise DomainError(f"envelope width must be at least 2^-511, got {envelope_width}")
     if not 0.0 < guard_level < 1.0:
         raise DomainError("guard level must sit in (0, 1)")
     grid = _grid(phase.dim, n, dx)
     r2 = np.sum(grid ** 2, axis=-1)
-    live = r2 <= 2.0 * envelope_width ** 2 * math.log(1.0 / guard_level)
+    with np.errstate(over="ignore"):
+        two_w2 = 2.0 * np.float64(envelope_width) ** 2
+        live = r2 <= two_w2 * math.log(1.0 / guard_level)
     grads = eval_grad(phase, grid)
     worst = float(np.max(np.abs(grads)[live])) * dx if np.any(live) else 0.0
     if worst > 0.9 * math.pi:
         raise AliasingError(
             f"max |grad phase| * dx = {worst:.3f} on the envelope support exceeds "
             "the 0.9*pi aliasing guard; refine dx, shrink the grid or narrow the envelope")
-    vals = np.exp(1j * eval_poly(phase, grid) - r2 / (2.0 * envelope_width ** 2))
+    with np.errstate(over="ignore"):
+        vals = np.exp(1j * eval_poly(phase, grid) - r2 / two_w2)
     return SampledSignal(dx, vals)
 
 

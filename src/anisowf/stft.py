@@ -5,7 +5,7 @@ V_phi u(x, xi) = (2 pi)^(-d/2) (u, M_xi T_x phi) = F(u T_x conj(phi))(xi).
 Pointwise values, computed a batch of points at a time, come from direct
 quadrature on the signal grid (x and xi need not lie on any lattice: each
 point's stencil weighs its nodes by one Gaussian row shared by all points
-times two short per-point exponentials, _sampled), for
+times two short per-point power tables of a complex exponential, _sampled), for
 convolution kernels from one chirp STFT at a swapped point (_convolution),
 and for analytic signals, products of 1-d factors like the window, as
 products of 1-d closed forms: analytic Gaussians, the constant 1 and chirps
@@ -39,10 +39,10 @@ REACH_FRAC = 0.8
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
-# Elements per work array: _sampled's (points, stencil) signal windows in d = 1
-# and (points, d, stencil) factors above, the chirp paths' (points, saddles,
-# 2 halves, m + 1 coefficients) and a cluster's rim of as many samples, and
-# stft_grid's (rows, n) are built this many at a time.
+# Elements per work array: _sampled's power tables, its (points, stencil) signal
+# windows in d = 1 and (points, d, stencil) factors above, the chirp paths'
+# (points, saddles, 2 halves, m + 1 coefficients) and a cluster's rim of as many
+# samples, and stft_grid's (rows, n) are built this many at a time.
 _WORK_ELEMENTS = 1 << 14
 # Gauss-Hermite nodes per path from a saddle (32 reach round-off under the gap
 # rule); a path from an exit point takes half as many Gauss-Laguerre nodes.
@@ -114,6 +114,40 @@ def _blocks(total: int, width: int):
     return [slice(start, start + step) for start in range(0, total, step)]
 
 
+def _powers(first: np.ndarray, exponent: np.ndarray, t: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Fill t, (count, 2) + first.shape reals, with the real and imaginary
+    parts of first e^(k exponent) for k < count; scratch holds count // 2 of
+    its rows.
+
+    The table doubles, t[k:2k] = t[:k] e^(k exponent), so only powers below
+    count are formed: for count = 1 no exponential is taken.  Each k is a row
+    over all entries, and the complex products are taken in real
+    arithmetic, (a + i b) z = (a, b) Re z + (-b, a) Im z, each operation
+    rounded once: numpy's complex multiply rounds differently in its vector
+    and scalar loops, and which one runs depends on the layout of the batch.
+    """
+    count = len(t)
+    t[0] = first.real, first.imag
+    if count > 1:
+        z = np.exp(exponent)
+        base = np.array([z.real, z.imag])
+        signs = np.array([-1.0, 1.0]).reshape((2,) + (1,) * z.ndim)
+        cross = base[1] * signs                     # -Im z, Im z
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        dst, tmp = t[k:k + m], scratch[:m]
+        np.multiply(t[:m], base[0], out=dst)
+        np.multiply(t[:m, ::-1], cross, out=tmp)
+        dst += tmp
+        k += m
+        if k < count:
+            base = base * base[0] + base[::-1] * cross
+            cross = base[1] * signs
+    return t
+
+
 def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Direct quadrature on the signal grid over each window's support, factored per stencil.
 
@@ -126,12 +160,19 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
         A = -delta^2 / (2 W^2) - i y_c xi,   B = -dx (delta / W^2 + i xi),
 
     where G is one real row shared by every point.  With l = q b + r and
-    b = isqrt(L), exp(A + (l - c) B) = exp(A + (q b - c) B) exp(r B): 2 sqrt(L)
-    complex exps per point and axis.  In d = 1 the windows of signal times G
-    contract with exp(r B) over r, then with the coarse factor over q; in
-    d >= 2 the same three build each axis's factor.  The stencil spans at
-    most the support and one node, and |delta| <= dx/2, so every factor
-    stays within the double range whatever dx/W.
+    b = isqrt(L), exp(A + (l - c) B) = exp(A - J B) (e^(b B))^q (e^B)^r: the
+    coarse and fine factors are power tables of nq = ceil(L / b) and b
+    entries, filled by complex products from three exponentials per point
+    and axis (_powers).  In d = 1 the windows of signal times G contract with
+    the fine table over r, then with the coarse one over q; in d >= 2 the
+    two tables build each axis's factor.  Every exponent formed is A - J B
+    plus k B, or k B, with |k| <= L - 1, and |Re B| <= dx^2 / (2 W^2): so
+    |Re k B| <= (L - 1) dx^2 / (2 W^2) <= 10 dx/W + dx^2 / (2 W^2), at most
+    400 whenever L > 1 (then dx/W <= 20).  With L = 1 no base is formed and
+    the one factor, exp(A), may only underflow.  Every value stays within the
+    double range whatever dx/W.  The tables are built for outer blocks of
+    points, the windows and factors for inner blocks within them, every work
+    array of at most _WORK_ELEMENTS elements.
     """
     _check_reach(u, xs, xis)
     d, n, dx = u.dim, u.n, u.dx
@@ -152,40 +193,56 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
         padded[half:half + n] = u.values
         windows = np.lib.stride_tricks.sliding_window_view(padded, nq * b)
     inv_w2 = 1.0 / w.width ** 2
+    # Outer blocks of points build the power tables, (nq, 2 parts, 2 tables,
+    # points, d) reals; inner blocks, a whole number per outer one, the
+    # (points, d, nq b) windows and the tables' complex values.  The tables
+    # take one buffer for the call: freed per block, their pages went back to
+    # the system and were faulted in again.
+    inner = max(1, _WORK_ELEMENTS // (d * nq * max(b, 2)))
+    outer = max(inner, _WORK_ELEMENTS // (4 * d * nq) // inner * inner)
+    shape = (2, 2, min(outer, len(xs)), d)   # parts, tables, points, axes
+    table, scratch = np.empty((nq,) + shape), np.empty((nq // 2,) + shape)
     out = np.empty(len(xs), dtype=complex)
-    for block in _blocks(len(xs), d * length):
-        x, xi = xs[block], xis[block]
+    for start in range(0, len(xs), outer):
+        x, xi = xs[start:start + outer], xis[start:start + outer]
         nearest = np.rint(x / dx).astype(np.int64) + n // 2
         y_c = (nearest - n // 2) * dx
         delta = y_c - x
-        slope = (-dx * delta * inv_w2 - 1j * dx * xi)[..., None]
-        coarse = np.exp((-0.5 * inv_w2 * delta * delta - 1j * y_c * xi)[..., None]
-                        + (np.arange(nq) * b - half) * slope)
-        fine = np.exp(np.arange(b) * slope)
+        slope = -dx * delta * inv_w2 - 1j * dx * xi
+        offset = np.exp(-0.5 * inv_w2 * delta * delta - 1j * y_c * xi - half * slope)
+        # nq >= b powers of the coarse base from the offset, and of the fine one
+        parts = _powers(np.array([offset, np.ones_like(offset)]), np.array([b * slope, slope]),
+                        table[..., :len(x), :], scratch[..., :len(x), :])
         outside = np.abs(delta[..., None] + ends) > radius
-        if d == 1:
-            win = windows[nearest[:, 0]]
-            win *= row
-            win[:, 0] *= ~outside[:, 0, 0]
-            win[:, length - 1] *= ~outside[:, 0, 1]
-            part = win.reshape(-1, nq, b) @ fine[:, 0, :, None]
-            out[block] = np.einsum("pq,pq->p", part[..., 0], coarse[:, 0])
-            continue
-        f = (coarse[..., :, None] * fine[..., None, :]).reshape(len(x), d, -1)[..., :length]
-        f *= row[:length]
-        f[..., [0, length - 1]] *= ~outside
-        # A gathered (P, L, ..., L) window costs more than the strided slice
-        # view, and a padded copy would hold (n + L)^d values: the slices stop
-        # at the grid edge, and each factor contracts the leading axis left.
-        first = nearest - half
-        lo, hi = np.maximum(first, 0), np.minimum(first + length, n)
-        acc = np.empty(len(x), dtype=complex)
-        for k, (a, e, s) in enumerate(zip(lo.tolist(), hi.tolist(), (lo - first).tolist())):
-            sub = u.values[tuple(map(slice, a, e))]
-            for j in range(d):
-                sub = f[k, j, s[j]:s[j] + e[j] - a[j]] @ sub.reshape(e[j] - a[j], -1)
-            acc[k] = sub[0]
-        out[block] = acc
+        res = out[start:start + outer]
+        for k in range(0, len(x), inner):
+            block = slice(k, k + inner)
+            tables = np.empty((2,) + x[block].shape + (nq,), dtype=complex)
+            tables.real = parts[:, 0, :, block].transpose(1, 2, 3, 0)
+            tables.imag = parts[:, 1, :, block].transpose(1, 2, 3, 0)
+            coarse, fine = tables[0], tables[1, ..., :b]
+            if d == 1:
+                win = windows[nearest[block, 0]]
+                win *= row
+                win[:, 0] *= ~outside[block, 0, 0]
+                win[:, length - 1] *= ~outside[block, 0, 1]
+                part = win.reshape(-1, nq, b) @ fine[:, 0, :, None]
+                res[block] = np.einsum("pq,pq->p", part[..., 0], coarse[:, 0])
+                continue
+            f = coarse[..., :, None] * fine[..., None, :]
+            f = f.reshape(len(f), d, -1)[..., :length]
+            f *= row[:length]
+            f[..., [0, length - 1]] *= ~outside[block]
+            # A gathered (P, L, ..., L) window costs more than the strided slice
+            # view, and a padded copy would hold (n + L)^d values: the slices stop
+            # at the grid edge, and each factor contracts the leading axis left.
+            first = nearest[block] - half
+            lo, hi = np.maximum(first, 0), np.minimum(first + length, n)
+            for p, (a, e, s) in enumerate(zip(lo.tolist(), hi.tolist(), (lo - first).tolist())):
+                sub = u.values[tuple(map(slice, a, e))]
+                for j in range(d):
+                    sub = f[p, j, s[j]:s[j] + e[j] - a[j]] @ sub.reshape(e[j] - a[j], -1)
+                res[k + p] = sub[0]
     return out * dx ** d * _TWO_PI ** (-d / 2.0)
 
 

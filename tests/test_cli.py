@@ -693,6 +693,50 @@ class TestConfigFuzz:
         assert "at most 2147483647" in err, err
         assert not any(files for _, _, files in os.walk(outdir))
 
+    @pytest.mark.parametrize("command", ["stft", "wf", "chirp-verify", "seminorm",
+                                         "kernel-check"])
+    def test_window_width_past_2_511_exit_2(self, tmp_path, capsys, command):
+        # width^2 of 1e160 used to end in a raw OverflowError in the window's values
+        cfg = dict(fuzz_fixture(command, tmp_path), window={"width": 1e160})
+        if command == "seminorm":
+            cfg.update(kind="stft", r_values=[0.5])
+        code, outdir = run_cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err and "window.width: invalid value" in err, err
+        assert not any(files for _, _, files in os.walk(outdir))
+
+    # a chirp envelope of 1e-300 used to give non-finite samples (exit 1), and a
+    # Gaussian width of 1e-160 failed the window's floor (exit 1)
+    @pytest.mark.parametrize("command, signal, field", [
+        ("propagate-verify", {"envelope_width": 1e-300}, "signal.envelope_width"),
+        ("stft", {"width": 1e-160}, "signal.width"),
+        ("wf", {"kind": "analytic-gaussian", "width": 1e-160}, "signal.width")])
+    def test_signal_widths_past_the_double_range_exit_2(self, tmp_path, capsys, command,
+                                                        signal, field):
+        cfg = fuzz_fixture(command, tmp_path)
+        cfg["signal"] = dict(cfg["signal"], **signal) if "kind" not in signal else signal
+        code, outdir = run_cli(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err and f"{field}: invalid value" in err, err
+
+    def test_huge_envelope_runs_as_the_unenveloped_chirp(self, tmp_path, capsys):
+        # an envelope width of 1e300 used to overflow its square with a raw
+        # OverflowError; its envelope is 1 to double precision
+        cfg = fuzz_fixture("propagate-verify", tmp_path)
+        huge = copy.deepcopy(cfg)
+        huge["signal"]["envelope_width"] = 1e300
+        del cfg["signal"]["envelope_width"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            codes = [run_cli(tmp_path, "propagate-verify", c, outname=name)[0]
+                     for c, name in ((huge, "huge"), (cfg, "none"))]
+        assert codes == [0, 0], capsys.readouterr().err
+        for name in ("evolved.csv", "before.json", "after.json"):
+            assert ((tmp_path / "huge" / name).read_bytes()
+                    == (tmp_path / "none" / name).read_bytes())
+
     def test_kernel_grid_size_zero_exits_like_a_bad_size(self, tmp_path, capsys):
         # n = 0 used to reach a division by zero, then exited 1 like n = 1000; the
         # kernel has no grid now, so both run like a config that sets no n

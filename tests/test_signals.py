@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ class TestMakeChirp:
         np.testing.assert_array_equal(sig.values, want)
         np.testing.assert_array_equal(
             make_chirp(phase, 128, 0.05, envelope_width=math.inf).values, want)
+
+    def test_envelope_widths_at_the_double_range(self):
+        # past 2^511 the envelope's W^2 overflows: the chirp is the unimodular
+        # one, which it equals to double precision; below 2^-511 1 / W^2 would
+        phase = poly_1d(0.3, -1.0, 2.0, 0.5)
+        want = make_chirp(phase, 128, 0.05).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for huge in (2.0 ** 510, 1e300):
+                np.testing.assert_array_equal(
+                    make_chirp(phase, 128, 0.05, envelope_width=huge).values, want)
+            tiny = make_chirp(phase, 128, 0.05, envelope_width=2.0 ** -511).values
+        assert tiny[64] == want[64] and np.count_nonzero(tiny) == 1
+        with pytest.raises(DomainError):
+            make_chirp(phase, 128, 0.05, envelope_width=1e-300)
 
     def test_envelope_guard_covers_its_support_only(self):
         # x^2 on 256 points of 0.2: 2 |x| dx exceeds 0.9 pi past |x| = 7.07,

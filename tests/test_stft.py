@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ class TestPointSampled:
                           np.array([[1.0], [1.0]]))
         assert np.all(np.isfinite(got)) and got[1] == 0.0
 
+    def test_window_width_ceiling(self):
+        # above 2^511 the window's width^2 leaves the double range; at 2^511 a
+        # window wider than the grid gives finite values, with no warning
+        with pytest.raises(DomainError):
+            WindowSpec(1e160)
+        u = make_gaussian(1, 64, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stft_points(u, WindowSpec(2.0 ** 511), np.array([[0.0], [2.0]]),
+                              np.array([[0.0], [-3.0]]))
+        assert np.all(np.isfinite(got)) and abs(got[0]) > 0.0
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
     def test_window_has_unit_norm(self, d, width):
@@ -342,6 +355,14 @@ class TestSampledOracle:
         width = 0.1 / ratio
         self.check(u, width, *self.points(2, 40, u))
 
+    def test_d1_criterion_6_geometry(self):
+        # n 8192, dx 0.035, W 1: stencils of L = 573 nodes, b = 23 and nq = 25,
+        # and phases y xi up to ~1e4 rad, which the power tables reach by products
+        u = self.signal(9, 1, 8192, 0.035)
+        xs, xis = self.points(10, 40, u)
+        assert np.max(np.abs(xs * xis)) > 5e3
+        self.check(u, 1.0, xs, xis)
+
     def test_d1_windows_clipped_at_the_grid_edge(self):
         u = self.signal(3, 1, 256, 0.1)   # extent 12.8; windows reach 5
         xs, xis = self.points(4, 40, u, x_frac=(0.65, 0.8))
@@ -422,6 +443,17 @@ class TestBatchInvariance:
         xs, xis = self.points(np.random.default_rng(d), 600, 5.1, 0.8 * math.pi / dx, d)
         assert len(xs) * d * (20.0 * w.width / dx) > 2 * _WORK_ELEMENTS   # several chunks
         assert np.any(np.abs(xs) + 10.0 * w.width > u.extent)
+        self.check(u, w, xs, xis)
+
+    def test_sampled_several_factor_blocks(self):
+        # criterion 6's stencil (L = 573, nq = 25): a block of points builds its
+        # power tables as (nq, 2, 2, points) reals, so 800 points span several
+        rng = np.random.default_rng(25)
+        u = SampledSignal(0.035, rng.standard_normal(8192) + 1j * rng.standard_normal(8192))
+        w = WindowSpec(1.0)
+        xs, xis = self.points(np.random.default_rng(26), 800, 0.8 * u.extent,
+                              math.pi / u.dx, 1)
+        assert len(xs) * 4 * 25 > 2 * _WORK_ELEMENTS
         self.check(u, w, xs, xis)
 
     def test_sampled_coarse_grid(self):
