@@ -14,9 +14,9 @@ from .evolution import (EvolutionSpec, kernel_signal, predict_transport, propaga
 from .geometry import (AnisoIndex, PhasePoint, SphereDirection, log_lambda_many,
                        nearest_angles, project_many, scale_point)
 from .poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
-from .relation import PointSet, compose, compose_via_projection, sconic_closure_check
+from .relation import PointSet, compose, compose_via_projection
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, WindowSpec,
                       chirp_signal, delta_signal, fourier, gaussian_signal, make_chirp,
-                      make_gaussian, one_signal, tensor, tensor_signal)
+                      make_gaussian, one_signal, tensor_signal)
 from .stft import (StftGrid, classical_seminorm, istft,
                    moyal_error, stft_grid, stft_point, stft_seminorm)

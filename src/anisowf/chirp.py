@@ -21,7 +21,7 @@ from .geometry import AnisoIndex, nearest_angles, project_many, unique_rows
 from .poly import PolynomialData, coeff_array, eval_grad, eval_poly, principal_part
 
 _REGIME_TOL = 1e-12
-# _graph_directions: |x| log-spaced in [1e-2, 1e2], and unit x directions for d >= 2
+# _graph_directions: |x| log-spaced in [1e-2, 1e2], and unit x directions for d = 2
 _N_RADIAL = 400
 _N_ANGULAR = 64
 
@@ -57,23 +57,18 @@ def is_elliptic(phase_principal: PolynomialData) -> bool:
 
 
 def _graph_directions(phase_m: PolynomialData, idx: AnisoIndex) -> np.ndarray:
-    """Projections of (x, grad phi_m(x)) over a log-spaced sweep of x."""
+    """Projections of (x, grad phi_m(x)) over a log-spaced sweep of x, for d <= 2."""
     d = phase_m.dim
+    if d > 2:
+        raise UnsupportedRegimeError(f"the gradient graph is sampled for d <= 2, got d = {d}")
     radii = np.geomspace(1e-2, 1e2, _N_RADIAL)
     if d == 1:
         xs = np.concatenate([radii, -radii])[:, None]
     else:
         th = 2.0 * math.pi * np.arange(_N_ANGULAR) / _N_ANGULAR
-        if d == 2:
-            units = np.stack([np.cos(th), np.sin(th)], axis=1)
-        else:
-            rng = np.random.default_rng(1)
-            units = rng.standard_normal((_N_ANGULAR, d))
-            units /= np.linalg.norm(units, axis=1, keepdims=True)
-        xs = (radii[:, None, None] * units[None, :, :]).reshape(-1, d)
-    grads = eval_grad(phase_m, xs)
-    keep = np.linalg.norm(xs, axis=1) > 0
-    return project_many(idx, xs[keep], grads[keep])
+        units = np.stack([np.cos(th), np.sin(th)], axis=1)
+        xs = (radii[:, None, None] * units[None, :, :]).reshape(-1, 2)
+    return project_many(idx, xs, eval_grad(phase_m, xs))
 
 
 def _axis_directions(d: int, axis: str) -> np.ndarray:

@@ -20,16 +20,15 @@ import numpy as np
 
 from . import __version__, estimator
 from .chirp import compare_wf, predict_chirp_wf
-from .errors import ConfigError, DomainError, ResolutionError, ToolkitError, TruncationError
+from .errors import ConfigError, ResolutionError, ToolkitError, TruncationError
 from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf,
                         estimate_wf)
 from .evolution import EvolutionSpec, predict_transport, propagate, propagator_kernel
 from .geometry import AnisoIndex, nearest_angles
 from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
-                 positive, positive_count, prediction_to_dict, point_set_to_list,
-                 read_signal_csv, text, wf_estimate_to_dict, whole, write_profile_csv,
-                 write_signal_csv, write_stft_csv)
-from .relation import PointSet, compose, sconic_closure_check
+                 positive, positive_count, read_signal_csv, text, wf_estimate_to_dict,
+                 whole, write_profile_csv, write_signal_csv, write_stft_csv)
+from .relation import PointSet, compose
 from .signals import (MIN_WIDTH, SampledSignal, chirp_signal, delta_signal, gaussian_signal,
                       make_chirp, make_gaussian, one_signal)
 from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
@@ -192,7 +191,8 @@ def cmd_chirp_verify(config, out, seed):
     est = estimate_wf(chirp_signal(phase), w, idx, **opts)
     report = {**compare_wf(est, pred, tol), "status_counts": est.status_counts()}
     out.write_json("estimate.json", wf_estimate_to_dict(est))
-    out.write_json("prediction.json", prediction_to_dict(pred))
+    out.write_json("prediction.json", {"regime": pred.kind, "equality": pred.equality,
+                                       "directions": pred.directions})
     out.write_json("report.json", report_envelope(config, seed, report))
 
 
@@ -234,6 +234,8 @@ def cmd_kernel_check(config, out, seed):
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)
     w = parse_window(config)
+    if not (2.0 * w.width ** 2) ** -0.5 >= MIN_WIDTH:   # the kernel STFT's chirp window width
+        raise ConfigError(f"window.width: at most 2^510.5 for a kernel, got {w.width}")
     eps_angle = cfg_get(config, "eps_angle", positive, default=0.05)
     opts = parse_estimator_opts(config, circle=False)
     sweep = cfg_get(config, "sweep", list_of(count, 4), default=estimator.DEFAULT_SWEEP)
@@ -263,16 +265,8 @@ def cmd_relation(config, out, seed):
     a = cfg_get(config, "A", kernel_set)
     if len(b) == 0:   # an empty B takes half of A's width
         b = PointSet(np.zeros((0, a.ambient // 2)), tol)
-    composed = compose(a, b)
-    body = {"composition": point_set_to_list(composed)}
-    scales = cfg_get(config, "scales", list_of(positive), default=None)
-    if scales:
-        idx = parse_index(config)
-        try:
-            body["sconic_closed"] = sconic_closure_check(composed, idx, scales)
-        except DomainError as exc:
-            raise ConfigError(f"scales: {exc}") from None
-    out.write_json("composition.json", report_envelope(config, seed, body))
+    out.write_json("composition.json",
+                   report_envelope(config, seed, {"composition": compose(a, b).points}))
 
 
 def cmd_seminorm(config, out, seed):

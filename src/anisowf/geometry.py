@@ -136,11 +136,11 @@ def project_many(idx: AnisoIndex, xs: np.ndarray, xis: np.ndarray) -> np.ndarray
 
 def curve_scales(idx: AnisoIndex, mus) -> np.ndarray:
     """(mu^t, mu^s) for each factor mu, as an (N, 2) array, inf where a power
-    leaves the double range.  These are Python float powers: numpy's vectorized
-    power can differ in the last bit, which would change the written profiles."""
+    leaves the double range.  These are Python float powers, of float exponents too:
+    numpy's power can differ in the last bit, and it warns where they raise OverflowError."""
     def power(mu, e):
         try:
-            return mu ** e
+            return mu ** float(e)
         except OverflowError:
             return math.inf
 

@@ -506,14 +506,3 @@ def wf_estimate_to_dict(est) -> dict:
         "entries": _Raw("[" + ",".join(chunks) + "]"),
     }
 
-
-def prediction_to_dict(pred) -> dict:
-    return {
-        "regime": pred.kind,
-        "equality": bool(pred.equality),
-        "directions": [list(map(float, d)) for d in pred.directions],
-    }
-
-
-def point_set_to_list(ps) -> list:
-    return [list(map(float, row)) for row in ps.points]

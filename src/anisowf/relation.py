@@ -12,10 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .geometry import AnisoIndex, blocks4, curve_scales, project_many, unique_rows
-
-# sconic_closure_check: largest gap from a rescaled point's direction to the set's
-_CLOSURE_TOL = 1e-6
+from .geometry import blocks4, unique_rows
 
 
 class PointSet:
@@ -82,29 +79,3 @@ def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
     sel = _nonzero_rows(np.concatenate([x, xi], axis=1)[hit])
     return PointSet(unique_rows(sel), b.tolerance)
 
-
-def sconic_closure_check(s: PointSet, idx: AnisoIndex, scales) -> bool:
-    """Scale stability of a finite set's direction field.
-
-    True iff every point, rescaled by every factor, still projects within
-    _CLOSURE_TOL of the direction of some member of the set.  A factor that
-    moves a point past the double range is a DomainError.
-    """
-    if len(s) == 0:
-        return True
-    mus = np.asarray(scales, dtype=float)
-    if not np.all(np.isfinite(mus) & (mus > 0.0)):
-        raise DomainError(f"scale factors must be positive and finite, got {scales}")
-    d = s.ambient // 2
-    xs, xis = s.points[:, :d], s.points[:, d:]
-    member_dirs = project_many(idx, xs, xis)
-    for mu, (mu_t, mu_s) in zip(mus.tolist(), curve_scales(idx, mus).tolist()):
-        with np.errstate(all="ignore"):   # inf times 0 is NaN: caught below
-            scaled_xs, scaled_xis = xs * mu_t, xis * mu_s
-        if not (np.all(np.isfinite(scaled_xs)) and np.all(np.isfinite(scaled_xis))):
-            raise DomainError(f"scale factor {mu} moves a point past the double range")
-        z = project_many(idx, scaled_xs, scaled_xis)
-        gaps = np.linalg.norm(member_dirs[None, :, :] - z[:, None, :], axis=2)
-        if np.any(np.min(gaps, axis=1) > _CLOSURE_TOL):
-            return False
-    return True

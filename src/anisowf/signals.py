@@ -255,12 +255,3 @@ def fourier(sig: SampledSignal, inverse: bool = False) -> SampledSignal:
         vals = _centered_ifft(sig.values) * (n ** d) * (sig.dx ** d) * (2.0 * math.pi) ** (-d / 2.0)
     return SampledSignal(sig.dxi, vals)
 
-
-def tensor(u: SampledSignal, v: SampledSignal) -> SampledSignal:
-    """Tensor product on the shared grid spacing; dimensions add."""
-    if abs(u.dx - v.dx) > 1e-12 * max(u.dx, v.dx):
-        raise DomainError(f"grid spacings differ: {u.dx} vs {v.dx}")
-    if u.n != v.n:
-        raise DomainError(f"samples per axis differ: {u.n} vs {v.n}")
-    vals = np.multiply.outer(u.values, v.values)
-    return SampledSignal(u.dx, vals)

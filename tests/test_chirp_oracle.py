@@ -122,6 +122,10 @@ class TestRegimes:
         with pytest.raises(UnsupportedRegimeError):
             # t(m-1) > s but s <= 1
             predict_chirp_wf(poly_1d(0.0, 0.0, 0.0, 1.0), AnisoIndex(2.0, 0.9))
+        with pytest.raises(UnsupportedRegimeError):
+            # s = t(m-1) in d = 3: the gradient graph is sampled for d <= 2 only
+            predict_chirp_wf(PolynomialData(3, {(2, 0, 0): 1.0, (0, 1, 1): 1.0}),
+                             AnisoIndex(1.2, 1.2))
 
     def test_regimes_exclusive(self):
         phase = poly_1d(0.0, 0.0, 1.0)

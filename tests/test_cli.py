@@ -143,8 +143,6 @@ class TestStftCommand:
             ("wf", dict(wf, sphere_samples=90.9), "sphere_samples"),
             ("wf", dict(wf, sphere_samples=True), "sphere_samples"),
             ("kernel-check", dict(kernel, sweep=[True, 2, 2, 4]), "sweep"),
-            ("relation", {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "scales": "ab",
-                          "index": {"t": 1.0, "s": 1.0}}, "scales"),
             ("kernel-check", dict(kernel, time=math.nan), "time"),
             ("kernel-check", dict(kernel, time="0.5"), "time"),
             ("wf", {**wf, "lambda": {"min": math.nan}}, "lambda.min"),
@@ -234,6 +232,21 @@ class TestStftCommand:
         code, outdir = run_cli(tmp_path, "stft", cfg)
         assert code == 3
         assert not (outdir / "stft_grid.csv").exists()
+
+    def test_2d_signal(self, tmp_path, capsys):
+        # stft sweeps 1-d signals (exit 2); the 1-d wf sweep refuses one too (exit 1)
+        cfg = {"signal": {"kind": "gaussian", "d": 2, "n": 32, "dx": 0.5}}
+        code, outdir = run_cli(tmp_path, "stft", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "config error: signal: the stft command sweeps 1-d signals\n", err
+        assert not any(files for _, _, files in os.walk(outdir))
+        code, outdir = run_cli(tmp_path, "wf", dict(cfg, index={"t": 1.0, "s": 1.0}),
+                               outname="wf")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: estimate_wf sweeps d = 1 signals") and "Traceback" not in err
+        assert not any(files for _, _, files in os.walk(outdir))
 
 
 class TestWfCommand:
@@ -347,33 +360,31 @@ class TestRelationCommand:
     @pytest.mark.parametrize("a, b", [([], [[1.0, 2.0]]), ([[1.0, 2.0, 3.0, -4.0]], []),
                                       ([], [])])
     def test_an_empty_set_takes_the_width_of_the_other(self, tmp_path, a, b):
-        cfg = {"A": a, "B": b, "scales": [2.0], "index": {"t": 1.2, "s": 1.2}}
-        code, outdir = run_cli(tmp_path, "relation", cfg)
+        code, outdir = run_cli(tmp_path, "relation", {"A": a, "B": b})
         assert code == 0
         report = json.loads((outdir / "composition.json").read_text())
-        assert report["composition"] == [] and report["sconic_closed"] is True
+        assert report["composition"] == []
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     def test_extreme_coordinates(self, tmp_path, scale):
-        # |x|^2 underflows to 0 or overflows to inf; the point is neither the origin
-        # nor a source of NaN gaps in the closure check
-        cfg = {"A": [[scale, 1.0, 0.0, -1.0]], "B": [[1.0, 1.0]], "scales": [2.0],
-               "index": {"t": 1.2, "s": 1.2}}
+        # |x|^2 underflows to 0 or overflows to inf; the point is not the origin
+        cfg = {"A": [[scale, 1.0, 0.0, -1.0]], "B": [[1.0, 1.0]]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, outdir = run_cli(tmp_path, "relation", cfg)
         assert code == 0
         report = json.loads((outdir / "composition.json").read_text())
-        assert report["composition"] == [[scale, 0.0]] and report["sconic_closed"] is True
+        assert report["composition"] == [[scale, 0.0]]
 
-    def test_scale_past_the_double_range_exit_2(self, tmp_path, capsys):
-        # (1e300)^1.2 is no double: the scaled points cannot be formed
+    def test_scales_are_ignored(self, tmp_path):
+        # scales and index are read by nothing: the report holds the composition alone
         cfg = {"A": [[1, 2, 3, -4]], "B": [[2, 4]], "tolerance": 0.5, "scales": [1e300],
                "index": {"t": 1.2, "s": 1.2}}
-        code, _ = run_cli(tmp_path, "relation", cfg)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: scales: ") and "Traceback" not in err
+        code, outdir = run_cli(tmp_path, "relation", cfg)
+        assert code == 0
+        report = json.loads((outdir / "composition.json").read_text())
+        assert list(report) == ["toolkit_version", "seed", "config", "composition"]
+        assert report["composition"] == [[1.0, 3.0]]
 
 
 class TestSeminormCommand:
@@ -563,8 +574,7 @@ def fuzz_fixture(command, tmp_path):
         "kernel-check": {"symbol": XSQ, "time": 0.3, "index": index, "window": window,
                          "sweep": [2, 2, 2, 4], "lambda": {"min": 2.0, "max": 4.0, "n": 12},
                          "r_threshold": 0.13, "floor": 1e-11, "eps_angle": 0.05},
-        "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9,
-                     "scales": [2.0], "index": unit},
+        "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9},
         "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "index": unit,
                      "kind": "classical", "max_order": 2, "h_values": [0.5]},
     }[command]
@@ -704,6 +714,20 @@ class TestConfigFuzz:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "Traceback" not in err and "window.width: invalid value" in err, err
+        assert not any(files for _, _, files in os.walk(outdir))
+
+    def test_kernel_window_past_2_510_5_exit_2(self, tmp_path, capsys):
+        # the kernel's chirp window has width 1/(sqrt(2) W): past W = 2^510.5 it is
+        # below 2^-511, which used to end in exit 1 after the config was accepted
+        cfg = fuzz_fixture("kernel-check", tmp_path)
+        codes = {}
+        for e in (510.25, 510.75):
+            codes[e], outdir = run_cli(tmp_path, "kernel-check",
+                                       dict(cfg, window={"width": 2.0 ** e}), outname=str(e))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, err
+        assert codes[510.25] != 2
+        assert codes[510.75] == 2 and err.startswith("config error: window.width: "), err
         assert not any(files for _, _, files in os.walk(outdir))
 
     # a chirp envelope of 1e-300 used to give non-finite samples (exit 1), and a

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from anisowf.errors import DomainError
-from anisowf.geometry import (AnisoIndex, PhasePoint, log_lambda_many, nearest_angles,
-                              project_many, scale_point, unique_rows)
+from anisowf.geometry import (AnisoIndex, PhasePoint, curve_scales, log_lambda_many,
+                              nearest_angles, project_many, scale_point, unique_rows)
 
 
 def random_points(rng, count, d=1, log_scale=3.0):
@@ -192,6 +193,15 @@ class TestScalePoint:
     def test_bad_mu(self):
         with pytest.raises(DomainError):
             scale_point(AnisoIndex(1.0, 1.0), PhasePoint(1.0, 0.0), 0.0)
+
+
+def test_curve_scales_with_numpy_exponents_overflow_to_inf():
+    # 2.1^1000 is no double: a numpy exponent used to reach numpy's scalar power,
+    # which warns on overflow where a Python float's raises and gives inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = curve_scales(AnisoIndex(np.float64(1000.0), 1.0), [2.1])
+    assert got.tolist() == [[math.inf, 2.1]]
 
 
 # The paper's two families of anisotropically conic neighbourhoods of a unit

@@ -6,8 +6,7 @@ import pytest
 
 from anisowf.errors import AliasingError, DomainError, ResolutionError
 from anisowf.poly import eval_poly, poly_1d
-from anisowf.signals import (SampledSignal, WindowSpec, fourier, make_chirp,
-                             make_gaussian, tensor)
+from anisowf.signals import SampledSignal, WindowSpec, fourier, make_chirp, make_gaussian
 
 
 class TestSampledSignal:
@@ -142,23 +141,3 @@ class TestFourier:
         sig = SampledSignal(0.2, rng.standard_normal((32, 32)) * (1 + 0j))
         back = fourier(fourier(sig), inverse=True)
         np.testing.assert_allclose(back.values, sig.values, atol=1e-10)
-
-
-class TestTensor:
-    def test_separable_gaussian(self):
-        g1 = make_gaussian(1, 64, 0.25)
-        g2 = tensor(g1, g1)
-        direct = make_gaussian(2, 64, 0.25)
-        np.testing.assert_allclose(g2.values, direct.values, atol=1e-14)
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(8)
-        u = SampledSignal(0.2, rng.standard_normal(32) * (1 + 0j))
-        v = SampledSignal(0.2, rng.standard_normal(32) * (1 + 0j))
-        assert tensor(u, v).norm() == pytest.approx(u.norm() * v.norm(), rel=1e-12)
-
-    def test_spacing_mismatch(self):
-        u = make_gaussian(1, 64, 0.25)
-        v = make_gaussian(1, 64, 0.3)
-        with pytest.raises(DomainError):
-            tensor(u, v)
