@@ -160,8 +160,10 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
     """|V u| at (lambda^t x, lambda^s xi) for each unit (x, xi) row of dirs.
 
     Returns a (directions x lambdas) table with NaN beyond each curve's grid
-    reach, and at every lambda whose lambda^t or lambda^s leaves the double
-    range; a row with fewer than _MIN_REACHABLE reachable samples is all NaN.
+    reach, at every lambda whose lambda^t or lambda^s leaves the double
+    range, and inside the window's own cell about the origin, where
+    max(lambda^t |x| / W, lambda^s |xi| W) < 1 and |V u| has no decay to
+    show; a row with fewer than _MIN_REACHABLE samples left is all NaN.
     The scale factors are curve_scales' Python float powers, so the written
     profiles do not move in the last bit.  Reachable points go to stft_points
     _TABLE_CHUNK at a time, for every signal.
@@ -169,11 +171,14 @@ def curve_table(u, w: WindowSpec, idx: AnisoIndex, dirs: np.ndarray,
     scales = curve_scales(idx, lambdas)
     table = np.full((dirs.shape[0], lambdas.size), np.nan)
     d = dirs.shape[1] // 2
-    # lambdas ascend, so the finite scales are a prefix of them
-    finite = np.all(np.isfinite(scales), axis=1)
-    reach = np.count_nonzero((lambdas <= _curve_reaches(u, idx, dirs)[:, None]) & finite, axis=1)
-    reach[reach < _MIN_REACHABLE] = 0
-    points = np.flatnonzero(np.arange(lambdas.size) < reach[:, None])
+    x_norm = np.linalg.norm(dirs[:, :d], axis=1)[:, None] / w.width
+    xi_norm = np.linalg.norm(dirs[:, d:], axis=1)[:, None] * w.width
+    with np.errstate(over="ignore", invalid="ignore"):   # a scale past the double range
+        counted = np.maximum(x_norm * scales[:, 0], xi_norm * scales[:, 1]) >= 1.0
+    counted &= np.all(np.isfinite(scales), axis=1)
+    counted &= lambdas <= _curve_reaches(u, idx, dirs)[:, None]
+    counted[np.count_nonzero(counted, axis=1) < _MIN_REACHABLE] = False
+    points = np.flatnonzero(counted)
     for start in range(0, points.size, _TABLE_CHUNK):
         r, c = np.divmod(points[start:start + _TABLE_CHUNK], lambdas.size)
         table[r, c] = np.abs(stft_points(u, w, scales[c, :1] * dirs[r, :d],

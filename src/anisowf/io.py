@@ -5,11 +5,11 @@ as JSON multi-index coefficient lists; estimates and reports as JSON.  Every
 float is written as the text '%.17g' gives it, so identical runs produce
 byte-identical files.  Blocks of floats are formatted by _format17, an exact
 fixed-precision decimal conversion in numpy: each value is scaled to its 17
-digits by a double-double power of ten, and the few values it cannot decide
-(within 1e-9 of a rounding tie, or not finite) are formatted by Python's %
-instead.  Every CSV file (signals, STFT grids, decay profiles) goes through
-one writer, _write_table, which writes blocks of rows with CRLF line ends in
-the calling process.  Config fields are read by cfg_get through one of the
+digits by a double-double power of ten.  For the few values it cannot decide
+(within 1e-9 of a rounding tie, or not finite) its cell holds the text %
+gives it, or null in JSON.  Every CSV file (signals, STFT grids, decay
+profiles) goes through one writer, _write_table, which writes blocks of rows
+with CRLF line ends in the calling process.  Config fields are read by cfg_get through one of the
 field kinds below, which reject what JSON would otherwise coerce.
 """
 
@@ -76,12 +76,8 @@ def _float(x: float) -> str:
 
 def _floats(values) -> list:
     """_float of each float in the sequence values, through _format17."""
-    x = np.asarray(values, dtype=float)
-    chars, keep, sure = _format17(x, [b","])
-    texts = np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split(",")
-    for i in np.flatnonzero(~sure).tolist():
-        texts[i] = _float(float(x[i]))
-    return texts[:-1]
+    chars, keep = _format17(np.asarray(values, dtype=float), [b","], _float)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split(",")[:-1]
 
 
 def _string(s: str) -> str:
@@ -190,15 +186,16 @@ def _scaled(a, k, pow10, scale):
     return whole.astype(np.int64) + carry.astype(np.int64), hi - carry
 
 
-def _format17(values, ends):
+def _format17(values, ends, fallback):
     """Cells holding '%.17g' % v for each float v of the array values.
 
-    Returns chars and keep, of shape values.shape + (_CELL,), and sure, of
-    the shape of values.  The chars a cell keeps are the text of its value
-    followed by ends[j] (at most 3 bytes) for a value in column j of the last
-    axis; a single end serves every column.  A value that is not sure (not
-    finite, or within 1e-9 of a tie between two 17-digit decimals) keeps the
-    text 0: the caller formats it by %."""
+    Returns chars and keep, of shape values.shape + (_CELL,).  The chars a
+    cell keeps are the text of its value followed by ends[j] (at most 3
+    bytes) for a value in column j of the last axis; a single end serves
+    every column.  A value _decimal cannot decide (not finite, or within
+    1e-9 of a tie between two 17-digit decimals) gets the text fallback(v)
+    instead, at most 24 characters: '%.17g'.__mod__ for CSV, _float for
+    JSON, which differ only on values that are not finite."""
     v = np.asarray(values, dtype=float)
     shape = v.shape + (_CELL,)
     v = v.reshape(-1)
@@ -221,14 +218,20 @@ def _format17(values, ends):
                      np.maximum(tail.take(g[2]) + 9, tail.take(g[3]) + 13))
     np.maximum(sig, 1, out=sig)
     sig += layout.take(k - _K_LO) - 1 + _LAYOUTS * np.signbit(v)
-    keep = keep_rows.take(sig, axis=0).reshape(shape)
-    chars = words.view(np.uint8).reshape(shape)
+    keep = keep_rows.take(sig, axis=0)
+    chars = words.view(np.uint8).reshape(-1, _CELL)
+    for i in np.flatnonzero(~sure).tolist():
+        text = fallback(float(v[i])).encode()
+        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :45] = np.arange(45) < len(text)
+    chars = chars.reshape(shape)
+    keep = keep.reshape(shape)
     end = np.zeros((len(ends), 3), np.uint8)
     for j, e in enumerate(ends):
         end[j, :len(e)] = np.frombuffer(e, np.uint8)
     chars[..., 45:] = end
     keep[..., 45:] = end != 0
-    return chars, keep, sure.reshape(shape[:-1])
+    return chars, keep
 
 
 def _decimal(v):
@@ -259,11 +262,10 @@ def _decimal(v):
     return n, k, sure
 
 
-# Rows per block.  A block of 512 rows of 4 values peaks at 0.55 MB (its
-# cells, np.compress's index array and the formatter's temporaries), against
-# 0.23 MB for 1,024 rows through a % template; 1,024 rows took 1.1 MB and
-# raised the peak RSS of an 8,192-sample signal run by 5%.
+# Rows per block.  A block of 512 rows of 4 values peaks at 0.55 MB: its
+# cells, np.compress's index array and the formatter's temporaries.
 _BLOCK_ROWS = 512
+_PERCENT17 = "%.17g".__mod__
 
 
 def _write_table(path, head, n_rows, rows, axes=()):
@@ -276,34 +278,19 @@ def _write_table(path, head, n_rows, rows, axes=()):
     bytes are written at once.  The first len(axes) columns are the row-major lattice
     over the 1-d arrays in axes: each axis value is formatted once and its
     cell copied into the blocks, and rows returns only the columns after
-    them.  A row holding a value _format17 is not sure of is formatted by
-    the % template in its place."""
-    labels = [_format17(a[:, None], [b","]) for a in axes]
+    them."""
+    labels = [_format17(a[:, None], [b","], _PERCENT17) for a in axes]
     with open(path, "wb") as fh:
         fh.write("".join(h + "\r\n" for h in head).encode())
         for lo in range(0, n_rows, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_rows)
             block = rows(lo, hi)
-            cells = _format17(block, [b","] * (block.shape[1] - 1) + [b"\r\n"])
-            values = [block]
+            chars, keep = _format17(block, [b","] * (block.shape[1] - 1) + [b"\r\n"], _PERCENT17)
             if axes:
                 lattice = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
                 parts = [[t.take(ix, axis=0) for t in lab] for lab, ix in zip(labels, lattice)]
-                cells = [np.concatenate(p, axis=1) for p in zip(*parts, cells)]
-                values = [a.take(ix)[:, None] for a, ix in zip(axes, lattice)] + values
-            chars, keep, sure = cells
-            bad = np.flatnonzero(~sure.all(axis=1))
-            keep[bad] = False
-            text, at = np.compress(keep.ravel(), chars.ravel()), 0
-            if bad.size:
-                template = ",".join(["%.17g"] * keep.shape[1]) + "\r\n"
-                ends = np.cumsum(keep.sum(axis=(1, 2)))[bad].tolist()
-                lines = np.concatenate([x[bad] for x in values], axis=1).tolist()
-                for end, line in zip(ends, lines):
-                    fh.write(text[at:end])
-                    fh.write((template % tuple(line)).encode())
-                    at = end
-            fh.write(text[at:])
+                chars, keep = [np.concatenate(p, axis=1) for p in zip(*parts, (chars, keep))]
+            fh.write(np.compress(keep.ravel(), chars.ravel()))
 
 
 def write_signal_csv(path, sig: SampledSignal):

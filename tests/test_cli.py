@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import io
 import itertools
@@ -297,6 +298,19 @@ class TestWfCommand:
             entries[steps] = json.loads((outdir / "wf_estimate.json").read_text())["entries"]
         assert entries[500] == entries[1e300] == entries[45] != entries[44]
 
+    def test_profiles_write_minus_inf_as_percent_does(self, tmp_path):
+        # the analytic Gaussian's |V u| underflows to 0 far out: its log is -inf,
+        # a value _format17 cannot decide, written in its cell as '%.17g' writes it
+        cfg = {"signal": {"kind": "analytic-gaussian"}, "index": {"t": 1.0, "s": 1.0},
+               "sphere_samples": 90, "lambda": {"min": 2.0, "max": 100.0, "n": 24},
+               "floor": 1e-11}
+        code, outdir = run_cli(tmp_path, "wf", cfg)
+        assert code == 0
+        with open(outdir / "profiles.csv", newline="") as fh:
+            fields = [f for row in list(csv.reader(fh))[1:] for f in row]
+        assert all(format(float(f), ".17g") == f for f in fields)
+        assert "-inf" in fields
+
     def test_scales_past_the_double_range_are_unreachable(self, tmp_path, capsys):
         # 2^1000 is a double, 2.1^1000 is not: each curve keeps at most two of
         # its 24 samples, too few to fit, so every direction is unreachable
@@ -457,6 +471,21 @@ class TestKernelCheck:
             near = report[f"wf{plane}_rows"]
             assert near["singular"] == sum(o["plane"] == plane for o in report["offenders"])
             assert sum(near.values()) > 0
+
+    @pytest.mark.parametrize("width, lam_max", [(10.0, 4.0), (1000.0, 4.0), (1000.0, 40.0),
+                                                (1000.0, 400.0)])
+    def test_curves_inside_the_window_cell_decide_nothing(self, tmp_path, width, lam_max):
+        # a pure-position curve with lambda^t < W stays in the window's own cell,
+        # where |V u| does not decay: such samples do not count, so these rows are
+        # unreachable instead of singular, and the x^2 propagator passes its check
+        cfg = fuzz_fixture("kernel-check", tmp_path)
+        cfg["window"] = {"width": width}
+        cfg["lambda"] = dict(cfg["lambda"], max=lam_max)
+        code, outdir = run_cli(tmp_path, "kernel-check", cfg)
+        assert code == 0
+        entries = json.loads((outdir / "kernel_wf.json").read_text())["entries"]
+        pure_x = {e["status"] for e in entries if not any(e["dir"][2:])}
+        assert pure_x == {"unreachable"}
 
     def test_same_seed_same_bytes(self, tmp_path):
         # the refinement jitter is the only randomness: the seed fixes every byte

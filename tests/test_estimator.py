@@ -31,6 +31,14 @@ def profile(u, idx, z, lambda_range, w=WindowSpec(1.0), n=24):
     return lambdas, curve_table(u, w, idx, np.reshape(z, (1, -1)), lambdas)[0]
 
 
+def outside_window_cell(z, lam, idx, w) -> bool:
+    """Whether the curve point of the unit row z at lambda lies outside the
+    window's cell: lambda^t |x| >= W or lambda^s |xi| >= 1 / W."""
+    d = len(z) // 2
+    return (lam ** idx.t * math.hypot(*z[:d]) >= w.width
+            or lam ** idx.s * math.hypot(*z[d:]) >= 1.0 / w.width)
+
+
 def polyfit_oracle(lambdas, row, floor):
     """Per-row np.polyfit reference for fit_rate_arrays."""
     valid = np.isfinite(row) & (row >= floor) & (row > 0.0)
@@ -169,19 +177,22 @@ class TestCurveTable:
         lambdas = geometric_lambdas(1.0, 30.0, 12)
         want = np.full((len(dirs), lambdas.size), np.nan)
         for i, z in enumerate(dirs):
-            n = int(np.count_nonzero(lambdas <= curve_reach(u, idx, z)))
-            if n >= _MIN_REACHABLE:
-                lam = lambdas[:n]
-                want[i, :n] = np.abs(stft_points(
+            cols = [j for j, v in enumerate(lambdas.tolist())
+                    if v <= curve_reach(u, idx, z) and outside_window_cell(z, v, idx, w)]
+            if len(cols) >= _MIN_REACHABLE:
+                lam = lambdas[cols]
+                want[i, cols] = np.abs(stft_points(
                     u, w, np.array([float(v) ** idx.t for v in lam])[:, None] * z[:d],
                     np.array([float(v) ** idx.s for v in lam])[:, None] * z[d:]))
         got = curve_table(u, w, idx, dirs, lambdas)
         np.testing.assert_array_equal(got, want)
         reached = np.count_nonzero(np.isfinite(got), axis=1)
+        # lambda = 1 lies inside the window's cell for every direction but the pure ones
+        assert not np.isfinite(got[:, 0]).any()
         if isinstance(u, AnalyticSignal) or getattr(u, "passband", 0.0) == math.inf:
-            assert reached.min() == lambdas.size   # unbounded reach
+            assert reached.min() == lambdas.size - 1   # unbounded reach
         else:   # clipped rows and all-NaN rows are mixed in
-            assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size))
+            assert reached.min() == 0 and np.any((reached > 0) & (reached < lambdas.size - 1))
 
     @pytest.mark.parametrize("build", [kernel_signal, propagator_kernel])
     def test_kernel_curves_stay_inside_the_passband(self, build):
@@ -203,8 +214,11 @@ class TestCurveTable:
         xi = np.abs(lambdas[c, None] ** idx.s * dirs[r, 2:])
         if math.isfinite(passband):
             assert 0.9 * passband < xi.max() <= passband
-        else:
-            assert r.size == got.size
+        else:   # every sample outside the window's cell
+            outside = [[outside_window_cell(z, v, idx, WindowSpec(1.0)) for v in lambdas.tolist()]
+                       for z in dirs]
+            assert np.array_equal(np.isfinite(got), outside)
+            assert r.size < got.size
 
 
     @pytest.mark.parametrize("make", [

@@ -10,9 +10,9 @@ import pytest
 from anisowf.errors import ConfigError, DomainError
 from anisowf.estimator import STATUSES, WFEstimate
 from anisowf.geometry import AnisoIndex
-from anisowf.io import (_Raw, _format17, _write_table, dump_json, poly_from_dict, poly_to_dict,
-                        read_signal_csv, wf_estimate_to_dict, write_profile_csv, write_signal_csv,
-                        write_stft_csv)
+from anisowf.io import (_Raw, _decimal, _format17, _write_table, dump_json, poly_from_dict,
+                        poly_to_dict, read_signal_csv, wf_estimate_to_dict, write_profile_csv,
+                        write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
 from anisowf.stft import StftGrid, WindowSpec, stft_grid
@@ -49,6 +49,9 @@ class TestDumpJson:
 
     def test_non_finite_maps_to_null(self):
         assert dump_json([math.inf, math.nan]) == "[null,null]"
+        # 1e15 + 0.25 is an exact 17-digit tie: like the non-finite values, its text is _float's
+        assert dump_json([math.inf, -math.inf, math.nan, 1e15 + 0.25]) == \
+            "[null,null,null,1000000000000000.2]"
 
     def test_numpy_types(self):
         s = dump_json({"v": np.array([1.0, 2.0]), "n": np.int64(3)})
@@ -155,10 +158,10 @@ class TestStftCsv:
         assert p.read_bytes() == want.encode()
 
 
-def format17_texts(values):
-    """The texts _format17 gives the floats in values, and its sure mask."""
-    chars, keep, sure = _format17(values, [b"\n"])
-    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split("\n")[:-1], sure
+def format17_texts(values, fallback="%.17g".__mod__):
+    """The texts _format17 gives the floats in values."""
+    chars, keep = _format17(values, [b"\n"], fallback)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split("\n")[:-1]
 
 
 def neighbours(x):
@@ -183,20 +186,21 @@ def formatter_inputs():
 
 class TestFormat17:
     def check(self, x):
-        texts, sure = format17_texts(x)
-        assert len(texts) == x.size
+        """Every text is format(v, '.17g'), the undecided values' included;
+        returns _decimal's mask of the decided values."""
+        texts = format17_texts(x)
+        assert texts == [format(v, ".17g") for v in x.tolist()]
+        sure = _decimal(x)[2]
         assert not sure[~np.isfinite(x)].any()
-        for text, ok, v in zip(texts, sure.tolist(), x.tolist()):
-            assert not ok or text == format(v, ".17g"), v
         return sure
 
     def test_powers_neighbours_and_special_values(self):
         x = formatter_inputs()
         sure = self.check(x)
-        # the unsure are the non-finite and the exact 17-digit ties among the powers of two
+        # the undecided are the non-finite and the exact 17-digit ties among the powers of two
         assert not sure[x == TIE].any()
         assert 3 < (~sure).sum() < 100
-        texts, _ = format17_texts(np.array([-0.0, 0.0, 1e16, 1e17, 1e-4, 1e-5]))
+        texts = format17_texts(np.array([-0.0, 0.0, 1e16, 1e17, 1e-4, 1e-5]))
         assert texts == ["-0", "0", "10000000000000000", "1e+17", "0.0001",
                          "1.0000000000000001e-05"]
 
@@ -222,17 +226,19 @@ class TestFormat17:
         check()
 
     def test_shape_and_ends(self):
-        x = np.array([[1.5, -0.25, 1e300], [0.0, 7.0, -1e-7]])
-        chars, keep, sure = _format17(x, [b";", b"", b"\r\n"])
-        assert chars.shape == keep.shape == (2, 3, 48) and sure.shape == (2, 3) and sure.all()
+        # a tie and the non-finite values take the fallback's text, in their own cells
+        x = np.array([[1.5, -0.25, 1e300], [0.0, 7.0, -1e-7], [TIE, -math.inf, math.nan]])
+        chars, keep = _format17(x, [b";", b"", b"\r\n"], "%.17g".__mod__)
+        assert chars.shape == keep.shape == (3, 3, 48)
         text = np.compress(keep.ravel(), chars.ravel()).tobytes()
         assert text == "".join("%.17g;%.17g%.17g\r\n" % tuple(r) for r in x.tolist()).encode()
+        assert format17_texts(x[2], lambda v: "<%r>" % v) == ["<%r>" % v for v in x[2].tolist()]
 
     def test_table_matches_the_percent_template(self, tmp_path):
         x = formatter_inputs()
         table = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)
         assert len(table) > 1024   # more than one block
-        assert not _format17(table, [b","])[2].all(axis=1).all()   # some rows fall back
+        assert not _decimal(table.ravel())[2].all()   # some cells take the fallback
         _write_table(tmp_path / "t.csv", ["a,b,c"], len(table), lambda lo, hi: table[lo:hi])
         want = "a,b,c\r\n" + "".join("%.17g,%.17g,%.17g\r\n" % tuple(row) for row in table.tolist())
         assert (tmp_path / "t.csv").read_bytes() == want.encode()

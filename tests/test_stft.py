@@ -253,6 +253,10 @@ class TestPointsBatch:
     # centre at |x| = 5 has its support clipped by the grid edge.
     WINDOW = WindowSpec(0.3)
 
+    def test_package_exports_the_batched_evaluator(self):
+        import anisowf
+        assert anisowf.stft_points is stft_points
+
     def check_batch(self, u, xs, xis):
         got = stft_points(u, self.WINDOW, xs, xis)
         alone = [stft_point(u, self.WINDOW, PhasePoint(x, xi)) for x, xi in zip(xs, xis)]
