@@ -365,17 +365,21 @@ def check_graph_condition(wf: WFEstimate, eps_angle: float) -> dict:
     eta is immaterial); they are listed in row order, plane 1 first.
     wf1_rows and wf2_rows count the rows of every status within eps_angle of
     each plane: a trace is empty of singular rows, but only the regular
-    ones near it confirm that.
+    ones near it confirm that, so wf1_confirmed and wf2_confirmed say the
+    trace is empty and at least one regular row lies within eps_angle.
     """
     z = wf.dirs
     x2, y2, xi2, eta2 = (np.sum(b * b, axis=1) for b in blocks4(z))
     angles = np.arcsin(np.minimum(1.0, np.sqrt(np.column_stack([y2 + eta2, x2 + xi2]))))
     near = angles < eps_angle
     hit = near & wf.singular[:, None]
+    empty = ~hit.any(axis=0)
+    confirmed = empty & (near & (wf.status == STATUSES.index("regular"))[:, None]).any(axis=0)
     offenders = [{"direction": z[i].tolist(), "plane": int(j) + 1, "angle": float(angles[i, j])}
                  for i, j in zip(*np.nonzero(hit))]
     rows = [wf.status_counts(near[:, j]) for j in (0, 1)]
-    return {"wf1_empty": not hit[:, 0].any(), "wf2_empty": not hit[:, 1].any(),
+    return {"wf1_empty": bool(empty[0]), "wf2_empty": bool(empty[1]),
+            "wf1_confirmed": bool(confirmed[0]), "wf2_confirmed": bool(confirmed[1]),
             "offenders": offenders, "wf1_rows": rows[0], "wf2_rows": rows[1]}
 
 

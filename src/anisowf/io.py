@@ -7,10 +7,12 @@ byte-identical files.  Blocks of floats are formatted by _format17, an exact
 fixed-precision decimal conversion in numpy: each value is scaled to its 17
 digits by a double-double power of ten.  For the few values it cannot decide
 (within 1e-9 of a rounding tie, or not finite) its cell holds the text %
-gives it, or null in JSON.  Every CSV file (signals, STFT grids, decay
-profiles) goes through one writer, _write_table, which writes blocks of rows
-with CRLF line ends in the calling process.  Config fields are read by cfg_get through one of the
-field kinds below, which reject what JSON would otherwise coerce.
+gives it, or null in JSON.  Each cell pads its text with NUL bytes, which no
+text holds, so deleting them compacts a block in one bytes.translate.  Every
+CSV file (signals, STFT grids, decay profiles) goes through one writer,
+_write_table, which writes blocks of rows with CRLF line ends in the calling
+process.  Config fields are read by cfg_get through one of the field kinds
+below, which reject what JSON would otherwise coerce.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ def _float(x: float) -> str:
 
 def _floats(values) -> list:
     """_float of each float in the sequence values, through _format17."""
-    chars, keep = _format17(np.asarray(values, dtype=float), [b","], _float)
-    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split(",")[:-1]
+    chars = _format17(np.asarray(values, dtype=float), [b","], _float)
+    return chars.tobytes().translate(None, b"\0").decode().split(",")[:-1]
 
 
 def _string(s: str) -> str:
@@ -85,7 +87,7 @@ def _string(s: str) -> str:
 
 
 # _format17 writes each float into a cell of _CELL bytes, six uint64 words,
-# and a keep mask selects the bytes of its text:
+# and a word mask zeroes every byte that is not its text:
 #   0       the sign "-"
 #   1 - 5   "0.000", the lead of a value in [1e-4, 1) without its zeros
 #   6 - 39  the 17 digits, each followed by a "." slot
@@ -95,7 +97,7 @@ _CELL = 48
 # decimal exponents k of the tables: every double has -324 <= k <= 308,
 # and a first guess may be one off
 _K_LO, _K_HI = -330, 330
-# cell layouts, one per sign and row of _tables' keep table
+# cell layouts, one per sign and row of _tables' mask table
 _LAYOUTS = 23 * 17
 
 
@@ -107,7 +109,7 @@ def _tables():
     128-bit floor of its mantissa, l the remainder and (hh, hl) the Dekker
     halves of h; the relative error is below 2^-126.  Also the cells' words:
     "d.d.d.d." for each 4-digit group, the first word "-0.000d." for each
-    leading digit and "e+ddd" for each k, and the keep rows."""
+    leading digit and "e+ddd" for each k, and the word masks."""
     ks = np.arange(_K_LO, _K_HI + 1)
     h, l, q = [], [], []
     for p in (16 - ks).tolist():
@@ -126,8 +128,11 @@ def _tables():
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
     groups = np.full((10000, 8), ord("."), np.uint8)
     groups[:, ::2] = digits + ord("0")
-    # the position after a group's last nonzero digit, or below 1 for "0000"
+    # for group j, the index among the 17 digits of its last nonzero one: below
+    # 0 for "0000", except in group 0, where the first digit stands for it
     tail = np.where(g, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
+    tail = (tail + 4 * np.arange(4)[:, None]).astype(np.int16)
+    tail[0, 0] = 0
     first = np.frombuffer(b"-0.0000." * 10, np.uint8).reshape(10, 8).copy()
     first[:, 6] += np.arange(10, dtype=np.uint8)
     ak = np.abs(ks)
@@ -136,7 +141,7 @@ def _tables():
     expo[:, 1] = np.where(ks < 0, ord("-"), ord("+"))
     expo[:, 2:5] = np.stack([ak // 100, ak // 10 % 10, ak % 10], axis=1) + ord("0")
 
-    # keep rows, indexed by 17 layout + significant digits - 1 (+ _LAYOUTS for
+    # kept bytes, indexed by 17 layout + significant digits - 1 (+ _LAYOUTS for
     # a minus sign); layout 0 .. 16 is fixed notation for k = layout, 17 .. 20
     # for k = -1 .. -4, 21 exponent notation with 2 exponent digits and 22 with 3
     layout = np.where((ks >= 0) & (ks < 17), ks, np.where((ks < 0) & (ks >= -4), 16 - ks,
@@ -159,7 +164,7 @@ def _tables():
     keep[:, :, 42] &= row == 22
     return (pow10, np.array(q, np.int32), groups.view(np.uint64)[:, 0], tail,
             first.view(np.uint64)[:, 0], expo.view(np.uint64)[:, 0], 17 * layout,
-            keep.reshape(2 * _LAYOUTS, _CELL))
+            (keep.reshape(2 * _LAYOUTS, _CELL) * np.uint8(255)).view(np.uint64))
 
 
 def _scaled(a, k, pow10, scale):
@@ -189,8 +194,8 @@ def _scaled(a, k, pow10, scale):
 def _format17(values, ends, fallback):
     """Cells holding '%.17g' % v for each float v of the array values.
 
-    Returns chars and keep, of shape values.shape + (_CELL,).  The chars a
-    cell keeps are the text of its value followed by ends[j] (at most 3
+    Returns the uint8 cells, of shape values.shape + (_CELL,).  The nonzero
+    bytes of a cell are the text of its value followed by ends[j] (at most 3
     bytes) for a value in column j of the last axis; a single end serves
     every column.  A value _decimal cannot decide (not finite, or within
     1e-9 of a tie between two 17-digit decimals) gets the text fallback(v)
@@ -200,7 +205,8 @@ def _format17(values, ends, fallback):
     shape = v.shape + (_CELL,)
     v = v.reshape(-1)
     n, k, sure = _decimal(v)
-    _, _, groups, tail, first, expo, layout, keep_rows = _tables()
+    _, _, groups, tail, first, expo, layout, masks = _tables()
+    k -= _K_LO
     # the digits: the leading one, then four groups of 4 from two 9-digit int32 halves
     top = n // 10 ** 8
     low = (n - top * 10 ** 8).astype(np.int32)
@@ -208,30 +214,20 @@ def _format17(values, ends, fallback):
     d0 = top // 10 ** 8
     top -= d0 * 10 ** 8
     g = [top // 10000, top % 10000, low // 10000, low % 10000]
-    words = np.empty((n.size, 6), np.uint64)
-    words[:, 0] = first.take(d0)
-    for j in range(4):
-        words[:, j + 1] = groups.take(g[j])
-    words[:, 5] = expo.take(k - _K_LO)
-    # significant digits: up to the last nonzero one, at least one
-    sig = np.maximum(np.maximum(tail.take(g[0]) + 1, tail.take(g[1]) + 5),
-                     np.maximum(tail.take(g[2]) + 9, tail.take(g[3]) + 13))
-    np.maximum(sig, 1, out=sig)
-    sig += layout.take(k - _K_LO) - 1 + _LAYOUTS * np.signbit(v)
-    keep = keep_rows.take(sig, axis=0)
+    words = np.column_stack([first.take(d0), *[groups.take(x) for x in g], expo.take(k)])
+    # the mask row: the last nonzero digit (at least the first), the layout, the sign
+    row = np.maximum(np.maximum(tail[0].take(g[0]), tail[1].take(g[1])),
+                     np.maximum(tail[2].take(g[2]), tail[3].take(g[3])))
+    row += layout.take(k) + _LAYOUTS * np.signbit(v)
+    words &= masks.take(row, axis=0)
     chars = words.view(np.uint8).reshape(-1, _CELL)
     for i in np.flatnonzero(~sure).tolist():
         text = fallback(float(v[i])).encode()
+        chars[i, :45] = 0
         chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-        keep[i, :45] = np.arange(45) < len(text)
-    chars = chars.reshape(shape)
-    keep = keep.reshape(shape)
-    end = np.zeros((len(ends), 3), np.uint8)
-    for j, e in enumerate(ends):
-        end[j, :len(e)] = np.frombuffer(e, np.uint8)
-    chars[..., 45:] = end
-    keep[..., 45:] = end != 0
-    return chars, keep
+    end = [int.from_bytes((bytes(5) + e).ljust(8, b"\0"), sys.byteorder) for e in ends]
+    words.reshape(-1, len(ends), 6)[:, :, 5] |= np.array(end, np.uint64)
+    return chars.reshape(shape)
 
 
 def _decimal(v):
@@ -262,8 +258,9 @@ def _decimal(v):
     return n, k, sure
 
 
-# Rows per block.  A block of 512 rows of 4 values peaks at 0.55 MB: its
-# cells, np.compress's index array and the formatter's temporaries.
+# Rows per block.  A 512-row block of the 5-column STFT grid peaks at 0.38 MB
+# under tracemalloc: its cells, their bytes before and after the NULs go and
+# the formatter's temporaries.
 _BLOCK_ROWS = 512
 _PERCENT17 = "%.17g".__mod__
 
@@ -274,23 +271,25 @@ def _write_table(path, head, n_rows, rows, axes=()):
 
     rows(lo, hi) returns rows lo .. hi - 1 as a (rows, columns) float array;
     an integer column below 2^31 prints as '%d' would.  Each block of at
-    most _BLOCK_ROWS rows is formatted by one _format17 call and its kept
-    bytes are written at once.  The first len(axes) columns are the row-major lattice
-    over the 1-d arrays in axes: each axis value is formatted once and its
-    cell copied into the blocks, and rows returns only the columns after
+    most _BLOCK_ROWS rows is formatted by one _format17 call and written at
+    once, its NUL padding deleted.  The first len(axes) columns are the
+    row-major lattice over the 1-d arrays in axes: each axis value is
+    formatted once, and its text and comma, NUL-padded to the longest such
+    text, are copied into the blocks; rows returns only the columns after
     them."""
-    labels = [_format17(a[:, None], [b","], _PERCENT17) for a in axes]
+    labels = [np.array([c.tobytes().translate(None, b"\0") for c in _format17(a, [b","], _PERCENT17)],
+                       bytes)[:, None].view(np.uint8) for a in axes]
     with open(path, "wb") as fh:
         fh.write("".join(h + "\r\n" for h in head).encode())
         for lo in range(0, n_rows, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n_rows)
             block = rows(lo, hi)
-            chars, keep = _format17(block, [b","] * (block.shape[1] - 1) + [b"\r\n"], _PERCENT17)
+            chars = _format17(block, [b","] * (block.shape[1] - 1) + [b"\r\n"], _PERCENT17)
             if axes:
                 lattice = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
-                parts = [[t.take(ix, axis=0) for t in lab] for lab, ix in zip(labels, lattice)]
-                chars, keep = [np.concatenate(p, axis=1) for p in zip(*parts, (chars, keep))]
-            fh.write(np.compress(keep.ravel(), chars.ravel()))
+                chars = np.concatenate([lab.take(ix, axis=0) for lab, ix in zip(labels, lattice)]
+                                       + [chars.reshape(hi - lo, -1)], axis=1)
+            fh.write(chars.tobytes().translate(None, b"\0"))
 
 
 def write_signal_csv(path, sig: SampledSignal):

@@ -231,10 +231,12 @@ def test_criterion_8_kernel_graph_condition():
     est_half = run(0.3)
     c_half = cone_constant(est_half, idx)
     stable = f"{c_full:.2g}" == f"{c_half:.2g}"
-    ok = graph["wf1_empty"] and graph["wf2_empty"] and stable and tube <= 0.1 \
+    # an empty trace counts only where regular rows near its plane confirm it
+    ok = graph["wf1_confirmed"] and graph["wf2_confirmed"] and stable and tube <= 0.1 \
         and math.isfinite(c_full)
     report(8, ok, 600.0, t0,
-           f"wf1/wf2 empty at 0.05: {graph['wf1_empty']}/{graph['wf2_empty']}, "
+           f"wf1/wf2 empty at 0.05: {graph['wf1_empty']}/{graph['wf2_empty']}, confirmed by "
+           f"{graph['wf1_rows']['regular']}/{graph['wf2_rows']['regular']} regular rows, "
            f"cone constant {c_full:.3f} vs halved {c_half:.3f} (2-digit stable: {stable}), "
            f"oracle tube {tube:.3f} <= 0.1")
 

@@ -487,6 +487,23 @@ class TestKernelCheck:
         pure_x = {e["status"] for e in entries if not any(e["dir"][2:])}
         assert pure_x == {"unreachable"}
 
+    @pytest.mark.parametrize("width, lam_max, confirmed", [(10.0, 40.0, False),
+                                                           (1000.0, 4.0, False),
+                                                           (1.0, 8.0, True)])
+    def test_empty_traces_confirmed_only_by_regular_rows(self, tmp_path, width, lam_max,
+                                                         confirmed):
+        # a wide window against the lambda range leaves no regular row near either
+        # plane: the traces are empty but unconfirmed, and the exit code stays 0
+        cfg = fuzz_fixture("kernel-check", tmp_path)
+        cfg["window"] = {"width": width}
+        cfg["lambda"] = dict(cfg["lambda"], max=lam_max)
+        code, outdir = run_cli(tmp_path, "kernel-check", cfg)
+        report = json.loads((outdir / "report.json").read_text())
+        assert code == 0 and report["wf1_empty"] and report["wf2_empty"]
+        for plane in (1, 2):
+            assert report[f"wf{plane}_confirmed"] is confirmed
+            assert (report[f"wf{plane}_rows"]["regular"] > 0) is confirmed
+
     def test_same_seed_same_bytes(self, tmp_path):
         # the refinement jitter is the only randomness: the seed fixes every byte
         cfg = fuzz_fixture("kernel-check", tmp_path)

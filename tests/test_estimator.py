@@ -538,6 +538,8 @@ class TestGraphCondition:
         wf = make_wf4([])
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"] and res["wf2_empty"] and not res["offenders"]
+        # no regular row near either plane: the empty traces are not confirmed
+        assert not res["wf1_confirmed"] and not res["wf2_confirmed"]
 
     def test_point_on_plane_one(self):
         wf = make_wf4([[1.0, 0.0, 1.0, 0.0]])
@@ -559,6 +561,7 @@ class TestGraphCondition:
                       statuses=["below-floor", "regular", "singular", "unreachable"])
         res = check_graph_condition(wf, 0.05)
         assert res["wf1_empty"] and not res["wf2_empty"]
+        assert res["wf1_confirmed"] and not res["wf2_confirmed"]
         assert [o["plane"] for o in res["offenders"]] == [2]
         assert res["wf1_rows"] == {"singular": 0, "regular": 1, "below-floor": 1,
                                    "unreachable": 0}

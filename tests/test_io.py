@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from anisowf.errors import ConfigError, DomainError
 from anisowf.estimator import STATUSES, WFEstimate
 from anisowf.geometry import AnisoIndex
-from anisowf.io import (_Raw, _decimal, _format17, _write_table, dump_json, poly_from_dict,
+from anisowf.io import (_Raw, _decimal, _float, _format17, _write_table, dump_json, poly_from_dict,
                         poly_to_dict, read_signal_csv, wf_estimate_to_dict, write_profile_csv,
                         write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
@@ -159,9 +160,9 @@ class TestStftCsv:
 
 
 def format17_texts(values, fallback="%.17g".__mod__):
-    """The texts _format17 gives the floats in values."""
-    chars, keep = _format17(values, [b"\n"], fallback)
-    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split("\n")[:-1]
+    """The texts _format17 gives the floats in values: its cells without their NULs."""
+    chars = _format17(values, [b"\n"], fallback)
+    return chars.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def neighbours(x):
@@ -228,11 +229,21 @@ class TestFormat17:
     def test_shape_and_ends(self):
         # a tie and the non-finite values take the fallback's text, in their own cells
         x = np.array([[1.5, -0.25, 1e300], [0.0, 7.0, -1e-7], [TIE, -math.inf, math.nan]])
-        chars, keep = _format17(x, [b";", b"", b"\r\n"], "%.17g".__mod__)
-        assert chars.shape == keep.shape == (3, 3, 48)
-        text = np.compress(keep.ravel(), chars.ravel()).tobytes()
+        chars = _format17(x, [b";", b"", b"\r\n"], "%.17g".__mod__)
+        assert chars.shape == (3, 3, 48) and chars.dtype == np.uint8
+        text = chars.tobytes().translate(None, b"\0")
         assert text == "".join("%.17g;%.17g%.17g\r\n" % tuple(r) for r in x.tolist()).encode()
         assert format17_texts(x[2], lambda v: "<%r>" % v) == ["<%r>" % v for v in x[2].tolist()]
+
+    def test_text_bytes_are_exactly_the_nonzero_bytes(self):
+        # a cell's nonzero bytes, in order, are its text and end; every other byte is NUL
+        x = formatter_inputs()
+        # the two fallbacks are the reference texts: '%.17g' for CSV, _float (null) for JSON
+        for fallback, end in (("%.17g".__mod__, b"\r\n"), (_float, b",")):
+            cells = _format17(x, [end], fallback)
+            for v, cell in zip(x.tolist(), cells):
+                text = fallback(v).encode() + end
+                assert np.count_nonzero(cell) == len(text) and cell[cell != 0].tobytes() == text
 
     def test_table_matches_the_percent_template(self, tmp_path):
         x = formatter_inputs()
@@ -245,6 +256,32 @@ class TestFormat17:
 
 
 class TestTableWriter:
+    def test_lattice_axes_across_partial_blocks(self, tmp_path):
+        # 5 x 300 lattice rows: 512-row blocks end inside lattice rows, the last holds 476
+        xs = np.array([-2.0, -TIE, 0.0, 1.5, 1e300])
+        xis = np.arange(300) * 0.1 - 15.0
+        table = np.random.default_rng(8).standard_normal((1500, 2))
+        table[[3, 700, 1499], 0] = [math.nan, -math.inf, TIE]
+        table[1024, 1] = -0.0
+        _write_table(tmp_path / "t.csv", ["x,xi,a,b"], 1500, lambda lo, hi: table[lo:hi],
+                     axes=(xs, xis))
+        want = "x,xi,a,b\r\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\r\n" % (xs[i // 300], xis[i % 300], *table[i].tolist())
+            for i in range(1500))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    def test_grid_write_peak_memory(self, tmp_path):
+        # the 512 x 512 grid's own 4 MB is allocated before tracing starts
+        grid = stft_grid(make_gaussian(1, 512, 0.1), WindowSpec(1.0))
+        write_stft_csv(tmp_path / "warm.csv", grid)
+        tracemalloc.start()
+        try:
+            write_stft_csv(tmp_path / "grid.csv", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000, peak
+
     def test_signal_round_trip_of_131072_samples(self, tmp_path):
         n = 131072
         rng = np.random.default_rng(13)
