@@ -4,15 +4,14 @@ Signals travel as CSV with a leading header carrying n, dx, dim; polynomials
 as JSON multi-index coefficient lists; estimates and reports as JSON.  Every
 float is written as the text '%.17g' gives it, so identical runs produce
 byte-identical files.  Blocks of floats are formatted by _format17, an exact
-fixed-precision decimal conversion in numpy: each value is scaled to its 17
-digits by a double-double power of ten.  For the few values it cannot decide
-(within 1e-9 of a rounding tie, or not finite) its cell holds the text %
-gives it, or null in JSON.  Each cell pads its text with NUL bytes, which no
-text holds, so deleting them compacts a block in one bytes.translate.  Every
-CSV file (signals, STFT grids, decay profiles) goes through one writer,
-_write_table, which writes blocks of rows with CRLF line ends in the calling
-process.  Config fields are read by cfg_get through one of the field kinds
-below, which reject what JSON would otherwise coerce.
+decimal conversion in numpy: each value is scaled to its 17 digits by a
+double-double power of ten and laid out in a 32-byte cell.  For the few
+values it cannot decide (within 1e-9 of an inexact rounding tie, or not
+finite) the cell holds the text % gives it, or null in JSON.  A cell pads
+its text with NUL bytes, which no text holds, so one bytes.translate
+compacts a block.  Every CSV file goes through one writer, _write_table, in
+1,024-row blocks.  Config fields are read by cfg_get through one of the
+field kinds below, which reject what JSON would otherwise coerce.
 """
 
 from __future__ import annotations
@@ -86,16 +85,17 @@ def _string(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# _format17 writes each float into a cell of _CELL bytes, six uint64 words,
+# _format17 writes each float into a cell of _CELL bytes, four uint64 words,
 # and a word mask zeroes every byte that is not its text:
 #   0       the sign "-"
 #   1 - 5   "0.000", the lead of a value in [1e-4, 1) without its zeros
-#   6 - 39  the 17 digits, each followed by a "." slot
-#   40 - 44 "e", the exponent's sign and its 3 digits
-#   45 - 47 the end written after the value
-_CELL = 48
-# decimal exponents k of the tables: every double has -324 <= k <= 308,
-# and a first guess may be one off
+#   6, 7    the first digit and a "." slot
+#   8 - 23  the other 16 digits
+#   24 - 28 "e", the exponent's sign and its 3 digits
+#   29 - 31 the end written after the value
+# A point after digit k >= 1 is put there by moving digits 1 .. k one byte down.
+_CELL = 32
+# the tables' exponents k: -324 <= k <= 308 for doubles, and a first guess may be one off
 _K_LO, _K_HI = -330, 330
 # cell layouts, one per sign and row of _tables' mask table
 _LAYOUTS = 23 * 17
@@ -107,9 +107,10 @@ def _tables():
 
     For each k, 10^(16 - k) = (h + l) 2^q with h the double nearest the
     128-bit floor of its mantissa, l the remainder and (hh, hl) the Dekker
-    halves of h; the relative error is below 2^-126.  Also the cells' words:
-    "d.d.d.d." for each 4-digit group, the first word "-0.000d." for each
-    leading digit and "e+ddd" for each k, and the word masks."""
+    halves of h; the relative error is below 2^-126, and l is 0 where the
+    power is a double.  Also the cells' words ("dddd" per 4-digit group,
+    "-0.000d." per first digit, "e+ddd" per k), the word masks, the digit k
+    after which each mask row's point moves (0: none) and their permutations."""
     ks = np.arange(_K_LO, _K_HI + 1)
     h, l, q = [], [], []
     for p in (16 - ks).tolist():
@@ -126,8 +127,7 @@ def _tables():
 
     g = np.arange(10000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    groups = np.full((10000, 8), ord("."), np.uint8)
-    groups[:, ::2] = digits + ord("0")
+    groups = (digits + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
     # for group j, the index among the 17 digits of its last nonzero one: below
     # 0 for "0000", except in group 0, where the first digit stands for it
     tail = np.where(g, 4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
@@ -155,40 +155,45 @@ def _tables():
     point = np.where(fixed, np.where(sig > k + 1, k, -1), np.where(sig > 1, 0, -1))
     slot = np.arange(17)
     keep = np.zeros((2, _LAYOUTS, _CELL), bool)
-    keep[1, :, 0] = True
+    keep[1, :, 0] = keep[:, :, 6] = True
     keep[:, :, 1] = keep[:, :, 2] = lead
     keep[:, :, 3:6] = lead[:, None] & (slot[:3] < -1 - k[:, None])
-    keep[:, :, 6:40:2] = slot < shown[:, None]
-    keep[:, :, 7:40:2] = slot == point[:, None]
-    keep[:, :, 40:45] = ~fixed[:, None]
-    keep[:, :, 42] &= row == 22
-    return (pow10, np.array(q, np.int32), groups.view(np.uint64)[:, 0], tail,
-            first.view(np.uint64)[:, 0], expo.view(np.uint64)[:, 0], 17 * layout,
-            (keep.reshape(2 * _LAYOUTS, _CELL) * np.uint8(255)).view(np.uint64))
+    keep[:, :, 7] = point >= 0
+    keep[:, :, 8:24] = slot[1:] < shown[:, None]
+    keep[:, :, 24:29] = ~fixed[:, None]
+    keep[:, :, 26] &= row == 22
+    perms = 7 + np.where(slot < slot[:, None], slot + 1, np.where(slot == slot[:, None], 0, slot))
+    return (pow10, np.array(q, np.int32), groups, tail, first.view(np.uint64)[:, 0],
+            expo.view(np.uint64)[:, 0], 17 * layout,
+            (keep.reshape(2 * _LAYOUTS, _CELL) * np.uint8(255)).view(np.uint64),
+            np.tile(np.maximum(point, 0), 2).astype(np.uint8), perms)
 
 
-def _scaled(a, k, pow10, scale):
-    """Floor and fraction of D = a 10^(16 - k) for positive finite a, with an
-    absolute error below 2e-14 where D < 1e17: the frexp mantissa of a times
-    the double-double power of ten, its high part by Dekker's exact
-    two-product; the relative error is below 2^-102."""
-    i = k - _K_LO
-    h, hh, hl, l = pow10.take(i, axis=1)
-    m, e = np.frexp(a)
+def _scaled(m, e, i, pow10, scale):
+    """Floor and fraction of D = a 10^(16 - k) for positive finite a with frexp
+    mantissas m, which it overwrites, and exponents e, and table rows i = k -
+    _K_LO: m times the double-double power of ten, by Dekker's two-product.
+    The relative error is below 2^-102, the absolute error below 2e-14 where
+    D < 1e17, and D is exact where 10^(16 - k) is a double."""
     e += scale.take(i)
+    h, hh, hl, l = pow10.take(i, axis=1)
     mh = m * 134217729.0
     mh -= mh - m
     ml = m - mh
-    hi = m * h
-    lo = ((mh * hh - hi) + mh * hl + ml * hh) + ml * hl
-    lo += m * l
-    hi = np.ldexp(hi, e)
-    lo = np.ldexp(lo, e)
-    whole = np.floor(hi)
-    hi -= whole
-    hi += lo
-    carry = np.floor(hi)
-    return whole.astype(np.int64) + carry.astype(np.int64), hi - carry
+    h *= m
+    lo = ((mh * hh - h) + mh * hl + ml * hh) + ml * hl
+    l *= m
+    lo += l
+    np.ldexp(h, e, out=h)
+    np.ldexp(lo, e, out=lo)
+    n = np.floor(h)
+    h -= n
+    lo += h
+    carry = np.floor(lo, out=h)
+    lo -= carry
+    n = n.astype(np.int64)
+    n += carry.astype(np.int8)
+    return n, lo
 
 
 def _format17(values, ends, fallback):
@@ -198,70 +203,78 @@ def _format17(values, ends, fallback):
     bytes of a cell are the text of its value followed by ends[j] (at most 3
     bytes) for a value in column j of the last axis; a single end serves
     every column.  A value _decimal cannot decide (not finite, or within
-    1e-9 of a tie between two 17-digit decimals) gets the text fallback(v)
-    instead, at most 24 characters: '%.17g'.__mod__ for CSV, _float for
-    JSON, which differ only on values that are not finite."""
-    v = np.asarray(values, dtype=float)
-    shape = v.shape + (_CELL,)
-    v = v.reshape(-1)
-    n, k, sure = _decimal(v)
-    _, _, groups, tail, first, expo, layout, masks = _tables()
-    k -= _K_LO
-    # the digits: the leading one, then four groups of 4 from two 9-digit int32 halves
+    1e-9 of a tie between two 17-digit decimals that is not exact) gets the
+    text fallback(v) instead, at most 24 characters: '%.17g'.__mod__ for CSV,
+    _float for JSON, which differ only on values that are not finite."""
+    v = np.asarray(values, dtype=float).reshape(-1)
+    n, i, sure = _decimal(v)
+    _, _, groups, tail, first, expo, layout, masks, moves, perms = _tables()
+    cells = np.empty((v.size, 4), np.uint64)
+    cells[:, 3] = expo.take(i)
+    row = layout.take(i) + _LAYOUTS * np.signbit(v)
+    # the digits: the leading one, then four groups of 4 from two 8-digit halves
     top = n // 10 ** 8
-    low = (n - top * 10 ** 8).astype(np.int32)
-    top = top.astype(np.int32)
+    n -= top * 10 ** 8
     d0 = top // 10 ** 8
     top -= d0 * 10 ** 8
-    g = [top // 10000, top % 10000, low // 10000, low % 10000]
-    words = np.column_stack([first.take(d0), *[groups.take(x) for x in g], expo.take(k)])
-    # the mask row: the last nonzero digit (at least the first), the layout, the sign
-    row = np.maximum(np.maximum(tail[0].take(g[0]), tail[1].take(g[1])),
-                     np.maximum(tail[2].take(g[2]), tail[3].take(g[3])))
-    row += layout.take(k) + _LAYOUTS * np.signbit(v)
-    words &= masks.take(row, axis=0)
-    chars = words.view(np.uint8).reshape(-1, _CELL)
-    for i in np.flatnonzero(~sure).tolist():
-        text = fallback(float(v[i])).encode()
-        chars[i, :45] = 0
-        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+    cells[:, 0] = first.take(d0, mode="clip")
+    g = [top // 10000, top, n // 10000, n]
+    top -= g[0] * 10000
+    n -= g[2] * 10000
+    for j, x in enumerate(g):
+        cells.view(np.uint32)[:, 2 + j] = groups.take(x)
+    # the mask row: the layout and sign, and the last nonzero digit (at least the first)
+    row += np.maximum(np.maximum(tail[0].take(g[0]), tail[1].take(g[1])),
+                      np.maximum(tail[2].take(g[2]), tail[3].take(g[3])))
+    del i, d0, top, n, g
+    cells &= masks.take(row, axis=0)
+    chars = cells.view(np.uint8)
+    moved = np.flatnonzero(moves.take(row))
+    if moved.size:
+        chars[moved, 7:24] = chars[moved[:, None], perms.take(moves.take(row.take(moved)), axis=0)]
+    for j in np.flatnonzero(~sure).tolist():
+        chars[j, :29] = np.frombuffer(fallback(float(v[j])).encode().ljust(29, b"\0"), np.uint8)
     end = [int.from_bytes((bytes(5) + e).ljust(8, b"\0"), sys.byteorder) for e in ends]
-    words.reshape(-1, len(ends), 6)[:, :, 5] |= np.array(end, np.uint64)
-    return chars.reshape(shape)
+    cells.reshape(-1, len(ends), 4)[:, :, 3] |= np.array(end, np.uint64)
+    return chars.reshape(np.shape(values) + (_CELL,))
 
 
 def _decimal(v):
     """The 17-digit decimal n 10^(k - 16) nearest |v| for each float of the
-    1-d array v, and the mask of the sure values: n and k are 0 for a zero
-    and for a value that is not sure."""
+    1-d array v, as n, the table rows i = k - _K_LO and the mask of the sure
+    values: n is 0 for a zero and meaningless where not sure.  Where 10^(16 -
+    k) is a double D is exact, so a tie is sure and rounds to even, as % does."""
     pow10, scale = _tables()[:2]
     a = np.abs(v)
     sure = np.isfinite(a)
     zero = a == 0.0
     a[zero | ~sure] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
-    n, frac = _scaled(a, k, pow10, scale)
+    i = np.floor(np.log10(a)).astype(np.int64) - _K_LO
+    n, frac = _scaled(*np.frexp(a, out=(a, None)), i, pow10, scale)
     # the guess is one off near a power of ten: n has 16 or 18 digits there
-    off = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
-    fix = np.flatnonzero(off)
+    fix = np.flatnonzero((n - 10 ** 16).view(np.uint64) >= 9 * 10 ** 16)
     if fix.size:
-        k[fix] += off[fix]
-        n[fix], frac[fix] = _scaled(a[fix], k[fix], pow10, scale)
-    sure &= (n >= 10 ** 16) & (n < 10 ** 17) & (np.abs(frac - 0.5) > 1e-9)
-    n += frac > 0.5
-    decade = n == 10 ** 17
+        i[fix] += np.where(n[fix] < 10 ** 16, -1, 1)
+        n[fix], frac[fix] = _scaled(*np.frexp(np.abs(v[fix])), i[fix], pow10, scale)
+        sure[fix] &= (n[fix] >= 10 ** 16) & (n[fix] < 10 ** 17)
+    frac -= 0.5
+    n += frac > 0.0
+    near = np.flatnonzero(np.abs(frac, out=frac) <= 1e-9)
+    if near.size:
+        exact = pow10[3].take(i.take(near)) == 0.0
+        sure[near[~exact]] = False
+        n[near] += (n.take(near) & 1) * (exact & (frac.take(near) == 0.0))
+    decade = np.flatnonzero(n == 10 ** 17)
     n[decade] = 10 ** 16
-    k += decade
-    blank = zero | ~sure
-    n[blank] = 0
-    k[blank] = 0
-    return n, k, sure
+    i[decade] += 1
+    n[zero] = 0
+    return n, i, sure
 
 
-# Rows per block.  A 512-row block of the 5-column STFT grid peaks at 0.38 MB
-# under tracemalloc: its cells, their bytes before and after the NULs go and
-# the formatter's temporaries.
-_BLOCK_ROWS = 512
+# Rows per block.  A 1,024-row block of the 5-column STFT grid peaks at 0.38 MB
+# under tracemalloc, as a 512-row block of 48-byte cells did: its cells and
+# their mask rows, a few arrays of one word per value, and its bytes.
+_BLOCK_ROWS = 1024
 _PERCENT17 = "%.17g".__mod__
 
 
@@ -289,7 +302,9 @@ def _write_table(path, head, n_rows, rows, axes=()):
                 lattice = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
                 chars = np.concatenate([lab.take(ix, axis=0) for lab, ix in zip(labels, lattice)]
                                        + [chars.reshape(hi - lo, -1)], axis=1)
-            fh.write(chars.tobytes().translate(None, b"\0"))
+            chars = chars.tobytes()   # the array is freed before the NULs go
+            fh.write(chars.translate(None, b"\0"))
+            del chars   # and the bytes before the next block is formatted
 
 
 def write_signal_csv(path, sig: SampledSignal):

@@ -1,8 +1,10 @@
 import csv
+import decimal
 import errno
 import io
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -11,9 +13,9 @@ import pytest
 from anisowf.errors import ConfigError, DomainError
 from anisowf.estimator import STATUSES, WFEstimate
 from anisowf.geometry import AnisoIndex
-from anisowf.io import (_Raw, _decimal, _float, _format17, _write_table, dump_json, poly_from_dict,
-                        poly_to_dict, read_signal_csv, wf_estimate_to_dict, write_profile_csv,
-                        write_signal_csv, write_stft_csv)
+from anisowf.io import (_Raw, _decimal, _float, _floats, _format17, _write_table, dump_json,
+                        poly_from_dict, poly_to_dict, read_signal_csv, wf_estimate_to_dict,
+                        write_profile_csv, write_signal_csv, write_stft_csv)
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
 from anisowf.stft import StftGrid, WindowSpec, stft_grid
@@ -160,8 +162,11 @@ class TestStftCsv:
 
 
 def format17_texts(values, fallback="%.17g".__mod__):
-    """The texts _format17 gives the floats in values: its cells without their NULs."""
+    """The texts _format17 gives the floats in values: its 32-byte cells, each
+    holding its text in bytes 0 - 28 and its end in byte 29, without their NULs."""
     chars = _format17(values, [b"\n"], fallback)
+    assert chars.shape == np.shape(values) + (32,)
+    assert (chars[..., 29] == ord("\n")).all() and not chars[..., 30:].any()
     return chars.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
@@ -172,6 +177,12 @@ def neighbours(x):
 
 
 TIE = 2.0 ** -25   # 2.98023223876953125e-08: 18 digits ending in 5
+# 17-digit ties where 10^(16 - k) is a double, so _decimal's D is exact and decides them:
+# 16 integer digits and .25 or .75, 15 and an odd multiple of 1/8, 14 and of 1/16, and
+# odd multiples of 2^-18 in [0.1, 1) and of 2^-23 in [1e-6, 1e-5), all 18 digits ending in 5
+EXACT_TIES = np.array([2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 1234567890123456.25, 2.0 ** 49 + 0.125,
+                       2.0 ** 49 + 0.375, 123456789012345.875, 12345678901234.0625,
+                       100001 / 2.0 ** 18, 262143 / 2.0 ** 18, 9 / 2.0 ** 23, 83 / 2.0 ** 23])
 SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, TIE,
                     99999999999999999.0, 1e-5, 1e-4, 1e16, 1e17])
 
@@ -212,8 +223,17 @@ class TestFormat17:
         x = np.concatenate([neighbours(np.array(literals)),
                             rng.standard_normal(20000) * 10.0 ** rng.integers(-40, 40, 20000),
                             rng.integers(-2 ** 53, 2 ** 53, 5000).astype(float)])
-        # doubles in [1e13, 1e16) with a binary fraction of .25 or .75 are exact ties
-        assert self.check(x).mean() > 0.99
+        # the undecided are the non-finite and four neighbours of +-1e20
+        assert self.check(x).mean() > 0.997
+
+    def test_exact_ties_are_decided_half_to_even(self):
+        x = np.concatenate([EXACT_TIES, -EXACT_TIES])
+        # each value is exactly an 18-digit decimal ending in 5
+        assert all(len(d.digits) == 18 and d.digits[-1] == 5
+                   for d in (decimal.Decimal(v).as_tuple() for v in x.tolist()))
+        assert self.check(x).all()
+        # half to even: .25 keeps its 2, .75 takes 8
+        assert format17_texts(EXACT_TIES[:2]) == ["1125899906842624.2", "1125899906842624.8"]
 
     def test_any_bit_pattern(self):
         hyp = pytest.importorskip("hypothesis")
@@ -230,7 +250,9 @@ class TestFormat17:
         # a tie and the non-finite values take the fallback's text, in their own cells
         x = np.array([[1.5, -0.25, 1e300], [0.0, 7.0, -1e-7], [TIE, -math.inf, math.nan]])
         chars = _format17(x, [b";", b"", b"\r\n"], "%.17g".__mod__)
-        assert chars.shape == (3, 3, 48) and chars.dtype == np.uint8
+        assert chars.shape == (3, 3, 32) and chars.dtype == np.uint8
+        # each column's end sits in bytes 29 - 31 of its cells
+        assert (chars[:, :, 29:] == [[59, 0, 0], [0, 0, 0], [13, 10, 0]]).all()
         text = chars.tobytes().translate(None, b"\0")
         assert text == "".join("%.17g;%.17g%.17g\r\n" % tuple(r) for r in x.tolist()).encode()
         assert format17_texts(x[2], lambda v: "<%r>" % v) == ["<%r>" % v for v in x[2].tolist()]
@@ -255,9 +277,73 @@ class TestFormat17:
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
+def mask_row(text):
+    """The row of _format17's mask table that the '%.17g' text of a finite
+    value takes: 17 layout + significant digits - 1, plus 23 x 17 for a minus."""
+    body = text.lstrip("-")
+    if "e" in body:
+        mantissa, exponent = body.split("e")
+        layout, digits = 21 + (abs(int(exponent)) >= 100), mantissa.replace(".", "")
+    else:
+        whole, _, frac = body.partition(".")
+        k = len(whole) - 1 if whole != "0" or not frac else len(frac.lstrip("0")) - len(frac) - 1
+        layout, digits = (k if k >= 0 else 16 - k), (whole + frac).lstrip("0")
+    return 23 * 17 * text.startswith("-") + 17 * layout + len(digits.rstrip("0") or "0") - 1
+
+
+def layout_values():
+    """One positive float for each row of the mask table without the sign:
+    decimals of sig random digits at an exponent of the row's layout, kept
+    when '%.17g' shows exactly those digits."""
+    rng = random.Random(23)
+    exponents = {21: [17, 22, 99, -5, -30, -99], 22: [100, 200, 308, -100, -200, -307]}
+    found = []
+    for layout in range(23):
+        ks = exponents.get(layout, [layout if layout <= 16 else 16 - layout])
+        for sig in range(1, 18):
+            for trial in range(1000):
+                digits = ([rng.randint(1, 9)] + [rng.randint(0, 9) for _ in range(sig - 2)]
+                          + [rng.randint(1, 9)] * (sig > 1))
+                x = float("%d.%se%d" % (digits[0], "".join(map(str, digits[1:])),
+                                        ks[trial % len(ks)]))
+                if mask_row("%.17g" % x) == 17 * layout + sig - 1:
+                    found.append(x)
+                    break
+    return np.array(found)
+
+
+class TestCellLayouts:
+    def test_every_mask_row_point_lead_exponent_and_fallback(self, tmp_path):
+        rows = layout_values()
+        # the point after digit j = 1 .. 16, and the leads 0.d, 0.0d, 0.00d and 0.000d
+        points = [int("1234567890123456"[:j]) + 0.5 for j in range(1, 17)]
+        assert ["%.17g" % v for v in points] == [str(int(v)) + ".5" for v in points]
+        leads = [0.5, 0.0625, 0.001953125, 0.0001220703125]
+        assert ["%.17g" % v for v in leads] == ["0.5", "0.0625", "0.001953125", "0.0001220703125"]
+        exponents = [1e20, 1.5e-7, 6.02214076e23, 1e100, 2.5e-300, 5e-324, 1.7976931348623157e308]
+        x = np.concatenate([rows, points, leads, exponents, [0.0], EXACT_TIES])
+        x = np.concatenate([x, -x, [math.nan, math.inf, TIE]])
+        assert sorted({mask_row("%.17g" % v) for v in x[np.isfinite(x)].tolist()}) == \
+            list(range(2 * 23 * 17))
+
+        table = np.concatenate([x, np.zeros(-x.size % 3)]).reshape(-1, 3)
+        _write_table(tmp_path / "t.csv", ["a,b,c"], len(table), lambda lo, hi: table[lo:hi])
+        want = "a,b,c\r\n" + "".join("%.17g,%.17g,%.17g\r\n" % tuple(r) for r in table.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert _floats(x) == [_float(v) for v in x.tolist()]
+
+        # fallback texts of 24 characters, the most a cell holds, each before a 3-byte end
+        special = np.array([math.nan, math.inf, -math.inf, TIE, -TIE])
+        wide = "{:#>24}".format
+        chars = _format17(special, [b";;\n"], lambda v: wide("%.17g" % v))
+        assert not chars[:, 24:29].any()
+        assert chars.tobytes().translate(None, b"\0").decode() == \
+            "".join(wide("%.17g" % v) + ";;\n" for v in special.tolist())
+
+
 class TestTableWriter:
     def test_lattice_axes_across_partial_blocks(self, tmp_path):
-        # 5 x 300 lattice rows: 512-row blocks end inside lattice rows, the last holds 476
+        # 5 x 300 lattice rows: 1,024-row blocks end inside lattice rows, the last holds 476
         xs = np.array([-2.0, -TIE, 0.0, 1.5, 1e300])
         xis = np.arange(300) * 0.1 - 15.0
         table = np.random.default_rng(8).standard_normal((1500, 2))
@@ -277,6 +363,22 @@ class TestTableWriter:
         tracemalloc.start()
         try:
             write_stft_csv(tmp_path / "grid.csv", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000, peak
+
+    def test_profile_table_write_peak_memory(self, tmp_path):
+        # the 17,280 x 4 table of sweep-1d's profiles.csv: direction, lambda, magnitude, log
+        rng = np.random.default_rng(6)
+        mags = np.exp(-rng.uniform(0.0, 30.0, 17280))
+        table = np.column_stack([np.repeat(np.arange(720.0), 24),
+                                 np.tile(np.geomspace(2.0, 30.0, 24), 720), mags, np.log(mags)])
+        _write_table(tmp_path / "warm.csv", ["a"], 1, lambda lo, hi: table[lo:hi])
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "t.csv", ["direction,lambda,magnitude,log_magnitude"],
+                         len(table), lambda lo, hi: table[lo:hi])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
