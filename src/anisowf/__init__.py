@@ -18,5 +18,5 @@ from .relation import PointSet, compose, compose_via_projection
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, WindowSpec,
                       chirp_signal, delta_signal, fourier, gaussian_signal, make_chirp,
                       make_gaussian, one_signal, tensor_signal)
-from .stft import (StftGrid, classical_seminorm, istft, moyal_error, stft_grid, stft_point,
-                   stft_points, stft_seminorm)
+from .stft import (StftGrid, istft, moyal_error, stft_grid, stft_point, stft_points,
+                   stft_seminorm)

@@ -31,7 +31,7 @@ from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
 from .relation import PointSet, compose
 from .signals import (MIN_WIDTH, SampledSignal, chirp_signal, delta_signal, gaussian_signal,
                       make_chirp, make_gaussian, one_signal)
-from .stft import WindowSpec, classical_seminorm, moyal_error, stft_grid, stft_seminorm
+from .stft import WindowSpec, moyal_error, stft_grid, stft_seminorm
 
 
 def parse_index(cfg, path="index") -> AnisoIndex:
@@ -273,18 +273,13 @@ def cmd_seminorm(config, out, seed):
     sig = parse_sampled_signal(config)
     idx = parse_index(config)
     kind = cfg_get(config, "kind", text, default="stft")
-    if kind == "stft":
-        w = parse_window(config)
-        key, params = "r", cfg_get(config, "r_values", list_of(positive))
-        values = [stft_seminorm(sig, w, idx, r) for r in params]
-    elif kind == "classical":
-        order = cfg_get(config, "max_order", count, default=4)
-        key, params = "h", cfg_get(config, "h_values", list_of(positive))
-        values = [classical_seminorm(sig, idx, h, order) for h in params]
-    else:
-        raise ConfigError(f"kind: unknown seminorm kind {kind!r}")
-    rows = [{key: p, "value": None if math.isinf(v) else v, "divergent": math.isinf(v)}
-            for p, v in zip(params, values)]
+    if kind != "stft":
+        raise ConfigError(f"kind: unknown seminorm kind {kind!r}; the only kind is 'stft'")
+    w = parse_window(config)
+    rows = []
+    for r in cfg_get(config, "r_values", list_of(positive)):
+        v = stft_seminorm(sig, w, idx, r)
+        rows.append({"r": r, "value": None if math.isinf(v) else v, "divergent": math.isinf(v)})
     out.write_json("seminorm.json", report_envelope(config, seed, {"values": rows}))
 
 

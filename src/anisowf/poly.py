@@ -9,8 +9,6 @@ variable at a time.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -122,9 +120,3 @@ def principal_part(p: PolynomialData) -> PolynomialData:
     m = p.degree
     return PolynomialData(p.dim, {a: c for a, c in p.coeffs.items() if sum(a) == m})
 
-
-def iter_multi_indices(dim: int, max_total: int):
-    """All alpha in N^dim with |alpha| <= max_total."""
-    for alpha in product(range(max_total + 1), repeat=dim):
-        if sum(alpha) <= max_total:
-            yield alpha

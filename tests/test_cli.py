@@ -156,8 +156,9 @@ class TestStftCommand:
             ("wf", dict(wf, signal={"kind": "file", "path": True}), "signal.path"),
             ("chirp-verify", {"phase": {"dim": 1, "coeffs": [{"alpha": [2], "c": "1.0"}]}},
              "phase"),
+            # the seminorm has one kind: an old classical config does not run as stft
             ("seminorm", {"signal": gauss, "index": {"t": 1.0, "s": 1.0}, "kind": "classical",
-                          "max_order": 3.7, "h_values": [0.5]}, "max_order"),
+                          "r_values": [0.5]}, "kind"),
             # commands that read grid samples, given an analytic signal
             ("stft", {"signal": {"kind": "analytic-one"}}, "signal.kind"),
             ("seminorm", {"signal": {"kind": "analytic-gaussian"}, "index": {"t": 1.0, "s": 1.0},
@@ -414,30 +415,16 @@ class TestSeminormCommand:
         assert len(rows) == 2
         assert all(not r["divergent"] for r in rows)
 
-    def test_classical_table(self, tmp_path):
-        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1},
-               "index": {"t": 1.0, "s": 1.0},
-               "kind": "classical",
-               "max_order": 2,
-               "h_values": [0.5, 1.0]}
+    def test_frequency_edge_round_off_is_not_divergent(self, tmp_path):
+        # at s = 0.6 the weight lifts the grid's round-off at xi = -pi/dx (7e-17)
+        # past the true supremum; the closed form is 0.62002
+        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.2},
+               "index": {"t": 1.0, "s": 0.6}, "r_values": [0.4]}
         code, outdir = run_cli(tmp_path, "seminorm", cfg)
         assert code == 0
-        rows = json.loads((outdir / "seminorm.json").read_text())["values"]
-        assert rows[0]["value"] >= rows[1]["value"]
-        assert not any(r["divergent"] for r in rows)
-
-    def test_classical_h_past_the_double_range(self, tmp_path):
-        # h^(|a|+|b|) underflows at 1e-100 (the ratio is inf: divergent) and
-        # overflows at 1e100 (every ratio past order 0 vanishes)
-        cfg = {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1},
-               "index": {"t": 1.0, "s": 1.0}, "kind": "classical",
-               "h_values": [1e-100, 1e100]}
-        code, outdir = run_cli(tmp_path, "seminorm", cfg)
-        assert code == 0
-        rows = json.loads((outdir / "seminorm.json").read_text())["values"]
-        assert rows[0] == {"h": 1e-100, "value": None, "divergent": True}
-        assert rows[1]["value"] == pytest.approx(math.pi ** -0.25, abs=1e-10)
-        assert rows[1]["divergent"] is False
+        [row] = json.loads((outdir / "seminorm.json").read_text())["values"]
+        assert list(row) == ["r", "value", "divergent"] and row["divergent"] is False
+        assert row["value"] == pytest.approx(0.62002, rel=1e-3)
 
 
 def kernel_graph_circle():
@@ -621,8 +608,8 @@ def fuzz_fixture(command, tmp_path):
                          "sweep": [2, 2, 2, 4], "lambda": {"min": 2.0, "max": 4.0, "n": 12},
                          "r_threshold": 0.13, "floor": 1e-11, "eps_angle": 0.05},
         "relation": {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "tolerance": 1e-9},
-        "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "index": unit,
-                     "kind": "classical", "max_order": 2, "h_values": [0.5]},
+        "seminorm": {"signal": {"kind": "gaussian", "n": 128, "dx": 0.15}, "window": window,
+                     "index": unit, "kind": "stft", "r_values": [0.5]},
     }[command]
 
 
@@ -698,13 +685,12 @@ class TestConfigFuzz:
         check()
 
     def test_positive_fields_reject_zero_and_negative(self, tmp_path, capsys):
-        stft_seminorm = dict(fuzz_fixture("seminorm", tmp_path), kind="stft")
         analytic = dict(fuzz_fixture("wf", tmp_path), signal={"kind": "analytic-gaussian"})
         cases = [("kernel-check", None, "eps_angle"), ("chirp-verify", None, "tol_angle"),
-                 ("propagate-verify", None, "tol_angle"), ("seminorm", None, "h_values"),
-                 ("seminorm", stft_seminorm, "r_values"), ("wf", None, "lambda.min"),
-                 ("wf", None, "lambda.max"), ("stft", None, "signal.dx"),
-                 ("stft", None, "signal.width"), ("wf", analytic, "signal.width"),
+                 ("propagate-verify", None, "tol_angle"), ("seminorm", None, "r_values"),
+                 ("wf", None, "lambda.min"), ("wf", None, "lambda.max"),
+                 ("stft", None, "signal.dx"), ("stft", None, "signal.width"),
+                 ("wf", analytic, "signal.width"),
                  ("propagate-verify", None, "signal.dx"),
                  ("propagate-verify", None, "signal.envelope_width"),
                  ("propagate-verify", None, "signal.alias_guard_level"),
@@ -735,7 +721,7 @@ class TestConfigFuzz:
         ("kernel-check", "sweep.3", "sweep"),
         ("stft", "signal.n", "signal.n"), ("propagate-verify", "signal.n", "signal.n"),
         ("seminorm", "signal.n", "signal.n"), ("stft", "signal.d", "signal.d"),
-        ("seminorm", "max_order", "max_order"), ("chirp-verify", "phase.dim", "phase"),
+        ("seminorm", "signal.d", "signal.d"), ("chirp-verify", "phase.dim", "phase"),
         ("chirp-verify", "phase.coeffs.0.alpha.0", "phase")])
     def test_huge_counts_exit_2(self, tmp_path, capsys, command, path, named):
         # 1e300 used to overflow an allocation or an int conversion with a raw traceback
@@ -754,8 +740,6 @@ class TestConfigFuzz:
     def test_window_width_past_2_511_exit_2(self, tmp_path, capsys, command):
         # width^2 of 1e160 used to end in a raw OverflowError in the window's values
         cfg = dict(fuzz_fixture(command, tmp_path), window={"width": 1e160})
-        if command == "seminorm":
-            cfg.update(kind="stft", r_values=[0.5])
         code, outdir = run_cli(tmp_path, command, cfg)
         err = capsys.readouterr().err
         assert code == 2, err

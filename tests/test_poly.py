@@ -1,17 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from anisowf.errors import DomainError
-from anisowf.poly import (PolynomialData, eval_grad, eval_poly,
-                          iter_multi_indices, poly_1d, principal_part)
+from anisowf.poly import PolynomialData, eval_grad, eval_poly, poly_1d, principal_part
 
 
 def random_poly(rng, dim, degree):
     coeffs = {}
-    for alpha in iter_multi_indices(dim, degree):
-        if rng.uniform() < 0.5:
+    for alpha in itertools.product(range(degree + 1), repeat=dim):
+        if sum(alpha) <= degree and rng.uniform() < 0.5:
             coeffs[alpha] = rng.standard_normal()
     coeffs[tuple([degree] + [0] * (dim - 1))] = rng.standard_normal() + 2.0
     return PolynomialData(dim, coeffs)

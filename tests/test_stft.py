@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from anisowf import stft as stft_module
-from anisowf.errors import DomainError, ResolutionError, TruncationError
+from anisowf.errors import DomainError, TruncationError
 from anisowf.evolution import EvolutionSpec, kernel_signal
 from anisowf.geometry import AnisoIndex, PhasePoint
 from anisowf.poly import PolynomialData, poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
-from anisowf.stft import (_WORK_ELEMENTS, WindowSpec, _chirp_quadrature, classical_seminorm,
-                          istft, moyal_error, stft_grid, stft_point, stft_points, stft_seminorm)
+from anisowf.stft import (_WORK_ELEMENTS, WindowSpec, _chirp_quadrature, istft, moyal_error,
+                          stft_grid, stft_point, stft_points, stft_seminorm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -848,36 +848,33 @@ class TestSeminorms:
             assert math.isfinite(v1) and math.isfinite(v2)
             assert 1e-3 <= v1 / v2 <= 1e3
 
-    def test_classical_order_zero(self):
-        u = make_gaussian(1, 256, 0.1)
-        val = classical_seminorm(u, AnisoIndex(1.0, 1.0), h=1e9, max_order=0)
-        assert val == pytest.approx(math.pi ** -0.25, abs=1e-10)
+    @pytest.mark.parametrize("w, t, s, r", [(1.0, 0.6, 1.0, 0.1), (1.0, 0.6, 1.0, 0.2),
+                                            (1.0, 0.6, 1.0, 0.3), (1.0, 0.6, 1.0, 0.4),
+                                            (1.0, 0.6, 1.0, 0.5), (1.0, 1.0, 0.6, 0.4),
+                                            (1.4, 0.6, 1.0, 0.5)])
+    def test_gaussian_closed_form(self, w, t, s, r):
+        # |V u| = (2 pi)^(-1/2) (2aW/S)^(1/2) exp(-x^2/(2S) - a^2 W^2 xi^2/(2S)) with
+        # S = a^2 + W^2, so the supremum is one stationary point per axis; these lie
+        # inside the lattice.  At (1.0, 0.6) the weight lifts the round-off at the
+        # frequency edge past the true supremum unless it is masked.  At W = 1.4 the
+        # supremum sits at x = 15, where |V u| is 3e-17 of the grid's largest but far
+        # above the round-off of its own row
+        a = 1.0
+        big_s = a * a + w * w
 
-    def test_classical_monotone_in_h(self):
-        u = make_gaussian(1, 256, 0.1)
-        idx = AnisoIndex(1.0, 1.0)
-        v_small = classical_seminorm(u, idx, h=0.5, max_order=4)
-        v_large = classical_seminorm(u, idx, h=1.0, max_order=4)
-        assert v_small >= v_large
+        def axis_max(c, index):   # max over y >= 0 of r y^(1/index) - c y^2 / 2
+            y = (r / (index * c)) ** (1.0 / (2.0 - 1.0 / index))
+            return r * y ** (1.0 / index) - c * y * y / 2.0
 
-    def test_classical_extreme_h(self):
-        # h^(|a|+|b|) leaves the double range at both ends: the ratios past
-        # order 0 are inf at h = 1e-100 and vanish at h = 1e100, leaving sup |u|
-        u = make_gaussian(1, 256, 0.1)
-        idx = AnisoIndex(1.0, 1.0)
-        assert classical_seminorm(u, idx, h=1e-100, max_order=4) == math.inf
-        assert classical_seminorm(u, idx, h=1e100, max_order=4) == pytest.approx(
-            math.pi ** -0.25, abs=1e-10)
+        want = (TWO_PI ** -0.5 * math.sqrt(2.0 * a * w / big_s)
+                * math.exp(axis_max(1.0 / big_s, t) + axis_max((a * w) ** 2 / big_s, s)))
+        got = stft_seminorm(make_gaussian(1, 256, 0.2, a), WindowSpec(w), AnisoIndex(t, s), r)
+        assert got == pytest.approx(want, rel=1e-3)
 
-    def test_classical_max_order_cap(self):
-        u = make_gaussian(1, 256, 0.1)
-        with pytest.raises(DomainError):
-            classical_seminorm(u, AnisoIndex(1.0, 1.0), 1.0, 9)
-
-    def test_classical_nyquist_guard(self):
-        # white noise has spectral mass at the Nyquist edge
-        from anisowf.signals import SampledSignal
-        rng = np.random.default_rng(13)
-        u = SampledSignal(0.1, rng.standard_normal(256) * (1 + 0j))
-        with pytest.raises(ResolutionError):
-            classical_seminorm(u, AnisoIndex(1.0, 1.0), 1.0, 2)
+    @pytest.mark.parametrize("a, t, s", [(1.0, 0.6, 1.0), (1.5, 1.0, 0.6)])
+    def test_supremum_the_lattice_cannot_see_is_inf(self, a, t, s):
+        # at r = 1 the true supremum lies past the lattice's x = 25.6 (a = 1) or at
+        # xi = 13.9, where |V u| is under the round-off floor (a = 1.5): the largest
+        # cell left sits at the lattice edge or beside a masked cell
+        u = make_gaussian(1, 256, 0.2, a)
+        assert stft_seminorm(u, WindowSpec(1.0), AnisoIndex(t, s), 1.0) == math.inf
