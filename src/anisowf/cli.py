@@ -25,7 +25,7 @@ from .estimator import (check_graph_condition, cone_constant, estimate_kernel_wf
                         estimate_wf)
 from .evolution import EvolutionSpec, predict_transport, propagate, propagator_kernel
 from .geometry import AnisoIndex, nearest_angles
-from .io import (cfg_get, count, dump_json, list_of, number, poly_from_dict,
+from .io import (cfg_get, count, dimension, dump_json, list_of, number, polynomial,
                  positive, positive_count, read_signal_csv, text, wf_estimate_to_dict,
                  whole, write_profile_csv, write_signal_csv, write_stft_csv)
 from .relation import PointSet, compose
@@ -64,11 +64,12 @@ def parse_signal(cfg, path="signal"):
         return cfg_get(cfg, f"{path}.{name}", *args, **kwargs)
 
     kind = field("kind", text)
+    field("d", dimension, default=1)   # read only to refuse a d other than 1
     if kind == "gaussian":
-        return make_gaussian(field("d", count, default=1), field("n", positive_count),
-                             field("dx", positive), field("width", width, default=1.0))
+        return make_gaussian(1, field("n", positive_count), field("dx", positive),
+                             field("width", width, default=1.0))
     if kind == "chirp":
-        args = [field("phase", poly_from_dict), field("n", positive_count),
+        args = [field("phase", polynomial), field("n", positive_count),
                 field("dx", positive)]
         env = field("envelope_width", envelope_width, default=None)
         if env is not None:  # the guard level is read only with an envelope
@@ -77,13 +78,13 @@ def parse_signal(cfg, path="signal"):
     if kind == "file":
         return field("path", lambda v: read_signal_csv(text(v)))
     if kind == "analytic-gaussian":
-        return gaussian_signal(field("width", width, default=1.0), field("d", count, default=1))
+        return gaussian_signal(field("width", width, default=1.0))
     if kind == "analytic-one":
-        return one_signal(field("d", count, default=1))
+        return one_signal()
     if kind == "analytic-delta":
-        return delta_signal(field("d", count, default=1))
+        return delta_signal()
     if kind == "analytic-chirp":
-        return chirp_signal(field("phase", poly_from_dict))
+        return chirp_signal(field("phase", polynomial))
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
@@ -157,8 +158,6 @@ def report_envelope(config, seed, body):
 
 def cmd_stft(config, out, seed):
     sig = parse_sampled_signal(config)
-    if sig.dim != 1:
-        raise ConfigError("signal: the stft command sweeps 1-d signals")
     w = parse_window(config)
     grid = stft_grid(sig, w)
     report = report_envelope(config, seed, {
@@ -182,7 +181,7 @@ def cmd_wf(config, out, seed):
 
 
 def cmd_chirp_verify(config, out, seed):
-    phase = cfg_get(config, "phase", poly_from_dict)
+    phase = cfg_get(config, "phase", polynomial)
     idx = parse_index(config)
     w = parse_window(config)
     opts = parse_estimator_opts(config)
@@ -197,7 +196,7 @@ def cmd_chirp_verify(config, out, seed):
 
 
 def cmd_propagate_verify(config, out, seed):
-    symbol = cfg_get(config, "symbol", poly_from_dict)
+    symbol = cfg_get(config, "symbol", polynomial)
     time = cfg_get(config, "time", number)
     spec = EvolutionSpec(symbol, time)
     sig = parse_sampled_signal(config)
@@ -229,7 +228,7 @@ def cmd_propagate_verify(config, out, seed):
 
 
 def cmd_kernel_check(config, out, seed):
-    symbol = cfg_get(config, "symbol", poly_from_dict)
+    symbol = cfg_get(config, "symbol", polynomial)
     time = cfg_get(config, "time", number)
     spec = EvolutionSpec(symbol, time)
     idx = parse_index(config)

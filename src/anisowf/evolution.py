@@ -41,17 +41,9 @@ class EvolutionSpec:
         return self.symbol.degree
 
 
-def _freq_mesh(sig: SampledSignal):
-    axes = [sig.freq_coords()] * sig.dim
-    return np.meshgrid(*axes, indexing="ij")
-
-
 def _phase_guard(spec: EvolutionSpec, pvals: np.ndarray, n: int):
     """Reject when t * p jumps more than 0.9 pi between adjacent bins."""
-    worst = 0.0
-    for axis in range(pvals.ndim):
-        worst = max(worst, float(np.max(np.abs(np.diff(pvals, axis=axis)))))
-    worst *= abs(spec.time)
+    worst = float(np.max(np.abs(np.diff(pvals)))) * abs(spec.time)
     if worst > 0.9 * math.pi:
         # halving the bin spacing scales the jump roughly linearly
         factor = worst / (0.9 * math.pi)
@@ -66,8 +58,7 @@ def propagate(u0: SampledSignal, spec: EvolutionSpec) -> SampledSignal:
     if spec.symbol.dim != u0.dim:
         raise DomainError("symbol dimension does not match the signal")
     uhat = fourier(u0)
-    mesh = np.stack(_freq_mesh(u0), axis=-1)
-    pvals = eval_poly(spec.symbol, mesh)
+    pvals = eval_poly(spec.symbol, u0.freq_coords())
     _phase_guard(spec, pvals, u0.n)
     evolved = SampledSignal(uhat.dx, uhat.values * np.exp(-1j * spec.time * pvals))
     return fourier(evolved, inverse=True)

@@ -1,6 +1,6 @@
 """File formats and deterministic serialization.
 
-Signals travel as CSV with a leading header carrying n, dx, dim; polynomials
+Signals travel as CSV with a leading header carrying n, dx and dim 1; polynomials
 as JSON multi-index coefficient lists; estimates and reports as JSON.  Every
 float is written as the text '%.17g' gives it, so identical runs produce
 byte-identical files.  Blocks of floats are formatted by _format17, an exact
@@ -308,40 +308,35 @@ def _write_table(path, head, n_rows, rows, axes=()):
 
 
 def write_signal_csv(path, sig: SampledSignal):
-    """Header rows carry n, dx, dim; data rows are index, coordinates, re, im."""
-    flat = sig.values.reshape(-1)
-
+    """Header rows carry n, dx and dim 1; data rows are index, x0, re, im."""
     def rows(lo, hi):
-        k = np.arange(lo, hi)
-        coords = sig.axis_coords()[np.array(np.unravel_index(k, sig.values.shape))]
-        return np.column_stack([k, *coords, flat[lo:hi].real, flat[lo:hi].imag])
+        v = sig.values[lo:hi]
+        return np.column_stack([np.arange(lo, hi), sig.axis_coords()[lo:hi], v.real, v.imag])
 
-    names = ",".join(["index"] + [f"x{j}" for j in range(sig.dim)] + ["re", "im"])
-    _write_table(path, ["n,dx,dim", f"{sig.n},{sig.dx:.17g},{sig.dim}", names], flat.size, rows)
+    _write_table(path, ["n,dx,dim", f"{sig.n},{sig.dx:.17g},1", "index,x0,re,im"], sig.n, rows)
 
 
 def read_signal_csv(path) -> SampledSignal:
-    """Signal from write_signal_csv's format; the body must hold exactly n^dim
-    rows of dim + 3 columns, indexed 0 .. n^dim - 1, or ConfigError is raised."""
+    """Signal from write_signal_csv's format: dim 1 and exactly n rows of 4
+    columns, indexed 0 .. n - 1, or ConfigError is raised."""
     with open(path) as fh:
         if fh.readline().rstrip("\n").split(",")[:3] != ["n", "dx", "dim"]:
             raise ConfigError(f"{path}: expected signal header row 'n,dx,dim'")
         try:
             n, dx, dim = fh.readline().split(",")
             n, dx, dim = int(n), float(dx), int(dim)
+            if dim != 1:
+                raise ConfigError(f"{path}: a signal CSV holds a 1-d signal, found dim {dim}")
             fh.readline()  # column names
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed signal CSV ({exc})") from None
-    # the column count bounds dim, so n ** dim below stays a small computation
-    if body.shape[1] != dim + 3:
-        raise ConfigError(f"{path}: dim {dim} needs {dim + 3} columns, found {body.shape[1]}")
-    size = n ** dim
-    if len(body) != size or not np.array_equal(body[:, 0], np.arange(size)):
-        raise ConfigError(f"{path}: expected {size} rows indexed 0 .. {size - 1} in order, "
+    if body.shape[1] != 4:
+        raise ConfigError(f"{path}: a 1-d signal needs 4 columns, found {body.shape[1]}")
+    if len(body) != n or not np.array_equal(body[:, 0], np.arange(n)):
+        raise ConfigError(f"{path}: expected {n} rows indexed 0 .. {n - 1} in order, "
                           f"found {len(body)} rows")
-    flat = body[:, dim + 1] + 1j * body[:, dim + 2]
-    return SampledSignal(dx, flat.reshape((n,) * dim))
+    return SampledSignal(dx, body[:, 2] + 1j * body[:, 3])
 
 
 def poly_to_dict(p: PolynomialData) -> dict:
@@ -409,6 +404,19 @@ def positive_count(v) -> int:
     if k == 0:
         raise ConfigError("expected a positive integer")
     return k
+
+
+def dimension(v) -> int:
+    """A signal's or polynomial's dimension: 1, the only one a command reads."""
+    if count(v) != 1:
+        raise ConfigError("expected 1: a config's signals and polynomials are 1-d")
+    return 1
+
+
+def polynomial(v) -> PolynomialData:
+    """A polynomial field: poly_from_dict's spec, of dimension 1."""
+    cfg_get(v, "dim", dimension)
+    return poly_from_dict(v)
 
 
 def text(v) -> str:

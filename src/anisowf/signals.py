@@ -1,7 +1,7 @@
 """Test-signal construction and the symmetrically normalized Fourier transform.
 
-Sampled signals live on a uniform centered grid x_j = (j - n/2) dx per axis;
-the matching frequency grid is xi_k = (k - n/2) dxi with dxi = 2 pi / (n dx).
+Sampled signals are 1-d, on a uniform centered grid x_j = (j - n/2) dx; the
+matching frequency grid is xi_k = (k - n/2) dxi with dxi = 2 pi / (n dx).
 WindowSpec, the unit Gaussian, is the STFT window and the sampled and analytic
 Gaussians.  Analytic signals, tensor products of 1-d closed forms, are never
 sampled; nor is a convolution kernel, kept as the phase of its line on the
@@ -24,29 +24,24 @@ MIN_WIDTH, MAX_WIDTH = 2.0 ** -511, 2.0 ** 511
 
 
 class SampledSignal:
-    """Complex samples of a function of d real variables on a centered grid."""
+    """Complex samples of a function of one real variable on a centered grid."""
 
     __slots__ = ("dx", "values")
+    dim = 1
 
     def __init__(self, dx: float, values):
         values = np.asarray(values, dtype=complex)
-        if values.ndim < 1:
-            raise DomainError("values must have at least one axis")
-        n = values.shape[0]
-        if any(s != n for s in values.shape):
-            raise DomainError(f"all axes must have equal length, got {values.shape}")
+        if values.ndim != 1:
+            raise DomainError(f"sampled signals are 1-d, got values of shape {values.shape}")
+        n = len(values)
         if n < 16 or n & (n - 1) != 0:
-            raise DomainError(f"samples per axis must be a power of two >= 16, got {n}")
+            raise DomainError(f"samples must number a power of two >= 16, got {n}")
         if not dx > 0.0:
             raise DomainError(f"grid spacing must be positive, got {dx}")
         if not np.all(np.isfinite(values)):
             raise DomainError("signal values must be finite")
         self.dx = float(dx)
         self.values = values
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
 
     @property
     def n(self) -> int:
@@ -67,14 +62,9 @@ class SampledSignal:
     def freq_coords(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dxi
 
-    def grid(self) -> np.ndarray:
-        """Coordinates of every grid node, shape values.shape + (dim,)."""
-        axes = [self.axis_coords()] * self.dim
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
     def norm(self) -> float:
-        """Discrete L2 norm with the dx^d quadrature weight."""
-        return l2_norm(self.values, self.dx ** self.dim)
+        """Discrete L2 norm with the dx quadrature weight."""
+        return l2_norm(self.values, self.dx)
 
 
 def l2_norm(values, weight: float) -> float:
@@ -178,33 +168,30 @@ def tensor_signal(u: AnalyticSignal, v: AnalyticSignal) -> AnalyticSignal:
     return AnalyticSignal(u.factors + v.factors)
 
 
-def _grid(d: int, n: int, dx: float) -> np.ndarray:
-    """Node coordinates of the centred n^d grid, shape (n,) * d + (d,).
-
-    Its size is checked against numpy's array limits (64 axes, the grid
-    having d + 1, and bytes addressable by intp) before anything is built.
-    """
-    if d + 1 > 64 or max(16, 8 * d) * n ** d > np.iinfo(np.intp).max:
-        raise DomainError(f"a grid of {n}^{d} samples exceeds numpy's array limits")
-    return SampledSignal(dx, np.zeros((n,) * d, dtype=complex)).grid()
+def _grid(n: int, dx: float) -> np.ndarray:
+    """Node coordinates of the centred n-point grid, once n and dx pass as a signal's."""
+    return SampledSignal(dx, np.zeros(n, dtype=complex)).axis_coords()
 
 
 def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSignal:
-    """The window of the given width sampled on the centered grid."""
+    """The window of the given width sampled on the centered grid of dimension d = 1."""
+    if d != 1:
+        raise DomainError(f"sampled signals are 1-d, got d = {d}")
     w = WindowSpec(width)
     half = n * dx / 2.0
-    # L2 mass outside the grid cube; erf(X/w) per axis for the squared modulus.
-    inside = math.erf(half / width) ** d
+    # L2 mass outside the grid; erf(X/w) for the squared modulus.
+    inside = math.erf(half / width)
     if 1.0 - inside > 1e-10:
         raise ResolutionError(
             f"grid half-width {half} truncates {1.0 - inside:.2e} of the Gaussian mass"
         )
-    return SampledSignal(dx, np.prod(w.values_1d(_grid(d, n, dx)), axis=-1).astype(complex))
+    return SampledSignal(dx, w.values_1d(_grid(n, dx)).astype(complex))
 
 
 def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float = math.inf,
                guard_level: float = 1e-14) -> SampledSignal:
-    """Chirp exp(i phase(x) - |x|^2/(2 W^2)) sampled on the grid, W = envelope_width.
+    """Chirp exp(i phase(x) - x^2/(2 W^2)) sampled on the grid, W = envelope_width;
+    the phase is 1-d.
 
     The aliasing guard applies where the envelope exceeds guard_level, which
     is every sample of the unimodular chirp (W = inf); samples outside carry
@@ -213,45 +200,34 @@ def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float =
     as a window's width; past 2^511 its square overflows to inf and the
     chirp is the unimodular one, which it equals to double precision.
     """
+    if phase.dim != 1:
+        raise DomainError(f"a sampled chirp phase is 1-d, got dimension {phase.dim}")
     if not envelope_width >= MIN_WIDTH:
         raise DomainError(f"envelope width must be at least 2^-511, got {envelope_width}")
     if not 0.0 < guard_level < 1.0:
         raise DomainError("guard level must sit in (0, 1)")
-    grid = _grid(phase.dim, n, dx)
-    r2 = np.sum(grid ** 2, axis=-1)
+    x = _grid(n, dx)
+    r2 = x * x
     with np.errstate(over="ignore"):
         two_w2 = 2.0 * np.float64(envelope_width) ** 2
         live = r2 <= two_w2 * math.log(1.0 / guard_level)
-    grads = eval_grad(phase, grid)
+    grads = eval_grad(phase, x)
     worst = float(np.max(np.abs(grads)[live])) * dx if np.any(live) else 0.0
     if worst > 0.9 * math.pi:
         raise AliasingError(
             f"max |grad phase| * dx = {worst:.3f} on the envelope support exceeds "
             "the 0.9*pi aliasing guard; refine dx, shrink the grid or narrow the envelope")
     with np.errstate(over="ignore"):
-        vals = np.exp(1j * eval_poly(phase, grid) - r2 / two_w2)
+        vals = np.exp(1j * eval_poly(phase, x) - r2 / two_w2)
     return SampledSignal(dx, vals)
 
 
-def _centered_fft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
-
-
-def _centered_ifft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(values)))
-
-
 def fourier(sig: SampledSignal, inverse: bool = False) -> SampledSignal:
-    """Fourier transform with the (2 pi)^(-d/2) symmetric normalization.
+    """Fourier transform with the (2 pi)^(-1/2) symmetric normalization.
 
     The output lives on the dual centered grid with spacing 2 pi/(n dx);
     fourier(fourier(f), inverse=True) recovers f.
     """
-    d = sig.dim
-    n = sig.n
-    if not inverse:
-        vals = _centered_fft(sig.values) * (sig.dx ** d) * (2.0 * math.pi) ** (-d / 2.0)
-    else:
-        vals = _centered_ifft(sig.values) * (n ** d) * (sig.dx ** d) * (2.0 * math.pi) ** (-d / 2.0)
-    return SampledSignal(sig.dxi, vals)
-
+    vals = np.fft.ifftshift(sig.values)
+    vals = np.fft.ifft(vals) * sig.n if inverse else np.fft.fft(vals)
+    return SampledSignal(sig.dxi, np.fft.fftshift(vals) * sig.dx * _TWO_PI ** -0.5)

@@ -39,10 +39,10 @@ REACH_FRAC = 0.8
 
 # Window support radius in widths; the Gaussian tail beyond is ~1e-22.
 _SUPPORT_RADIUS = 10.0
-# Elements per work array: _sampled's power tables, its (points, stencil) signal
-# windows in d = 1 and (points, d, stencil) factors above, the chirp paths'
-# (points, saddles, 2 halves, m + 1 coefficients) and a cluster's rim of as many
-# samples, and stft_grid's (rows, n) are built this many at a time.
+# Elements per work array: _sampled's power tables and (points, stencil) signal
+# windows, the chirp paths' (points, saddles, 2 halves, m + 1 coefficients) and a
+# cluster's rim of as many samples, and stft_grid's (rows, n) are built this many
+# at a time.
 _WORK_ELEMENTS = 1 << 14
 # Gauss-Hermite nodes per path from a saddle (32 reach round-off under the gap
 # rule); a path from an exit point takes half as many Gauss-Laguerre nodes.
@@ -165,19 +165,18 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     b = isqrt(L), exp(A + (l - c) B) = exp(A - J B) (e^(b B))^q (e^B)^r: the
     coarse and fine factors are power tables of nq = ceil(L / b) and b
     entries, filled by complex products from three exponentials per point
-    and axis (_powers).  In d = 1 the windows of signal times G contract with
-    the fine table over r, then with the coarse one over q; in d >= 2 the
-    two tables build each axis's factor.  Every exponent formed is A - J B
+    (_powers).  The windows of signal times G contract with the fine table
+    over r, then with the coarse one over q.  Every exponent formed is A - J B
     plus k B, or k B, with |k| <= L - 1, and |Re B| <= dx^2 / (2 W^2): so
     |Re k B| <= (L - 1) dx^2 / (2 W^2) <= 10 dx/W + dx^2 / (2 W^2), at most
     400 whenever L > 1 (then dx/W <= 20).  With L = 1 no base is formed and
     the one factor, exp(A), may only underflow.  Every value stays within the
     double range whatever dx/W.  The tables are built for outer blocks of
-    points, the windows and factors for inner blocks within them, every work
-    array of at most _WORK_ELEMENTS elements.
+    points, the windows for inner blocks within them, every work array of at
+    most _WORK_ELEMENTS elements.
     """
     _check_reach(u, xs, xis)
-    d, n, dx = u.dim, u.n, u.dx
+    n, dx = u.n, u.dx
     radius = _SUPPORT_RADIUS * w.width
     # A support holds at most J = half nodes either side of the nearest one,
     # past which a rounding tie weighs below e^-50; J = n covers the grid.
@@ -189,24 +188,23 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
     ends = np.array([-half, half]) * dx
     row = w.values_1d((np.arange(nq * b) - half) * dx)
     row[length:] = 0.0
-    if d == 1:
-        # the stencil of the point nearest node m is windows[m]
-        padded = np.zeros(n + nq * b, dtype=complex)
-        padded[half:half + n] = u.values
-        windows = np.lib.stride_tricks.sliding_window_view(padded, nq * b)
+    # the stencil of the point nearest node m is windows[m]
+    padded = np.zeros(n + nq * b, dtype=complex)
+    padded[half:half + n] = u.values
+    windows = np.lib.stride_tricks.sliding_window_view(padded, nq * b)
     inv_w2 = 1.0 / w.width ** 2
     # Outer blocks of points build the power tables, (nq, 2 parts, 2 tables,
-    # points, d) reals; inner blocks, a whole number per outer one, the
-    # (points, d, nq b) windows and the tables' complex values.  The tables
+    # points) reals; inner blocks, a whole number per outer one, the
+    # (points, nq b) windows and the tables' complex values.  The tables
     # take one buffer for the call: freed per block, their pages went back to
     # the system and were faulted in again.
-    inner = max(1, _WORK_ELEMENTS // (d * nq * max(b, 2)))
-    outer = max(inner, _WORK_ELEMENTS // (4 * d * nq) // inner * inner)
-    shape = (2, 2, min(outer, len(xs)), d)   # parts, tables, points, axes
+    inner = max(1, _WORK_ELEMENTS // (nq * max(b, 2)))
+    outer = max(inner, _WORK_ELEMENTS // (4 * nq) // inner * inner)
+    shape = (2, 2, min(outer, len(xs)))   # parts, tables, points
     table, scratch = np.empty((nq,) + shape), np.empty((nq // 2,) + shape)
     out = np.empty(len(xs), dtype=complex)
     for start in range(0, len(xs), outer):
-        x, xi = xs[start:start + outer], xis[start:start + outer]
+        x, xi = xs[start:start + outer, 0], xis[start:start + outer, 0]
         nearest = np.rint(x / dx).astype(np.int64) + n // 2
         y_c = (nearest - n // 2) * dx
         delta = y_c - x
@@ -214,38 +212,22 @@ def _sampled(u: SampledSignal, w: WindowSpec, xs: np.ndarray, xis: np.ndarray) -
         offset = np.exp(-0.5 * inv_w2 * delta * delta - 1j * y_c * xi - half * slope)
         # nq >= b powers of the coarse base from the offset, and of the fine one
         parts = _powers(np.array([offset, np.ones_like(offset)]), np.array([b * slope, slope]),
-                        table[..., :len(x), :], scratch[..., :len(x), :])
-        outside = np.abs(delta[..., None] + ends) > radius
+                        table[..., :len(x)], scratch[..., :len(x)])
+        outside = np.abs(delta[:, None] + ends) > radius
         res = out[start:start + outer]
         for k in range(0, len(x), inner):
             block = slice(k, k + inner)
             tables = np.empty((2,) + x[block].shape + (nq,), dtype=complex)
-            tables.real = parts[:, 0, :, block].transpose(1, 2, 3, 0)
-            tables.imag = parts[:, 1, :, block].transpose(1, 2, 3, 0)
-            coarse, fine = tables[0], tables[1, ..., :b]
-            if d == 1:
-                win = windows[nearest[block, 0]]
-                win *= row
-                win[:, 0] *= ~outside[block, 0, 0]
-                win[:, length - 1] *= ~outside[block, 0, 1]
-                part = win.reshape(-1, nq, b) @ fine[:, 0, :, None]
-                res[block] = np.einsum("pq,pq->p", part[..., 0], coarse[:, 0])
-                continue
-            f = coarse[..., :, None] * fine[..., None, :]
-            f = f.reshape(len(f), d, -1)[..., :length]
-            f *= row[:length]
-            f[..., [0, length - 1]] *= ~outside[block]
-            # A gathered (P, L, ..., L) window costs more than the strided slice
-            # view, and a padded copy would hold (n + L)^d values: the slices stop
-            # at the grid edge, and each factor contracts the leading axis left.
-            first = nearest[block] - half
-            lo, hi = np.maximum(first, 0), np.minimum(first + length, n)
-            for p, (a, e, s) in enumerate(zip(lo.tolist(), hi.tolist(), (lo - first).tolist())):
-                sub = u.values[tuple(map(slice, a, e))]
-                for j in range(d):
-                    sub = f[p, j, s[j]:s[j] + e[j] - a[j]] @ sub.reshape(e[j] - a[j], -1)
-                res[k + p] = sub[0]
-    return out * dx ** d * _TWO_PI ** (-d / 2.0)
+            tables.real = parts[:, 0, :, block].transpose(1, 2, 0)
+            tables.imag = parts[:, 1, :, block].transpose(1, 2, 0)
+            coarse, fine = tables[0], tables[1, :, :b]
+            win = windows[nearest[block]]
+            win *= row
+            win[:, 0] *= ~outside[block, 0]
+            win[:, length - 1] *= ~outside[block, 1]
+            part = win.reshape(-1, nq, b) @ fine[:, :, None]
+            res[block] = np.einsum("pq,pq->p", part[..., 0], coarse)
+    return out * dx * _TWO_PI ** -0.5
 
 
 def _convolution(u: ConvolutionKernel, w: WindowSpec, xs: np.ndarray,
@@ -667,9 +649,7 @@ def stft_point(u, w: WindowSpec, p: PhasePoint) -> complex:
 
 
 def stft_grid(u: SampledSignal, w: WindowSpec) -> StftGrid:
-    """STFT on the position x frequency lattice via one FFT per translate (d = 1)."""
-    if u.dim != 1:
-        raise DomainError("stft_grid supports 1-d signals")
+    """STFT on the position x frequency lattice via one FFT per translate."""
     coords = u.axis_coords()
     n = u.n
     out = np.empty((n, n), dtype=complex)

@@ -19,8 +19,10 @@ from anisowf.estimator import product_sphere4
 from anisowf.io import poly_to_dict, write_signal_csv
 from anisowf.poly import poly_1d
 from anisowf.signals import SampledSignal, make_gaussian
+from anisowf.stft import WindowSpec, stft_grid
 
 XSQ = poly_to_dict(poly_1d(0.0, 0.0, 1.0))
+PLANE = {"dim": 2, "coeffs": [{"alpha": [2, 0], "c": 1.0}, {"alpha": [0, 2], "c": 1.0}]}
 
 
 def run_cli(tmp_path, command, config, seed=0, name="cfg.json", outname="out"):
@@ -30,6 +32,26 @@ def run_cli(tmp_path, command, config, seed=0, name="cfg.json", outname="out"):
     code = main([command, "--config", str(cfg_path), "--out", str(outdir),
                  "--seed", str(seed)])
     return code, outdir
+
+
+# the rest of a config for each command that reads a signal
+SIGNAL_COMMANDS = {
+    "stft": {},
+    "wf": {"index": {"t": 1.0, "s": 1.0}},
+    "propagate-verify": {"symbol": XSQ, "time": 0.1, "index": {"t": 1.2, "s": 1.2}},
+    "seminorm": {"index": {"t": 1.0, "s": 1.0}, "r_values": [0.5]},
+}
+
+
+def check_signal_refused(tmp_path, capsys, signal, path):
+    """Every command that reads a signal exits 2 naming path, with no traceback
+    and no file written: propagate-verify writes no evolved.csv."""
+    for command, rest in SIGNAL_COMMANDS.items():
+        code, outdir = run_cli(tmp_path, command, dict(rest, signal=signal), outname=command)
+        err = capsys.readouterr().err
+        assert code == 2, (command, err)
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err, err
+        assert not any(files for _, _, files in os.walk(outdir)), command
 
 
 class TestStftCommand:
@@ -185,6 +207,40 @@ class TestStftCommand:
             assert err.startswith("config error: --out ") and "Traceback" not in err, err
         assert taken.read_text() == ""
 
+    GRID_512 = {"signal": {"kind": "gaussian", "n": 512, "dx": 0.1}, "window": {"width": 1.0}}
+
+    def test_grid_csv_fields_are_exact_17_digit_text(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "stft", self.GRID_512)
+        assert code == 0
+        with open(outdir / "stft_grid.csv", newline="") as fh:
+            rows = csv.reader(fh)
+            assert next(rows) == ["x", "xi", "re", "im", "abs"]
+            n = 0
+            for row in rows:
+                assert len(row) == 5 and all(format(float(f), ".17g") == f for f in row), row
+                n += 1
+        assert n == 512 * 512, n
+
+    def test_grid_csv_is_what_a_row_at_a_time_writer_writes(self, tmp_path):
+        # n = 64, byte for byte; abs is Python's abs(complex), from which
+        # math.hypot differs in the last bit
+        cfg = {"signal": {"kind": "gaussian", "n": 64, "dx": 0.25}, "window": {"width": 1.0}}
+        code, outdir = run_cli(tmp_path, "stft", cfg)
+        assert code == 0
+        g = stft_grid(make_gaussian(1, 64, 0.25), WindowSpec(1.0))
+        ref = ["x,xi,re,im,abs\r\n"]
+        for x, row in zip(g.positions().tolist(), g.values.tolist()):
+            for xi, v in zip(g.frequencies().tolist(), row):
+                ref.append("%.17g,%.17g,%.17g,%.17g,%.17g\r\n" % (x, xi, v.real, v.imag, abs(v)))
+        assert (outdir / "stft_grid.csv").read_bytes() == "".join(ref).encode()
+
+    def test_unwritable_grid_of_512_exit_1(self, tmp_path, capsys):
+        (tmp_path / "blocked" / "stft_grid.csv").mkdir(parents=True)
+        code, _ = run_cli(tmp_path, "stft", self.GRID_512, outname="blocked")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err, err
+
     def test_unwritable_output_exit_1(self, tmp_path, capsys):
         # an output name taken by a directory: the write fails and the directory stays
         blocked = tmp_path / "out" / "stft_grid.csv"
@@ -220,14 +276,11 @@ class TestStftCommand:
         {"kind": "chirp", "n": 16, "dx": 2.0,
          "phase": {"dim": 40, "coeffs": [{"alpha": [2] + [0] * 39, "c": 1.0}]}},
     ])
-    def test_grid_beyond_numpy_limits_exit_1(self, tmp_path, capsys, signal):
-        # 16^40 samples overflow numpy's byte count and 101 axes its dimension
-        # limit; both are refused before any array is built
-        code, outdir = run_cli(tmp_path, "stft", {"signal": signal})
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: a grid of 16^") and "Traceback" not in err, err
-        assert not outdir.exists() or not any(outdir.iterdir())
+    def test_grid_of_many_axes_exit_2(self, tmp_path, capsys, signal):
+        # a grid of 16^40 samples, or of 101 axes: sampled signals are 1-d, so
+        # the field is refused before any array is built
+        check_signal_refused(tmp_path, capsys, signal, "signal.d" if "d" in signal
+                             else "signal.phase")
 
     def test_chirp_coarse_grid_exit_3(self, tmp_path):
         cfg = {"signal": {"kind": "chirp", "n": 64, "dx": 1.0, "phase": XSQ}}
@@ -236,18 +289,32 @@ class TestStftCommand:
         assert not (outdir / "stft_grid.csv").exists()
 
     def test_2d_signal(self, tmp_path, capsys):
-        # stft sweeps 1-d signals (exit 2); the 1-d wf sweep refuses one too (exit 1)
-        cfg = {"signal": {"kind": "gaussian", "d": 2, "n": 32, "dx": 0.5}}
-        code, outdir = run_cli(tmp_path, "stft", cfg)
+        # every signal kind is 1-d: d = 2 is refused before anything is built
+        for signal in ({"kind": "gaussian", "d": 2, "n": 32, "dx": 0.5},
+                       {"kind": "chirp", "d": 2, "n": 256, "dx": 0.1, "phase": XSQ},
+                       {"kind": "analytic-gaussian", "d": 2},
+                       {"kind": "analytic-one", "d": 2},
+                       {"kind": "analytic-delta", "d": 2}):
+            check_signal_refused(tmp_path, capsys, signal, "signal.d")
+
+    @pytest.mark.parametrize("command, path, signal", [
+        ("chirp-verify", "phase", None),
+        ("propagate-verify", "symbol", None),
+        ("kernel-check", "symbol", None),
+        ("wf", "signal.phase", {"kind": "chirp", "n": 256, "dx": 0.1, "phase": PLANE}),
+        ("wf", "signal.phase", {"kind": "analytic-chirp", "phase": PLANE}),
+    ])
+    def test_2d_polynomial_exit_2(self, tmp_path, capsys, command, path, signal):
+        # every polynomial field is 1-d, and a 2-d one is a config error naming it
+        cfg = fuzz_fixture(command, tmp_path)
+        if signal is None:
+            cfg[path] = PLANE
+        else:
+            cfg["signal"] = signal
+        code, outdir = run_cli(tmp_path, command, cfg)
         err = capsys.readouterr().err
-        assert code == 2
-        assert err == "config error: signal: the stft command sweeps 1-d signals\n", err
-        assert not any(files for _, _, files in os.walk(outdir))
-        code, outdir = run_cli(tmp_path, "wf", dict(cfg, index={"t": 1.0, "s": 1.0}),
-                               outname="wf")
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: estimate_wf sweeps d = 1 signals") and "Traceback" not in err
+        assert code == 2, err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err, err
         assert not any(files for _, _, files in os.walk(outdir))
 
 
@@ -583,6 +650,22 @@ class TestPropagateVerify:
         for name in ("before", "after"):
             rows = len(json.loads((outdir / f"{name}.json").read_text())["entries"])
             assert sum(report["status_counts"][name].values()) == rows
+
+    def test_evolved_csv_fields_are_exact_17_digit_text(self, tmp_path):
+        # the fuzz fixture: a chirp of n = 256 at dx 0.1 under an envelope of width 2
+        code, outdir = run_cli(tmp_path, "propagate-verify",
+                               fuzz_fixture("propagate-verify", tmp_path))
+        assert code == 0
+        with open(outdir / "evolved.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[2] == ["index", "x0", "re", "im"], rows[2]
+        body = rows[3:]
+        assert len(body) == 256 and all(len(row) == 4 for row in body)
+        assert [row[0] for row in body] == [str(i) for i in range(256)]
+        fields = [f for row in body for f in row[1:]]
+        assert all(format(float(f), ".17g") == f for f in fields)
+        # some point falls inside the digits: fixed notation with two or more integer digits
+        assert any("e" not in f and f.lstrip("-").find(".") >= 2 for f in fields)
 
 
 def fuzz_fixture(command, tmp_path):

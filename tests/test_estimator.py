@@ -7,8 +7,9 @@ from anisowf.errors import DomainError, GraphConditionError
 from anisowf.geometry import AnisoIndex, PhasePoint, nearest_angles, project_many, scale_point
 from anisowf.poly import poly_1d
 from anisowf.evolution import EvolutionSpec, kernel_signal, propagator_kernel
-from anisowf.signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, chirp_signal,
-                             delta_signal, make_gaussian, one_signal, tensor_signal)
+from anisowf.signals import (AnalyticSignal, ConvolutionKernel, chirp_signal,
+                             delta_signal, gaussian_signal, make_gaussian, one_signal,
+                             tensor_signal)
 from anisowf.stft import REACH_FRAC, WindowSpec, stft_points
 from anisowf.estimator import (MAX_DIRECTIONS, STATUSES, RateFit, WFEstimate, _MIN_REACHABLE,
                                _refinement_seeds, check_graph_condition, circle_directions,
@@ -423,8 +424,7 @@ class TestKernelEstimate:
     def test_gaussian_tensor_kernel_empty(self):
         # a separable Gaussian kernel is regular: nothing across the sphere
         from anisowf.estimator import estimate_kernel_wf
-        g = make_gaussian(1, 128, 0.2)
-        K = SampledSignal(g.dx, np.multiply.outer(g.values, g.values))
+        K = tensor_signal(gaussian_signal(1.0), gaussian_signal(1.0))
         est = estimate_kernel_wf(K, WindowSpec(1.0), AnisoIndex(1.2, 1.2),
                                  sweep=(4, 12, 12, 24), lambda_range=(2.0, 6.0),
                                  floor=1e-11, refine=8, seed=0)
