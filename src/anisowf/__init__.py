@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .chirp import WFPrediction, compare_wf, is_elliptic, predict_chirp_wf
+from .chirp import WFPrediction, compare_wf, predict_chirp_wf
 from .errors import (AliasingError, ConfigError, DomainError,
                      GraphConditionError, ResolutionError, ToolkitError,
                      TruncationError, UnsupportedRegimeError)

@@ -55,8 +55,6 @@ def _phase_guard(spec: EvolutionSpec, pvals: np.ndarray, n: int):
 
 def propagate(u0: SampledSignal, spec: EvolutionSpec) -> SampledSignal:
     """Apply exp(-i t p(D)): forward transform, unimodular multiplier, inverse."""
-    if spec.symbol.dim != u0.dim:
-        raise DomainError("symbol dimension does not match the signal")
     uhat = fourier(u0)
     pvals = eval_poly(spec.symbol, u0.freq_coords())
     _phase_guard(spec, pvals, u0.n)
@@ -72,9 +70,7 @@ def kernel_signal(spec: EvolutionSpec, moll_width: float) -> ConvolutionKernel:
     The kernel stands for the unmollified one only inside its passband, where a
     sweep's curves stop.
     """
-    symbol = spec.symbol
-    phase = PolynomialData(symbol.dim, {a: -spec.time * c for a, c in symbol.coeffs.items()})
-    return ConvolutionKernel(phase, passband=moll_width)
+    return ConvolutionKernel(PolynomialData(-spec.time * spec.symbol.coeffs), passband=moll_width)
 
 
 def propagator_kernel(spec: EvolutionSpec) -> ConvolutionKernel:

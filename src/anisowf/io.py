@@ -339,25 +339,21 @@ def read_signal_csv(path) -> SampledSignal:
     return SampledSignal(dx, body[:, 2] + 1j * body[:, 3])
 
 
-def poly_to_dict(p: PolynomialData) -> dict:
-    coeffs = [{"alpha": list(alpha), "c": c} for alpha, c in sorted(p.coeffs.items())]
-    return {"dim": p.dim, "coeffs": coeffs}
-
-
 def _term(item) -> tuple:
-    return tuple(cfg_get(item, "alpha", list_of(count))), cfg_get(item, "c", number)
+    return cfg_get(item, "alpha", list_of(count, 1))[0], cfg_get(item, "c", number)
 
 
 def poly_from_dict(d) -> PolynomialData:
-    """Polynomial from {"dim": d, "coeffs": [{"alpha": [..], "c": v}, ...]}."""
+    """Polynomial from {"dim": 1, "coeffs": [{"alpha": [k], "c": v}, ...]}, v the
+    coefficient of x^k; degrees left out have coefficient 0."""
+    cfg_get(d, "dim", dimension)
     terms = cfg_get(d, "coeffs", list_of(_term))
-    coeffs = dict(terms)
-    if len(coeffs) != len(terms):
+    if len(dict(terms)) != len(terms):
         raise ConfigError("bad polynomial spec: repeated multi-index")
-    try:
-        return PolynomialData(cfg_get(d, "dim", count), coeffs)
-    except DomainError as exc:
-        raise ConfigError(f"bad polynomial spec: {exc}") from None
+    live = {k: c for k, c in terms if c != 0.0}
+    coeffs = np.zeros(max(live, default=0) + 1)
+    coeffs[list(live)] = list(live.values())
+    return PolynomialData(coeffs)
 
 
 # Config field kinds: each checks one parsed JSON value and returns it
@@ -413,10 +409,7 @@ def dimension(v) -> int:
     return 1
 
 
-def polynomial(v) -> PolynomialData:
-    """A polynomial field: poly_from_dict's spec, of dimension 1."""
-    cfg_get(v, "dim", dimension)
-    return poly_from_dict(v)
+polynomial = poly_from_dict   # a polynomial field
 
 
 def text(v) -> str:

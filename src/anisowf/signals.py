@@ -130,8 +130,6 @@ class ConvolutionKernel:
     __slots__ = ("phase", "passband")
 
     def __init__(self, phase: PolynomialData, passband: float = math.inf):
-        if phase.dim != 1:
-            raise DomainError(f"a kernel phase is 1-d, got dimension {phase.dim}")
         if not passband > 0.0:
             raise DomainError(f"passband must be positive, got {passband}")
         self.phase = phase
@@ -156,11 +154,9 @@ def gaussian_signal(width: float = 1.0, dim: int = 1) -> AnalyticSignal:
 
 
 def chirp_signal(phase: PolynomialData) -> AnalyticSignal:
-    if phase.dim != 1:
-        raise DomainError(f"an analytic chirp phase is 1-d, got dimension {phase.dim}")
     if phase.degree >= 3:
         return AnalyticSignal((("chirp", phase),))
-    c0, c1, c2 = (phase.coeffs.get((k,), 0.0) for k in range(3))
+    c0, c1, c2 = (phase.coeffs.tolist() + [0.0, 0.0])[:3]
     return AnalyticSignal((("gauss", 1.0, -1j * c2, c0, c1),))
 
 
@@ -190,8 +186,7 @@ def make_gaussian(d: int, n: int, dx: float, width: float = 1.0) -> SampledSigna
 
 def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float = math.inf,
                guard_level: float = 1e-14) -> SampledSignal:
-    """Chirp exp(i phase(x) - x^2/(2 W^2)) sampled on the grid, W = envelope_width;
-    the phase is 1-d.
+    """Chirp exp(i phase(x) - x^2/(2 W^2)) sampled on the grid, W = envelope_width.
 
     The aliasing guard applies where the envelope exceeds guard_level, which
     is every sample of the unimodular chirp (W = inf); samples outside carry
@@ -200,8 +195,6 @@ def make_chirp(phase: PolynomialData, n: int, dx: float, envelope_width: float =
     as a window's width; past 2^511 its square overflows to inf and the
     chirp is the unimodular one, which it equals to double precision.
     """
-    if phase.dim != 1:
-        raise DomainError(f"a sampled chirp phase is 1-d, got dimension {phase.dim}")
     if not envelope_width >= MIN_WIDTH:
         raise DomainError(f"envelope width must be at least 2^-511, got {envelope_width}")
     if not 0.0 < guard_level < 1.0:

@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, TruncationError
 from .geometry import AnisoIndex, PhasePoint
-from .poly import PolynomialData, coeff_array
+from .poly import PolynomialData
 from .signals import (AnalyticSignal, ConvolutionKernel, SampledSignal, WindowSpec,
                       chirp_signal, l2_norm)
 
@@ -578,7 +578,7 @@ def _chain(end: np.ndarray, hub: np.ndarray, valid: np.ndarray, left: np.ndarray
 def _chirp_quadrature(phase: PolynomialData, w: WindowSpec, xs: np.ndarray,
                       xis: np.ndarray) -> np.ndarray:
     """STFT of exp(i phase) for 1-d polynomial phases of degree >= 2, by steepest descent."""
-    c = coeff_array(phase)
+    c = phase.coeffs
     m = len(c) - 1
     # Phase centred on each window, so its size at large x adds no round-off:
     # taylor[k, j] = p^(j)(x_k) / j!, less xi in the linear term, so that

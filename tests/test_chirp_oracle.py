@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from anisowf.chirp import compare_wf, is_elliptic, predict_chirp_wf
-from anisowf.errors import DomainError, UnsupportedRegimeError
+from anisowf.chirp import compare_wf, predict_chirp_wf
+from anisowf.errors import UnsupportedRegimeError
 from anisowf.estimator import STATUSES, WFEstimate
 from anisowf.geometry import AnisoIndex, project_many
-from anisowf.poly import PolynomialData, eval_grad, poly_1d, principal_part
+from anisowf.poly import eval_grad, poly_1d, principal_part
 
 
 def make_estimate(dirs, idx, statuses=None):
@@ -18,38 +18,6 @@ def make_estimate(dirs, idx, statuses=None):
     n = len(z)
     status = np.array([STATUSES.index(s) for s in statuses or ["singular"] * n], dtype=int)
     return WFEstimate(idx, 1.0, z, status, np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, 10))
-
-
-class TestIsElliptic:
-    def test_square(self):
-        assert is_elliptic(poly_1d(0.0, 0.0, 1.0))
-
-    def test_cube_1d(self):
-        assert is_elliptic(poly_1d(0.0, 0.0, 0.0, 1.0))
-
-    def test_saddle_2d(self):
-        assert not is_elliptic(PolynomialData(2, {(1, 1): 1.0}))
-
-    def test_non_homogeneous_rejected(self):
-        with pytest.raises(DomainError):
-            is_elliptic(poly_1d(1.0, 0.0, 1.0))
-
-    @pytest.mark.parametrize("coeffs, elliptic", [
-        ({(2, 0): 1.0, (0, 2): 1.0}, True),
-        ({(2, 0): 1.0, (0, 2): -2.0}, False),   # zeros at tan(theta) = +-1/sqrt(2)
-        ({(2, 0): 1.0, (1, 1): -2.0 * math.sqrt(2.0), (0, 2): 2.0}, False),   # a double zero
-        ({(2, 0): 1.0}, False),   # zero on the x2 axis
-        ({(0, 2): 1.0}, False),
-        ({(3, 0): 1.0, (0, 3): 1.0}, False),
-        ({(4, 0): 1.0, (0, 4): 1.0}, True),
-        ({(4, 0): 1.0, (2, 2): 1.0, (0, 4): 1.0}, True)])
-    def test_zeros_at_any_angle_in_2d(self, coeffs, elliptic):
-        assert is_elliptic(PolynomialData(2, coeffs)) is elliptic
-
-    def test_3d_is_not_decided(self):
-        # x1 x2 + x3^2 vanishes at (1, 0, 0)
-        with pytest.raises(UnsupportedRegimeError):
-            is_elliptic(PolynomialData(3, {(1, 1, 0): 1.0, (0, 0, 2): 1.0}))
 
 
 class TestRegimes:
@@ -73,15 +41,6 @@ class TestRegimes:
         want = project_many(idx, [[1.0]], [[3.0]])[0]
         assert min(np.linalg.norm(d - want) for d in pred.directions) < 1e-9
 
-    def test_circular_graph_in_2d(self):
-        # x1^2 + x2^2 at s = t: the graph {(x, 2x)} over 64 unit x directions
-        pred = predict_chirp_wf(PolynomialData(2, {(2, 0): 1.0, (0, 2): 1.0}),
-                                AnisoIndex(1.2, 1.2))
-        assert pred.kind == "gradient-graph" and pred.directions.shape == (64, 4)
-        np.testing.assert_allclose(np.linalg.norm(pred.directions, axis=1), 1.0, atol=1e-11)
-        np.testing.assert_allclose(pred.directions[:, 2:], 2.0 * pred.directions[:, :2],
-                                   rtol=0.0, atol=1e-11)
-
     def test_graph_generator_consistency(self):
         # every emitted direction lies on the projected graph orbit
         idx = AnisoIndex(0.6, 1.2)
@@ -101,16 +60,13 @@ class TestRegimes:
         np.testing.assert_allclose(pred.directions[:, 1], 0.0)
 
     def test_xi_axis_regime(self):
-        pred = predict_chirp_wf(poly_1d(0.0, 0.0, 0.0, 1.0), AnisoIndex(1.5, 1.2))
-        assert pred.kind == "xi-axis"
-        assert not pred.equality  # odd phase: equality only stated for even
-        np.testing.assert_allclose(pred.directions[:, 0], 0.0)
-
-    def test_xi_axis_requires_elliptic(self):
-        # saddle and hyperbolic principal parts, the latter vanishing at tan = +-1/sqrt(2)
-        for coeffs in ({(1, 1): 1.0}, {(2, 0): 1.0, (0, 2): -2.0}):
-            with pytest.raises(DomainError, match="elliptic"):
-                predict_chirp_wf(PolynomialData(2, coeffs), AnisoIndex(2.5, 1.2))
+        # every c x^m with c != 0 vanishes only at 0, so it is elliptic however
+        # small c is: an absolute cut once refused 1e-10 x^3
+        for c in (1.0, 1e-10):
+            pred = predict_chirp_wf(poly_1d(0.0, 0.0, 0.0, c), AnisoIndex(1.5, 1.2))
+            assert pred.kind == "xi-axis"
+            assert not pred.equality  # odd phase: equality only stated for even
+            np.testing.assert_array_equal(pred.directions, [[0.0, 1.0], [0.0, -1.0]])
 
     def test_unsupported_regimes(self):
         with pytest.raises(UnsupportedRegimeError):
@@ -122,10 +78,6 @@ class TestRegimes:
         with pytest.raises(UnsupportedRegimeError):
             # t(m-1) > s but s <= 1
             predict_chirp_wf(poly_1d(0.0, 0.0, 0.0, 1.0), AnisoIndex(2.0, 0.9))
-        with pytest.raises(UnsupportedRegimeError):
-            # s = t(m-1) in d = 3: the gradient graph is sampled for d <= 2 only
-            predict_chirp_wf(PolynomialData(3, {(2, 0, 0): 1.0, (0, 1, 1): 1.0}),
-                             AnisoIndex(1.2, 1.2))
 
     def test_regimes_exclusive(self):
         phase = poly_1d(0.0, 0.0, 1.0)

@@ -10,19 +10,21 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anisowf.cli import COMMANDS, main
 from anisowf.estimator import product_sphere4
-from anisowf.io import poly_to_dict, write_signal_csv
-from anisowf.poly import poly_1d
+from anisowf.io import write_signal_csv
 from anisowf.signals import SampledSignal, make_gaussian
 from anisowf.stft import WindowSpec, stft_grid
 
-XSQ = poly_to_dict(poly_1d(0.0, 0.0, 1.0))
+XSQ = {"dim": 1, "coeffs": [{"alpha": [2], "c": 1.0}]}
 PLANE = {"dim": 2, "coeffs": [{"alpha": [2, 0], "c": 1.0}, {"alpha": [0, 2], "c": 1.0}]}
+# dim 1, but a multi-index of the plane's length
+PLANE_ALPHA = {"dim": 1, "coeffs": [{"alpha": [2, 0], "c": 1.0}]}
 
 
 def run_cli(tmp_path, command, config, seed=0, name="cfg.json", outname="out"):
@@ -305,17 +307,19 @@ class TestStftCommand:
         ("wf", "signal.phase", {"kind": "analytic-chirp", "phase": PLANE}),
     ])
     def test_2d_polynomial_exit_2(self, tmp_path, capsys, command, path, signal):
-        # every polynomial field is 1-d, and a 2-d one is a config error naming it
-        cfg = fuzz_fixture(command, tmp_path)
-        if signal is None:
-            cfg[path] = PLANE
-        else:
-            cfg["signal"] = signal
-        code, outdir = run_cli(tmp_path, command, cfg)
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err, err
-        assert not any(files for _, _, files in os.walk(outdir))
+        # every polynomial field is 1-d, and a 2-d one, or a 1-d one with a
+        # two-entry alpha, is a config error naming it
+        for k, poly in enumerate((PLANE, PLANE_ALPHA)):
+            cfg = fuzz_fixture(command, tmp_path)
+            if signal is None:
+                cfg[path] = poly
+            else:
+                cfg["signal"] = dict(signal, phase=poly)
+            code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{k}")
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert err.startswith(f"config error: {path}: ") and "Traceback" not in err, err
+            assert not any(files for _, _, files in os.walk(outdir))
 
 
 class TestWfCommand:
@@ -389,6 +393,18 @@ class TestWfCommand:
         entries = json.loads((outdir / "wf_estimate.json").read_text())["entries"]
         assert len(entries) == 90 and {e["status"] for e in entries} == {"unreachable"}
 
+    def test_huge_envelope_chirp_runs_without_warnings(self, tmp_path, capsys):
+        # an envelope width whose square overflows leaves the unimodular chirp, which runs
+        cfg = {"signal": {"kind": "chirp", "n": 256, "dx": 0.1, "phase": XSQ,
+                          "envelope_width": 1e300},
+               "index": {"t": 1.2, "s": 1.2}, "sphere_samples": 90,
+               "lambda": {"min": 2.0, "max": 8.0, "n": 24}, "floor": 1e-6}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = run_cli(tmp_path, "wf", cfg)
+        err = capsys.readouterr().err
+        assert code == 0 and "Traceback" not in err, err
+
 
 class TestFileSignal:
     def test_wf_from_signal_file(self, tmp_path):
@@ -428,6 +444,33 @@ class TestChirpVerify:
         assert list(counts) == ["singular", "regular", "below-floor", "unreachable"]
         assert sum(counts.values()) == 360
         assert counts["singular"] == report["n_detected"]
+
+    def test_readme_quadratic_example(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Example: verify the quadratic-chirp")[1]
+        cfg = json.loads(example.split("```json")[1].split("```")[0])
+        assert cfg["phase"] == XSQ and cfg["sphere_samples"] == 720
+        code, outdir = run_cli(tmp_path, "chirp-verify", cfg)
+        assert code == 0
+        assert json.loads((outdir / "report.json").read_text())["pass"] is True
+
+    def test_quintic_saddle_cluster(self, tmp_path):
+        # 100 x^5 reaches its cluster of coalescing saddles at the origin; on
+        # lambda 2-400 its singular directions lie on the predicted xi axis
+        cfg = {"phase": {"dim": 1, "coeffs": [{"alpha": [5], "c": 100.0}]},
+               "index": {"t": 1.0, "s": 1.5}, "window": {"width": 1.0}, "sphere_samples": 360,
+               "lambda": {"min": 2.0, "max": 400.0, "n": 24}, "floor": 1e-8}
+        code, outdir = run_cli(tmp_path, "chirp-verify", cfg)
+        assert code == 0
+        assert json.loads((outdir / "report.json").read_text())["pass"] is True
+
+    def test_tiny_principal_part_is_elliptic(self, tmp_path, capsys):
+        # 1e-10 x^3 vanishes only at 0: its frequency-axis prediction runs
+        cfg = dict(fuzz_fixture("chirp-verify", tmp_path), index={"t": 1.5, "s": 1.2},
+                   phase={"dim": 1, "coeffs": [{"alpha": [3], "c": 1e-10}]})
+        code, outdir = run_cli(tmp_path, "chirp-verify", cfg)
+        assert code == 0, capsys.readouterr().err
+        assert json.loads((outdir / "prediction.json").read_text())["regime"] == "xi-axis"
 
 
 class TestRelationCommand:
@@ -615,7 +658,7 @@ class TestKernelCheck:
     def test_cubic_symbol_in_the_flow_regime(self, tmp_path, capsys):
         # x^3 at t = s(m - 1) with lambda up to 100: a sampled line would alias,
         # the analytic one has no grid
-        cfg = {"symbol": poly_to_dict(poly_1d(0.0, 0.0, 0.0, 1.0)), "time": 0.3,
+        cfg = {"symbol": {"dim": 1, "coeffs": [{"alpha": [3], "c": 1.0}]}, "time": 0.3,
                "index": {"t": 1.2, "s": 0.6},
                "window": {"width": 1.0},
                "sweep": [4, 12, 12, 24],
@@ -629,6 +672,19 @@ class TestKernelCheck:
         assert math.isfinite(report["cone_constant"])
         entries = json.loads((outdir / "kernel_wf.json").read_text())["entries"]
         assert any(e["singular"] for e in entries)
+
+    def test_far_sweep_underflows_without_warnings(self, tmp_path, capsys):
+        # at t = 400 the sweep reaches |x| ~ 1e160, where the closed forms' squares
+        # overflow: the values there underflow to 0, with no floating-point warning
+        cfg = {"symbol": XSQ, "time": 0.3, "index": {"t": 400.0, "s": 1.2},
+               "window": {"width": 1.0}, "sweep": [4, 12, 12, 24],
+               "lambda": {"min": 2.0, "max": 6.0, "n": 24}, "r_threshold": 0.13,
+               "floor": 1e-11, "eps_angle": 0.05}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = run_cli(tmp_path, "kernel-check", cfg)
+        err = capsys.readouterr().err
+        assert code == 0 and "Traceback" not in err, err
 
 
 class TestPropagateVerify:

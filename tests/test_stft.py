@@ -9,7 +9,7 @@ from anisowf import stft as stft_module
 from anisowf.errors import DomainError, TruncationError
 from anisowf.evolution import EvolutionSpec, kernel_signal
 from anisowf.geometry import AnisoIndex, PhasePoint
-from anisowf.poly import PolynomialData, poly_1d
+from anisowf.poly import poly_1d
 from anisowf.signals import (SampledSignal, chirp_signal, delta_signal,
                              gaussian_signal, make_chirp, make_gaussian,
                              one_signal, tensor_signal)
@@ -115,10 +115,6 @@ class TestPointClosedForms:
         got = stft_points(gaussian_signal(width, d), WindowSpec(big_w), xs, xis)
         # each axis's factor rounds by about 2 ulps (1.1e-15 seen in d = 3 over 3000 points)
         np.testing.assert_allclose(got, want.astype(complex), rtol=d * 5e-16, atol=0.0)
-
-    def test_chirp_phase_is_one_dimensional(self):
-        with pytest.raises(DomainError):
-            chirp_signal(PolynomialData(2, {(2, 0): 1.0, (0, 2): 1.0}))
 
 
 class TestClosedFormRange:
