@@ -3,8 +3,10 @@
 A kernel wave front set A lives in R^(4d) with points (x, y, xi, eta); a
 signal set B lives in R^(2d).  The composition A' o B collects the (x, xi)
 for which some (y, eta) in B puts (x, y, xi, -eta) inside A, matched with a
-tolerance since the sets are finite samples.  Distances are np.hypot
-reductions, which neither overflow nor underflow where |p|^2 would.
+tolerance since the sets are finite samples.  compose and its projection form
+share one core: it walks the (A row, B row) pairs in blocks of a fixed size and
+takes np.hypot norms, which neither overflow nor underflow where |p|^2 does, of
+the literal candidate (x, y_b, xi, -eta_b) less A's row, or (y, -eta) less B's.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import blocks4, unique_rows
+
+_WORK_ELEMENTS = 1 << 16   # _compose's cap on the floats in one block's arrays
 
 
 class PointSet:
@@ -41,8 +45,17 @@ class PointSet:
         return self.points.shape[0]
 
 
-def _nonzero_rows(points: np.ndarray) -> np.ndarray:
-    return points[(points != 0.0).any(axis=1)]
+def _compose(a: PointSet, b: PointSet, differences) -> PointSet:
+    """The unique nonzero (x, xi) of A's rows within A's tolerance of a row of B."""
+    if a.ambient != 2 * b.ambient:
+        raise DomainError("A must live in twice the ambient dimension of B")
+    hit, step = np.zeros(len(a), dtype=bool), max(1, _WORK_ELEMENTS // a.ambient)
+    for start in range(0, len(a) * len(b), step):   # blocks of (A row, B row) pairs
+        i, j = np.divmod(np.arange(start, min(start + step, len(a) * len(b))), len(b))
+        dists = np.hypot.reduce(differences(a.points[i], b.points[j]), axis=1)
+        hit[i[dists <= a.tolerance]] = True
+    kept = np.concatenate(blocks4(a.points[hit])[::2], axis=1)   # (x, xi)
+    return PointSet(unique_rows(kept[(kept != 0.0).any(axis=1)]), b.tolerance)
 
 
 def compose(a: PointSet, b: PointSet) -> PointSet:
@@ -51,31 +64,17 @@ def compose(a: PointSet, b: PointSet) -> PointSet:
     Applied literally: each candidate (x, y, xi, -eta) assembled from A's
     output block and a member of B is matched against A within tolerance.
     """
-    if a.ambient != 2 * b.ambient:
-        raise DomainError("A must live in twice the ambient dimension of B")
-    d = b.ambient // 2
-    out = []
-    for i in range(len(a)):
-        arow = a.points[i]
-        for j in range(len(b)):
-            brow = b.points[j]
-            candidate = np.concatenate([
-                arow[:d], brow[:d], arow[2 * d:3 * d], -brow[d:]])
-            if np.hypot.reduce(candidate - arow) <= a.tolerance:
-                out.append(np.concatenate([arow[:d], arow[2 * d:3 * d]]))
-                break
-    kept = _nonzero_rows(np.array(out).reshape(-1, b.ambient))
-    return PointSet(unique_rows(kept), b.tolerance)
+    def differences(rows, pts):
+        d = pts.shape[1] // 2
+        candidates = rows.copy()
+        candidates[:, d:2 * d], candidates[:, 3 * d:] = pts[:, :d], -pts[:, d:]
+        return candidates - rows
+    return _compose(a, b, differences)
 
 
 def compose_via_projection(a: PointSet, b: PointSet) -> PointSet:
     """p_{1,3}(A intersect p_{2,-4}^{-1} B), the projection form of A' o B."""
-    if a.ambient != 2 * b.ambient:
-        raise DomainError("A must live in twice the ambient dimension of B")
-    x, y, xi, eta = blocks4(a.points)
-    pa = np.concatenate([y, -eta], axis=1)
-    dists = np.hypot.reduce(pa[:, None, :] - b.points[None, :, :], axis=2)
-    hit = np.any(dists <= a.tolerance, axis=1)
-    sel = _nonzero_rows(np.concatenate([x, xi], axis=1)[hit])
-    return PointSet(unique_rows(sel), b.tolerance)
-
+    def differences(rows, pts):
+        _, y, _, eta = blocks4(rows)
+        return np.concatenate([y, -eta], axis=1) - pts
+    return _compose(a, b, differences)

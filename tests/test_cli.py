@@ -348,17 +348,17 @@ class TestWfCommand:
         assert code == 2
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = {"signal": {"kind": "analytic-one"},
-               "window": {"width": 1.0},
-               "index": {"t": 1.0, "s": 1.0},
-               "sphere_samples": 90,
-               "lambda": {"min": 2.0, "max": 100.0, "n": 24},
-               "floor": 1e-8}
-        code1, out1 = run_cli(tmp_path, "wf", cfg, outname="o1")
-        code2, out2 = run_cli(tmp_path, "wf", cfg, outname="o2")
-        assert code1 == code2 == 0
-        for name in ("wf_estimate.json", "profiles.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        common = {"window": {"width": 1.0}, "index": {"t": 1.0, "s": 1.0}, "sphere_samples": 90}
+        for k, cfg in enumerate([
+                {"signal": {"kind": "analytic-one"},
+                 "lambda": {"min": 2.0, "max": 100.0, "n": 24}, "floor": 1e-8},
+                {"signal": {"kind": "gaussian", "n": 256, "dx": 0.1},
+                 "lambda": {"min": 2.0, "max": 8.0, "n": 24}, "floor": 1e-11}]):
+            code1, out1 = run_cli(tmp_path, "wf", dict(common, **cfg), outname=f"o1-{k}")
+            code2, out2 = run_cli(tmp_path, "wf", dict(common, **cfg), outname=f"o2-{k}")
+            assert code1 == code2 == 0
+            for name in ("wf_estimate.json", "profiles.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_cone_steps_past_the_count_ceiling(self, tmp_path):
         # any cone wider than half the circle is the whole circle; 1e300 used to hang
@@ -490,16 +490,20 @@ class TestRelationCommand:
         report = json.loads((outdir / "composition.json").read_text())
         assert report["composition"] == []
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e200])
-    def test_extreme_coordinates(self, tmp_path, scale):
+    @pytest.mark.parametrize("a, b, want", [
+        pytest.param([[1e-170, 1.0, 0.0, -1.0]], [[1.0, 1.0]], [[1e-170, 0.0]], id="1e-170"),
+        pytest.param([[1e200, 1.0, 0.0, -1.0]], [[1.0, 1.0]], [[1e200, 0.0]], id="1e+200"),
+        # y = 1 lies 3e200 from B's y: a finite distance, and no match
+        pytest.param([[1e200, 1, 0, -1]], [[3e200, 1]], [], id="1e+200-against-3e+200"),
+    ])
+    def test_extreme_coordinates(self, tmp_path, a, b, want):
         # |x|^2 underflows to 0 or overflows to inf; the point is not the origin
-        cfg = {"A": [[scale, 1.0, 0.0, -1.0]], "B": [[1.0, 1.0]]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, outdir = run_cli(tmp_path, "relation", cfg)
+            code, outdir = run_cli(tmp_path, "relation", {"A": a, "B": b})
         assert code == 0
         report = json.loads((outdir / "composition.json").read_text())
-        assert report["composition"] == [[scale, 0.0]]
+        assert report["composition"] == want
 
     def test_scales_are_ignored(self, tmp_path):
         # scales and index are read by nothing: the report holds the composition alone

@@ -5,7 +5,23 @@ from anisowf.errors import DomainError
 from anisowf.evolution import EvolutionSpec, _flow_positions
 from anisowf.geometry import AnisoIndex, project_many
 from anisowf.poly import poly_1d
-from anisowf.relation import PointSet, compose, compose_via_projection
+from anisowf.relation import _WORK_ELEMENTS, PointSet, compose, compose_via_projection
+
+
+def compose_oracle(a_pts, b_pts, tolerance):
+    """A' o B by the double loop over the rows of A and B, sharing no code with
+    the package: the (x, xi) of each row (x, y, xi, eta) of A for which some
+    (y_b, eta_b) in B puts the candidate (x, y_b, xi, -eta_b) within tolerance
+    of the row, without zero rows or repeats, in ascending order."""
+    d = b_pts.shape[1] // 2
+    out = set()
+    for arow in a_pts:
+        for brow in b_pts:
+            candidate = np.concatenate([arow[:d], brow[:d], arow[2 * d:3 * d], -brow[d:]])
+            if np.hypot.reduce(candidate - arow) <= tolerance:
+                out.add(tuple(np.concatenate([arow[:d], arow[2 * d:3 * d]])))
+                break
+    return np.array(sorted(row for row in out if any(row))).reshape(-1, 2 * d)
 
 
 def test_tiny_coordinates_are_not_the_origin():
@@ -55,20 +71,33 @@ class TestCompose:
         assert len(compose(a, b)) == 0
 
     def test_matches_projection_formula_randomized(self):
-        # exact agreement of the two formulations on random finite instances
+        # exact agreement of the two formulations and the double loop on random
+        # finite instances
         rng = np.random.default_rng(42)
+        instances = []
         for _ in range(1000):
             na, nb = rng.integers(1, 6, size=2)
             a_pts = rng.integers(-2, 3, size=(na, 4)).astype(float)
             b_pts = rng.integers(-2, 3, size=(nb, 2)).astype(float)
             a_pts[np.linalg.norm(a_pts, axis=1) == 0, 0] = 1.0
             b_pts[np.linalg.norm(b_pts, axis=1) == 0, 0] = 1.0
-            a = PointSet(a_pts, tolerance=0.5)
-            b = PointSet(b_pts, tolerance=0.5)
+            instances.append((a_pts, b_pts, 0.5))
+        # several blocks of (A row, B row) pairs; some A rows are near several rows of B
+        # and some near none
+        a_pts, b_pts = rng.uniform(-3.0, 3.0, size=(300, 4)), rng.uniform(-3.0, 3.0, size=(400, 2))
+        assert a_pts.size * len(b_pts) > 4 * _WORK_ELEMENTS
+        near = np.hypot.reduce(a_pts[:, None, [1, 3]] * [1.0, -1.0] - b_pts, axis=2) <= 0.3
+        assert near.sum(axis=1).max() > 1 and not near.any(axis=1).all()
+        instances.append((a_pts, b_pts, 0.3))
+        for a_pts, b_pts, tol in instances:
+            a = PointSet(a_pts, tolerance=tol)
+            b = PointSet(b_pts, tolerance=tol)
             left = compose(a, b).points
             right = compose_via_projection(a, b).points
-            assert left.shape == right.shape
+            oracle = compose_oracle(a_pts, b_pts, tol)
+            assert left.shape == right.shape == oracle.shape
             np.testing.assert_array_equal(left, right)
+            np.testing.assert_array_equal(left, oracle)
 
     def test_monotone_in_b(self):
         rng = np.random.default_rng(7)
