@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegimeError
+from .estimator import REGULAR, SINGULAR
 from .geometry import AnisoIndex, nearest_angles, project_many, unique_rows
 from .poly import PolynomialData, eval_grad, principal_part
 
@@ -88,7 +89,7 @@ def compare_wf(estimate, prediction: WFPrediction, tol_angle: float) -> dict:
     err = nearest_angles(detected, pred)
     violations = [{"direction": z.tolist(), "angle": float(a)}
                   for z, a in zip(detected, err) if a > tol_angle]
-    decided = estimate.status <= 1   # singular (0) or regular (1)
+    decided = np.isin(estimate.status, (SINGULAR, REGULAR))
     covered = _near(pred, estimate.dirs[decided], tol_angle)
     counted = covered | ~_near(pred, estimate.dirs, tol_angle)
     misses = []

@@ -132,7 +132,7 @@ class OutputTracker:
         return p
 
     def write_json(self, name, payload):
-        with open(self.path(name), "w") as fh:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(dump_json(payload))
             fh.write("\n")
 
@@ -146,7 +146,7 @@ class OutputTracker:
 
 def read_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

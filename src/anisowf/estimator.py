@@ -34,8 +34,9 @@ LAMBDA_MIN = 2.0
 LAMBDA_MAX = 50.0
 MAX_DIRECTIONS = 8000
 _MIN_REACHABLE = 8
-# Row verdicts, in report order: WFEstimate.status holds their indices
+# Row verdicts, in report order: WFEstimate.status holds their indices, named below
 STATUSES = ("singular", "regular", "below-floor", "unreachable")
+SINGULAR, REGULAR, BELOW_FLOOR, UNREACHABLE = range(len(STATUSES))
 # Curve-table points per stft_points call, bounding the closed forms' (points,) temporaries
 _TABLE_CHUNK = 2048
 # cone_constant: a block norm below this counts as vanishing
@@ -75,7 +76,7 @@ class WFEstimate:
     @property
     def singular(self) -> np.ndarray:
         """Row mask of the singular rows."""
-        return self.status == STATUSES.index("singular")
+        return self.status == SINGULAR
 
     @cached_property
     def entries(self) -> list:
@@ -214,7 +215,8 @@ def _classify(dirs, lambdas, table, floor, threshold) -> dict:
     rhat, intercept, residual, n_valid = fit_rate_arrays(lambdas, table, floor)
     last = table[np.arange(len(table)), lambdas.size - 1 - np.argmax(reach[:, ::-1], axis=1)]
     status = np.select([~reachable, (rhat <= threshold) & (last >= floor),
-                        np.isfinite(rhat) & (rhat > threshold)], [3, 0, 1], 2)
+                        np.isfinite(rhat) & (rhat > threshold)],
+                       [UNREACHABLE, SINGULAR, REGULAR], BELOW_FLOOR)
     return {"dirs": dirs, "status": status, "rhat": rhat, "intercept": intercept,
             "residual": residual, "n_valid": n_valid}
 
@@ -327,7 +329,7 @@ def estimate_kernel_wf(K, w: WindowSpec, idx: AnisoIndex,
     cols = _classify(dirs, lambdas, mags, floor, r_threshold)
 
     # refinement caps around detected directions and the best near-misses
-    seed_ids = _refinement_seeds(cols["rhat"], cols["status"] == STATUSES.index("singular"))
+    seed_ids = _refinement_seeds(cols["rhat"], cols["status"] == SINGULAR)
     spacing = math.pi / (min(sweep[1], sweep[2]) or 1)
     budget = MAX_DIRECTIONS - dirs.shape[0]
     per = min(refine, budget // len(seed_ids)) if len(seed_ids) else 0
@@ -374,7 +376,7 @@ def check_graph_condition(wf: WFEstimate, eps_angle: float) -> dict:
     near = angles < eps_angle
     hit = near & wf.singular[:, None]
     empty = ~hit.any(axis=0)
-    confirmed = empty & (near & (wf.status == STATUSES.index("regular"))[:, None]).any(axis=0)
+    confirmed = empty & (near & (wf.status == REGULAR)[:, None]).any(axis=0)
     offenders = [{"direction": z[i].tolist(), "plane": int(j) + 1, "angle": float(angles[i, j])}
                  for i, j in zip(*np.nonzero(hit))]
     rows = [wf.status_counts(near[:, j]) for j in (0, 1)]

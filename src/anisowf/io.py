@@ -3,20 +3,23 @@
 Signals travel as CSV with a leading header carrying n, dx and dim 1; polynomials
 as JSON multi-index coefficient lists; estimates and reports as JSON.  Every
 float is written as the text '%.17g' gives it, so identical runs produce
-byte-identical files.  Blocks of floats are formatted by _format17, an exact
-decimal conversion in numpy: each value is scaled to its 17 digits by a
-double-double power of ten and laid out in a 32-byte cell.  For the few
-values it cannot decide (within 1e-9 of an inexact rounding tie, or not
-finite) the cell holds the text % gives it, or null in JSON.  A cell pads
-its text with NUL bytes, which no text holds, so one bytes.translate
-compacts a block.  Every CSV file goes through one writer, _write_table, in
-1,024-row blocks.  Config fields are read by cfg_get through one of the
-field kinds below, which reject what JSON would otherwise coerce.
+byte-identical files.  dump_json writes a scalar float by '%.17g' and a
+string as json.dumps escapes it.  Blocks of floats (estimate rows, CSV tables) go
+through _format17, an exact decimal conversion in numpy: each value is scaled
+to its 17 digits by a double-double power of ten and laid out in a 32-byte
+cell.  For the few values it cannot decide (within 1e-9 of an inexact
+rounding tie, or not finite) the cell holds the text % gives it, or null in
+JSON.  A cell pads its text with NUL bytes, which no text holds, so one
+bytes.translate compacts a block.  Every CSV file goes through one writer,
+_write_table, in 1,024-row blocks.  Config fields are read by cfg_get
+through one of the field kinds below, which reject what JSON would otherwise
+coerce.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 
@@ -29,24 +32,14 @@ from .signals import SampledSignal
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: floats at 17 significant digits, no whitespace drift.
-
-    The document is encoded as a %-template with a %s for each float, and
-    its floats are formatted by one _floats call."""
-    floats = []
-    return _encode(obj, floats) % tuple(_floats(floats))
-
-
-def _encode(obj, floats) -> str:
-    """The template of obj's JSON text, its floats appended to floats; a %
-    of the text is written %%.  Each container is joined as soon as its
-    members are encoded, so a large report never holds one string per
-    token, and the common kinds are tested first."""
+    """Deterministic JSON text of obj, with no whitespace: a float as
+    '%.17g' writes it (null where not finite), a key or string as
+    json.dumps escapes it (ASCII output), a _Raw string as it is, and a
+    container as the joined text of its members."""
     if isinstance(obj, (float, np.floating)):
-        floats.append(float(obj))
-        return "%s"
+        return _float(float(obj))
     if isinstance(obj, str):
-        return (obj if isinstance(obj, _Raw) else _string(obj)).replace("%", "%%")
+        return obj if isinstance(obj, _Raw) else json.dumps(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -56,19 +49,15 @@ def _encode(obj, floats) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
-        return "{" + ",".join(_string(str(k)).replace("%", "%%") + ":" + _encode(v, floats)
-                              for k, v in obj.items()) + "}"
+        return "{" + ",".join(json.dumps(str(k)) + ":" + dump_json(v) for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if all(isinstance(v, float) for v in seq):
-            floats.extend(seq)
-            return "[" + ",".join(["%s"] * len(seq)) + "]"
-        return "[" + ",".join([_encode(v, floats) for v in seq]) + "]"
+        return "[" + ",".join([dump_json(v) for v in seq]) + "]"
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 class _Raw(str):
-    """JSON text that _encode writes as it is."""
+    """JSON text that dump_json writes as it is."""
 
 
 def _float(x: float) -> str:
@@ -79,10 +68,6 @@ def _floats(values) -> list:
     """_float of each float in the sequence values, through _format17."""
     chars = _format17(np.asarray(values, dtype=float), [b","], _float)
     return chars.tobytes().translate(None, b"\0").decode().split(",")[:-1]
-
-
-def _string(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # _format17 writes each float into a cell of _CELL bytes, four uint64 words,
@@ -319,7 +304,7 @@ def write_signal_csv(path, sig: SampledSignal):
 def read_signal_csv(path) -> SampledSignal:
     """Signal from write_signal_csv's format: dim 1 and exactly n rows of 4
     columns, indexed 0 .. n - 1, or ConfigError is raised."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n").split(",")[:3] != ["n", "dx", "dim"]:
             raise ConfigError(f"{path}: expected signal header row 'n,dx,dim'")
         try:

@@ -505,6 +505,16 @@ class TestRelationCommand:
         report = json.loads((outdir / "composition.json").read_text())
         assert report["composition"] == want
 
+    def test_config_text_is_escaped_in_the_report(self, tmp_path):
+        # a control character left raw in a string makes the report invalid JSON
+        note = "tab\there\nnew\x01\"q\"\\é\U0001d11e"
+        cfg = {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]], "note": note}
+        code, outdir = run_cli(tmp_path, "relation", cfg)
+        assert code == 0
+        text = (outdir / "composition.json").read_text(encoding="utf-8")
+        assert json.loads(text)["config"] == cfg
+        assert text.isascii()
+
     def test_scales_are_ignored(self, tmp_path):
         # scales and index are read by nothing: the report holds the composition alone
         cfg = {"A": [[1, 2, 3, -4]], "B": [[2, 4]], "tolerance": 0.5, "scales": [1e300],
@@ -783,18 +793,24 @@ class TestWarnings:
 
 class TestModuleEntryPoint:
     def test_python_m_exit_codes(self, tmp_path):
+        # every text file is opened as UTF-8: an open that falls back on the
+        # locale's encoding raises EncodingWarning, an error here
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
         good = {"A": [[1.0, 2.0, 3.0, -4.0]], "B": [[2.0, 4.0]]}
-        for k, (cfg, want) in enumerate(((good, 0), (dict(good, tolerance="big"), 2))):
+        runs = [("relation", good, 0), ("relation", dict(good, tolerance="big"), 2),
+                ("wf", fuzz_fixture("wf", tmp_path), 0)]
+        for k, (command, cfg, want) in enumerate(runs):
             cfg_path = tmp_path / f"cfg{k}.json"
             cfg_path.write_text(json.dumps(cfg))
-            proc = subprocess.run([sys.executable, "-m", "anisowf.cli", "relation",
+            proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                                   "-W", "error::EncodingWarning", "-m", "anisowf.cli", command,
                                    "--config", str(cfg_path), "--out", str(tmp_path / f"out{k}")],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == want, proc.stderr
             assert "Traceback" not in proc.stderr
         assert (tmp_path / "out0" / "composition.json").exists()
+        assert (tmp_path / "out2" / "wf_estimate.json").exists()
 
 
 class TestConfigFuzz:
@@ -882,26 +898,27 @@ class TestConfigFuzz:
                                          "kernel-check"])
     def test_window_width_past_2_511_exit_2(self, tmp_path, capsys, command):
         # width^2 of 1e160 used to end in a raw OverflowError in the window's values
-        cfg = dict(fuzz_fixture(command, tmp_path), window={"width": 1e160})
-        code, outdir = run_cli(tmp_path, command, cfg)
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert "Traceback" not in err and "window.width: invalid value" in err, err
-        assert not any(files for _, _, files in os.walk(outdir))
+        for width in (1e160, 1e200):
+            cfg = dict(fuzz_fixture(command, tmp_path), window={"width": width})
+            code, outdir = run_cli(tmp_path, command, cfg, outname=f"out{width:g}")
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert "Traceback" not in err and "window.width: invalid value" in err, err
+            assert not any(files for _, _, files in os.walk(outdir))
 
     def test_kernel_window_past_2_510_5_exit_2(self, tmp_path, capsys):
         # the kernel's chirp window has width 1/(sqrt(2) W): past W = 2^510.5 it is
         # below 2^-511, which used to end in exit 1 after the config was accepted
         cfg = fuzz_fixture("kernel-check", tmp_path)
-        codes = {}
-        for e in (510.25, 510.75):
-            codes[e], outdir = run_cli(tmp_path, "kernel-check",
-                                       dict(cfg, window={"width": 2.0 ** e}), outname=str(e))
+        for width, refused in ((2.0 ** 510.25, False), (2.0 ** 510.75, True), (6e153, True)):
+            code, outdir = run_cli(tmp_path, "kernel-check", dict(cfg, window={"width": width}),
+                                   outname=str(width))
             err = capsys.readouterr().err
             assert "Traceback" not in err, err
-        assert codes[510.25] != 2
-        assert codes[510.75] == 2 and err.startswith("config error: window.width: "), err
-        assert not any(files for _, _, files in os.walk(outdir))
+            assert (code == 2) == refused, err
+            if refused:
+                assert err.startswith("config error: window.width: "), err
+                assert not any(files for _, _, files in os.walk(outdir))
 
     # a chirp envelope of 1e-300 used to give non-finite samples (exit 1), and a
     # Gaussian width of 1e-160 failed the window's floor (exit 1)

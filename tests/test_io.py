@@ -45,9 +45,19 @@ class TestDumpJson:
         assert s == '{"a":0.10000000000000001,"b":[1,2.5],"c":null,"d":true}'
 
     def test_percent_signs_survive_the_template(self):
-        # floats are filled into a %-template of the document, so its own % are escaped
+        # % in keys, strings and _Raw text is written as it is
         s = dump_json({"100%": ["%s", "%%d", 0.5], "r": _Raw('{"%":1}'), "x": 2.0})
         assert s == '{"100%":["%s","%%d",0.5],"r":{"%":1},"x":2}'
+
+    def test_strings_escape_like_the_json_module(self):
+        # control characters, quotes, backslashes and non-ASCII text in keys and
+        # values: the text parses back to the document and is ASCII
+        odd = "tab\there\nnew\x01\"q\"\\é\U0001d11e"
+        doc = {odd: [odd, {"k" + odd: 1.5}], "note": odd}
+        text = dump_json(doc)
+        assert text.isascii()
+        assert json.loads(text) == doc
+        assert text == json.dumps(doc, separators=(",", ":"))
 
     def test_non_finite_maps_to_null(self):
         assert dump_json([math.inf, math.nan]) == "[null,null]"
